@@ -1,38 +1,17 @@
 #!/usr/bin/env python3
-"""Run the whole verification battery and print one JSON line per report.
+"""Run the verification battery and print one JSON line per report, with its time.
 
 Example:
     python scripts/run_verification.py --n 5
-    python scripts/run_verification.py --n 6 --suites ref1,fibers --threads 4
+    python scripts/run_verification.py --n 6 --suites ref1,fibers
 """
 
 import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from flipforge.graphs import (
-    diagram_audit,
-    fiber_report,
-    homogeneous_product_audit,
-    signed_reachability_check,
-    switched_audit,
-)
-
-SUITES = {
-    "ref1": signed_reachability_check,
-    "fibers": fiber_report,
-    "homogeneous": homogeneous_product_audit,
-    "switched": switched_audit,
-    "diagram": diagram_audit,
-}
-
-
-def passed(report: dict) -> bool:
-    if "pass" in report:
-        return bool(report["pass"])
-    return report["count_matches"] and not report["class_mismatches"]
+from flipforge.graphs import SUITES, run_suite
 
 
 def main() -> int:
@@ -42,38 +21,26 @@ def main() -> int:
                         help="comma list from %s or 'all'" % ",".join(SUITES))
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the randomized homogeneous audit")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     names = list(SUITES) if args.suites == "all" else args.suites.split(",")
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         parser.error(f"unknown suites: {unknown}")
-
-    jobs = [(name, n) for name in names for n in range(1, args.n + 1)]
-
-    def run_one(job):
-        name, n = job
-        t0 = time.monotonic()
-        if name == "homogeneous":
-            report = SUITES[name](n, seed=args.seed)
-        else:
-            report = SUITES[name](n)
-        return name, n, time.monotonic() - t0, report
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+    if args.n < 1:
+        sys.stderr.write(f"error: --n must be at least 1, got {args.n}\n")
+        return 1
 
     all_ok = True
-    for name, n, seconds, report in results:
-        ok = passed(report)
-        all_ok = all_ok and ok
-        print(json.dumps({"suite": name, "n": n, "pass": ok,
-                          "seconds": round(seconds, 3), "report": report},
-                         sort_keys=True))
+    for name in names:
+        for n in range(1, args.n + 1):
+            t0 = time.monotonic()
+            report = run_suite(name, n, args.seed)
+            seconds = time.monotonic() - t0
+            all_ok = all_ok and report["pass"]
+            print(json.dumps({"suite": name, "n": n, "pass": report["pass"],
+                              "seconds": round(seconds, 3), "report": report},
+                             sort_keys=True))
     print(json.dumps({"suites": names, "max_n": args.n, "pass": all_ok},
                      sort_keys=True))
     return 0 if all_ok else 1

@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import graphs, jsonio, render
+from .graphs import SUITES
 from .flips import flip, signed_flip, homogeneous_neighbors, switched_neighbors
 from .heawood import four_color, glue, heawood_check, verify_coloring
 from .phi import (
@@ -188,7 +188,7 @@ def cmd_neighbors(args) -> int:
 def cmd_signed_path(args) -> int:
     start = triangulation_from_permutation(parse_word(args.perm1))
     end = triangulation_from_permutation(parse_word(args.perm2))
-    limits = SearchLimits(max_states=args.max_states, threads=args.threads)
+    limits = SearchLimits(max_states=args.max_states)
     path = signable_path_search(start, end, limits)
     if path is None:
         _print_json({"found": False})
@@ -304,33 +304,11 @@ def cmd_graph(args) -> int:
     return 0
 
 
-SUITES = ("ref1", "fibers", "homogeneous", "switched", "diagram")
-
-
-def _run_suite(suite: str, n: int, seed: int) -> dict:
-    if suite == "ref1":
-        report = graphs.signed_reachability_check(n)
-    elif suite == "fibers":
-        report = graphs.fiber_report(n)
-        report["pass"] = report["count_matches"] and not report["class_mismatches"]
-    elif suite == "homogeneous":
-        report = graphs.homogeneous_product_audit(n, seed=seed)
-    elif suite == "switched":
-        report = graphs.switched_audit(n)
-    else:
-        report = graphs.diagram_audit(n)
-    report["suite"] = suite
-    return report
-
-
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     suites = SUITES if args.suite == "all" else (args.suite,)
-    jobs = [(s, n) for s in suites for n in range(1, args.n + 1)]
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda job: _run_suite(job[0], job[1], args.seed), jobs))
-    else:
-        reports = [_run_suite(s, n, args.seed) for s, n in jobs]
+    reports = [graphs.run_suite(s, n, args.seed) for s in suites for n in range(1, args.n + 1)]
     ok = all(r["pass"] for r in reports)
     for r in reports:
         sys.stdout.write(jsonio.dumps(r) + "\n")
@@ -387,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("plain", "signed", "homogeneous", "switched"), default="plain")
     p = add("signed-path", cmd_signed_path, perm1={}, perm2={})
     p.add_argument("--max-states", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--emit-cert", default=None)
     add("check-cert", cmd_check_cert, file={})
     add("sign-path-diagonals", cmd_sign_path_diagonals, file={})
@@ -404,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p = add("render", cmd_render, file={})
     p.add_argument("--format", choices=("svg", "json"), default="svg")
 

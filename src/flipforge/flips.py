@@ -16,6 +16,8 @@ from .triangulation import (
     Coloring,
     Diagonal,
     Triangulation,
+    cut_ear,
+    cut_ears,
     edge_adjacency,
     is_simple,
 )
@@ -82,52 +84,23 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
 
     live = list(t1.ring.vertices)
     diags = set(t1.diagonals)
-    prefix: list[int] = []
     interior = set(range(a + 1, b)) | set(range(b + 1, c)) | set(range(c + 1, dd))
-    while True:
-        touched = {v for e in diags for v in e}
-        cuttable = [v for v in live if v in interior and v not in touched]
-        if not cuttable:
-            break
-        v = min(cuttable)
-        idx = live.index(v)
-        p, s = live[idx - 1], live[(idx + 1) % len(live)]
-        diags.discard((min(p, s), max(p, s)))
-        live.pop(idx)
-        prefix.append(v)
-        interior.discard(v)
+    prefix = cut_ears(live, diags, interior, min)
 
-    def finish(live_: list[int], diags_: set, first: int, second: int) -> list[int]:
-        live_, diags_ = list(live_), set(diags_)
-        tail = []
+    def finish(diags_: set, first: int, second: int) -> list[int]:
+        live_ = list(live)
         for v in (first, second):
-            touched = {u for e in diags_ for u in e}
-            if v in touched:
+            if any(v in e for e in diags_):
                 raise AssertionError(f"vertex {v} not an ear after clearing the quad")
-            idx = live_.index(v)
-            p, s = live_[idx - 1], live_[(idx + 1) % len(live_)]
-            diags_.discard((min(p, s), max(p, s)))
-            live_.pop(idx)
-            tail.append(v)
-        while True:
-            touched = {u for e in diags_ for u in e}
-            cuttable = [u for u in live_ if 1 <= u <= t1.n and u not in touched]
-            if not cuttable:
-                return tail
-            v = min(cuttable)
-            idx = live_.index(v)
-            p, s = live_[idx - 1], live_[(idx + 1) % len(live_)]
-            diags_.discard((min(p, s), max(p, s)))
-            live_.pop(idx)
-            tail.append(v)
+            cut_ear(live_, diags_, v)
+        return [first, second] + cut_ears(live_, diags_, t1.ring.inner, min)
 
     if quad.old == (a, c):
         first1, second1 = b, c
     else:
         first1, second1 = c, b
-    w1 = tuple(prefix + finish(live, diags, first1, second1))
-    diags2 = (diags - {quad.old}) | {quad.new}
-    w2 = tuple(prefix + finish(live, diags2, second1, first1))
+    w1 = tuple(prefix + finish(set(diags), first1, second1))
+    w2 = tuple(prefix + finish((diags - {quad.old}) | {quad.new}, second1, first1))
     return w1, w2
 
 

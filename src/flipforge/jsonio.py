@@ -37,11 +37,16 @@ def triangulation_from_dict(data: dict) -> tuple[Triangulation, Coloring | None,
     problems = validate(t)
     if problems:
         raise ValueError(problems[0])
+    for name in ("colors", "signs"):
+        if name in data and not isinstance(data[name], list):
+            raise ValueError(f"{name} must be a list, got {type(data[name]).__name__}")
     colors = tuple(data["colors"]) if "colors" in data else None
     signs = tuple(data["signs"]) if "signs" in data else None
     for name, extra in (("colors", colors), ("signs", signs)):
         if extra is not None and len(extra) != t.n:
             raise ValueError(f"{name} must have length n={t.n}")
+    if colors is not None and any(type(c) is not int for c in colors):
+        raise ValueError("colors must be integers")
     if signs is not None and any(s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +-1")
     return t, colors, signs

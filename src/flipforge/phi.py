@@ -15,7 +15,9 @@ with ``insert``.
 
 from __future__ import annotations
 
-from .triangulation import Coloring, Triangulation, is_simple
+from functools import cache
+
+from .triangulation import Coloring, Triangulation, cut_ear, cut_ears, is_simple
 from .words import Word, block_coloring, evaluation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
@@ -39,12 +41,9 @@ def triangulation_from_permutation(sigma: Word) -> Triangulation:
 def readings(t: Triangulation) -> frozenset[Word]:
     """All words obtained by repeatedly cutting an inner ear of t."""
     inner = set(t.ring.inner)
-    memo: dict[tuple[tuple[int, ...], frozenset], frozenset[Word]] = {}
 
+    @cache
     def rec(live: tuple[int, ...], diags: frozenset) -> frozenset[Word]:
-        key = (live, diags)
-        if key in memo:
-            return memo[key]
         cuttable = [v for v in live if v in inner]
         if not cuttable:
             return frozenset({()})
@@ -53,32 +52,17 @@ def readings(t: Triangulation) -> frozenset[Word]:
         for v in cuttable:
             if v in touched:
                 continue
-            idx = live.index(v)
-            a, b = live[idx - 1], live[(idx + 1) % len(live)]
-            chord = (min(a, b), max(a, b))
-            rest = rec(live[:idx] + live[idx + 1 :], diags - {chord})
-            out.update((v,) + w for w in rest)
-        result = frozenset(out)
-        memo[key] = result
-        return result
+            live2, diags2 = list(live), set(diags)
+            cut_ear(live2, diags2, v)
+            out.update((v,) + w for w in rec(tuple(live2), frozenset(diags2)))
+        return frozenset(out)
 
     return rec(tuple(t.ring.vertices), frozenset(t.diagonals))
 
 
 def canonical_reading(t: Triangulation) -> Word:
     """The reading that always cuts the greatest-labelled ear (lex-greatest)."""
-    live = list(t.ring.vertices)
-    diags = set(t.diagonals)
-    word = []
-    for _ in range(t.n):
-        touched = {v for d in diags for v in d}
-        v = max(u for u in live if 1 <= u <= t.n and u not in touched)
-        idx = live.index(v)
-        a, b = live[idx - 1], live[(idx + 1) % len(live)]
-        diags.discard((min(a, b), max(a, b)))
-        live.pop(idx)
-        word.append(v)
-    return tuple(word)
+    return tuple(cut_ears(list(t.ring.vertices), set(t.diagonals), set(t.ring.inner), max))
 
 
 def colored_triangulation_from_word(w: Word) -> ColoredTriangulation:

@@ -49,11 +49,6 @@ class SignedState(NamedTuple):
 @dataclass(frozen=True)
 class SearchLimits:
     max_states: int = 1_000_000
-    threads: int = 1
-
-
-def _state_key(s: SignedState) -> tuple[str, Coloring]:
-    return (canonical_key(s.tri), s.signs)
 
 
 def sigma_closure(start: SignedState, limits: SearchLimits = SearchLimits()) -> frozenset[SignedState]:
@@ -187,14 +182,20 @@ def signable_path_search(
     """Shortest signed-flip path from (start_tri, any signs) to end_tri.
 
     Runs a breadth-first search seeded with every signing of start_tri;
-    returns None only when the whole reachable space is exhausted.  Ties are
-    broken by canonical key order so results are reproducible.
+    returns None only when the whole reachable space is exhausted.  Seeds go
+    in lexicographic order of their signs and flips in diagonal order, so
+    results are reproducible.
     """
     if start_tri.n != end_tri.n:
         raise ValueError("triangulations must have equal n")
     n = start_tri.n
+    if start_tri == end_tri:
+        state = SignedState(start_tri, (-1,) * n)
+        return SignedPath(state, state, ())
+    # Every signing of start_tri is a seed: refuse before building 2^n of them.
+    if 2 ** n > limits.max_states:
+        raise StateCapExceeded(f"search exceeds {limits.max_states} states")
     sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
-    sources.sort(key=_state_key)
     parent: dict[SignedState, tuple[SignedState, Diagonal] | None] = {s: None for s in sources}
     queue = deque(sources)
 
@@ -207,9 +208,6 @@ def signable_path_search(
             cur = prev
         return SignedPath(cur, state, tuple(reversed(flips_rev)))
 
-    for s in sources:
-        if s.tri == end_tri:
-            return path_from(s)
     while queue:
         state = queue.popleft()
         for d in state.tri.diagonals:

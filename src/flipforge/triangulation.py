@@ -138,6 +138,33 @@ def ears(t: Triangulation) -> set[int]:
     return {v for v in t.ring.vertices if v not in touched}
 
 
+def cut_ear(live: list[int], diags: set[Diagonal], v: int) -> tuple[int, int]:
+    """Cut the ear v off the live ring and return its two ring neighbours.
+
+    The chord joining the neighbours, which closed the ear, leaves ``diags``;
+    both arguments are edited in place.  v must be met by no chord in diags.
+    """
+    idx = live.index(v)
+    a, b = live[idx - 1], live[(idx + 1) % len(live)]
+    diags.discard((min(a, b), max(a, b)))
+    live.pop(idx)
+    return a, b
+
+
+def cut_ears(live: list[int], diags: set[Diagonal], allowed, pick) -> list[int]:
+    """Cut ears among ``allowed`` while any is left, each time the one ``pick``
+    (``min`` or ``max``) chooses; returns the vertices in the order cut."""
+    cut = []
+    while True:
+        touched = {v for d in diags for v in d}
+        candidates = [v for v in live if v in allowed and v not in touched]
+        if not candidates:
+            return cut
+        v = pick(candidates)
+        cut_ear(live, diags, v)
+        cut.append(v)
+
+
 def faces(t: Triangulation) -> list[Face]:
     """The n triangular faces, sorted by label.  Requires a valid triangulation."""
     live = list(t.ring.vertices)
@@ -148,21 +175,17 @@ def faces(t: Triangulation) -> list[Face]:
     diags = set(t.diagonals)
     out: list[Face] = []
     while len(live) > 2:
-        for idx, v in enumerate(live):
-            if degree[v]:
-                continue
-            a = live[idx - 1]
-            b = live[(idx + 1) % len(live)]
-            out.append(Face(*sorted((a, v, b))))
-            live.pop(idx)
-            chord = (min(a, b), max(a, b))
-            if chord in diags:
-                diags.discard(chord)
-                degree[a] -= 1
-                degree[b] -= 1
-            break
+        for v in live:
+            if not degree[v]:
+                break
         else:
             raise ValueError("no ear found; not a triangulation")
+        chords = len(diags)
+        a, b = cut_ear(live, diags, v)
+        out.append(Face(*sorted((a, v, b))))
+        if len(diags) < chords:
+            degree[a] -= 1
+            degree[b] -= 1
     return sorted(out, key=lambda f: f.label)
 
 

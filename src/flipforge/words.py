@@ -18,10 +18,6 @@ class ClosureCapExceeded(RuntimeError):
     """A congruence-class enumeration outgrew its state cap."""
 
 
-def is_word(w) -> bool:
-    return all(isinstance(a, int) and a >= 1 for a in w)
-
-
 def is_permutation(w) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 

@@ -248,7 +248,7 @@ class TestGraphAndVerify:
         assert [r["n"] for r in lines[:-1]] == [1, 2, 3, 4]
 
     def test_verify_all_threaded(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "3", "--threads", "2")
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "3")
         assert code == 0
         summary = json.loads(out.splitlines()[-1])
         assert summary["pass"] is True
@@ -329,6 +329,29 @@ class TestErrorHandling:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "heawood-check", "/nonexistent/sphere.json")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "extra, argv",
+        [
+            ({"colors": ["a", 1, 2, 3]}, ["neighbors", "--mode", "switched"]),
+            ({"colors": 5}, ["neighbors", "--mode", "homogeneous"]),
+            ({"signs": 7}, ["flip", "--d", "0,2"]),
+        ],
+    )
+    def test_bad_colors_and_signs(self, tmp_path, extra, argv):
+        t_file = tmp_path / "t.json"
+        t_file.write_text(json.dumps({"n": 4, "diagonals": [[0, 2], [0, 3], [0, 4]], **extra}))
+        proc = run_cli(argv[0], str(t_file), *argv[1:], text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_verify_rejects_n_below_one(self, n):
+        proc = run_cli("verify", "--n", n, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
     def test_usage_error_is_exit_2(self):
         proc = run_cli("no-such-command", text=True)

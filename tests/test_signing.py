@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestSignablePathSearch:
         states = path.states()
         assert states[0] == path.start and states[-1] == path.end
         assert len(states) == 7
+
+    def test_cap_refuses_before_seeding(self):
+        # The 2^20 signings of the start shape alone exceed the cap.
+        start, end = phi(tuple(range(1, 21))), phi(tuple(range(20, 0, -1)))
+        t0 = time.monotonic()
+        with pytest.raises(StateCapExceeded, match="search exceeds 1000 states"):
+            signable_path_search(start, end, SearchLimits(max_states=1000))
+        assert time.monotonic() - t0 < 2.0
+
+    def test_equal_endpoints_answer_all_minus_under_any_cap(self):
+        t = phi(tuple(range(1, 21)))
+        path = signable_path_search(t, t, SearchLimits(max_states=1000))
+        assert path.flips == ()
+        assert path.start == path.end == SignedState(t, (-1,) * 20)
 
     def test_every_pair_reachable_small(self):
         for n in range(1, 5):
