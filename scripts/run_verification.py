@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from flipforge.graphs import SUITES, run_suite
+from flipforge.graphs import SUITES, check_battery_size, run_suite
 
 
 def main() -> int:
@@ -27,8 +27,10 @@ def main() -> int:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         parser.error(f"unknown suites: {unknown}")
-    if args.n < 1:
-        sys.stderr.write(f"error: --n must be at least 1, got {args.n}\n")
+    try:
+        check_battery_size(args.n)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
     all_ok = True

@@ -10,9 +10,8 @@ import argparse
 import json
 import sys
 
-from . import graphs, jsonio, render
+from . import flips, graphs, jsonio, render
 from .graphs import SUITES
-from .flips import flip, signed_flip, homogeneous_neighbors, switched_neighbors
 from .heawood import four_color, glue, heawood_check, verify_coloring
 from .phi import (
     canonical_reading,
@@ -28,7 +27,7 @@ from .signing import (
     signable_path_search,
     validate_certificate,
 )
-from .triangulation import Triangulation, canonical_key, validate
+from .triangulation import canonical_key
 from .words import (
     destandardize,
     format_word,
@@ -144,14 +143,14 @@ def cmd_flip(args) -> int:
     t, colors, signs = _load_triangulation(args.file)
     d = _parse_diagonal(args.d)
     if signs is not None:
-        result = signed_flip(t, signs, d)
+        result = flips.signed_flip(t, signs, d)
         if result is None:
             _print_json({"refused": True, "reason": "faces at the diagonal carry opposite signs"})
             return 1
         t2, signs2 = result
         _print_json(jsonio.triangulation_to_dict(t2, colors=colors, signs=signs2), args.output)
         return 0
-    t2, _ = flip(t, d)
+    t2, _ = flips.flip(t, d)
     _print_json(jsonio.triangulation_to_dict(t2, colors=colors), args.output)
     return 0
 
@@ -159,28 +158,18 @@ def cmd_flip(args) -> int:
 def cmd_neighbors(args) -> int:
     t, colors, signs = _load_triangulation(args.file)
     mode = args.mode
-    out = []
     if mode == "plain":
-        for d in t.diagonals:
-            t2, _ = flip(t, d)
-            out.append(jsonio.triangulation_to_dict(t2))
+        out = [jsonio.triangulation_to_dict(t2) for _, t2, _, _ in flips.flip_row(t)]
     elif mode == "signed":
         if signs is None:
             raise ValueError("signed neighbors need a 'signs' entry")
-        for d in t.diagonals:
-            result = signed_flip(t, signs, d)
-            if result is not None:
-                out.append(jsonio.triangulation_to_dict(result[0], signs=result[1]))
-    elif mode == "homogeneous":
+        moves = flips.signed_moves(flips.flip_row(t), signs)
+        out = [jsonio.triangulation_to_dict(t2, signs=signs2) for _, t2, signs2 in moves]
+    else:
         if colors is None:
-            raise ValueError("homogeneous neighbors need a 'colors' entry")
-        for t2, eps in homogeneous_neighbors(t, colors):
-            out.append(jsonio.triangulation_to_dict(t2, colors=eps))
-    elif mode == "switched":
-        if colors is None:
-            raise ValueError("switched neighbors need a 'colors' entry")
-        for t2, eps in switched_neighbors(t, colors):
-            out.append(jsonio.triangulation_to_dict(t2, colors=eps))
+            raise ValueError(f"{mode} neighbors need a 'colors' entry")
+        step = flips.homogeneous_neighbors if mode == "homogeneous" else flips.switched_neighbors
+        out = [jsonio.triangulation_to_dict(t2, colors=eps) for t2, eps in step(t, colors)]
     _print_json({"mode": mode, "count": len(out), "neighbors": out}, args.output)
     return 0
 
@@ -232,16 +221,10 @@ def cmd_check_cert(args) -> int:
 
 def cmd_sign_path_diagonals(args) -> int:
     data = _load_json(args.file)
-    if "path" not in data or "n" not in data:
+    if not isinstance(data, dict) or "n" not in data or not isinstance(data.get("path"), list):
         raise ValueError('path file must contain {"n": ..., "path": [[diagonals], ...]}')
-    n = int(data["n"])
-    path = []
-    for step in data["path"]:
-        t = Triangulation(n, tuple((int(i), int(j)) for i, j in step))
-        problems = validate(t)
-        if problems:
-            raise ValueError(problems[0])
-        path.append(t)
+    steps = ({"n": data["n"], "diagonals": diagonals} for diagonals in data["path"])
+    path = [jsonio.triangulation_from_dict(step)[0] for step in steps]
     result = sign_path_diagonals(path)
     if not result.signable:
         _print_json({"signable": False, "failed_step": result.failed_step}, args.output)
@@ -305,8 +288,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    graphs.check_battery_size(args.n)
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = [graphs.run_suite(s, n, args.seed) for s in suites for n in range(1, args.n + 1)]
     ok = all(r["pass"] for r in reports)
@@ -318,10 +300,12 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    first = json.loads(raw.splitlines()[0])
+        lines = fh.read().splitlines()
+    first = json.loads(lines[0]) if lines else None
+    if not isinstance(first, dict):
+        raise ValueError("expected a JSON object on the first line")
     if "word" in first:
-        cert = jsonio.certificate_from_lines(raw.splitlines())
+        cert = jsonio.certificate_from_lines(lines)
         svg = render.render_certificate(cert)
     elif "north" in first:
         svg = render.render_sphere(jsonio.sphere_from_dict(first))

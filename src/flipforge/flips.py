@@ -9,7 +9,7 @@ label transform by editing at most two entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .phi import colored_readings
 from .triangulation import (
@@ -104,29 +104,49 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
     return w1, w2
 
 
+def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
+    """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
+    the labels of the two faces it exchanges.  Signs and colors never change a
+    row, so every flip loop reads one."""
+    row = []
+    for d in t.diagonals:
+        t2, quad = flip(t, d)
+        row.append((d, t2, *quad.labels))
+    return row
+
+
+class FlipTable(dict):
+    """The flip rows of one traversal, keyed by triangulation and built on
+    first lookup, so a shape met under many signings is flipped once."""
+
+    def __missing__(self, t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
+        row = self[t] = flip_row(t)
+        return row
+
+
+def signed_moves(row, signs: Coloring) -> Iterator[tuple[Diagonal, Triangulation, Coloring]]:
+    """The signed flips of a row: each diagonal whose two faces carry equal
+    signs flips and negates both, giving (diagonal, result, new signs)."""
+    for d, t2, b, c in row:
+        if signs[b - 1] == signs[c - 1]:
+            signs2 = list(signs)
+            signs2[b - 1] = signs2[c - 1] = -signs[b - 1]
+            yield d, t2, tuple(signs2)
+
+
 def signed_flip(
     t: Triangulation, signs: Coloring, d: Diagonal
 ) -> tuple[Triangulation, Coloring] | None:
     """Flip d if its two faces carry equal signs, negating both; else None."""
     t2, quad = flip(t, d)
-    b, c = quad.labels
-    if signs[b - 1] != signs[c - 1]:
-        return None
-    signs2 = list(signs)
-    signs2[b - 1] = -signs2[b - 1]
-    signs2[c - 1] = -signs2[c - 1]
-    return t2, tuple(signs2)
+    for _, t2, signs2 in signed_moves([(quad.old, t2, *quad.labels)], signs):
+        return t2, signs2
+    return None
 
 
 def homogeneous_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
     """Flips whose two faces share a color; the coloring is unchanged."""
-    out = []
-    for d in t.diagonals:
-        t2, quad = flip(t, d)
-        b, c = quad.labels
-        if eps[b - 1] == eps[c - 1]:
-            out.append((t2, eps))
-    return out
+    return [(t2, eps) for _, t2, b, c in flip_row(t) if eps[b - 1] == eps[c - 1]]
 
 
 def switched_candidates(
@@ -136,12 +156,9 @@ def switched_candidates(
     if not is_simple(t, eps):
         raise ValueError("switched flips are only defined between simple colored triangulations")
     kept, dropped = [], []
-    for d in t.diagonals:
-        t2, quad = flip(t, d)
-        b, c = quad.labels
-        if eps[b - 1] == eps[c - 1]:
-            continue
-        (kept if is_simple(t2, eps) else dropped).append((t2, eps))
+    for _, t2, b, c in flip_row(t):
+        if eps[b - 1] != eps[c - 1]:
+            (kept if is_simple(t2, eps) else dropped).append((t2, eps))
     return kept, dropped
 
 
@@ -163,10 +180,7 @@ class DiagonalSigning:
 
 def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:
     """Sign every diagonal by the product of its two face signs."""
-    signs = {}
-    for d in t.diagonals:
-        b, c = flip_quad(t, d).labels
-        signs[d] = face_signs[b - 1] * face_signs[c - 1]
+    signs = {d: face_signs[b - 1] * face_signs[c - 1] for d, _, b, c in flip_row(t)}
     return DiagonalSigning(t, signs)
 
 
@@ -180,18 +194,17 @@ def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring
         raise ValueError("face signs need a total diagonal signing")
     t = ds.base
     sign_of = {1: anchor_sign}
-    pending = [d for d in t.diagonals]
+    pending = [(ds.signs[d], b, c) for d, _, b, c in flip_row(t)]
     while pending:
         progressed = False
         remaining = []
-        for d in pending:
-            b, c = flip_quad(t, d).labels
+        for sign, b, c in pending:
             if b in sign_of and c not in sign_of:
-                sign_of[c] = sign_of[b] * ds.signs[d]
+                sign_of[c] = sign_of[b] * sign
             elif c in sign_of and b not in sign_of:
-                sign_of[b] = sign_of[c] * ds.signs[d]
+                sign_of[b] = sign_of[c] * sign
             elif b not in sign_of and c not in sign_of:
-                remaining.append(d)
+                remaining.append((sign, b, c))
                 continue
             progressed = True
         if not progressed and remaining:

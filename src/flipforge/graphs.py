@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from dataclasses import dataclass, field
 
-from .flips import flip, flip_quad, homogeneous_neighbors, signed_flip, switched_candidates
+from .flips import FlipTable, flip_row, homogeneous_neighbors, signed_moves, switched_candidates
 from .phi import (
     colored_triangulation_from_word,
     readings,
@@ -48,6 +48,13 @@ def _check_n(n: int, max_n: int | None = None) -> None:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}; set FLIPFORGE_MAX_N to raise it")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def check_battery_size(n: int) -> None:
+    """Refuse a verification battery over sizes 1..n before any suite runs."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_n(n)
 
 
 def catalan(n: int) -> int:
@@ -103,8 +110,7 @@ def build_flip_graph(n: int, max_n: int | None = None) -> CombGraph:
     tris = sorted(all_triangulations(n), key=canonical_key)
     adjacency: dict[str, list[str]] = {}
     for t in tris:
-        nbrs = sorted(canonical_key(flip(t, d)[0]) for d in t.diagonals)
-        adjacency[canonical_key(t)] = nbrs
+        adjacency[canonical_key(t)] = sorted(canonical_key(t2) for _, t2, _, _ in flip_row(t))
     return CombGraph("flip", [canonical_key(t) for t in tris], adjacency)
 
 
@@ -139,14 +145,11 @@ def build_signed_state_graph(n: int, max_n: int | None = None) -> CombGraph:
     """All (triangulation, face signs) states joined by signed flips."""
     _check_n(n, max_n)
     states = signed_states(n)
+    table = FlipTable()
     adjacency: dict[str, list[str]] = {}
     for state in states:
-        nbrs = []
-        for d in state.tri.diagonals:
-            nxt = signed_flip(state.tri, state.signs, d)
-            if nxt is not None:
-                nbrs.append(_signed_key(SignedState(*nxt)))
-        adjacency[_signed_key(state)] = sorted(nbrs)
+        moves = signed_moves(table[state.tri], state.signs)
+        adjacency[_signed_key(state)] = sorted(_signed_key(SignedState(t2, s2)) for _, t2, s2 in moves)
     return CombGraph("signed", [_signed_key(s) for s in states], adjacency)
 
 
@@ -236,8 +239,7 @@ def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
     if len(eps) != t.n:
         raise ValueError("coloring length mismatch")
     uf = UnionFind(range(1, t.n + 1))
-    for d in t.diagonals:
-        b, c = flip_quad(t, d).labels
+    for _, _, b, c in flip_row(t):
         if eps[b - 1] == eps[c - 1]:
             uf.union(b, c)
     sizes = sorted(len(g) for g in uf.groups().values())
@@ -347,11 +349,10 @@ def signed_reachability_check(n: int, max_n: int | None = None) -> dict:
     states = signed_states(n)
     index = {s: i for i, s in enumerate(states)}
     uf = UnionFind(range(len(states)))
+    table = FlipTable()
     for s in states:
-        for d in s.tri.diagonals:
-            nxt = signed_flip(s.tri, s.signs, d)
-            if nxt is not None:
-                uf.union(index[s], index[SignedState(*nxt)])
+        for _, t2, signs2 in signed_moves(table[s.tri], s.signs):
+            uf.union(index[s], index[SignedState(t2, signs2)])
     components = uf.groups()
     audit_violations = []
     underlying: dict[int, frozenset] = {}

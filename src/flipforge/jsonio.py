@@ -72,6 +72,8 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
         raise ValueError(f"malformed sphere object: {exc}") from exc
     face_signs = None
     if "signs" in data:
+        if not isinstance(data["signs"], dict):
+            raise ValueError(f"signs must be an object, got {type(data['signs']).__name__}")
         face_signs = {}
         for key, sign in data["signs"].items():
             hemi, _, label = key.partition(":")

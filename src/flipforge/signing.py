@@ -22,11 +22,14 @@ from typing import NamedTuple, Sequence
 
 from .flips import (
     DiagonalSigning,
+    FlipTable,
     flip,
     flip_characterization,
     flip_quad,
+    flip_row,
     signed_flip,
     signed_flip_diagonal,
+    signed_moves,
 )
 from .phi import canonical_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
@@ -62,11 +65,9 @@ def sigma_closure(start: SignedState, limits: SearchLimits = SearchLimits()) -> 
     queue = deque([start])
     while queue:
         tri, signs = queue.popleft()
-        for d in tri.diagonals:
-            nxt = signed_flip(tri, signs, d)
-            if nxt is None:
-                continue
-            state = SignedState(*nxt)
+        # a closure holds one signing per shape, so each row is read once
+        for _, t2, signs2 in signed_moves(flip_row(tri), signs):
+            state = SignedState(t2, signs2)
             if state in seen:
                 continue
             known = signs_of.get(state.tri)
@@ -198,6 +199,7 @@ def signable_path_search(
     sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
     parent: dict[SignedState, tuple[SignedState, Diagonal] | None] = {s: None for s in sources}
     queue = deque(sources)
+    table = FlipTable()
 
     def path_from(state: SignedState) -> SignedPath:
         flips_rev = []
@@ -210,11 +212,8 @@ def signable_path_search(
 
     while queue:
         state = queue.popleft()
-        for d in state.tri.diagonals:
-            nxt = signed_flip(state.tri, state.signs, d)
-            if nxt is None:
-                continue
-            ns = SignedState(*nxt)
+        for d, t2, signs2 in signed_moves(table[state.tri], state.signs):
+            ns = SignedState(t2, signs2)
             if ns in parent:
                 continue
             parent[ns] = (state, d)

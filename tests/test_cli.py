@@ -9,9 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from flipforge import graphs
 from flipforge.cli import main
 
 from refdata import CHAIN, PHI_235461, READINGS_235461
+
+SPHERE_LIST_SIGNS = json.dumps(
+    {"n": 3, "north": [[0, 2], [0, 3]], "south": [[0, 2], [0, 3]], "signs": [1]}
+)
 
 
 def run_cli(*argv, **kwargs):
@@ -352,6 +357,45 @@ class TestErrorHandling:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_verify_refuses_above_cap_before_any_suite(self, capsys, monkeypatch):
+        monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
+        calls = []
+
+        def stub(suite, n, seed=0):
+            calls.append((suite, n))
+            return {"suite": suite, "n": n, "pass": True}
+
+        monkeypatch.setattr(graphs, "run_suite", stub)
+        code, out, err = run(capsys, "verify", "--n", str(graphs.size_limit() + 1))
+        assert code == 1
+        assert calls == [] and out == ""
+        assert err.startswith("error: ") and "FLIPFORGE_MAX_N" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            (SPHERE_LIST_SIGNS, ["heawood-check"]),
+            (SPHERE_LIST_SIGNS, ["four-color"]),
+            (SPHERE_LIST_SIGNS, ["render"]),
+            ("", ["render"]),
+            ("7\n", ["render"]),
+            ('{"n": 3, "path": [[1, 2]]}', ["sign-path-diagonals"]),
+            ('{"n": 3, "path": 5}', ["sign-path-diagonals"]),
+            ("[1, 2]", ["sign-path-diagonals"]),
+        ],
+        ids=["heawood-list-signs", "four-color-list-signs", "render-list-signs",
+             "render-empty", "render-scalar", "path-step-pair", "path-not-list",
+             "path-file-list"],
+    )
+    def test_malformed_file_is_one_error_line(self, capsys, tmp_path, content, argv):
+        f = tmp_path / "in.json"
+        f.write_text(content)
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_usage_error_is_exit_2(self):
         proc = run_cli("no-such-command", text=True)

@@ -17,6 +17,11 @@ SOUTH = {"n": 6, "diagonals": [[0, 5], [0, 6], [1, 4], [1, 5], [2, 4]],
          "signs": [-1, -1, 1, 1, -1, -1]}
 COLORED = {"n": 6, "diagonals": [[1, 3], [1, 4], [1, 6], [1, 7], [4, 6]],
            "colors": [1, 2, 2, 2, 3, 3], "signs": [1, 1, -1, -1, 1, 1]}
+# three flips out of COLORED's shape
+PATH = {"n": 6, "path": [[[1, 3], [1, 4], [1, 6], [1, 7], [4, 6]],
+                         [[1, 4], [1, 6], [1, 7], [2, 4], [4, 6]],
+                         [[1, 4], [1, 7], [2, 4], [4, 6], [4, 7]],
+                         [[1, 3], [1, 4], [1, 7], [4, 6], [4, 7]]]}
 
 # (label, argv, files the command writes)
 CORPUS = [
@@ -39,6 +44,11 @@ CORPUS = [
     ("render-certificate", ["render", "cert.jsonl"], []),
     ("graph-signed", ["graph", "--kind", "signed", "--n", "4"], []),
     ("verify", ["verify", "--suite", "all", "--n", "5"], []),
+    ("graph-flip", ["graph", "--kind", "flip", "--n", "5"], []),
+    ("graph-switched", ["graph", "--kind", "switched", "--n", "5", "--mu", "2,3"], []),
+    ("graph-signed-5", ["graph", "--kind", "signed", "--n", "5"], []),
+    ("flip-signed", ["flip", "colored.json", "--d", "1,4"], []),
+    ("sign-path-diagonals", ["sign-path-diagonals", "path.json"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -63,6 +73,12 @@ GOLDEN = {
     "render-certificate": "3842535656beb0f4fbf3862529a08714b44f6baeaced4addae7dfeac7d970800",
     "graph-signed": "77705c4ce09a32df866c3fcc89600c70b3c284e37fb6dd17a622cd482fed02de",
     "verify": "1a51732a5eef95ba4e32272572b3e76462ec88f23589f53d5d1ccaa9b8c6ced7",
+    # Recorded before the flip kernel (flip_row, FlipTable, signed_moves).
+    "graph-flip": "eef19d3964f7bffe2b7c9a0cb99ff9254336c05983b06336ca96e476a90a7cb2",
+    "graph-switched": "49efb79c3e62152789d2c2bb7b056f1d3d1e313f47fe3ebfc92261b9f566660c",
+    "graph-signed-5": "de40fef4627fd3b81dd76b051e3ce703604f70d0ed36ac760473f68fc6d44337",
+    "flip-signed": "ba9b07d0f4903dc80c18f9681d6bccf302885ce5bd8d0fe950feaf31c2016864",
+    "sign-path-diagonals": "30d6b80076aeda0cfffc76699054e6ccb7144b9a199d7744193b659dce73877b",
 }
 
 
@@ -72,7 +88,7 @@ def sha(data: bytes) -> str:
 
 def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED)):
+    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("path", PATH)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     got = {}
     for label, argv, written in CORPUS:

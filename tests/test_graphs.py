@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from flipforge import flips
 from flipforge.graphs import (
     CombGraph,
     UnionFind,
@@ -220,6 +221,21 @@ class TestReachability:
             assert rep["missing_pairs"] == []
             assert rep["audit_violations"] == []
             assert rep["states"] == CATALAN[n] * 2**n
+
+    def test_each_shape_is_flipped_once_per_call(self, monkeypatch):
+        calls = []
+        real_flip = flips.flip
+
+        def counting_flip(t, d):
+            calls.append(d)
+            return real_flip(t, d)
+
+        monkeypatch.setattr(flips, "flip", counting_flip)
+        # twice: a cache that outlives one call would make the second call cheaper
+        for _ in range(2):
+            calls.clear()
+            assert signed_reachability_check(5)["pass"]
+            assert len(calls) == CATALAN[5] * 4  # one row per shape, not one per signing
 
 
 class TestDiagram:
