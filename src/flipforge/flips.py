@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .phi import colored_readings
 from .triangulation import (
     Coloring,
     Diagonal,
     Triangulation,
+    all_triangulations,
+    canonical_key,
     cut_ear,
     cut_ears,
     edge_adjacency,
@@ -122,6 +123,36 @@ class FlipTable(dict):
     def __missing__(self, t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
         row = self[t] = flip_row(t)
         return row
+
+
+class ShapeTable(NamedTuple):
+    """Every shape of one size sorted by canonical key, with its flip row
+    over shape indices: rows[i] lists (j, mask, b, c) in diagonal order."""
+
+    shapes: list[Triangulation]
+    keys: list[str]
+    rows: list[list[tuple[int, int, int, int]]]
+
+
+def flip_table(n: int) -> ShapeTable:
+    """The flips of every shape of size n, built from one flip row per shape.
+
+    A signing is a bitmask with bit n - k set when face k is positive, so
+    the state ``i << n | s`` counts in the order of signed_states(n).  The
+    entry (j, mask, b, c) flips shape i to shape j across faces b < c, and
+    mask holds their two bits: a signed flip of s is legal iff
+    ``s & mask in (0, mask)`` and gives ``s ^ mask``.
+    """
+    shapes = sorted(all_triangulations(n), key=canonical_key)
+    index = {t: i for i, t in enumerate(shapes)}
+    rows = [[(index[t2], 1 << (n - b) | 1 << (n - c), b, c) for _, t2, b, c in flip_row(t)]
+            for t in shapes]
+    return ShapeTable(shapes, [canonical_key(t) for t in shapes], rows)
+
+
+def mask_signs(s: int, n: int) -> Coloring:
+    """The face signs of the signing bitmask s of size n."""
+    return tuple(1 if s >> (n - k) & 1 else -1 for k in range(1, n + 1))
 
 
 def signed_moves(row, signs: Coloring) -> Iterator[tuple[Diagonal, Triangulation, Coloring]]:
@@ -235,24 +266,3 @@ def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | 
             signs[side] = -signs[side]
     signs[quad.new] = 1
     return DiagonalSigning(t2, signs)
-
-
-def readings_exchange_oracle(
-    t1: Triangulation, t2: Triangulation, eps: Coloring
-) -> bool:
-    """Brute-force test used against switched_neighbors: do colored readings
-    w = u x z v of t1 and u z x v of t2 exist with x != z and no tail letter
-    between them (in either order)?"""
-    r2 = colored_readings(t2, eps)
-    for w in colored_readings(t1, eps):
-        for i in range(len(w) - 1):
-            x, z = w[i], w[i + 1]
-            if x == z:
-                continue
-            swapped = w[:i] + (z, x) + w[i + 2 :]
-            if swapped not in r2:
-                continue
-            lo, hi = min(x, z), max(x, z)
-            if not any(lo <= y < hi for y in w[i + 2 :]):
-                return True
-    return False

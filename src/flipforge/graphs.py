@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from dataclasses import dataclass, field
 
-from .flips import FlipTable, flip_row, homogeneous_neighbors, signed_moves, switched_candidates
+from .flips import FlipTable, ShapeTable, flip_table, mask_signs
 from .phi import (
     colored_triangulation_from_word,
     readings,
@@ -62,14 +62,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def catalan_by_recurrence(n: int) -> int:
-    """The same count by the first-triangle split, as an independent route."""
-    table = [1] * (n + 1)
-    for m in range(1, n + 1):
-        table[m] = sum(table[k] * table[m - 1 - k] for k in range(m))
-    return table[n]
-
-
 @dataclass
 class CombGraph:
     kind: str
@@ -107,11 +99,10 @@ class UnionFind:
 def build_flip_graph(n: int, max_n: int | None = None) -> CombGraph:
     """The flip graph on all triangulations, keyed by canonical key."""
     _check_n(n, max_n)
-    tris = sorted(all_triangulations(n), key=canonical_key)
-    adjacency: dict[str, list[str]] = {}
-    for t in tris:
-        adjacency[canonical_key(t)] = sorted(canonical_key(t2) for _, t2, _, _ in flip_row(t))
-    return CombGraph("flip", [canonical_key(t) for t in tris], adjacency)
+    table = flip_table(n)
+    keys = table.keys
+    adjacency = {keys[i]: sorted(keys[j] for j, _, _, _ in row) for i, row in enumerate(table.rows)}
+    return CombGraph("flip", keys, adjacency)
 
 
 def build_cayley_graph(n: int, max_n: int | None = None) -> CombGraph:
@@ -136,21 +127,19 @@ def signed_states(n: int) -> list[SignedState]:
     return out
 
 
-def _signed_key(state: SignedState) -> str:
-    tag = "".join("+" if s > 0 else "-" for s in state.signs)
-    return f"{canonical_key(state.tri)}|{tag}"
-
-
 def build_signed_state_graph(n: int, max_n: int | None = None) -> CombGraph:
-    """All (triangulation, face signs) states joined by signed flips."""
+    """All (triangulation, face signs) states joined by signed flips, keyed
+    "<canonical key>|<one + or - per face>"."""
     _check_n(n, max_n)
-    states = signed_states(n)
-    table = FlipTable()
+    table = flip_table(n)
+    tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
+    keys = [f"{key}|{tag}" for key in table.keys for tag in tags]  # keys[i << n | s]
     adjacency: dict[str, list[str]] = {}
-    for state in states:
-        moves = signed_moves(table[state.tri], state.signs)
-        adjacency[_signed_key(state)] = sorted(_signed_key(SignedState(t2, s2)) for _, t2, s2 in moves)
-    return CombGraph("signed", [_signed_key(s) for s in states], adjacency)
+    for i, row in enumerate(table.rows):
+        for s in range(1 << n):
+            moves = (keys[j << n | s ^ m] for j, m, _, _ in row if s & m in (0, m))
+            adjacency[keys[i << n | s]] = sorted(moves)
+    return CombGraph("signed", keys, adjacency)
 
 
 def graph_components(g: CombGraph) -> dict[str, list[str]]:
@@ -238,19 +227,26 @@ def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
     """Monochrome face components and the size of the same-color flip orbit."""
     if len(eps) != t.n:
         raise ValueError("coloring length mismatch")
-    uf = UnionFind(range(1, t.n + 1))
-    for _, _, b, c in flip_row(t):
+    return _same_color_orbit(FlipTable(), t, eps, at=1)
+
+
+def _same_color_orbit(rows, start, eps: Coloring, at: int) -> dict:
+    """The report of homogeneous_components for the shape start.  rows[x] is
+    the flip row of shape x: entries end with the face labels b, c and hold
+    the flipped shape at position ``at``."""
+    uf = UnionFind(range(1, len(eps) + 1))
+    for *_, b, c in rows[start]:
         if eps[b - 1] == eps[c - 1]:
             uf.union(b, c)
     sizes = sorted(len(g) for g in uf.groups().values())
-    seen = {t}
-    stack = [t]
+    seen = {start}
+    stack = [start]
     while stack:
-        cur = stack.pop()
-        for t2, _ in homogeneous_neighbors(cur, eps):
-            if t2 not in seen:
-                seen.add(t2)
-                stack.append(t2)
+        for move in rows[stack.pop()]:
+            nxt = move[at]
+            if eps[move[2] - 1] == eps[move[3] - 1] and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     expected = math.prod(catalan(s) for s in sizes)
     return {
         "component_sizes": sizes,
@@ -270,19 +266,28 @@ def switched_graph(n: int, mu: tuple[int, ...], max_n: int | None = None) -> tup
     _check_n(n, max_n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
+    return _switched_graph(flip_table(n), mu)
+
+
+def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
+    """switched_graph over the flip table of size sum(mu): a different-color
+    flip between simple shapes is an edge, one into a non-simple shape is filtered."""
     eps = block_coloring(mu)
-    tris = sorted(simple_triangulations(n, mu), key=canonical_key)
+    simple = [is_simple(t, eps) for t in table.shapes]
+    keys = table.keys
     filtered = 0
     adjacency: dict[str, list[str]] = {}
-    for t in tris:
-        kept, dropped = switched_candidates(t, eps)
-        filtered += len(dropped)
-        adjacency[canonical_key(t)] = sorted(canonical_key(t2) for t2, _ in kept)
-    g = CombGraph("switched", [canonical_key(t) for t in tris], adjacency)
+    for i, row in enumerate(table.rows):
+        if simple[i]:
+            moves = [j for j, _, b, c in row if eps[b - 1] != eps[c - 1]]
+            kept = [keys[j] for j in moves if simple[j]]
+            filtered += len(moves) - len(kept)
+            adjacency[keys[i]] = sorted(kept)
+    g = CombGraph("switched", list(adjacency), adjacency)
     report = {
-        "n": n,
+        "n": sum(mu),
         "mu": list(mu),
-        "vertices": len(tris),
+        "vertices": len(g.vertices),
         "edges": g.edge_count(),
         "connected": is_connected(g),
         "filtered_nonsimple": filtered,
@@ -346,37 +351,58 @@ def signed_reachability_check(n: int, max_n: int | None = None) -> dict:
     the whole flip graph; also audits one-signing-per-triangulation within
     each orbit."""
     _check_n(n, max_n)
-    states = signed_states(n)
-    index = {s: i for i, s in enumerate(states)}
-    uf = UnionFind(range(len(states)))
-    table = FlipTable()
-    for s in states:
-        for _, t2, signs2 in signed_moves(table[s.tri], s.signs):
-            uf.union(index[s], index[SignedState(t2, signs2)])
-    components = uf.groups()
-    audit_violations = []
-    underlying: dict[int, frozenset] = {}
-    for root, members in components.items():
-        by_tri: dict[Triangulation, Coloring] = {}
-        for i in members:
-            s = states[i]
-            known = by_tri.get(s.tri)
-            if known is not None and known != s.signs:
-                audit_violations.append(f"{canonical_key(s.tri)}: {known} vs {s.signs}")
-            by_tri[s.tri] = s.signs
-        underlying[root] = frozenset(by_tri)
-    all_tris = frozenset(all_triangulations(n))
+    table = flip_table(n)
+    keys, size = table.keys, 1 << n
+    # union-find over the states i << n | s; a root is the least state of its
+    # component, so every parent pointer points down
+    parent = list(range(len(keys) << n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    legal = {}
+    for i, row in enumerate(table.rows):
+        for j, m, _, _ in row:
+            if j < i:
+                continue  # the flip back from j undoes this one
+            if m not in legal:
+                legal[m] = [s for s in range(size) if s & m in (0, m)]
+            for s in legal[m]:
+                a, b = find(i << n | s), find(j << n | s ^ m)
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+    for x in range(len(parent)):
+        parent[x] = parent[parent[x]]  # in increasing order, every state now points at its root
+    found = []  # (root, state, text): a second signing of one shape in one component
+    cover: dict[int, int] = {}  # root -> bitset of the shape indices in its component
+    for i, key in enumerate(keys):
+        last: dict[int, int] = {}
+        for s, root in enumerate(parent[i << n:(i + 1) << n]):
+            if root in last:
+                found.append((root, i << n | s, f"{key}: {mask_signs(last[root], n)} vs {mask_signs(s, n)}"))
+            last[root] = s
+        for root in last:
+            cover[root] = cover.get(root, 0) | 1 << i
+    # by component in order of its least state, then by state within it
+    audit_violations = [text for _, _, text in sorted(found)]
+    everything = (1 << len(keys)) - 1
     missing_pairs = []
-    for t in sorted(all_tris, key=canonical_key):
-        covered: set[Triangulation] = set()
-        for signs in product((-1, 1), repeat=n):
-            covered |= underlying[uf.find(index[SignedState(t, signs)])]
-        for u in sorted(all_tris - covered, key=canonical_key):
-            missing_pairs.append((canonical_key(t), canonical_key(u)))
+    for i, key in enumerate(keys):
+        covered = 0
+        for root in set(parent[i << n:(i + 1) << n]):
+            covered |= cover[root]
+        gap = everything & ~covered
+        while gap:
+            missing_pairs.append((key, keys[(gap & -gap).bit_length() - 1]))
+            gap &= gap - 1
     return {
         "n": n,
-        "states": len(states),
-        "components": len(components),
+        "states": len(parent),
+        "components": len(cover),
         "missing_pairs": missing_pairs,
         "audit_violations": audit_violations,
         "pass": not missing_pairs and not audit_violations,
@@ -400,25 +426,23 @@ def homogeneous_product_audit(n: int, samples: int = 50, seed: int = 0,
     """Sample random colorings and check the same-color orbit product law."""
     _check_n(n, max_n)
     rng = random.Random(seed)
-    tris = sorted(all_triangulations(n), key=canonical_key)
+    table = flip_table(n)
     failures = []
     for _ in range(samples):
-        t = rng.choice(tris)
+        i = rng.choice(range(len(table.keys)))  # draws as rng.choice over the sorted shapes
         palette = rng.randint(1, max(1, n))
         eps = tuple(rng.randint(1, palette) for _ in range(n))
-        report = homogeneous_components(t, eps)
+        report = _same_color_orbit(table.rows, i, eps, at=0)
         if not report["matches_product"]:
-            failures.append({"key": canonical_key(t), "eps": list(eps), **report})
+            failures.append({"key": table.keys[i], "eps": list(eps), **report})
     return {"n": n, "samples": samples, "seed": seed, "failures": failures, "pass": not failures}
 
 
 def switched_audit(n: int, max_parts: int = 3, max_n: int | None = None) -> dict:
     """Connectivity of every switched-flip graph with at most max_parts colors."""
     _check_n(n, max_n)
-    rows = []
-    for mu in sorted(compositions(n, max_parts)):
-        _, report = switched_graph(n, mu)
-        rows.append(report)
+    table = flip_table(n)
+    rows = [_switched_graph(table, mu)[1] for mu in sorted(compositions(n, max_parts))]
     return {"n": n, "graphs": rows, "pass": all(r["connected"] for r in rows)}
 
 

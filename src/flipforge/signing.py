@@ -283,41 +283,6 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
     return Certificate(chain, kinds)
 
 
-def sign_permutation_path(
-    perms: Sequence[Word], initial_signs: Coloring
-) -> tuple[Certificate | None, int | None]:
-    """Walk a path of adjacent-transposition moves, signing letters on the way.
-
-    Starts from perms[0] signed by face signs ``initial_signs``.  A move
-    with a later letter between the exchanged pair is a K1 exchange; any
-    other move needs equal signs on the pair and bars both (K2).  Returns
-    (certificate, None) on success or (None, index of the blocked step).
-    """
-    w = sign_letters(perms[0], initial_signs)
-    chain = [w]
-    kinds: list[str] = []
-    for step in range(len(perms) - 1):
-        p, q = perms[step], perms[step + 1]
-        diff = [i for i in range(len(p)) if p[i] != q[i]]
-        if len(diff) != 2 or diff[1] != diff[0] + 1 or (p[diff[0]], p[diff[0] + 1]) != (
-            q[diff[0] + 1],
-            q[diff[0]],
-        ):
-            raise ValueError(f"step {step}: {p} -> {q} is not an adjacent transposition")
-        i = diff[0]
-        if _between_later(w, i) is not None:
-            w = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-            kinds.append("K1")
-        else:
-            alpha, gamma = w[i], w[i + 1]
-            if (alpha > 0) != (gamma > 0):
-                return None, step
-            w = w[:i] + (-gamma, -alpha) + w[i + 2 :]
-            kinds.append("K2")
-        chain.append(w)
-    return Certificate(chain, kinds), None
-
-
 @dataclass
 class PathSigning:
     signable: bool
@@ -374,23 +339,3 @@ def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
         if stepped is None or stepped.signs != out[i + 1].signs:
             raise AssertionError(f"internal check failed reversing step {i}")
     return PathSigning(True, signings=out)
-
-
-def face_sign_walk(path: Sequence[Triangulation], eps0: Coloring) -> list[Coloring] | None:
-    """Replay a flip path under face signs starting from eps0, or None if refused."""
-    signs = eps0
-    out = [signs]
-    for i in range(len(path) - 1):
-        d = _flipped_diagonal(path[i], path[i + 1])
-        nxt = signed_flip(path[i], signs, d)
-        if nxt is None:
-            return None
-        signs = nxt[1]
-        out.append(signs)
-    return out
-
-
-def path_signable_by_faces(path: Sequence[Triangulation]) -> bool:
-    """Free-start oracle: does any initial face signing survive the whole path?"""
-    n = path[0].n
-    return any(face_sign_walk(path, eps) is not None for eps in product((-1, 1), repeat=n))

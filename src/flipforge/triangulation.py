@@ -37,16 +37,6 @@ class VertexRing:
         """Vertices that may be cut, colored or signed (excludes 0 and oo)."""
         return range(1, self.n + 1)
 
-    def pred(self, v: int) -> int:
-        if not 0 < v <= self.infinity:
-            raise ValueError(f"vertex {v} has no predecessor on a ring of size {self.n + 2}")
-        return v - 1
-
-    def succ(self, v: int) -> int:
-        if not 0 <= v < self.infinity:
-            raise ValueError(f"vertex {v} has no successor on a ring of size {self.n + 2}")
-        return v + 1
-
     def boundary_edges(self) -> set[Diagonal]:
         edges = {(v, v + 1) for v in range(self.infinity)}
         edges.add((0, self.infinity))

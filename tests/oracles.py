@@ -1,0 +1,146 @@
+"""Test-only oracles: brute-force or second routes to what the library computes.
+
+None of these is needed by ``flipforge`` itself; the tests check the
+library against them.
+"""
+
+from itertools import product
+from typing import Sequence
+
+from flipforge.flips import ShapeTable, signed_flip
+from flipforge.graphs import UnionFind
+from flipforge.phi import colored_readings
+from flipforge.signing import Certificate, _between_later, _flipped_diagonal, sign_letters
+from flipforge.triangulation import Coloring, Triangulation, VertexRing as _VertexRing
+from flipforge.words import Word
+
+
+class VertexRing(_VertexRing):
+    """The polygon's vertex ring with its linear predecessor and successor."""
+
+    def pred(self, v: int) -> int:
+        if not 0 < v <= self.infinity:
+            raise ValueError(f"vertex {v} has no predecessor on a ring of size {self.n + 2}")
+        return v - 1
+
+    def succ(self, v: int) -> int:
+        if not 0 <= v < self.infinity:
+            raise ValueError(f"vertex {v} has no successor on a ring of size {self.n + 2}")
+        return v + 1
+
+
+def catalan_by_recurrence(n: int) -> int:
+    """The Catalan number by the first-triangle split, as an independent route."""
+    table = [1] * (n + 1)
+    for m in range(1, n + 1):
+        table[m] = sum(table[k] * table[m - 1 - k] for k in range(m))
+    return table[n]
+
+
+def readings_exchange_oracle(
+    t1: Triangulation, t2: Triangulation, eps: Coloring
+) -> bool:
+    """Brute-force test used against switched_neighbors: do colored readings
+    w = u x z v of t1 and u z x v of t2 exist with x != z and no tail letter
+    between them (in either order)?"""
+    r2 = colored_readings(t2, eps)
+    for w in colored_readings(t1, eps):
+        for i in range(len(w) - 1):
+            x, z = w[i], w[i + 1]
+            if x == z:
+                continue
+            swapped = w[:i] + (z, x) + w[i + 2 :]
+            if swapped not in r2:
+                continue
+            lo, hi = min(x, z), max(x, z)
+            if not any(lo <= y < hi for y in w[i + 2 :]):
+                return True
+    return False
+
+
+def sign_permutation_path(
+    perms: Sequence[Word], initial_signs: Coloring
+) -> tuple[Certificate | None, int | None]:
+    """Walk a path of adjacent-transposition moves, signing letters on the way.
+
+    Starts from perms[0] signed by face signs ``initial_signs``.  A move
+    with a later letter between the exchanged pair is a K1 exchange; any
+    other move needs equal signs on the pair and bars both (K2).  Returns
+    (certificate, None) on success or (None, index of the blocked step).
+    """
+    w = sign_letters(perms[0], initial_signs)
+    chain = [w]
+    kinds: list[str] = []
+    for step in range(len(perms) - 1):
+        p, q = perms[step], perms[step + 1]
+        diff = [i for i in range(len(p)) if p[i] != q[i]]
+        if len(diff) != 2 or diff[1] != diff[0] + 1 or (p[diff[0]], p[diff[0] + 1]) != (
+            q[diff[0] + 1],
+            q[diff[0]],
+        ):
+            raise ValueError(f"step {step}: {p} -> {q} is not an adjacent transposition")
+        i = diff[0]
+        if _between_later(w, i) is not None:
+            w = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+            kinds.append("K1")
+        else:
+            alpha, gamma = w[i], w[i + 1]
+            if (alpha > 0) != (gamma > 0):
+                return None, step
+            w = w[:i] + (-gamma, -alpha) + w[i + 2 :]
+            kinds.append("K2")
+        chain.append(w)
+    return Certificate(chain, kinds), None
+
+
+def face_sign_walk(path: Sequence[Triangulation], eps0: Coloring) -> list[Coloring] | None:
+    """Replay a flip path under face signs starting from eps0, or None if refused."""
+    signs = eps0
+    out = [signs]
+    for i in range(len(path) - 1):
+        d = _flipped_diagonal(path[i], path[i + 1])
+        nxt = signed_flip(path[i], signs, d)
+        if nxt is None:
+            return None
+        signs = nxt[1]
+        out.append(signs)
+    return out
+
+
+def path_signable_by_faces(path: Sequence[Triangulation]) -> bool:
+    """Free-start oracle: does any initial face signing survive the whole path?"""
+    n = path[0].n
+    return any(face_sign_walk(path, eps) is not None for eps in product((-1, 1), repeat=n))
+
+
+def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
+    """The missing_pairs and audit_violations of signed_reachability_check
+    over a flip table, by the route on (shape index, face signs) states:
+    every directed move, a union-find over the states in the order of
+    signed_states, and set unions for the coverage step.  A move negates the
+    faces whose bits its mask holds, and needs equal signs on them."""
+    states = [(i, signs) for i in range(len(table.keys)) for signs in product((-1, 1), repeat=n)]
+    index = {state: x for x, state in enumerate(states)}
+    uf = UnionFind(range(len(states)))
+    for x, (i, signs) in enumerate(states):
+        for j, mask, _, _ in table.rows[i]:
+            faces = [k for k in range(1, n + 1) if mask >> (n - k) & 1]
+            if len({signs[k - 1] for k in faces}) == 1:
+                signs2 = tuple(-v if k in faces else v for k, v in enumerate(signs, 1))
+                uf.union(x, index[j, signs2])
+    violations, underlying = [], {}
+    for root, members in uf.groups().items():
+        by_shape: dict[int, Coloring] = {}
+        for x in members:
+            i, signs = states[x]
+            if i in by_shape:
+                violations.append(f"{table.keys[i]}: {by_shape[i]} vs {signs}")
+            by_shape[i] = signs
+        underlying[root] = set(by_shape)
+    missing = []
+    for i, key in enumerate(table.keys):
+        covered = set()
+        for signs in product((-1, 1), repeat=n):
+            covered |= underlying[uf.find(index[i, signs])]
+        missing += [(key, table.keys[j]) for j in range(len(table.keys)) if j not in covered]
+    return missing, violations

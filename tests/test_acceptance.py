@@ -28,7 +28,6 @@ from flipforge.phi import colored_triangulation_from_word, insertion_trace
 from flipforge.signing import (
     Certificate,
     classify_step,
-    path_signable_by_faces,
     sigma_closure,
     sign_path_diagonals,
     validate_certificate,
@@ -36,6 +35,7 @@ from flipforge.signing import (
 from flipforge.triangulation import canonical_key, triangulation_from_key
 from flipforge.words import destandardize, standardize
 
+from oracles import path_signable_by_faces
 from refdata import CHAIN, CHAIN_KINDS
 from test_cli import run_cli
 from test_heawood import chain_sphere

@@ -11,7 +11,6 @@ from flipforge.flips import (
     flip_characterization,
     flip_quad,
     homogeneous_neighbors,
-    readings_exchange_oracle,
     signed_flip,
     signed_flip_diagonal,
     switched_candidates,
@@ -31,6 +30,7 @@ from flipforge.triangulation import (
 from flipforge.words import abs_word, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
+from oracles import readings_exchange_oracle
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 

@@ -49,6 +49,8 @@ CORPUS = [
     ("graph-signed-5", ["graph", "--kind", "signed", "--n", "5"], []),
     ("flip-signed", ["flip", "colored.json", "--d", "1,4"], []),
     ("sign-path-diagonals", ["sign-path-diagonals", "path.json"], []),
+    ("verify-6", ["verify", "--suite", "all", "--n", "6"], []),
+    ("graph-signed-6", ["graph", "--kind", "signed", "--n", "6"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -79,6 +81,9 @@ GOLDEN = {
     "graph-signed-5": "de40fef4627fd3b81dd76b051e3ce703604f70d0ed36ac760473f68fc6d44337",
     "flip-signed": "ba9b07d0f4903dc80c18f9681d6bccf302885ce5bd8d0fe950feaf31c2016864",
     "sign-path-diagonals": "30d6b80076aeda0cfffc76699054e6ccb7144b9a199d7744193b659dce73877b",
+    # Recorded before the integer flip table (flip_table over shape indices).
+    "verify-6": "ef615bb4666f88522d4a604fa76b894b2d159b0f29eb4ef02cdf3277ab4826b2",
+    "graph-signed-6": "96efcb79a8aaed48b98f0672ee69a4efa7e6006fa0466abccae1eab2943edd23",
 }
 
 

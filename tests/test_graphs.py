@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from flipforge import flips
+from flipforge import flips, graphs
 from flipforge.graphs import (
     CombGraph,
     UnionFind,
@@ -12,7 +12,6 @@ from flipforge.graphs import (
     build_flip_graph,
     build_signed_state_graph,
     catalan,
-    catalan_by_recurrence,
     commuting_diagram_check,
     compositions,
     diagram_audit,
@@ -32,8 +31,10 @@ from flipforge.graphs import (
     words_of_evaluation,
 )
 from flipforge.phi import triangulation_from_permutation as phi
+from flipforge.signing import SignedState
 from flipforge.triangulation import all_triangulations, canonical_key
 
+from oracles import catalan_by_recurrence, reachability_by_states
 from refdata import CATALAN
 
 
@@ -165,6 +166,22 @@ class TestHomogeneous:
                 for eps in itertools.product(range(1, n + 1), repeat=n):
                     assert homogeneous_components(t, eps)["matches_product"]
 
+    def test_start_row_is_built_once(self, monkeypatch):
+        calls = count_flips(monkeypatch)
+        t = next(iter(all_triangulations(7)))
+        rep = homogeneous_components(t, (1, 2, 3, 4, 5, 6, 7))
+        assert rep["reachable"] == 1
+        assert len(calls) == 6  # one row: the union-find and the orbit walk share it
+
+    def test_audit_flips_each_shape_once_per_call(self, monkeypatch):
+        calls = count_flips(monkeypatch)
+        counts = []
+        for _ in range(2):  # a cache that outlived one call would make the second call cheaper
+            calls.clear()
+            assert homogeneous_product_audit(7)["pass"]
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= CATALAN[7] * 6
+
     def test_seeded_audit_is_deterministic(self):
         a = homogeneous_product_audit(5, samples=20, seed=3)
         b = homogeneous_product_audit(5, samples=20, seed=3)
@@ -222,6 +239,12 @@ class TestReachability:
             assert rep["audit_violations"] == []
             assert rep["states"] == CATALAN[n] * 2**n
 
+    def test_n8_counts(self):
+        rep = signed_reachability_check(8)
+        assert rep["states"] == CATALAN[8] * 2**8 == 366080
+        assert rep["components"] == 7440
+        assert rep["pass"]
+
     def test_each_shape_is_flipped_once_per_call(self, monkeypatch):
         calls = []
         real_flip = flips.flip
@@ -236,6 +259,74 @@ class TestReachability:
             calls.clear()
             assert signed_reachability_check(5)["pass"]
             assert len(calls) == CATALAN[5] * 4  # one row per shape, not one per signing
+
+
+def count_flips(monkeypatch) -> list:
+    """Record every flips.flip call for the rest of the test."""
+    calls = []
+    real_flip = flips.flip
+
+    def counting_flip(t, d):
+        calls.append(d)
+        return real_flip(t, d)
+
+    monkeypatch.setattr(flips, "flip", counting_flip)
+    return calls
+
+
+class TestFlipTable:
+    def test_states_decode_in_signed_states_order(self):
+        for n in range(6):
+            table = flips.flip_table(n)
+            decoded = [SignedState(t, flips.mask_signs(s, n)) for t in table.shapes for s in range(1 << n)]
+            assert decoded == signed_states(n)
+
+    def test_integer_moves_are_the_signed_moves(self):
+        for n in range(6):
+            table = flips.flip_table(n)
+            index = {t: i for i, t in enumerate(table.shapes)}
+            bits = {flips.mask_signs(s, n): s for s in range(1 << n)}
+            for i, t in enumerate(table.shapes):
+                assert table.keys[i] == canonical_key(t)
+                row = flips.flip_row(t)
+                for s in range(1 << n):
+                    moves = [(j, s ^ m) for j, m, _, _ in table.rows[i] if s & m in (0, m)]
+                    signed = list(flips.signed_moves(row, flips.mask_signs(s, n)))
+                    # integer moves decoded, and signed moves encoded, in diagonal order
+                    assert [(table.shapes[j], flips.mask_signs(s2, n)) for j, s2 in moves] == \
+                        [(t2, signs2) for _, t2, signs2 in signed]
+                    assert moves == [(index[t2], bits[signs2]) for _, t2, signs2 in signed]
+
+    def test_rows_carry_the_face_labels(self):
+        for n in range(1, 6):
+            table = flips.flip_table(n)
+            for t, row in zip(table.shapes, table.rows):
+                assert [(b, c) for _, _, b, c in row] == [(b, c) for _, _, b, c in flips.flip_row(t)]
+                assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c in row)
+
+    def test_reports_match_the_state_route(self):
+        for n in range(6):
+            rep = signed_reachability_check(n)
+            assert (rep["missing_pairs"], rep["audit_violations"]) == \
+                reachability_by_states(flips.flip_table(n), n)
+
+    @pytest.mark.parametrize("corrupt", ["drop_faces_1_2", "one_bit_masks"])
+    def test_failure_text_and_order_match_the_state_route(self, monkeypatch, corrupt):
+        n = 4
+        table = flips.flip_table(n)
+        if corrupt == "drop_faces_1_2":  # no flip across faces 1 and 2, in either direction
+            rows = [[e for e in row if e[2:] != (1, 2)] for row in table.rows]
+        else:  # flips across faces 2 and 3 negate face 2 alone, in either direction
+            rows = [[(j, 1 << (n - b) if (b, c) == (2, 3) else m, b, c) for j, m, b, c in row]
+                    for row in table.rows]
+        broken = table._replace(rows=rows)
+        monkeypatch.setattr(graphs, "flip_table", lambda size: broken)
+        rep = signed_reachability_check(n)
+        missing, violations = reachability_by_states(broken, n)
+        assert rep["missing_pairs"] == missing
+        assert rep["audit_violations"] == violations
+        assert missing if corrupt == "drop_faces_1_2" else violations
+        assert not rep["pass"]
 
 
 class TestDiagram:

@@ -17,18 +17,16 @@ from flipforge.signing import (
     StateCapExceeded,
     classify_step,
     emit_word_certificate,
-    face_sign_walk,
-    path_signable_by_faces,
     sigma_closure,
     sign_letters,
     sign_path_diagonals,
-    sign_permutation_path,
     signable_path_search,
     validate_certificate,
 )
 from flipforge.triangulation import Triangulation, all_triangulations
 from flipforge.words import abs_word
 
+from oracles import face_sign_walk, path_signable_by_faces, sign_permutation_path
 from refdata import (
     CHAIN,
     CHAIN_KINDS,

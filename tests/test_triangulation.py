@@ -9,7 +9,6 @@ from flipforge.phi import colored_triangulation_from_word, triangulation_from_pe
 from flipforge.triangulation import (
     Face,
     Triangulation,
-    VertexRing,
     all_triangulations,
     canonical_key,
     crossing,
@@ -23,6 +22,7 @@ from flipforge.triangulation import (
     validate,
 )
 
+from oracles import VertexRing
 from refdata import CATALAN, PHI_235461
 
 
