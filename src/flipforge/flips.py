@@ -138,7 +138,8 @@ def flip_table(n: int) -> ShapeTable:
     """The flips of every shape of size n, built from one flip row per shape.
 
     A signing is a bitmask with bit n - k set when face k is positive, so
-    the state ``i << n | s`` counts in the order of signed_states(n).  The
+    the states ``i << n | s`` count the shapes by canonical key and, within
+    a shape, the signings in the order of ``product((-1, 1), repeat=n)``.  The
     entry (j, mask, b, c) flips shape i to shape j across faces b < c, and
     mask holds their two bits: a signed flip of s is legal iff
     ``s & mask in (0, mask)`` and gives ``s ^ mask``.

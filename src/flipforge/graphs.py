@@ -18,12 +18,7 @@ from typing import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .flips import FlipTable, ShapeTable, flip_table, mask_signs
-from .phi import (
-    colored_triangulation_from_word,
-    readings,
-    triangulation_from_permutation,
-)
-from .signing import SignedState
+from .phi import colored_triangulation_from_word, triangulation_from_permutation
 from .triangulation import (
     Coloring,
     Triangulation,
@@ -34,6 +29,8 @@ from .triangulation import (
 from .words import Word, block_coloring, standardize, sylvester_class
 
 DEFAULT_MAX_N = 8
+MAX_PARTS = 3  # the switched and diagram audits cover every mu with at most this many parts
+HOMOGENEOUS_SAMPLES = 50  # random colorings per homogeneous audit
 
 
 def size_limit() -> int:
@@ -42,8 +39,8 @@ def size_limit() -> int:
     return int(raw) if raw else DEFAULT_MAX_N
 
 
-def _check_n(n: int, max_n: int | None = None) -> None:
-    cap = size_limit() if max_n is None else max_n
+def _check_n(n: int) -> None:
+    cap = size_limit()
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}; set FLIPFORGE_MAX_N to raise it")
     if n < 0:
@@ -96,18 +93,18 @@ class UnionFind:
         return out
 
 
-def build_flip_graph(n: int, max_n: int | None = None) -> CombGraph:
+def build_flip_graph(n: int) -> CombGraph:
     """The flip graph on all triangulations, keyed by canonical key."""
-    _check_n(n, max_n)
+    _check_n(n)
     table = flip_table(n)
     keys = table.keys
     adjacency = {keys[i]: sorted(keys[j] for j, _, _, _ in row) for i, row in enumerate(table.rows)}
     return CombGraph("flip", keys, adjacency)
 
 
-def build_cayley_graph(n: int, max_n: int | None = None) -> CombGraph:
+def build_cayley_graph(n: int) -> CombGraph:
     """Adjacent-transposition moves on all permutations of 1..n."""
-    _check_n(n, max_n)
+    _check_n(n)
     verts = sorted(permutations(range(1, n + 1)))
     adjacency: dict[str, list[str]] = {}
     for p in verts:
@@ -119,18 +116,10 @@ def build_cayley_graph(n: int, max_n: int | None = None) -> CombGraph:
     return CombGraph("cayley", [",".join(map(str, p)) for p in verts], adjacency)
 
 
-def signed_states(n: int) -> list[SignedState]:
-    out = []
-    for t in sorted(all_triangulations(n), key=canonical_key):
-        for signs in product((-1, 1), repeat=n):
-            out.append(SignedState(t, signs))
-    return out
-
-
-def build_signed_state_graph(n: int, max_n: int | None = None) -> CombGraph:
+def build_signed_state_graph(n: int) -> CombGraph:
     """All (triangulation, face signs) states joined by signed flips, keyed
     "<canonical key>|<one + or - per face>"."""
-    _check_n(n, max_n)
+    _check_n(n)
     table = flip_table(n)
     tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
     keys = [f"{key}|{tag}" for key in table.keys for tag in tags]  # keys[i << n | s]
@@ -154,53 +143,9 @@ def is_connected(g: CombGraph) -> bool:
     return len(g.vertices) <= 1 or len(graph_components(g)) == 1
 
 
-def phi_morphism_check(n: int, max_n: int | None = None) -> dict:
-    """Audit the permutation-to-triangulation map edge by edge.
-
-    Every adjacent-transposition move either keeps the image (exactly when a
-    later letter lies strictly between the exchanged pair) or moves it by a
-    single flip, and the map reaches every triangulation.
-    """
-    _check_n(n, max_n)
-    contracted = flipped = 0
-    violations: list[str] = []
-    image = set()
-    for p in permutations(range(1, n + 1)):
-        tp = triangulation_from_permutation(p)
-        image.add(tp)
-        for i in range(n - 1):
-            if p[i] > p[i + 1]:
-                continue  # each Cayley edge once, from its ascending side
-            q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
-            tq = triangulation_from_permutation(q)
-            x, z = p[i], p[i + 1]
-            has_between = any(x < y < z for y in p[i + 2 :])
-            if tp == tq:
-                contracted += 1
-                if not has_between:
-                    violations.append(f"{p}~{q}: equal images without a between letter")
-            else:
-                flipped += 1
-                if has_between:
-                    violations.append(f"{p}~{q}: between letter but images differ")
-                diff = set(tp.diagonals) ^ set(tq.diagonals)
-                if len(diff) != 2:
-                    violations.append(f"{p}~{q}: images differ by {len(diff) // 2} diagonals")
-    onto = len(image) == catalan(n)
-    return {
-        "n": n,
-        "edges": contracted + flipped,
-        "contracted": contracted,
-        "flipped": flipped,
-        "onto": onto,
-        "distinct_images": len(image),
-        "violations": violations,
-    }
-
-
-def fiber_report(n: int, max_n: int | None = None) -> dict:
+def fiber_report(n: int) -> dict:
     """Group permutations by image and compare fibers with sylvester classes."""
-    _check_n(n, max_n)
+    _check_n(n)
     fibers: dict[Triangulation, set[Word]] = {}
     for p in permutations(range(1, n + 1)):
         fibers.setdefault(triangulation_from_permutation(p), set()).add(p)
@@ -256,14 +201,9 @@ def _same_color_orbit(rows, start, eps: Coloring, at: int) -> dict:
     }
 
 
-def simple_triangulations(n: int, mu: tuple[int, ...]) -> list[Triangulation]:
-    eps = block_coloring(mu)
-    return [t for t in all_triangulations(n) if is_simple(t, eps)]
-
-
-def switched_graph(n: int, mu: tuple[int, ...], max_n: int | None = None) -> tuple[CombGraph, dict]:
+def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
     """The switched-flip graph on simple triangulations colored by mu blocks."""
-    _check_n(n, max_n)
+    _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
     return _switched_graph(flip_table(n), mu)
@@ -304,41 +244,48 @@ def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
             yield p
 
 
-def commuting_diagram_check(n: int, mu: tuple[int, ...], max_n: int | None = None) -> dict:
+def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
     """Check that coloring after mapping equals mapping the standardization,
     and that standardization embeds word moves into permutation moves."""
-    _check_n(n, max_n)
+    _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
+    return _diagram_report(list(all_triangulations(n)), mu)
+
+
+def _diagram_report(shapes: list[Triangulation], mu: tuple[int, ...]) -> dict:
+    """commuting_diagram_check over the shapes of size sum(mu); the image is
+    compared with the simple ones among them."""
+    n = sum(mu)
     eps = block_coloring(mu)
     words = sorted(words_of_evaluation(mu))
+    std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
     square_failures = []
     image = set()
-    std_images = set()
     edge_failures = []
     for w in words:
+        sw = std[w]
         t, colors = colored_triangulation_from_word(w)
         if colors != eps:
             square_failures.append(f"{w}: coloring {colors} != {eps}")
-        if t != triangulation_from_permutation(standardize(w)):
+        if t != triangulation_from_permutation(sw):
             square_failures.append(f"{w}: image disagrees with standardized image")
         image.add(t)
-        std_images.add(standardize(w))
         for i in range(n - 1):
             if w[i] == w[i + 1]:
                 continue
             v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-            sw, sv = standardize(w), standardize(v)
+            sv = std[v]
             diff = [j for j in range(n) if sw[j] != sv[j]]
             if len(diff) != 2 or diff[1] != diff[0] + 1 or sw[diff[0]] != sv[diff[0] + 1]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
-    simple_set = set(simple_triangulations(n, mu))
+    simple_set = {t for t in shapes if is_simple(t, eps)}
     return {
         "n": n,
         "mu": list(mu),
         "words": len(words),
         "square_failures": square_failures,
-        "std_injective": len(std_images) == len(words),
+        "std_injective": len(set(std.values())) == len(words),
         "edge_failures": edge_failures,
         "image_is_all_simple": image == simple_set,
         "image_size": len(image),
@@ -346,11 +293,11 @@ def commuting_diagram_check(n: int, mu: tuple[int, ...], max_n: int | None = Non
     }
 
 
-def signed_reachability_check(n: int, max_n: int | None = None) -> dict:
+def signed_reachability_check(n: int) -> dict:
     """For each triangulation, the signed orbits of its signings must cover
     the whole flip graph; also audits one-signing-per-triangulation within
     each orbit."""
-    _check_n(n, max_n)
+    _check_n(n)
     table = flip_table(n)
     keys, size = table.keys, 1 << n
     # union-find over the states i << n | s; a root is the least state of its
@@ -421,41 +368,38 @@ def compositions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def homogeneous_product_audit(n: int, samples: int = 50, seed: int = 0,
-                              max_n: int | None = None) -> dict:
+def homogeneous_product_audit(n: int, seed: int = 0) -> dict:
     """Sample random colorings and check the same-color orbit product law."""
-    _check_n(n, max_n)
+    _check_n(n)
     rng = random.Random(seed)
     table = flip_table(n)
     failures = []
-    for _ in range(samples):
+    for _ in range(HOMOGENEOUS_SAMPLES):
         i = rng.choice(range(len(table.keys)))  # draws as rng.choice over the sorted shapes
         palette = rng.randint(1, max(1, n))
         eps = tuple(rng.randint(1, palette) for _ in range(n))
         report = _same_color_orbit(table.rows, i, eps, at=0)
         if not report["matches_product"]:
             failures.append({"key": table.keys[i], "eps": list(eps), **report})
-    return {"n": n, "samples": samples, "seed": seed, "failures": failures, "pass": not failures}
+    return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
 
 
-def switched_audit(n: int, max_parts: int = 3, max_n: int | None = None) -> dict:
-    """Connectivity of every switched-flip graph with at most max_parts colors."""
-    _check_n(n, max_n)
+def switched_audit(n: int) -> dict:
+    """Connectivity of every switched-flip graph with at most MAX_PARTS colors."""
+    _check_n(n)
     table = flip_table(n)
-    rows = [_switched_graph(table, mu)[1] for mu in sorted(compositions(n, max_parts))]
+    rows = [_switched_graph(table, mu)[1] for mu in sorted(compositions(n, MAX_PARTS))]
     return {"n": n, "graphs": rows, "pass": all(r["connected"] for r in rows)}
 
 
-def diagram_audit(n: int, max_parts: int = 3, max_n: int | None = None) -> dict:
-    """Commuting-square and morphism checks for every mu with few parts."""
-    _check_n(n, max_n)
-    rows = []
-    ok = True
-    for mu in sorted(compositions(n, max_parts)):
-        report = commuting_diagram_check(n, mu)
-        rows.append(report)
-        ok = ok and not report["square_failures"] and not report["edge_failures"] \
-            and report["std_injective"] and report["image_is_all_simple"]
+def diagram_audit(n: int) -> dict:
+    """Commuting-square and morphism checks for every mu with at most
+    MAX_PARTS parts, over one enumeration of the shapes."""
+    _check_n(n)
+    shapes = list(all_triangulations(n))
+    rows = [_diagram_report(shapes, mu) for mu in sorted(compositions(n, MAX_PARTS))]
+    ok = all(not r["square_failures"] and not r["edge_failures"] and r["std_injective"]
+             and r["image_is_all_simple"] for r in rows)
     return {"n": n, "reports": rows, "pass": ok}
 
 
@@ -480,19 +424,3 @@ def run_suite(suite: str, n: int, seed: int = 0) -> dict:
     report["suite"] = suite
     return report
 
-
-def reading_closure_check(n: int, max_n: int | None = None) -> dict:
-    """Readings of every triangulation must equal one whole sylvester class."""
-    _check_n(n, max_n)
-    failures = []
-    for t in all_triangulations(n):
-        words = readings(t)
-        rep = next(iter(words))
-        if sylvester_class(rep) != words:
-            failures.append(canonical_key(t))
-        else:
-            for w in words:
-                if triangulation_from_permutation(w) != t:
-                    failures.append(canonical_key(t))
-                    break
-    return {"n": n, "triangulations": catalan(n), "failures": failures}

@@ -32,7 +32,7 @@ def triangulation_to_dict(t: Triangulation, colors: Coloring | None = None,
 def triangulation_from_dict(data: dict) -> tuple[Triangulation, Coloring | None, Coloring | None]:
     try:
         t = Triangulation(int(data["n"]), tuple((int(i), int(j)) for i, j in data["diagonals"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed triangulation object: {exc}") from exc
     problems = validate(t)
     if problems:
@@ -47,7 +47,7 @@ def triangulation_from_dict(data: dict) -> tuple[Triangulation, Coloring | None,
             raise ValueError(f"{name} must have length n={t.n}")
     if colors is not None and any(type(c) is not int for c in colors):
         raise ValueError("colors must be integers")
-    if signs is not None and any(s not in (-1, 1) for s in signs):
+    if signs is not None and any(type(s) is not int or s not in (-1, 1) for s in signs):
         raise ValueError("signs must be +-1")
     return t, colors, signs
 
@@ -68,7 +68,7 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
         n = int(data["n"])
         north = Triangulation(n, tuple((int(i), int(j)) for i, j in data["north"]))
         south = Triangulation(n, tuple((int(i), int(j)) for i, j in data["south"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sphere object: {exc}") from exc
     face_signs = None
     if "signs" in data:
@@ -77,7 +77,7 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
         face_signs = {}
         for key, sign in data["signs"].items():
             hemi, _, label = key.partition(":")
-            if hemi not in ("N", "S") or not label.isdigit() or sign not in (-1, 1):
+            if hemi not in ("N", "S") or not label.isdigit() or type(sign) is not int or sign not in (-1, 1):
                 raise ValueError(f"malformed face sign entry {key!r}: {sign!r}")
             face_signs[(hemi, int(label))] = sign
     return SphereTriangulation(n, north, south, face_signs)
@@ -97,7 +97,7 @@ def certificate_from_lines(lines: list[str]) -> Certificate:
         try:
             data = json.loads(line)
             chain.append(tuple(int(a) for a in data["word"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed certificate line {i}: {exc}") from exc
         if i > 0:
             kind = data.get("kind")

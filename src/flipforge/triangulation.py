@@ -183,7 +183,11 @@ def third_vertex(t: Triangulation, i: int) -> int:
     """The third vertex t_i of the unique face containing the edge {i, i+1}."""
     if not 1 <= i <= t.n - 1:
         raise ValueError(f"edge index {i} out of range 1..{t.n - 1}")
-    adj = edge_adjacency(t)
+    return _apex(edge_adjacency(t), i)
+
+
+def _apex(adj: dict[int, set[int]], i: int) -> int:
+    """third_vertex read from the vertex adjacency of the triangulation."""
     common = adj[i] & adj[i + 1]
     if len(common) != 1:
         raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {sorted(common)}")
@@ -204,25 +208,16 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
     for i, j in t.diagonals:
         if 1 <= i and j <= t.n and eps[i - 1] == eps[j - 1]:
             return False
-    for i in range(1, t.n):
-        if eps[i - 1] == eps[i] and third_vertex(t, i) >= i:
-            return False
-    return True
+    runs = [i for i in range(1, t.n) if eps[i - 1] == eps[i]]
+    if not runs:
+        return True
+    adj = edge_adjacency(t)
+    return all(_apex(adj, i) < i for i in runs)
 
 
 def canonical_key(t: Triangulation) -> str:
     """Stable text key: "<n>:" then the sorted diagonals, e.g. "2:0-2"."""
     return f"{t.n}:" + ";".join(f"{i}-{j}" for i, j in t.diagonals)
-
-
-def triangulation_from_key(key: str) -> Triangulation:
-    head, _, body = key.partition(":")
-    diags = []
-    if body:
-        for part in body.split(";"):
-            i, _, j = part.partition("-")
-            diags.append((int(i), int(j)))
-    return Triangulation(int(head), tuple(diags))
 
 
 def all_triangulations(n: int) -> Iterator[Triangulation]:

@@ -211,13 +211,3 @@ def format_word(w: Word, like: str) -> str:
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w)
 
-
-def parse_signed_word(text: str) -> SignedWord:
-    w = tuple(int(p) for p in text.strip().split(","))
-    if not is_signed_word(w):
-        raise ValueError(f"{text!r} is not a signed word (nonzero, distinct absolute values)")
-    return w
-
-
-def format_signed_word(w: SignedWord) -> str:
-    return ",".join(str(a) for a in w)

@@ -1,18 +1,26 @@
-"""Test-only oracles: brute-force or second routes to what the library computes.
+"""Test-only reference code: brute-force or second routes to what the
+library computes, and the helpers that only the tests use.
 
 None of these is needed by ``flipforge`` itself; the tests check the
 library against them.
 """
 
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
 from flipforge.flips import ShapeTable, signed_flip
-from flipforge.graphs import UnionFind
-from flipforge.phi import colored_readings
-from flipforge.signing import Certificate, _between_later, _flipped_diagonal, sign_letters
-from flipforge.triangulation import Coloring, Triangulation, VertexRing as _VertexRing
-from flipforge.words import Word
+from flipforge.graphs import UnionFind, catalan
+from flipforge.phi import colored_readings, readings, triangulation_from_permutation
+from flipforge.signing import Certificate, SignedState, _between_later, _flipped_diagonal, sign_letters
+from flipforge.triangulation import (
+    Coloring,
+    Triangulation,
+    VertexRing as _VertexRing,
+    all_triangulations,
+    canonical_key,
+    is_simple,
+)
+from flipforge.words import SignedWord, Word, block_coloring, is_signed_word, sylvester_class
 
 
 class VertexRing(_VertexRing):
@@ -144,3 +152,100 @@ def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
             covered |= underlying[uf.find(index[i, signs])]
         missing += [(key, table.keys[j]) for j in range(len(table.keys)) if j not in covered]
     return missing, violations
+
+
+def signed_states(n: int) -> list[SignedState]:
+    """Every (shape, face signs) state of size n: shapes by canonical key,
+    then signings in product order."""
+    out = []
+    for t in sorted(all_triangulations(n), key=canonical_key):
+        for signs in product((-1, 1), repeat=n):
+            out.append(SignedState(t, signs))
+    return out
+
+
+def simple_triangulations(n: int, mu: tuple[int, ...]) -> list[Triangulation]:
+    """The shapes of size n that are simple under the block coloring of mu."""
+    eps = block_coloring(mu)
+    return [t for t in all_triangulations(n) if is_simple(t, eps)]
+
+
+def triangulation_from_key(key: str) -> Triangulation:
+    """The triangulation whose canonical_key is key."""
+    head, _, body = key.partition(":")
+    diags = []
+    if body:
+        for part in body.split(";"):
+            i, _, j = part.partition("-")
+            diags.append((int(i), int(j)))
+    return Triangulation(int(head), tuple(diags))
+
+
+def parse_signed_word(text: str) -> SignedWord:
+    w = tuple(int(p) for p in text.strip().split(","))
+    if not is_signed_word(w):
+        raise ValueError(f"{text!r} is not a signed word (nonzero, distinct absolute values)")
+    return w
+
+
+def format_signed_word(w: SignedWord) -> str:
+    return ",".join(str(a) for a in w)
+
+
+def phi_morphism_check(n: int) -> dict:
+    """Audit the permutation-to-triangulation map edge by edge.
+
+    Every adjacent-transposition move either keeps the image (exactly when a
+    later letter lies strictly between the exchanged pair) or moves it by a
+    single flip, and the map reaches every triangulation.
+    """
+    contracted = flipped = 0
+    violations: list[str] = []
+    image = set()
+    for p in permutations(range(1, n + 1)):
+        tp = triangulation_from_permutation(p)
+        image.add(tp)
+        for i in range(n - 1):
+            if p[i] > p[i + 1]:
+                continue  # each Cayley edge once, from its ascending side
+            q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
+            tq = triangulation_from_permutation(q)
+            x, z = p[i], p[i + 1]
+            has_between = any(x < y < z for y in p[i + 2 :])
+            if tp == tq:
+                contracted += 1
+                if not has_between:
+                    violations.append(f"{p}~{q}: equal images without a between letter")
+            else:
+                flipped += 1
+                if has_between:
+                    violations.append(f"{p}~{q}: between letter but images differ")
+                diff = set(tp.diagonals) ^ set(tq.diagonals)
+                if len(diff) != 2:
+                    violations.append(f"{p}~{q}: images differ by {len(diff) // 2} diagonals")
+    onto = len(image) == catalan(n)
+    return {
+        "n": n,
+        "edges": contracted + flipped,
+        "contracted": contracted,
+        "flipped": flipped,
+        "onto": onto,
+        "distinct_images": len(image),
+        "violations": violations,
+    }
+
+
+def reading_closure_check(n: int) -> dict:
+    """Readings of every triangulation must equal one whole sylvester class."""
+    failures = []
+    for t in all_triangulations(n):
+        words = readings(t)
+        rep = next(iter(words))
+        if sylvester_class(rep) != words:
+            failures.append(canonical_key(t))
+        else:
+            for w in words:
+                if triangulation_from_permutation(w) != t:
+                    failures.append(canonical_key(t))
+                    break
+    return {"n": n, "triangulations": catalan(n), "failures": failures}

@@ -397,6 +397,29 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    # JSON reads 1e999 as infinity, which int() refuses with an OverflowError;
+    # signs take only the integers -1 and 1, not true or 1.0
+    @pytest.mark.parametrize(
+        "content, argv",
+        [
+            ('{"n": 1e999, "diagonals": []}', ["readings"]),
+            ('{"n": 2, "diagonals": [[0, 1e999]]}', ["render"]),
+            ('{"word": [1, 2]}\n{"word": [1e999, 1], "kind": "K1"}\n', ["check-cert"]),
+            ('{"n": 1e999, "north": [], "south": []}', ["heawood-check"]),
+            ('{"n": 2, "diagonals": [[0, 2]], "signs": [true, -1]}', ["flip", "--d", "0,2"]),
+            ('{"n": 3, "diagonals": [[0, 2], [0, 3]], "signs": [true, 1.0, -1]}', ["render"]),
+        ],
+        ids=["readings-huge-n", "render-huge-vertex", "check-cert-huge-letter",
+             "heawood-check-huge-n", "flip-bool-sign", "render-float-sign"],
+    )
+    def test_bad_number_is_one_error_line(self, capsys, tmp_path, content, argv):
+        f = tmp_path / "in.json"
+        f.write_text(content)
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_usage_error_is_exit_2(self):
         proc = run_cli("no-such-command", text=True)
         assert proc.returncode == 2

@@ -30,7 +30,7 @@ from flipforge.triangulation import (
 from flipforge.words import abs_word, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
-from oracles import readings_exchange_oracle
+from reference import readings_exchange_oracle
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 

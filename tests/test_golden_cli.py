@@ -51,6 +51,7 @@ CORPUS = [
     ("sign-path-diagonals", ["sign-path-diagonals", "path.json"], []),
     ("verify-6", ["verify", "--suite", "all", "--n", "6"], []),
     ("graph-signed-6", ["graph", "--kind", "signed", "--n", "6"], []),
+    ("verify-7", ["verify", "--suite", "all", "--n", "7"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -84,6 +85,8 @@ GOLDEN = {
     # Recorded before the integer flip table (flip_table over shape indices).
     "verify-6": "ef615bb4666f88522d4a604fa76b894b2d159b0f29eb4ef02cdf3277ab4826b2",
     "graph-signed-6": "96efcb79a8aaed48b98f0672ee69a4efa7e6006fa0466abccae1eab2943edd23",
+    # Recorded before the diagram audit shared one shape enumeration per call.
+    "verify-7": "e5359865522ad28e40b287e975531a24fc2840cb15f80b11791bc0dfb3061a3c",
 }
 
 

@@ -20,11 +20,7 @@ from flipforge.graphs import (
     homogeneous_components,
     homogeneous_product_audit,
     is_connected,
-    phi_morphism_check,
-    reading_closure_check,
     signed_reachability_check,
-    signed_states,
-    simple_triangulations,
     size_limit,
     switched_audit,
     switched_graph,
@@ -34,7 +30,14 @@ from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
 from flipforge.triangulation import all_triangulations, canonical_key
 
-from oracles import catalan_by_recurrence, reachability_by_states
+from reference import (
+    catalan_by_recurrence,
+    phi_morphism_check,
+    reachability_by_states,
+    reading_closure_check,
+    signed_states,
+    simple_triangulations,
+)
 from refdata import CATALAN
 
 
@@ -183,8 +186,8 @@ class TestHomogeneous:
         assert counts[0] == counts[1] <= CATALAN[7] * 6
 
     def test_seeded_audit_is_deterministic(self):
-        a = homogeneous_product_audit(5, samples=20, seed=3)
-        b = homogeneous_product_audit(5, samples=20, seed=3)
+        a = homogeneous_product_audit(5, seed=3)
+        b = homogeneous_product_audit(5, seed=3)
         assert a == b
         assert a["pass"]
         assert a["failures"] == []
@@ -220,7 +223,7 @@ class TestSwitched:
 
     def test_audits_pass(self):
         for n in range(1, 6):
-            assert switched_audit(n, max_parts=3)["pass"]
+            assert switched_audit(n)["pass"]
 
     def test_vertices_are_exactly_the_simple_triangulations(self):
         for n in range(1, 6):
@@ -343,11 +346,39 @@ class TestDiagram:
         assert rep["image_size"] == CATALAN[4]
 
     def test_all_words_n5_two_colors(self):
-        assert diagram_audit(5, max_parts=2)["pass"]
+        assert diagram_audit(5)["pass"]
 
     def test_audit_small(self):
         for n in range(1, 5):
-            assert diagram_audit(n, max_parts=3)["pass"]
+            assert diagram_audit(n)["pass"]
+
+    def test_shapes_are_enumerated_once_per_call(self, monkeypatch):
+        calls = []
+        real = graphs.all_triangulations
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(graphs, "all_triangulations", counting)
+        # twice: a cache that outlives one call would make the second call cheaper
+        for _ in range(2):
+            calls.clear()
+            assert diagram_audit(5)["pass"]
+            assert calls == [5]  # one enumeration for all 11 mus
+
+    def test_each_word_is_standardized_once(self, monkeypatch):
+        calls = []
+        real = graphs.standardize
+
+        def counting(w):
+            calls.append(w)
+            return real(w)
+
+        monkeypatch.setattr(graphs, "standardize", counting)
+        assert diagram_audit(5)["pass"]
+        words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
+        assert sorted(calls) == sorted(words)
 
 
 class TestReadingClosure:
@@ -390,8 +421,9 @@ class TestCaps:
         monkeypatch.delenv("FLIPFORGE_MAX_N")
         assert build_flip_graph(4) is not None
 
-    def test_explicit_max_n_wins(self):
-        assert build_flip_graph(9, max_n=9).vertices
+    def test_env_override_raises_the_cap(self, monkeypatch):
+        monkeypatch.setenv("FLIPFORGE_MAX_N", "9")
+        assert len(build_flip_graph(9).vertices) == CATALAN[9]
 
 
 class TestUnionFind:

@@ -26,7 +26,7 @@ from flipforge.signing import (
 from flipforge.triangulation import Triangulation, all_triangulations
 from flipforge.words import abs_word
 
-from oracles import face_sign_walk, path_signable_by_faces, sign_permutation_path
+from reference import face_sign_walk, path_signable_by_faces, sign_permutation_path
 from refdata import (
     CHAIN,
     CHAIN_KINDS,

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from flipforge import triangulation
 from flipforge.phi import colored_triangulation_from_word, triangulation_from_permutation
 from flipforge.triangulation import (
     Face,
@@ -18,11 +19,10 @@ from flipforge.triangulation import (
     is_simple,
     is_valid,
     third_vertex,
-    triangulation_from_key,
     validate,
 )
 
-from oracles import VertexRing
+from reference import VertexRing, triangulation_from_key
 from refdata import CATALAN, PHI_235461
 
 
@@ -149,6 +149,13 @@ class TestThirdVertex:
         with pytest.raises(ValueError):
             third_vertex(tri(2, (0, 2)), 2)
 
+    def test_edge_without_a_unique_face(self):
+        t = tri(3, (0, 2))  # one chord short: the edge {2, 3} bounds no face
+        with pytest.raises(ValueError, match="unique face"):
+            third_vertex(t, 2)
+        with pytest.raises(ValueError, match="unique face"):
+            is_simple(t, (1, 2, 2))
+
 
 class TestEnumeration:
     def test_counts_match_catalan(self):
@@ -183,6 +190,20 @@ class TestSimple:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             is_simple(tri(2, (0, 2)), (1,))
+
+    def test_one_adjacency_per_call(self, monkeypatch):
+        built = []
+        real = triangulation.edge_adjacency
+
+        def counting(t):
+            built.append(t)
+            return real(t)
+
+        monkeypatch.setattr(triangulation, "edge_adjacency", counting)
+        n = 7
+        fan = tri(n, *((0, k) for k in range(2, n + 1)))
+        assert is_simple(fan, (1,) * n)
+        assert len(built) == 1  # shared by all n - 1 equal-colored boundary edges
 
     def test_agrees_with_literal_three_rules(self):
         # independent re-derivation of the definition, n <= 5, p <= 3

@@ -14,9 +14,7 @@ from flipforge.words import (
     delta_profile,
     destandardize,
     evaluation,
-    format_signed_word,
     format_word,
-    parse_signed_word,
     parse_word,
     respects_blocks,
     standardize,
@@ -25,6 +23,7 @@ from flipforge.words import (
     sylvester_neighbors,
 )
 
+from reference import format_signed_word, parse_signed_word
 from refdata import CHAIN, CLASS_BBCBCA, READINGS_235461
 
 BBCBCA = (2, 2, 3, 2, 3, 1)
