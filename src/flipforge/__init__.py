@@ -47,7 +47,6 @@ from .flips import (
 )
 from .signing import (
     Certificate,
-    SearchLimits,
     SignedState,
     classify_step,
     emit_word_certificate,

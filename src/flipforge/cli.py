@@ -21,7 +21,6 @@ from .phi import (
     triangulation_from_permutation,
 )
 from .signing import (
-    SearchLimits,
     emit_word_certificate,
     sign_path_diagonals,
     signable_path_search,
@@ -177,8 +176,7 @@ def cmd_neighbors(args) -> int:
 def cmd_signed_path(args) -> int:
     start = triangulation_from_permutation(parse_word(args.perm1))
     end = triangulation_from_permutation(parse_word(args.perm2))
-    limits = SearchLimits(max_states=args.max_states)
-    path = signable_path_search(start, end, limits)
+    path = signable_path_search(start, end, args.max_states)
     if path is None:
         _print_json({"found": False})
         return 1

@@ -236,12 +236,13 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[CombGraph, 
 
 
 def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
-    letters = block_coloring(mu)
-    seen = set()
-    for p in permutations(letters):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    """Every word with evaluation mu, each once, in increasing order."""
+    if not any(mu):
+        yield ()
+    for c, m in enumerate(mu):
+        if m:
+            for rest in words_of_evaluation(mu[:c] + (m - 1,) + mu[c + 1 :]):
+                yield (c + 1,) + rest
 
 
 def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
@@ -258,7 +259,7 @@ def _diagram_report(shapes: list[Triangulation], mu: tuple[int, ...]) -> dict:
     compared with the simple ones among them."""
     n = sum(mu)
     eps = block_coloring(mu)
-    words = sorted(words_of_evaluation(mu))
+    words = list(words_of_evaluation(mu))
     std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
     square_failures = []
     image = set()

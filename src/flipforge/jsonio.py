@@ -19,6 +19,13 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _integer(value: Any) -> int:
+    """value if it is a JSON integer; floats, numeric strings and booleans are refused."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def triangulation_to_dict(t: Triangulation, colors: Coloring | None = None,
                           signs: Coloring | None = None) -> dict:
     out: dict[str, Any] = {"n": t.n, "diagonals": [list(d) for d in t.diagonals]}
@@ -31,7 +38,8 @@ def triangulation_to_dict(t: Triangulation, colors: Coloring | None = None,
 
 def triangulation_from_dict(data: dict) -> tuple[Triangulation, Coloring | None, Coloring | None]:
     try:
-        t = Triangulation(int(data["n"]), tuple((int(i), int(j)) for i, j in data["diagonals"]))
+        n = _integer(data["n"])
+        t = Triangulation(n, tuple((_integer(i), _integer(j)) for i, j in data["diagonals"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed triangulation object: {exc}") from exc
     problems = validate(t)
@@ -65,9 +73,9 @@ def sphere_to_dict(s: SphereTriangulation) -> dict:
 
 def sphere_from_dict(data: dict) -> SphereTriangulation:
     try:
-        n = int(data["n"])
-        north = Triangulation(n, tuple((int(i), int(j)) for i, j in data["north"]))
-        south = Triangulation(n, tuple((int(i), int(j)) for i, j in data["south"]))
+        n = _integer(data["n"])
+        north = Triangulation(n, tuple((_integer(i), _integer(j)) for i, j in data["north"]))
+        south = Triangulation(n, tuple((_integer(i), _integer(j)) for i, j in data["south"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sphere object: {exc}") from exc
     face_signs = None
@@ -79,6 +87,8 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
             hemi, _, label = key.partition(":")
             if hemi not in ("N", "S") or not label.isdigit() or type(sign) is not int or sign not in (-1, 1):
                 raise ValueError(f"malformed face sign entry {key!r}: {sign!r}")
+            if str(int(label)) != label or not 1 <= int(label) <= n:
+                raise ValueError(f"face sign entry {key!r} names no face label 1..{n}")
             face_signs[(hemi, int(label))] = sign
     return SphereTriangulation(n, north, south, face_signs)
 
@@ -96,7 +106,7 @@ def certificate_from_lines(lines: list[str]) -> Certificate:
     for i, line in enumerate(line for line in lines if line.strip()):
         try:
             data = json.loads(line)
-            chain.append(tuple(int(a) for a in data["word"]))
+            chain.append(tuple(_integer(a) for a in data["word"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed certificate line {i}: {exc}") from exc
         if i > 0:

@@ -33,7 +33,7 @@ from .flips import (
 )
 from .phi import canonical_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
-from .words import SignedWord, Word, abs_word, is_signed_word, sylvester_neighbors
+from .words import SignedWord, Word, abs_word, adjacent_difference, exchange_witness, is_signed_word
 
 
 class StateCapExceeded(RuntimeError):
@@ -49,12 +49,7 @@ class SignedState(NamedTuple):
     signs: Coloring
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_states: int = 1_000_000
-
-
-def sigma_closure(start: SignedState, limits: SearchLimits = SearchLimits()) -> frozenset[SignedState]:
+def sigma_closure(start: SignedState, max_states: int = 1_000_000) -> frozenset[SignedState]:
     """All signed states reachable from start by signed flips.
 
     While exploring, checks that no triangulation shows up under two
@@ -77,8 +72,8 @@ def sigma_closure(start: SignedState, limits: SearchLimits = SearchLimits()) -> 
                 )
             signs_of[state.tri] = state.signs
             seen.add(state)
-            if len(seen) > limits.max_states:
-                raise StateCapExceeded(f"closure exceeds {limits.max_states} states")
+            if len(seen) > max_states:
+                raise StateCapExceeded(f"closure exceeds {max_states} states")
             queue.append(state)
     return frozenset(seen)
 
@@ -91,34 +86,19 @@ class StepWitness(NamedTuple):
     y: int | None
 
 
-def _between_later(w: SignedWord, i: int) -> int | None:
-    lo, hi = sorted((abs(w[i]), abs(w[i + 1])))
-    for b in w[i + 2 :]:
-        if lo < abs(b) < hi:
-            return b
-    return None
-
-
 def classify_step(w1: SignedWord, w2: SignedWord) -> StepWitness | None:
     """Classify a pair of signed words as a K1 or K2 move, or neither."""
-    if len(w1) != len(w2) or w1 == w2:
-        return None
     if not (is_signed_word(w1) and is_signed_word(w2)):
         return None
-    diff = [i for i in range(len(w1)) if w1[i] != w2[i]]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
+    i = adjacent_difference(w1, w2)
+    if i is None:
         return None
-    i = diff[0]
     alpha, gamma = w1[i], w1[i + 1]
-    y = _between_later(w1, i)
-    if (w2[i], w2[i + 1]) == (gamma, alpha):
-        if y is not None:
-            return StepWitness("K1", i, alpha, gamma, y)
-        return None
-    if (w2[i], w2[i + 1]) == (-gamma, -alpha):
-        if y is None and (alpha > 0) == (gamma > 0):
-            return StepWitness("K2", i, alpha, gamma, None)
-        return None
+    k = exchange_witness(abs_word(w1), i)
+    if (w2[i], w2[i + 1]) == (gamma, alpha) and k is not None:
+        return StepWitness("K1", i, alpha, gamma, w1[k])
+    if (w2[i], w2[i + 1]) == (-gamma, -alpha) and k is None and (alpha > 0) == (gamma > 0):
+        return StepWitness("K2", i, alpha, gamma, None)
     return None
 
 
@@ -178,7 +158,7 @@ class SignedPath:
 
 
 def signable_path_search(
-    start_tri: Triangulation, end_tri: Triangulation, limits: SearchLimits = SearchLimits()
+    start_tri: Triangulation, end_tri: Triangulation, max_states: int = 1_000_000
 ) -> SignedPath | None:
     """Shortest signed-flip path from (start_tri, any signs) to end_tri.
 
@@ -194,8 +174,8 @@ def signable_path_search(
         state = SignedState(start_tri, (-1,) * n)
         return SignedPath(state, state, ())
     # Every signing of start_tri is a seed: refuse before building 2^n of them.
-    if 2 ** n > limits.max_states:
-        raise StateCapExceeded(f"search exceeds {limits.max_states} states")
+    if 2 ** n > max_states:
+        raise StateCapExceeded(f"search exceeds {max_states} states")
     sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
     parent: dict[SignedState, tuple[SignedState, Diagonal] | None] = {s: None for s in sources}
     queue = deque(sources)
@@ -217,8 +197,8 @@ def signable_path_search(
             if ns in parent:
                 continue
             parent[ns] = (state, d)
-            if len(parent) > limits.max_states:
-                raise StateCapExceeded(f"search exceeds {limits.max_states} states")
+            if len(parent) > max_states:
+                raise StateCapExceeded(f"search exceeds {max_states} states")
             if ns.tri == end_tri:
                 return path_from(ns)
             queue.append(ns)
@@ -231,24 +211,30 @@ def sign_letters(perm: Word, face_signs: Coloring) -> SignedWord:
 
 
 def _class_bridge(w_from: Word, w_to: Word) -> list[Word]:
-    """Shortest chain of adjacent exchanges between two class members."""
-    if w_from == w_to:
-        return [w_from]
-    parent = {w_from: None}
-    queue = deque([w_from])
-    while queue:
-        w = queue.popleft()
-        for nxt in sylvester_neighbors(w):
-            if nxt in parent:
-                continue
-            parent[nxt] = w
-            if nxt == w_to:
-                chain = [nxt]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                return list(reversed(chain))
-            queue.append(nxt)
-    raise ValueError(f"{w_to} is not in the class of {w_from}")
+    """Shortest chain of K1 exchanges between two members of one class.
+
+    Exchanges the leftmost adjacent pair that w_to orders the other way until
+    none is left.  Each exchange undoes one inversion, and between two linear
+    extensions of one binary tree every such exchange is a K1 move; so the
+    chain is shortest, and among shortest chains its exchange positions are
+    lexicographically least.
+    """
+    rank = {a: k for k, a in enumerate(w_to)}
+    w = list(w_from)
+    chain = [w_from]
+    i = 0
+    while i < len(w) - 1:
+        if rank[w[i]] < rank[w[i + 1]]:
+            i += 1
+        elif exchange_witness(w, i) is None:
+            break
+        else:
+            w[i], w[i + 1] = w[i + 1], w[i]
+            chain.append(tuple(w))
+            i = max(i - 1, 0)
+    if chain[-1] != w_to:
+        raise ValueError(f"{w_to} is not in the class of {w_from}")
+    return chain
 
 
 def emit_word_certificate(path: SignedPath) -> Certificate:
@@ -271,13 +257,11 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
         if pair is None:
             raise ValueError(f"step {i} of the path is not a flip")
         w1, w2 = pair
-        sw1 = sign_letters(w1, eps_i)
         if not chain:
-            chain.append(sw1)
-        elif chain[-1] != sw1:
-            for perm in _class_bridge(abs_word(chain[-1]), w1)[1:]:
-                chain.append(sign_letters(perm, eps_i))
-                kinds.append("K1")
+            chain.append(sign_letters(w1, eps_i))
+        for perm in _class_bridge(abs_word(chain[-1]), w1)[1:]:
+            chain.append(sign_letters(perm, eps_i))
+            kinds.append("K1")
         chain.append(sign_letters(w2, eps_j))
         kinds.append("K2")
     return Certificate(chain, kinds)

@@ -114,38 +114,43 @@ class SylvesterWitness(NamedTuple):
     tail: Word
 
 
-def _swap_ok(w: Word, i: int) -> int | None:
-    """First witness y for exchanging positions i, i+1, or None if not allowed."""
+def exchange_witness(w: Word, i: int) -> int | None:
+    """Position of the first later letter y with x <= y < z, where x < z are the
+    letters at positions i, i+1: the exchange is allowed iff there is one."""
     x, z = sorted((w[i], w[i + 1]))
     if x == z:
         return None
-    for y in w[i + 2 :]:
+    for k, y in enumerate(w[i + 2 :], i + 2):
         if x <= y < z:
-            return y
+            return k
     return None
 
 
-def sylvester_adjacent(w1: Word, w2: Word) -> SylvesterWitness | None:
-    """Witness that w1, w2 differ by one legal exchange of adjacent letters."""
-    if len(w1) != len(w2) or w1 == w2:
+def adjacent_difference(w1: Word, w2: Word) -> int | None:
+    """The position i when w1 and w2 differ exactly at positions i and i+1, else None."""
+    if len(w1) != len(w2):
         return None
     diff = [i for i in range(len(w1)) if w1[i] != w2[i]]
     if len(diff) != 2 or diff[1] != diff[0] + 1:
         return None
-    i = diff[0]
-    if (w1[i], w1[i + 1]) != (w2[i + 1], w2[i]):
+    return diff[0]
+
+
+def sylvester_adjacent(w1: Word, w2: Word) -> SylvesterWitness | None:
+    """Witness that w1, w2 differ by one legal exchange of adjacent letters."""
+    i = adjacent_difference(w1, w2)
+    if i is None or (w1[i], w1[i + 1]) != (w2[i + 1], w2[i]):
         return None
-    y = _swap_ok(w1, i)
-    if y is None:
+    k = exchange_witness(w1, i)
+    if k is None:
         return None
     x, z = sorted((w1[i], w1[i + 1]))
-    k = w1[i + 2 :].index(y)
-    return SylvesterWitness(w1[:i], x, z, w1[i + 2 : i + 2 + k], y, w1[i + 3 + k :])
+    return SylvesterWitness(w1[:i], x, z, w1[i + 2 : k], w1[k], w1[k + 1 :])
 
 
 def sylvester_neighbors(w: Word) -> Iterator[Word]:
     for i in range(len(w) - 1):
-        if _swap_ok(w, i) is not None:
+        if exchange_witness(w, i) is not None:
             yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
 
 

@@ -5,13 +5,14 @@ None of these is needed by ``flipforge`` itself; the tests check the
 library against them.
 """
 
+from collections import deque
 from itertools import permutations, product
 from typing import Sequence
 
 from flipforge.flips import ShapeTable, signed_flip
 from flipforge.graphs import UnionFind, catalan
 from flipforge.phi import colored_readings, readings, triangulation_from_permutation
-from flipforge.signing import Certificate, SignedState, _between_later, _flipped_diagonal, sign_letters
+from flipforge.signing import Certificate, SignedState, _flipped_diagonal, sign_letters
 from flipforge.triangulation import (
     Coloring,
     Triangulation,
@@ -20,7 +21,14 @@ from flipforge.triangulation import (
     canonical_key,
     is_simple,
 )
-from flipforge.words import SignedWord, Word, block_coloring, is_signed_word, sylvester_class
+from flipforge.words import (
+    SignedWord,
+    Word,
+    block_coloring,
+    is_signed_word,
+    sylvester_class,
+    sylvester_neighbors,
+)
 
 
 class VertexRing(_VertexRing):
@@ -88,7 +96,8 @@ def sign_permutation_path(
         ):
             raise ValueError(f"step {step}: {p} -> {q} is not an adjacent transposition")
         i = diff[0]
-        if _between_later(w, i) is not None:
+        lo, hi = sorted((abs(w[i]), abs(w[i + 1])))
+        if any(lo < abs(b) < hi for b in w[i + 2 :]):
             w = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
             kinds.append("K1")
         else:
@@ -99,6 +108,29 @@ def sign_permutation_path(
             kinds.append("K2")
         chain.append(w)
     return Certificate(chain, kinds), None
+
+
+def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:
+    """Shortest chain of adjacent exchanges between two class members, by a
+    breadth-first search over the class that expands exchanges in position
+    order."""
+    if w_from == w_to:
+        return [w_from]
+    parent = {w_from: None}
+    queue = deque([w_from])
+    while queue:
+        w = queue.popleft()
+        for nxt in sylvester_neighbors(w):
+            if nxt in parent:
+                continue
+            parent[nxt] = w
+            if nxt == w_to:
+                chain = [nxt]
+                while parent[chain[-1]] is not None:
+                    chain.append(parent[chain[-1]])
+                return list(reversed(chain))
+            queue.append(nxt)
+    raise ValueError(f"{w_to} is not in the class of {w_from}")
 
 
 def face_sign_walk(path: Sequence[Triangulation], eps0: Coloring) -> list[Coloring] | None:

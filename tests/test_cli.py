@@ -17,6 +17,10 @@ from refdata import CHAIN, PHI_235461, READINGS_235461
 SPHERE_LIST_SIGNS = json.dumps(
     {"n": 3, "north": [[0, 2], [0, 3]], "south": [[0, 2], [0, 3]], "signs": [1]}
 )
+SPHERE_SIGNED = json.dumps(
+    {"n": 3, "north": [[0, 2], [0, 3]], "south": [[0, 2], [0, 3]],
+     "signs": {f"{h}:{k}": 1 for h in "NS" for k in (1, 2, 3)}}
+)
 
 
 def run_cli(*argv, **kwargs):
@@ -397,8 +401,9 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    # JSON reads 1e999 as infinity, which int() refuses with an OverflowError;
-    # signs take only the integers -1 and 1, not true or 1.0
+    # Every number in an object must be a JSON integer: not 1e999 (JSON reads it
+    # as infinity), nor a float, a numeric string or a boolean that int() would
+    # turn into one; signs take only the integers -1 and 1
     @pytest.mark.parametrize(
         "content, argv",
         [
@@ -408,9 +413,21 @@ class TestErrorHandling:
             ('{"n": 1e999, "north": [], "south": []}', ["heawood-check"]),
             ('{"n": 2, "diagonals": [[0, 2]], "signs": [true, -1]}', ["flip", "--d", "0,2"]),
             ('{"n": 3, "diagonals": [[0, 2], [0, 3]], "signs": [true, 1.0, -1]}', ["render"]),
+            ('{"n": 2.9, "diagonals": [[0, "2"]]}', ["canonical"]),
+            ('{"n": 2, "diagonals": [[0, "2"]]}', ["canonical"]),
+            ('{"n": 2, "diagonals": [[0, 2.0]]}', ["readings"]),
+            ('{"n": true, "diagonals": []}', ["render"]),
+            ('{"word": "12"}\n', ["check-cert"]),
+            ('{"word": [2.7, 1]}\n', ["check-cert"]),
+            ('{"word": [true]}\n', ["check-cert"]),
+            (SPHERE_SIGNED.replace('"n": 3', '"n": 3.0'), ["heawood-check"]),
+            (SPHERE_SIGNED.replace("[0, 2]", '[0, "2"]', 1), ["heawood-check"]),
         ],
         ids=["readings-huge-n", "render-huge-vertex", "check-cert-huge-letter",
-             "heawood-check-huge-n", "flip-bool-sign", "render-float-sign"],
+             "heawood-check-huge-n", "flip-bool-sign", "render-float-sign",
+             "canonical-float-n", "canonical-string-vertex", "readings-float-vertex",
+             "render-bool-n", "check-cert-string-word", "check-cert-float-letter",
+             "check-cert-bool-letter", "heawood-check-float-n", "heawood-check-string-vertex"],
     )
     def test_bad_number_is_one_error_line(self, capsys, tmp_path, content, argv):
         f = tmp_path / "in.json"
@@ -419,6 +436,18 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("label", ["N:9", "S:0", "N:4", "N:01"])
+    @pytest.mark.parametrize("command", ["four-color", "heawood-check", "render"])
+    def test_stray_face_label_is_named(self, capsys, tmp_path, command, label):
+        sphere = json.loads(SPHERE_SIGNED)
+        sphere["signs"][label] = 1
+        f = tmp_path / "sphere.json"
+        f.write_text(json.dumps(sphere))
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(label) in err
 
     def test_usage_error_is_exit_2(self):
         proc = run_cli("no-such-command", text=True)

@@ -28,8 +28,11 @@ NOT_INT = st.sampled_from([None, "x", "", [1], {}, float("inf"), float("-inf"), 
 
 
 def not_the_int(value: int):
-    """Field values that int() rejects or maps to something other than value."""
-    return st.one_of(NOT_INT, st.integers(-50, 50).filter(lambda v: v != value))
+    """Field values other than the JSON integer value: values int() rejects,
+    other integers, and the floats, numeric strings and booleans that int()
+    would map onto an integer."""
+    return st.one_of(NOT_INT, st.integers(-50, 50).filter(lambda v: v != value),
+                     st.sampled_from([float(value), value + 0.5, str(value), True, False]))
 
 
 def bad_diagonals(count: int, top: int):
@@ -37,7 +40,8 @@ def bad_diagonals(count: int, top: int):
     chords in a valid triangulation: the wrong number, or one bad entry."""
     pair = st.lists(st.integers(-2, top + 2), min_size=2, max_size=2)
     bad_entry = st.sampled_from([None, 7, [1], [1, 2, 3], [0, 1e999], [1e999, 2], ["x", 2],
-                                 [0, float("nan")], [0, top + 3], [2, 2], [0, 1], [-1, 2]])
+                                 [0, float("nan")], [0, top + 3], [2, 2], [0, 1], [-1, 2],
+                                 [0, 2.0], [0.5, 2], ["0", 2], [0, "3"], [False, 2], [0, True]])
     with_bad = st.tuples(st.lists(pair, min_size=count - 1, max_size=count - 1), bad_entry,
                          st.integers(0, count - 1))
     return st.one_of(
@@ -79,7 +83,8 @@ BAD_TRIANGULATION = st.one_of(
 )
 
 BAD_SIGN_ENTRY = st.one_of(
-    st.tuples(st.sampled_from(["X:1", "N:", "N:x", "N:-1", "n:1", "", "N1"]), st.just(1)),
+    st.tuples(st.sampled_from(["X:1", "N:", "N:x", "N:-1", "n:1", "", "N1", "N:0", "S:4", "N:9", "N:01"]),
+              st.just(1)),
     st.tuples(st.sampled_from(["N:1", "S:2"]),
               st.sampled_from([0, 2, -2, 1.0, True, None, "1", 1e999, [1]])),
 )
@@ -100,9 +105,13 @@ UNSIGNED_SPHERE = st.lists(st.sampled_from(sorted(SPHERE["signs"])), min_size=1,
 
 BAD_LINE = st.one_of(
     st.sampled_from(["{", "x", "[1,", "nope"]),
+    # a number int() would accept among integer letters
+    st.sampled_from([2.0, 1.5, "1", "12", True, False]).map(
+        lambda a: json.dumps({"word": [3, a, 2], "kind": "K1"})),
     st.sampled_from([[1, 2], 7, "w", None, {"w": [1]}]).map(json.dumps),
     st.one_of(st.sampled_from([None, 5, 1e999]),
-              st.lists(st.sampled_from([None, "a", 1e999, -1e999, float("nan"), [1]]), min_size=1, max_size=3))
+              st.lists(st.sampled_from([None, "a", 1e999, -1e999, float("nan"), [1], 2.0, 1.5, "1", "12",
+                                        True, False]), min_size=1, max_size=3))
     .map(lambda w: json.dumps({"word": w, "kind": "K1"})),
 )
 BAD_KIND = st.sampled_from([DROP, None, "K3", "k1", 1, ""]).map(

@@ -52,6 +52,16 @@ CORPUS = [
     ("verify-6", ["verify", "--suite", "all", "--n", "6"], []),
     ("graph-signed-6", ["graph", "--kind", "signed", "--n", "6"], []),
     ("verify-7", ["verify", "--suite", "all", "--n", "7"], []),
+    # n=7 pairs whose certificates carry five or six K1 bridges between flips
+    ("signed-path-7a", ["signed-path", "2614753", "1325647", "--emit-cert", "cert7a.jsonl"],
+     ["cert7a.jsonl"]),
+    ("check-cert-7a", ["check-cert", "cert7a.jsonl"], []),
+    ("signed-path-7b", ["signed-path", "5641372", "3724615", "--emit-cert", "cert7b.jsonl"],
+     ["cert7b.jsonl"]),
+    ("check-cert-7b", ["check-cert", "cert7b.jsonl"], []),
+    ("signed-path-7c", ["signed-path", "4372615", "6542173", "--emit-cert", "cert7c.jsonl"],
+     ["cert7c.jsonl"]),
+    ("check-cert-7c", ["check-cert", "cert7c.jsonl"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -87,6 +97,16 @@ GOLDEN = {
     "graph-signed-6": "96efcb79a8aaed48b98f0672ee69a4efa7e6006fa0466abccae1eab2943edd23",
     # Recorded before the diagram audit shared one shape enumeration per call.
     "verify-7": "e5359865522ad28e40b287e975531a24fc2840cb15f80b11791bc0dfb3061a3c",
+    # Recorded before the class bridge was built by construction instead of by search.
+    "signed-path-7a": "275f297972739875a6c97186a77aad2c61b8bad7b0e977bc61370b18440864ce",
+    "signed-path-7a:cert7a.jsonl": "b12d5aee1f591a35dc401e7f414d6219c220c02a3cda85aae42b0562daa1ee37",
+    "check-cert-7a": "6fd735251a07b5365a7af1b3ac253559d36d898689202076e5e77334e67fcc0c",
+    "signed-path-7b": "67c3f30b0c41e3881e5051c3ebf6369721fb12d7c53e35e61260fafa80debecb",
+    "signed-path-7b:cert7b.jsonl": "b38812593bd845478f01ed636492be247b735b40b238cec39ad8df0b3e3fe75f",
+    "check-cert-7b": "a4208ddf596ec01ed8b7abf5d2e0a022b6762e5743ad95d2a36e9f6db60b9b4e",
+    "signed-path-7c": "052c0e768b5ecce0efeae5db6857abc50b52d88eb8941c4f8412ed9f68d65688",
+    "signed-path-7c:cert7c.jsonl": "9e5440fd5ebe4b3220b4419267f182a01c74d9418dd141a330cfced33814c5cb",
+    "check-cert-7c": "44eb1f97c4f6911b83e9d6d0f4b5cbb5818e7180f254930adc2604c9618112e7",
 }
 
 

@@ -29,6 +29,7 @@ from flipforge.graphs import (
 from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
 from flipforge.triangulation import all_triangulations, canonical_key
+from flipforge.words import block_coloring
 
 from reference import (
     catalan_by_recurrence,
@@ -408,8 +409,10 @@ class TestCompositions:
 
     def test_words_of_evaluation(self):
         ws = list(words_of_evaluation((2, 1)))
-        assert set(ws) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
+        assert ws == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
         assert len(list(words_of_evaluation((1, 3, 2)))) == 60
+        for mu in ((1, 3, 2), (2, 2), (3,), (1, 1, 1, 1)):
+            assert list(words_of_evaluation(mu)) == sorted(set(itertools.permutations(block_coloring(mu))))
 
 
 class TestCaps:

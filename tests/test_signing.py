@@ -2,19 +2,21 @@
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
 
-from flipforge.flips import flip
+from flipforge import words
+from flipforge.flips import flip, flip_row, signed_moves
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
     Certificate,
     ConflictingSigningError,
-    SearchLimits,
     SignedPath,
     SignedState,
     StateCapExceeded,
+    _class_bridge,
     classify_step,
     emit_word_certificate,
     sigma_closure,
@@ -26,7 +28,12 @@ from flipforge.signing import (
 from flipforge.triangulation import Triangulation, all_triangulations
 from flipforge.words import abs_word
 
-from reference import face_sign_walk, path_signable_by_faces, sign_permutation_path
+from reference import (
+    class_bridge_by_search,
+    face_sign_walk,
+    path_signable_by_faces,
+    sign_permutation_path,
+)
 from refdata import (
     CHAIN,
     CHAIN_KINDS,
@@ -58,6 +65,19 @@ def random_loop_free_path(n, length, rng):
     return path
 
 
+def random_signed_walk(n, flips, rng):
+    """A signed path of the given number of signed flips from a random signed shape."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    start = SignedState(phi(tuple(perm)), tuple(rng.choice((-1, 1)) for _ in range(n)))
+    tri_, signs = start
+    ds = []
+    for _ in range(flips):
+        d, tri_, signs = rng.choice(list(signed_moves(flip_row(tri_), signs)))
+        ds.append(d)
+    return SignedPath(start, SignedState(tri_, signs), tuple(ds))
+
+
 class TestSigmaClosure:
     def test_single_triangle(self):
         start = SignedState(tri(1), (1,))
@@ -83,7 +103,7 @@ class TestSigmaClosure:
     def test_state_cap(self):
         start = SignedState(tri(2, (0, 2)), (1, 1))
         with pytest.raises(StateCapExceeded):
-            sigma_closure(start, SearchLimits(max_states=1))
+            sigma_closure(start, max_states=1)
 
 
 class TestClassifyStep:
@@ -97,6 +117,7 @@ class TestClassifyStep:
         assert wit is not None
         assert wit.kind == "K1"
         assert wit.y == 4
+        assert classify_step((2, 5, -4, 1), (5, 2, -4, 1)).y == -4
 
     def test_self_step_is_nothing(self):
         assert classify_step(CHAIN[0], CHAIN[0]) is None
@@ -188,12 +209,12 @@ class TestSignablePathSearch:
         start, end = phi(tuple(range(1, 21))), phi(tuple(range(20, 0, -1)))
         t0 = time.monotonic()
         with pytest.raises(StateCapExceeded, match="search exceeds 1000 states"):
-            signable_path_search(start, end, SearchLimits(max_states=1000))
+            signable_path_search(start, end, max_states=1000)
         assert time.monotonic() - t0 < 2.0
 
     def test_equal_endpoints_answer_all_minus_under_any_cap(self):
         t = phi(tuple(range(1, 21)))
-        path = signable_path_search(t, t, SearchLimits(max_states=1000))
+        path = signable_path_search(t, t, max_states=1000)
         assert path.flips == ()
         assert path.start == path.end == SignedState(t, (-1,) * 20)
 
@@ -232,6 +253,49 @@ class TestEmitWordCertificate:
                 assert report.ok
                 assert report.endpoints[0] in readings(t1)
                 assert report.endpoints[1] in readings(t2)
+
+    def test_bridge_equals_the_search_on_every_class_pair_to_n6(self):
+        pairs = 0
+        for n in range(1, 7):
+            for t in all_triangulations(n):
+                members = sorted(readings(t))
+                for w_from, w_to in itertools.product(members, repeat=2):
+                    assert _class_bridge(w_from, w_to) == class_bridge_by_search(w_from, w_to)
+                    pairs += 1
+        assert pairs == 7375
+
+    def test_bridge_refuses_words_of_two_classes(self):
+        with pytest.raises(ValueError, match="not in the class"):
+            _class_bridge((1, 2, 3), (3, 2, 1))
+
+    def test_emission_searches_no_class(self):
+        # matched by code object, so a call under any imported name is seen
+        calls = []
+        neighbors = words.sylvester_neighbors.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is neighbors:
+                calls.append(frame.f_locals["w"])
+
+        path = signable_path_search(phi((2, 6, 1, 4, 7, 5, 3)), phi((1, 3, 2, 5, 6, 4, 7)))
+        sys.setprofile(profile)
+        try:
+            cert = emit_word_certificate(path)
+        finally:
+            sys.setprofile(None)
+        assert cert.kinds.count("K1") > 0 and validate_certificate(cert).ok
+        assert calls == []
+
+    def test_certificate_of_a_long_walk_at_n30(self):
+        path = random_signed_walk(30, 20, random.Random(30))
+        cert = emit_word_certificate(path)
+        report = validate_certificate(cert)
+        assert report.ok
+        assert cert.kinds.count("K2") == 20
+        assert phi(report.endpoints[0]) == path.start.tri
+        assert phi(report.endpoints[1]) == path.end.tri
+        assert cert.chain[0] == sign_letters(report.endpoints[0], path.start.signs)
+        assert cert.chain[-1] == sign_letters(report.endpoints[1], path.end.signs)
 
 
 class TestSignPermutationPath:
