@@ -39,6 +39,7 @@ from .flips import (
     diagonal_signing_from_faces,
     face_signs_from_diagonals,
     flip,
+    flip_between,
     flip_characterization,
     homogeneous_neighbors,
     signed_flip,

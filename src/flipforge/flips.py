@@ -64,6 +64,17 @@ def flip(t: Triangulation, d: Diagonal) -> tuple[Triangulation, FlipQuad]:
     return Triangulation(t.n, diagonals), quad
 
 
+def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
+    """The quadrilateral of the one flip taking t1 to t2, or None if there is none."""
+    if t1.n != t2.n:
+        return None
+    gone = set(t1.diagonals) - set(t2.diagonals)
+    if len(gone) != 1:
+        return None
+    t2_check, quad = flip(t1, gone.pop())
+    return quad if t2_check == t2 else None
+
+
 def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, Word] | None:
     """Readings u x z v of t1 and u z x v of t2 witnessing a single flip.
 
@@ -72,14 +83,8 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
     what separates a flip from a within-class exchange.  Returns None unless
     t1 and t2 differ by one flip.
     """
-    if t1.n != t2.n or t1 == t2:
-        return None
-    gone = set(t1.diagonals) - set(t2.diagonals)
-    if len(gone) != 1:
-        return None
-    d = gone.pop()
-    t2_check, quad = flip(t1, d)
-    if t2_check != t2:
+    quad = flip_between(t1, t2)
+    if quad is None:
         return None
     a, b, c, dd = quad.a, quad.b, quad.c, quad.d
 
@@ -181,22 +186,12 @@ def homogeneous_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangu
     return [(t2, eps) for _, t2, b, c in flip_row(t) if eps[b - 1] == eps[c - 1]]
 
 
-def switched_candidates(
-    t: Triangulation, eps: Coloring
-) -> tuple[list[tuple[Triangulation, Coloring]], list[tuple[Triangulation, Coloring]]]:
-    """Different-color flips from a simple state, split by simplicity of the result."""
+def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
+    """Different-color flips from a simple state whose result stays simple."""
     if not is_simple(t, eps):
         raise ValueError("switched flips are only defined between simple colored triangulations")
-    kept, dropped = [], []
-    for _, t2, b, c in flip_row(t):
-        if eps[b - 1] != eps[c - 1]:
-            (kept if is_simple(t2, eps) else dropped).append((t2, eps))
-    return kept, dropped
-
-
-def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
-    kept, _ = switched_candidates(t, eps)
-    return kept
+    return [(t2, eps) for _, t2, b, c in flip_row(t)
+            if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)]
 
 
 @dataclass
@@ -225,43 +220,37 @@ def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring
     if not ds.is_total():
         raise ValueError("face signs need a total diagonal signing")
     t = ds.base
+    across: dict[int, list[tuple[int, int]]] = {}
+    for d, _, b, c in flip_row(t):
+        across.setdefault(b, []).append((c, ds.signs[d]))
+        across.setdefault(c, []).append((b, ds.signs[d]))
     sign_of = {1: anchor_sign}
-    pending = [(ds.signs[d], b, c) for d, _, b, c in flip_row(t)]
-    while pending:
-        progressed = False
-        remaining = []
-        for sign, b, c in pending:
-            if b in sign_of and c not in sign_of:
+    stack = [1]
+    while stack:
+        b = stack.pop()
+        for c, sign in across.get(b, ()):
+            if c not in sign_of:
                 sign_of[c] = sign_of[b] * sign
-            elif c in sign_of and b not in sign_of:
-                sign_of[b] = sign_of[c] * sign
-            elif b not in sign_of and c not in sign_of:
-                remaining.append((sign, b, c))
-                continue
-            progressed = True
-        if not progressed and remaining:
-            raise ValueError("face adjacency is not connected; invalid triangulation")
-        pending = remaining
-    if t.n >= 1 and len(sign_of) != t.n:
-        # faces not adjacent to any diagonal only occur for n = 1
-        for label in t.ring.inner:
-            sign_of.setdefault(label, anchor_sign)
+                stack.append(c)
+    if len(sign_of) < t.n:
+        raise ValueError("face adjacency is not connected; invalid triangulation")
     return tuple(sign_of[label] for label in t.ring.inner)
 
 
 def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | None:
-    """Flip a positively signed diagonal: the new one is positive and the
-    signed sides of the quadrilateral change sign.  A negative d refuses."""
+    """Flip d unless it is negative: the new diagonal is positive and the
+    signed sides of the quadrilateral change sign.  An unsigned d is free to
+    take either sign, so it flips as a positive one; a negative d refuses.
+    Every update of diagonal signs goes through here.
+    """
     d = (min(d), max(d))
     if d not in ds.base.diagonals:
         raise ValueError(f"{d} is not a diagonal of the base triangulation")
-    if d not in ds.signs:
-        raise ValueError(f"diagonal {d} is unsigned; flip is undefined")
-    if ds.signs[d] == -1:
+    if ds.signs.get(d) == -1:
         return None
     t2, quad = flip(ds.base, d)
     signs = dict(ds.signs)
-    del signs[d]
+    signs.pop(d, None)
     for side in quad.sides():
         if side in signs:
             signs[side] = -signs[side]

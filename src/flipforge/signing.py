@@ -7,10 +7,10 @@ same-sign pair and bars both letters, provided no later letter lies strictly
 between them in absolute value.  A K2 move is the word shadow of a signed
 flip, with letter signs equal to face signs.
 
-``sign_path_diagonals`` decides signability of a concrete flip path by the
-bookkeeping on diagonal signs: a flip installs a positive diagonal, negates
-the signed sides of its quadrilateral, and refuses to flip a negative
-diagonal.
+``sign_path_diagonals`` decides signability of a concrete flip path by
+replaying ``flips.signed_flip_diagonal`` along it: a flip installs a positive
+diagonal, negates the signed sides of its quadrilateral, and refuses to flip
+a negative diagonal.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import NamedTuple, Sequence
 from .flips import (
     DiagonalSigning,
     FlipTable,
-    flip,
+    flip_between,
     flip_characterization,
-    flip_quad,
     flip_row,
     signed_flip,
     signed_flip_diagonal,
@@ -55,6 +54,8 @@ def sigma_closure(start: SignedState, max_states: int = 1_000_000) -> frozenset[
     While exploring, checks that no triangulation shows up under two
     different signings; a violation raises ConflictingSigningError.
     """
+    if max_states < 1:
+        raise ValueError(f"state cap must be at least 1, got {max_states}")
     seen = {start}
     signs_of = {start.tri: start.signs}
     queue = deque([start])
@@ -167,6 +168,8 @@ def signable_path_search(
     in lexicographic order of their signs and flips in diagonal order, so
     results are reproducible.
     """
+    if max_states < 1:
+        raise ValueError(f"state cap must be at least 1, got {max_states}")
     if start_tri.n != end_tri.n:
         raise ValueError("triangulations must have equal n")
     n = start_tri.n
@@ -274,52 +277,37 @@ class PathSigning:
     signings: list[DiagonalSigning] | None = None
 
 
-def _flipped_diagonal(t1: Triangulation, t2: Triangulation) -> Diagonal:
-    gone = set(t1.diagonals) - set(t2.diagonals)
-    if len(gone) != 1 or flip(t1, next(iter(gone)))[0] != t2:
-        raise ValueError(f"{canonical_key(t1)} -> {canonical_key(t2)} is not a flip")
-    return gone.pop()
-
-
 def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
     """Decide signability of a flip path and produce per-step diagonal signings.
 
-    Forward pass: track signs of the diagonals created along the path; a
-    step flipping a negative tracked diagonal makes the path unsignable.
-    On success, unsigned diagonals of the final triangulation get +, and the
-    earlier signings are recovered by undoing one flip at a time.
+    Forward: replay the signed flips from a signing with no diagonal signed,
+    so each diagonal is signed once a flip creates it; a step flipping a
+    negative diagonal makes the path unsignable.  On success, unsigned
+    diagonals of the final triangulation get +, and the earlier signings are
+    recovered by flipping each new diagonal back.
     """
     if not path:
         raise ValueError("empty path")
-    steps = [_flipped_diagonal(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    tracked: dict[Diagonal, int] = {}
-    for i, d in enumerate(steps):
-        if tracked.get(d) == -1:
+    quads = []
+    for t1, t2 in zip(path, path[1:]):
+        quad = flip_between(t1, t2)
+        if quad is None:
+            raise ValueError(f"{canonical_key(t1)} -> {canonical_key(t2)} is not a flip")
+        quads.append(quad)
+    ds = DiagonalSigning(path[0], {})
+    for i, quad in enumerate(quads):
+        ds = signed_flip_diagonal(ds, quad.old)
+        if ds is None:
             return PathSigning(False, failed_step=i)
-        quad = flip_quad(path[i], d)
-        tracked.pop(d, None)
-        for side in quad.sides():
-            if side in tracked:
-                tracked[side] = -tracked[side]
-        tracked[quad.new] = 1
 
-    final = {d: tracked.get(d, 1) for d in path[-1].diagonals}
-    signings = [final]
-    for i in reversed(range(len(steps))):
-        quad = flip_quad(path[i], steps[i])
-        nxt = signings[0]
-        prev: dict[Diagonal, int] = {}
-        for d in path[i].diagonals:
-            if d == steps[i]:
-                prev[d] = 1
-            elif d in quad.sides():
-                prev[d] = -nxt[d]
-            else:
-                prev[d] = nxt[d]
-        signings.insert(0, prev)
-    out = [DiagonalSigning(t, s) for t, s in zip(path, signings)]
-    for i, d in enumerate(steps):
-        stepped = signed_flip_diagonal(out[i], d)
+    out = [DiagonalSigning(path[-1], {d: ds.signs.get(d, 1) for d in path[-1].diagonals})]
+    for i in reversed(range(len(quads))):
+        prev = signed_flip_diagonal(out[0], quads[i].new)
+        if prev is None:
+            raise AssertionError(f"internal check failed reversing step {i}")
+        out.insert(0, prev)
+    for i, quad in enumerate(quads):
+        stepped = signed_flip_diagonal(out[i], quad.old)
         if stepped is None or stepped.signs != out[i + 1].signs:
             raise AssertionError(f"internal check failed reversing step {i}")
     return PathSigning(True, signings=out)

@@ -156,6 +156,8 @@ def sylvester_neighbors(w: Word) -> Iterator[Word]:
 
 def sylvester_class(w: Word, cap: int = 1_000_000) -> frozenset[Word]:
     """The congruence class of w, by closure under adjacent exchanges."""
+    if cap < 1:
+        raise ValueError(f"class cap must be at least 1, got {cap}")
     seen = {w}
     stack = [w]
     while stack:

@@ -9,12 +9,13 @@ from collections import deque
 from itertools import permutations, product
 from typing import Sequence
 
-from flipforge.flips import ShapeTable, signed_flip
+from flipforge.flips import DiagonalSigning, ShapeTable, flip, flip_quad, signed_flip
 from flipforge.graphs import UnionFind, catalan
 from flipforge.phi import colored_readings, readings, triangulation_from_permutation
-from flipforge.signing import Certificate, SignedState, _flipped_diagonal, sign_letters
+from flipforge.signing import Certificate, PathSigning, SignedState, sign_letters
 from flipforge.triangulation import (
     Coloring,
+    Diagonal,
     Triangulation,
     VertexRing as _VertexRing,
     all_triangulations,
@@ -133,12 +134,59 @@ def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:
     raise ValueError(f"{w_to} is not in the class of {w_from}")
 
 
+def flipped_diagonal(t1: Triangulation, t2: Triangulation) -> Diagonal:
+    """The diagonal of t1 whose flip gives t2; ValueError if there is none."""
+    gone = set(t1.diagonals) - set(t2.diagonals)
+    if len(gone) != 1 or flip(t1, next(iter(gone)))[0] != t2:
+        raise ValueError(f"{canonical_key(t1)} -> {canonical_key(t2)} is not a flip")
+    return gone.pop()
+
+
+def sign_path_diagonals_by_tracking(path: Sequence[Triangulation]) -> PathSigning:
+    """sign_path_diagonals by explicit bookkeeping on diagonal signs.
+
+    Forward pass: track signs of the diagonals created along the path; a
+    step flipping a negative tracked diagonal makes the path unsignable.  On
+    success, unsigned diagonals of the final triangulation get +, and the
+    earlier signings are recovered by undoing one flip at a time.
+    """
+    if not path:
+        raise ValueError("empty path")
+    steps = [flipped_diagonal(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    tracked: dict[Diagonal, int] = {}
+    for i, d in enumerate(steps):
+        if tracked.get(d) == -1:
+            return PathSigning(False, failed_step=i)
+        quad = flip_quad(path[i], d)
+        tracked.pop(d, None)
+        for side in quad.sides():
+            if side in tracked:
+                tracked[side] = -tracked[side]
+        tracked[quad.new] = 1
+
+    final = {d: tracked.get(d, 1) for d in path[-1].diagonals}
+    signings = [final]
+    for i in reversed(range(len(steps))):
+        quad = flip_quad(path[i], steps[i])
+        nxt = signings[0]
+        prev: dict[Diagonal, int] = {}
+        for d in path[i].diagonals:
+            if d == steps[i]:
+                prev[d] = 1
+            elif d in quad.sides():
+                prev[d] = -nxt[d]
+            else:
+                prev[d] = nxt[d]
+        signings.insert(0, prev)
+    return PathSigning(True, signings=[DiagonalSigning(t, s) for t, s in zip(path, signings)])
+
+
 def face_sign_walk(path: Sequence[Triangulation], eps0: Coloring) -> list[Coloring] | None:
     """Replay a flip path under face signs starting from eps0, or None if refused."""
     signs = eps0
     out = [signs]
     for i in range(len(path) - 1):
-        d = _flipped_diagonal(path[i], path[i + 1])
+        d = flipped_diagonal(path[i], path[i + 1])
         nxt = signed_flip(path[i], signs, d)
         if nxt is None:
             return None

@@ -329,6 +329,21 @@ class TestErrorHandling:
         assert code == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["class", "abc", "--max-states", "-5"],
+            ["class", "abc", "--max-states", "0"],
+            ["signed-path", "123", "123", "--max-states", "-1"],
+            ["signed-path", "123", "123", "--max-states", "0"],
+        ],
+        ids=["class-negative", "class-zero", "signed-path-negative", "signed-path-zero"],
+    )
+    def test_cap_below_one_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_env_cap_gates_enumeration(self, capsys, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "3")
         code, _, err = run(capsys, "graph", "--kind", "flip", "--n", "6")

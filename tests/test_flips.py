@@ -5,15 +5,16 @@ import itertools
 import pytest
 
 from flipforge.flips import (
+    DiagonalSigning,
     diagonal_signing_from_faces,
     face_signs_from_diagonals,
     flip,
+    flip_between,
     flip_characterization,
     flip_quad,
     homogeneous_neighbors,
     signed_flip,
     signed_flip_diagonal,
-    switched_candidates,
     switched_neighbors,
 )
 from flipforge.phi import (
@@ -119,6 +120,23 @@ class TestFlipCharacterization:
                 assert not any(x <= y < z for y in w1[k + 2 :])
 
 
+class TestFlipBetween:
+    def test_returns_the_quad_of_a_flip(self):
+        for n in range(2, 6):
+            for t in all_triangulations(n):
+                for d in t.diagonals:
+                    t2, quad = flip(t, d)
+                    assert flip_between(t, t2) == quad
+
+    def test_none_when_not_one_flip_apart(self):
+        t = tri(3, (0, 2), (0, 3))
+        assert flip_between(t, t) is None
+        two_apart = flip(flip(t, (0, 2))[0], (0, 3))[0]
+        assert len(set(t.diagonals) - set(two_apart.diagonals)) == 2
+        assert flip_between(t, two_apart) is None
+        assert flip_between(tri(2, (0, 2)), t) is None
+
+
 class TestSignedFlip:
     def test_square_both_positive(self):
         assert signed_flip(tri(2, (0, 2)), (1, 1), (0, 2)) == (tri(2, (1, 3)), (-1, -1))
@@ -212,17 +230,17 @@ class TestSwitched:
             if is_simple(t, (1, 1, 1, 1)):
                 assert switched_neighbors(t, (1, 1, 1, 1)) == []
 
-    def test_candidates_split_is_consistent(self):
+    def test_count_equals_bichrome_flips_that_stay_simple(self):
         for t, eps in all_states(4, 3):
-            kept, dropped = switched_candidates(t, eps)
-            assert all(is_simple(t2, e2) for t2, e2 in kept)
-            assert all(not is_simple(t2, e2) for t2, e2 in dropped)
-            bichrome = sum(
+            nbrs = switched_neighbors(t, eps)
+            assert all(is_simple(t2, e2) for t2, e2 in nbrs)
+            expected = sum(
                 1
                 for d in t.diagonals
                 if len({eps[i - 1] for i in flip_quad(t, d).labels}) == 2
+                and is_simple(flip(t, d)[0], eps)
             )
-            assert len(kept) + len(dropped) == bichrome
+            assert len(nbrs) == expected
 
     def test_requires_simple_input(self):
         with pytest.raises(ValueError):
@@ -261,6 +279,12 @@ class TestDiagonalSigning:
         t = phi((1, 2, 3))
         ds = diagonal_signing_from_faces(t, (1, -1, 1))
         assert ds.signs == {(0, 2): -1, (0, 3): -1}
+
+    def test_face_reconstruction_refuses_a_partial_signing(self):
+        ds = diagonal_signing_from_faces(tri(3, (0, 2), (0, 3)), (1, 1, -1))
+        del ds.signs[(0, 3)]
+        with pytest.raises(ValueError):
+            face_signs_from_diagonals(ds, 1)
 
     def test_face_reconstruction_round_trip(self):
         for n in range(1, 6):
@@ -311,3 +335,15 @@ class TestSignedFlipOnDiagonals:
                             continue
                         assert via_diagonals.base == t2
                         assert via_diagonals.signs == via_faces.signs
+
+    def test_partial_signing_flips_unsigned_as_positive_and_refuses_negative(self):
+        t = tri(4, (0, 2), (0, 3), (0, 4))
+        quad = flip_quad(t, (0, 3))
+        assert set(quad.sides()) & set(t.diagonals) == {(0, 2), (0, 4)}
+        out = signed_flip_diagonal(DiagonalSigning(t, {(0, 2): 1}), (0, 3))
+        assert out.base == flip(t, (0, 3))[0]
+        # the signed side is negated, the unsigned side stays unsigned
+        assert out.signs == {(0, 2): -1, quad.new: 1}
+        signed = signed_flip_diagonal(DiagonalSigning(t, {(0, 2): 1, (0, 3): 1}), (0, 3))
+        assert signed == out
+        assert signed_flip_diagonal(DiagonalSigning(t, {(0, 3): -1}), (0, 3)) is None

@@ -10,6 +10,7 @@ import hashlib
 import json
 
 from flipforge.cli import main
+from refdata import UNSIGNABLE_PATH_N3
 
 NORTH = {"n": 6, "diagonals": [[0, 2], [0, 6], [2, 6], [3, 5], [3, 6]],
          "signs": [1, 1, 1, -1, -1, 1]}
@@ -22,6 +23,10 @@ PATH = {"n": 6, "path": [[[1, 3], [1, 4], [1, 6], [1, 7], [4, 6]],
                          [[1, 4], [1, 6], [1, 7], [2, 4], [4, 6]],
                          [[1, 4], [1, 7], [2, 4], [4, 6], [4, 7]],
                          [[1, 3], [1, 4], [1, 7], [4, 6], [4, 7]]]}
+# diagonal (0, 3) starts negative: it is a side of the first flip and is
+# flipped by the second
+PATH3 = {"n": 3, "path": [[[0, 2], [0, 3]], [[0, 3], [1, 3]], [[1, 3], [1, 4]]]}
+UNSIGNABLE = {"n": 3, "path": [[list(d) for d in step] for step in UNSIGNABLE_PATH_N3]}
 
 # (label, argv, files the command writes)
 CORPUS = [
@@ -62,6 +67,8 @@ CORPUS = [
     ("signed-path-7c", ["signed-path", "4372615", "6542173", "--emit-cert", "cert7c.jsonl"],
      ["cert7c.jsonl"]),
     ("check-cert-7c", ["check-cert", "cert7c.jsonl"], []),
+    ("sign-path-diagonals-3", ["sign-path-diagonals", "path3.json"], []),
+    ("sign-path-diagonals-unsignable", ["sign-path-diagonals", "unsignable.json"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -107,6 +114,9 @@ GOLDEN = {
     "signed-path-7c": "052c0e768b5ecce0efeae5db6857abc50b52d88eb8941c4f8412ed9f68d65688",
     "signed-path-7c:cert7c.jsonl": "9e5440fd5ebe4b3220b4419267f182a01c74d9418dd141a330cfced33814c5cb",
     "check-cert-7c": "44eb1f97c4f6911b83e9d6d0f4b5cbb5818e7180f254930adc2604c9618112e7",
+    # Recorded before sign_path_diagonals became a replay of signed_flip_diagonal.
+    "sign-path-diagonals-3": "dfffdec8ef68bb96c8fd935b77036637995b2fad5fe30691b28031df6db6f48b",
+    "sign-path-diagonals-unsignable": "5340586bc3acc0e23e91baaa23b69e9d11574d121430aad6d5ff44cdd2dbdc59",
 }
 
 
@@ -116,7 +126,8 @@ def sha(data: bytes) -> str:
 
 def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("path", PATH)):
+    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("path", PATH),
+                      ("path3", PATH3), ("unsignable", UNSIGNABLE)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     got = {}
     for label, argv, written in CORPUS:

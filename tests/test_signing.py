@@ -1,9 +1,11 @@
 """Signed-state closures, word certificates, and path signability."""
 
+import ast
 import itertools
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,7 @@ from reference import (
     class_bridge_by_search,
     face_sign_walk,
     path_signable_by_faces,
+    sign_path_diagonals_by_tracking,
     sign_permutation_path,
 )
 from refdata import (
@@ -104,6 +107,12 @@ class TestSigmaClosure:
         start = SignedState(tri(2, (0, 2)), (1, 1))
         with pytest.raises(StateCapExceeded):
             sigma_closure(start, max_states=1)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        start = SignedState(tri(1), (1,))
+        with pytest.raises(ValueError, match="at least 1"):
+            sigma_closure(start, max_states=cap)
 
 
 class TestClassifyStep:
@@ -217,6 +226,12 @@ class TestSignablePathSearch:
         path = signable_path_search(t, t, max_states=1000)
         assert path.flips == ()
         assert path.start == path.end == SignedState(t, (-1,) * 20)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_refused(self, cap):
+        t = tri(2, (0, 2))
+        with pytest.raises(ValueError, match="at least 1"):
+            signable_path_search(t, t, max_states=cap)
 
     def test_every_pair_reachable_small(self):
         for n in range(1, 5):
@@ -332,6 +347,35 @@ class TestSignPathDiagonals:
             assert len(out.signings) == 1
             assert out.signings[0].base == t
             assert set(out.signings[0].signs) == set(t.diagonals)
+
+    def test_matches_the_tracking_reference_on_every_short_walk(self):
+        # every flip walk with n <= 4 and at most 4 steps, backtracking included
+        def walks(path, steps):
+            yield path
+            if steps:
+                for _, t2, _, _ in flip_row(path[-1]):
+                    yield from walks(path + [t2], steps - 1)
+
+        count = unsignable = 0
+        for n in range(5):
+            for t in all_triangulations(n):
+                for path in walks([t], 4):
+                    got = sign_path_diagonals(path)
+                    assert got == sign_path_diagonals_by_tracking(path)
+                    count += 1
+                    unsignable += not got.signable
+        assert (count, unsignable) == (1861, 448)
+
+    def test_reference_imports_no_private_library_name(self):
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flipforge")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
     def test_known_unsignable_path(self):
         path = [Triangulation(3, ds) for ds in UNSIGNABLE_PATH_N3]

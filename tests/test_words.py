@@ -183,6 +183,11 @@ class TestSylvesterClass:
         with pytest.raises(ClosureCapExceeded):
             sylvester_class(BBCBCA, cap=1)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused(self, cap):
+        with pytest.raises(ValueError, match="at least 1"):
+            sylvester_class((1, 2, 3), cap=cap)
+
     def test_last_letter_constant(self):
         for n in range(1, 6):
             for sigma in perms(n):
