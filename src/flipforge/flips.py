@@ -45,23 +45,30 @@ class FlipQuad(NamedTuple):
         return ((a, b), (b, c), (c, d), (a, d))
 
 
-def flip_quad(t: Triangulation, d: Diagonal) -> FlipQuad:
-    d = (min(d), max(d))
-    if d not in t.diagonals:
-        raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
-    adj = edge_adjacency(t)
+def _quad(adj: dict[int, set[int]], d: Diagonal) -> FlipQuad:
+    """The quadrilateral around the diagonal d of a triangulation with vertex
+    adjacency adj."""
     common = adj[d[0]] & adj[d[1]]
     if len(common) != 2:
         raise ValueError(f"diagonal {d} does not bound exactly two faces")
     u, v = sorted(common)
-    quad = sorted((d[0], d[1], u, v))
-    return FlipQuad(*quad, old=d, new=(u, v))
+    return FlipQuad(*sorted((d[0], d[1], u, v)), old=d, new=(u, v))
+
+
+def _flipped(t: Triangulation, quad: FlipQuad) -> Triangulation:
+    return Triangulation(t.n, tuple(e for e in t.diagonals if e != quad.old) + (quad.new,))
+
+
+def flip_quad(t: Triangulation, d: Diagonal) -> FlipQuad:
+    d = (min(d), max(d))
+    if d not in t.diagonals:
+        raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
+    return _quad(edge_adjacency(t), d)
 
 
 def flip(t: Triangulation, d: Diagonal) -> tuple[Triangulation, FlipQuad]:
     quad = flip_quad(t, d)
-    diagonals = tuple(e for e in t.diagonals if e != quad.old) + (quad.new,)
-    return Triangulation(t.n, diagonals), quad
+    return _flipped(t, quad), quad
 
 
 def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
@@ -113,11 +120,12 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
 def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
     """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
     the labels of the two faces it exchanges.  Signs and colors never change a
-    row, so every flip loop reads one."""
+    row, so every flip loop reads one; one vertex adjacency serves the row."""
+    adj = edge_adjacency(t)
     row = []
     for d in t.diagonals:
-        t2, quad = flip(t, d)
-        row.append((d, t2, *quad.labels))
+        quad = _quad(adj, d)
+        row.append((d, _flipped(t, quad), *quad.labels))
     return row
 
 
@@ -151,9 +159,14 @@ def flip_table(n: int) -> ShapeTable:
     """
     shapes = sorted(all_triangulations(n), key=canonical_key)
     index = {t: i for i, t in enumerate(shapes)}
-    rows = [[(index[t2], 1 << (n - b) | 1 << (n - c), b, c) for _, t2, b, c in flip_row(t)]
+    rows = [[(index[t2], face_pair_mask(n, b, c), b, c) for _, t2, b, c in flip_row(t)]
             for t in shapes]
     return ShapeTable(shapes, [canonical_key(t) for t in shapes], rows)
+
+
+def face_pair_mask(n: int, b: int, c: int) -> int:
+    """The bits of faces b and c in a signing bitmask of size n."""
+    return 1 << (n - b) | 1 << (n - c)
 
 
 def mask_signs(s: int, n: int) -> Coloring:

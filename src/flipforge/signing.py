@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Sequence
 
 from .flips import (
     DiagonalSigning,
-    FlipTable,
+    face_pair_mask,
     flip_between,
     flip_characterization,
     flip_row,
+    mask_signs,
     signed_flip,
     signed_flip_diagonal,
     signed_moves,
@@ -164,9 +164,13 @@ def signable_path_search(
     """Shortest signed-flip path from (start_tri, any signs) to end_tri.
 
     Runs a breadth-first search seeded with every signing of start_tri;
-    returns None only when the whole reachable space is exhausted.  Seeds go
-    in lexicographic order of their signs and flips in diagonal order, so
-    results are reproducible.
+    returns None only when the whole reachable space is exhausted.  A state
+    is the integer ``i << n | s``: i indexes the shapes of this call in the
+    order they are met (start_tri is 0, end_tri is 1), and s is the signing
+    bitmask of ``flip_table``, bit n - k set when face k is positive.  So the
+    seeds 0 .. 2^n - 1 go in the order of ``product((-1, 1), repeat=n)`` and
+    flips in diagonal order, and results are reproducible.  A shape's row is
+    built when the first of its states is popped.
     """
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
@@ -179,32 +183,50 @@ def signable_path_search(
     # Every signing of start_tri is a seed: refuse before building 2^n of them.
     if 2 ** n > max_states:
         raise StateCapExceeded(f"search exceeds {max_states} states")
-    sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
-    parent: dict[SignedState, tuple[SignedState, Diagonal] | None] = {s: None for s in sources}
-    queue = deque(sources)
-    table = FlipTable()
+    shapes = [start_tri, end_tri]
+    index = {start_tri: 0, end_tri: 1}
+    rows: dict[int, list[tuple[int, int, Diagonal]]] = {}
+    parent: dict[int, tuple[int, Diagonal] | None] = dict.fromkeys(range(1 << n))
+    queue = deque(parent)
+    low = (1 << n) - 1
 
-    def path_from(state: SignedState) -> SignedPath:
+    def row_of(i: int) -> list[tuple[int, int, Diagonal]]:
+        row = []
+        for d, t2, b, c in flip_row(shapes[i]):
+            j = index.get(t2)
+            if j is None:
+                j = index[t2] = len(shapes)
+                shapes.append(t2)
+            row.append((j, face_pair_mask(n, b, c), d))
+        return row
+
+    def path_from(x: int) -> SignedPath:
         flips_rev = []
-        cur = state
-        while parent[cur] is not None:
-            prev, d = parent[cur]
+        end = x
+        while parent[x] is not None:
+            x, d = parent[x]
             flips_rev.append(d)
-            cur = prev
-        return SignedPath(cur, state, tuple(reversed(flips_rev)))
+        return SignedPath(SignedState(start_tri, mask_signs(x, n)),
+                          SignedState(end_tri, mask_signs(end & low, n)),
+                          tuple(reversed(flips_rev)))
 
     while queue:
-        state = queue.popleft()
-        for d, t2, signs2 in signed_moves(table[state.tri], state.signs):
-            ns = SignedState(t2, signs2)
-            if ns in parent:
-                continue
-            parent[ns] = (state, d)
-            if len(parent) > max_states:
-                raise StateCapExceeded(f"search exceeds {max_states} states")
-            if ns.tri == end_tri:
-                return path_from(ns)
-            queue.append(ns)
+        x = queue.popleft()
+        i, s = x >> n, x & low
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = row_of(i)
+        for j, m, d in row:
+            if s & m in (0, m):
+                y = j << n | s ^ m
+                if y in parent:
+                    continue
+                parent[y] = (x, d)
+                if len(parent) > max_states:
+                    raise StateCapExceeded(f"search exceeds {max_states} states")
+                if j == 1:
+                    return path_from(y)
+                queue.append(y)
     return None
 
 

@@ -9,10 +9,25 @@ from collections import deque
 from itertools import permutations, product
 from typing import Sequence
 
-from flipforge.flips import DiagonalSigning, ShapeTable, flip, flip_quad, signed_flip
+from flipforge.flips import (
+    DiagonalSigning,
+    FlipTable,
+    ShapeTable,
+    flip,
+    flip_quad,
+    signed_flip,
+    signed_moves,
+)
 from flipforge.graphs import UnionFind, catalan
 from flipforge.phi import colored_readings, readings, triangulation_from_permutation
-from flipforge.signing import Certificate, PathSigning, SignedState, sign_letters
+from flipforge.signing import (
+    Certificate,
+    PathSigning,
+    SignedPath,
+    SignedState,
+    StateCapExceeded,
+    sign_letters,
+)
 from flipforge.triangulation import (
     Coloring,
     Diagonal,
@@ -132,6 +147,51 @@ def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:
                 return list(reversed(chain))
             queue.append(nxt)
     raise ValueError(f"{w_to} is not in the class of {w_from}")
+
+
+def signable_path_by_states(
+    start_tri: Triangulation, end_tri: Triangulation, max_states: int = 1_000_000
+) -> SignedPath | None:
+    """signable_path_search by the route on SignedState keys: a breadth-first
+    search seeded with every signing of start_tri in product order, flips in
+    diagonal order, rows from a FlipTable, and the same cap."""
+    if max_states < 1:
+        raise ValueError(f"state cap must be at least 1, got {max_states}")
+    if start_tri.n != end_tri.n:
+        raise ValueError("triangulations must have equal n")
+    n = start_tri.n
+    if start_tri == end_tri:
+        state = SignedState(start_tri, (-1,) * n)
+        return SignedPath(state, state, ())
+    if 2 ** n > max_states:
+        raise StateCapExceeded(f"search exceeds {max_states} states")
+    sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
+    parent: dict = {s: None for s in sources}
+    queue = deque(sources)
+    table = FlipTable()
+
+    def path_from(state: SignedState) -> SignedPath:
+        flips_rev = []
+        cur = state
+        while parent[cur] is not None:
+            prev, d = parent[cur]
+            flips_rev.append(d)
+            cur = prev
+        return SignedPath(cur, state, tuple(reversed(flips_rev)))
+
+    while queue:
+        state = queue.popleft()
+        for d, t2, signs2 in signed_moves(table[state.tri], state.signs):
+            ns = SignedState(t2, signs2)
+            if ns in parent:
+                continue
+            parent[ns] = (state, d)
+            if len(parent) > max_states:
+                raise StateCapExceeded(f"search exceeds {max_states} states")
+            if ns.tri == end_tri:
+                return path_from(ns)
+            queue.append(ns)
+    return None
 
 
 def flipped_diagonal(t1: Triangulation, t2: Triangulation) -> Diagonal:

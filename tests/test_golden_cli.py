@@ -69,6 +69,9 @@ CORPUS = [
     ("check-cert-7c", ["check-cert", "cert7c.jsonl"], []),
     ("sign-path-diagonals-3", ["sign-path-diagonals", "path3.json"], []),
     ("sign-path-diagonals-unsignable", ["sign-path-diagonals", "unsignable.json"], []),
+    ("signed-path-8", ["signed-path", "31485276", "62817354", "--emit-cert", "cert8.jsonl"],
+     ["cert8.jsonl"]),
+    ("check-cert-8", ["check-cert", "cert8.jsonl"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -117,6 +120,10 @@ GOLDEN = {
     # Recorded before sign_path_diagonals became a replay of signed_flip_diagonal.
     "sign-path-diagonals-3": "dfffdec8ef68bb96c8fd935b77036637995b2fad5fe30691b28031df6db6f48b",
     "sign-path-diagonals-unsignable": "5340586bc3acc0e23e91baaa23b69e9d11574d121430aad6d5ff44cdd2dbdc59",
+    # Recorded before the signed-path search ran over integer states.
+    "signed-path-8": "ee36c590a96a92c29947e63318bc8759d6985730bfb348cc28852b6c1c397117",
+    "signed-path-8:cert8.jsonl": "c96503f5ee1edd572c92c9552c5adebc88964a758ae00ffefa1632c1aa44ae04",
+    "check-cert-8": "4f123439013fd66dbf699cf4416f2ddf220926bbf59fe00bb4413c924bd3a290",
 }
 
 

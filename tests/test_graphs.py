@@ -171,20 +171,20 @@ class TestHomogeneous:
                     assert homogeneous_components(t, eps)["matches_product"]
 
     def test_start_row_is_built_once(self, monkeypatch):
-        calls = count_flips(monkeypatch)
+        calls = count_rows(monkeypatch)
         t = next(iter(all_triangulations(7)))
         rep = homogeneous_components(t, (1, 2, 3, 4, 5, 6, 7))
         assert rep["reachable"] == 1
-        assert len(calls) == 6  # one row: the union-find and the orbit walk share it
+        assert calls == [t]  # one row: the union-find and the orbit walk share it
 
     def test_audit_flips_each_shape_once_per_call(self, monkeypatch):
-        calls = count_flips(monkeypatch)
+        calls = count_rows(monkeypatch)
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper
             calls.clear()
             assert homogeneous_product_audit(7)["pass"]
             counts.append(len(calls))
-        assert counts[0] == counts[1] <= CATALAN[7] * 6
+        assert counts[0] == counts[1] <= CATALAN[7]
 
     def test_seeded_audit_is_deterministic(self):
         a = homogeneous_product_audit(5, seed=3)
@@ -250,31 +250,24 @@ class TestReachability:
         assert rep["pass"]
 
     def test_each_shape_is_flipped_once_per_call(self, monkeypatch):
-        calls = []
-        real_flip = flips.flip
-
-        def counting_flip(t, d):
-            calls.append(d)
-            return real_flip(t, d)
-
-        monkeypatch.setattr(flips, "flip", counting_flip)
+        calls = count_rows(monkeypatch)
         # twice: a cache that outlives one call would make the second call cheaper
         for _ in range(2):
             calls.clear()
             assert signed_reachability_check(5)["pass"]
-            assert len(calls) == CATALAN[5] * 4  # one row per shape, not one per signing
+            assert len(calls) == CATALAN[5]  # one row per shape, not one per signing
 
 
-def count_flips(monkeypatch) -> list:
-    """Record every flips.flip call for the rest of the test."""
+def count_rows(monkeypatch) -> list:
+    """Record the shape of every flips.flip_row call for the rest of the test."""
     calls = []
-    real_flip = flips.flip
+    real_flip_row = flips.flip_row
 
-    def counting_flip(t, d):
-        calls.append(d)
-        return real_flip(t, d)
+    def counting_flip_row(t):
+        calls.append(t)
+        return real_flip_row(t)
 
-    monkeypatch.setattr(flips, "flip", counting_flip)
+    monkeypatch.setattr(flips, "flip_row", counting_flip_row)
     return calls
 
 
@@ -307,6 +300,19 @@ class TestFlipTable:
             for t, row in zip(table.shapes, table.rows):
                 assert [(b, c) for _, _, b, c in row] == [(b, c) for _, _, b, c in flips.flip_row(t)]
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c in row)
+
+    def test_flip_row_builds_one_adjacency(self, monkeypatch):
+        calls = []
+        real_edge_adjacency = flips.edge_adjacency
+
+        def counting_edge_adjacency(t):
+            calls.append(t)
+            return real_edge_adjacency(t)
+
+        monkeypatch.setattr(flips, "edge_adjacency", counting_edge_adjacency)
+        table = flips.flip_table(6)
+        assert calls == table.shapes  # one per row, in row order
+        assert len(calls) == CATALAN[6] == 132
 
     def test_reports_match_the_state_route(self):
         for n in range(6):

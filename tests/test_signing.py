@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import words
+from flipforge import signing, words
 from flipforge.flips import flip, flip_row, signed_moves
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
@@ -35,6 +35,7 @@ from reference import (
     face_sign_walk,
     path_signable_by_faces,
     sign_path_diagonals_by_tracking,
+    signable_path_by_states,
     sign_permutation_path,
 )
 from refdata import (
@@ -238,6 +239,58 @@ class TestSignablePathSearch:
             ts = list(all_triangulations(n))
             for t1, t2 in itertools.combinations(ts, 2):
                 assert signable_path_search(t1, t2) is not None
+
+    def test_equals_the_state_route_on_every_pair_to_n5(self):
+        pairs = 0
+        for n in range(1, 6):
+            ts = list(all_triangulations(n))
+            for t1, t2 in itertools.product(ts, repeat=2):
+                assert signable_path_search(t1, t2) == signable_path_by_states(t1, t2)
+                pairs += 1
+        assert pairs == 1990
+
+    def test_equals_the_state_route_on_seeded_pairs(self):
+        rng = random.Random(9)
+        for k in range(40):
+            n = 7 if k % 4 == 0 else 6
+            t1, t2 = (phi(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+            assert signable_path_search(t1, t2) == signable_path_by_states(t1, t2)
+
+    def test_cap_matches_the_state_route(self):
+        t1, t2 = phi((1, 2, 3, 4)), phi((4, 3, 2, 1))
+
+        def outcome(search, cap):
+            try:
+                return search(t1, t2, max_states=cap)
+            except StateCapExceeded as exc:
+                return str(exc)
+
+        # up to the cap at which the state route first succeeds, which is its
+        # final state count; the 14 shapes of n=4 have 14 * 16 states in all
+        for cap in range(1, 14 * 16 + 1):
+            expected = outcome(signable_path_by_states, cap)
+            assert outcome(signable_path_search, cap) == expected
+            if not isinstance(expected, str):
+                break
+        assert cap > 16 and len(expected.flips) > 1
+
+    def test_no_row_outlives_one_call(self, monkeypatch):
+        calls = []
+        real_flip_row = signing.flip_row
+
+        def counting_flip_row(t):
+            calls.append(t)
+            return real_flip_row(t)
+
+        monkeypatch.setattr(signing, "flip_row", counting_flip_row)
+        start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
+        counts = []
+        for _ in range(2):  # a cache that outlived one call would make the second call cheaper
+            calls.clear()
+            assert len(signable_path_search(start, end).flips) == 6
+            assert len(set(calls)) == len(calls)  # at most one row per shape
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestEmitWordCertificate:
