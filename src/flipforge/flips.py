@@ -9,7 +9,7 @@ label transform by editing at most two entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .triangulation import (
     Coloring,
@@ -83,20 +83,23 @@ def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
 
 
 def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, Word] | None:
-    """Readings u x z v of t1 and u z x v of t2 witnessing a single flip.
+    """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
+    None unless t1 and t2 differ by one flip; see ``flip_readings``."""
+    quad = flip_between(t1, t2)
+    return None if quad is None else flip_readings(t1, quad)
+
+
+def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
+    """Readings u x z v of t and u z x v of its flip across quad.
 
     The two exchanged letters are the face labels of the flip quadrilateral
     and the tail v carries no letter strictly between them, which is exactly
-    what separates a flip from a within-class exchange.  Returns None unless
-    t1 and t2 differ by one flip.
+    what separates a flip from a within-class exchange.
     """
-    quad = flip_between(t1, t2)
-    if quad is None:
-        return None
     a, b, c, dd = quad.a, quad.b, quad.c, quad.d
 
-    live = list(t1.ring.vertices)
-    diags = set(t1.diagonals)
+    live = list(t.ring.vertices)
+    diags = set(t.diagonals)
     interior = set(range(a + 1, b)) | set(range(b + 1, c)) | set(range(c + 1, dd))
     prefix = cut_ears(live, diags, interior, min)
 
@@ -106,7 +109,7 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
             if any(v in e for e in diags_):
                 raise AssertionError(f"vertex {v} not an ear after clearing the quad")
             cut_ear(live_, diags_, v)
-        return [first, second] + cut_ears(live_, diags_, t1.ring.inner, min)
+        return [first, second] + cut_ears(live_, diags_, t.ring.inner, min)
 
     if quad.old == (a, c):
         first1, second1 = b, c
@@ -129,44 +132,45 @@ def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]
     return row
 
 
-class FlipTable(dict):
-    """The flip rows of one traversal, keyed by triangulation and built on
-    first lookup, so a shape met under many signings is flipped once."""
+class ShapeTable:
+    """The shapes of one traversal, numbered in the order they are added,
+    and their flip rows over those numbers.
 
-    def __missing__(self, t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
-        row = self[t] = flip_row(t)
+    ``row(i)`` is built from one ``flip_row`` the first time it is asked
+    for, and a flip result not yet in the table is added to it.  The entry
+    (j, mask, b, c, d) flips shape i across its diagonal d to shape j,
+    exchanging faces b < c, in diagonal order.  A signing is a bitmask with
+    bit n - k set when face k is positive, and mask holds the bits of faces
+    b and c: a signed flip of s is legal iff ``s & mask in (0, mask)`` and
+    gives ``s ^ mask``.
+    """
+
+    def __init__(self, shapes: Iterable[Triangulation]):
+        self.shapes = list(shapes)
+        self.index = {t: i for i, t in enumerate(self.shapes)}
+        self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
+
+    def row(self, i: int) -> list[tuple[int, int, int, int, Diagonal]]:
+        row = self._rows.get(i)
+        if row is None:
+            t = self.shapes[i]
+            row = self._rows[i] = [(self._number(t2), 1 << (t.n - b) | 1 << (t.n - c), b, c, d)
+                                   for d, t2, b, c in flip_row(t)]
         return row
 
-
-class ShapeTable(NamedTuple):
-    """Every shape of one size sorted by canonical key, with its flip row
-    over shape indices: rows[i] lists (j, mask, b, c) in diagonal order."""
-
-    shapes: list[Triangulation]
-    keys: list[str]
-    rows: list[list[tuple[int, int, int, int]]]
+    def _number(self, t: Triangulation) -> int:
+        j = self.index.get(t)
+        if j is None:
+            j = self.index[t] = len(self.shapes)
+            self.shapes.append(t)
+        return j
 
 
 def flip_table(n: int) -> ShapeTable:
-    """The flips of every shape of size n, built from one flip row per shape.
-
-    A signing is a bitmask with bit n - k set when face k is positive, so
-    the states ``i << n | s`` count the shapes by canonical key and, within
-    a shape, the signings in the order of ``product((-1, 1), repeat=n)``.  The
-    entry (j, mask, b, c) flips shape i to shape j across faces b < c, and
-    mask holds their two bits: a signed flip of s is legal iff
-    ``s & mask in (0, mask)`` and gives ``s ^ mask``.
-    """
-    shapes = sorted(all_triangulations(n), key=canonical_key)
-    index = {t: i for i, t in enumerate(shapes)}
-    rows = [[(index[t2], face_pair_mask(n, b, c), b, c) for _, t2, b, c in flip_row(t)]
-            for t in shapes]
-    return ShapeTable(shapes, [canonical_key(t) for t in shapes], rows)
-
-
-def face_pair_mask(n: int, b: int, c: int) -> int:
-    """The bits of faces b and c in a signing bitmask of size n."""
-    return 1 << (n - b) | 1 << (n - c)
+    """Every shape of size n sorted by canonical key, so the states
+    ``i << n | s`` count the shapes by canonical key and, within a shape, the
+    signings in the order of ``product((-1, 1), repeat=n)``."""
+    return ShapeTable(sorted(all_triangulations(n), key=canonical_key))
 
 
 def mask_signs(s: int, n: int) -> Coloring:

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from dataclasses import dataclass, field
 
-from .flips import FlipTable, ShapeTable, flip_table, mask_signs
+from .flips import ShapeTable, flip_table, mask_signs
 from .phi import colored_triangulation_from_word, triangulation_from_permutation
 from .triangulation import (
     Coloring,
@@ -97,8 +97,8 @@ def build_flip_graph(n: int) -> CombGraph:
     """The flip graph on all triangulations, keyed by canonical key."""
     _check_n(n)
     table = flip_table(n)
-    keys = table.keys
-    adjacency = {keys[i]: sorted(keys[j] for j, _, _, _ in row) for i, row in enumerate(table.rows)}
+    keys = [canonical_key(t) for t in table.shapes]
+    adjacency = {key: sorted(keys[j] for j, *_ in table.row(i)) for i, key in enumerate(keys)}
     return CombGraph("flip", keys, adjacency)
 
 
@@ -122,11 +122,12 @@ def build_signed_state_graph(n: int) -> CombGraph:
     _check_n(n)
     table = flip_table(n)
     tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
-    keys = [f"{key}|{tag}" for key in table.keys for tag in tags]  # keys[i << n | s]
+    keys = [f"{canonical_key(t)}|{tag}" for t in table.shapes for tag in tags]  # keys[i << n | s]
     adjacency: dict[str, list[str]] = {}
-    for i, row in enumerate(table.rows):
+    for i in range(len(table.shapes)):
+        row = table.row(i)
         for s in range(1 << n):
-            moves = (keys[j << n | s ^ m] for j, m, _, _ in row if s & m in (0, m))
+            moves = (keys[j << n | s ^ m] for j, m, *_ in row if s & m in (0, m))
             adjacency[keys[i << n | s]] = sorted(moves)
     return CombGraph("signed", keys, adjacency)
 
@@ -172,26 +173,23 @@ def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
     """Monochrome face components and the size of the same-color flip orbit."""
     if len(eps) != t.n:
         raise ValueError("coloring length mismatch")
-    return _same_color_orbit(FlipTable(), t, eps, at=1)
+    return _same_color_orbit(ShapeTable([t]), 0, eps)
 
 
-def _same_color_orbit(rows, start, eps: Coloring, at: int) -> dict:
-    """The report of homogeneous_components for the shape start.  rows[x] is
-    the flip row of shape x: entries end with the face labels b, c and hold
-    the flipped shape at position ``at``."""
+def _same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
+    """The report of homogeneous_components for the shape table.shapes[i]."""
     uf = UnionFind(range(1, len(eps) + 1))
-    for *_, b, c in rows[start]:
+    for _, _, b, c, _ in table.row(i):
         if eps[b - 1] == eps[c - 1]:
             uf.union(b, c)
     sizes = sorted(len(g) for g in uf.groups().values())
-    seen = {start}
-    stack = [start]
+    seen = {i}
+    stack = [i]
     while stack:
-        for move in rows[stack.pop()]:
-            nxt = move[at]
-            if eps[move[2] - 1] == eps[move[3] - 1] and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for j, _, b, c, _ in table.row(stack.pop()):
+            if eps[b - 1] == eps[c - 1] and j not in seen:
+                seen.add(j)
+                stack.append(j)
     expected = math.prod(catalan(s) for s in sizes)
     return {
         "component_sizes": sizes,
@@ -213,16 +211,14 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[CombGraph, 
     """switched_graph over the flip table of size sum(mu): a different-color
     flip between simple shapes is an edge, one into a non-simple shape is filtered."""
     eps = block_coloring(mu)
-    simple = [is_simple(t, eps) for t in table.shapes]
-    keys = table.keys
+    keys = {i: canonical_key(t) for i, t in enumerate(table.shapes) if is_simple(t, eps)}
     filtered = 0
     adjacency: dict[str, list[str]] = {}
-    for i, row in enumerate(table.rows):
-        if simple[i]:
-            moves = [j for j, _, b, c in row if eps[b - 1] != eps[c - 1]]
-            kept = [keys[j] for j in moves if simple[j]]
-            filtered += len(moves) - len(kept)
-            adjacency[keys[i]] = sorted(kept)
+    for i, key in keys.items():
+        moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
+        kept = [keys[j] for j in moves if j in keys]
+        filtered += len(moves) - len(kept)
+        adjacency[key] = sorted(kept)
     g = CombGraph("switched", list(adjacency), adjacency)
     report = {
         "n": sum(mu),
@@ -300,7 +296,7 @@ def signed_reachability_check(n: int) -> dict:
     each orbit."""
     _check_n(n)
     table = flip_table(n)
-    keys, size = table.keys, 1 << n
+    keys, size = [canonical_key(t) for t in table.shapes], 1 << n
     # union-find over the states i << n | s; a root is the least state of its
     # component, so every parent pointer points down
     parent = list(range(len(keys) << n))
@@ -311,8 +307,8 @@ def signed_reachability_check(n: int) -> dict:
         return x
 
     legal = {}
-    for i, row in enumerate(table.rows):
-        for j, m, _, _ in row:
+    for i in range(len(keys)):
+        for j, m, _, _, _ in table.row(i):
             if j < i:
                 continue  # the flip back from j undoes this one
             if m not in legal:
@@ -376,12 +372,12 @@ def homogeneous_product_audit(n: int, seed: int = 0) -> dict:
     table = flip_table(n)
     failures = []
     for _ in range(HOMOGENEOUS_SAMPLES):
-        i = rng.choice(range(len(table.keys)))  # draws as rng.choice over the sorted shapes
+        i = rng.choice(range(len(table.shapes)))  # draws as rng.choice over the sorted shapes
         palette = rng.randint(1, max(1, n))
         eps = tuple(rng.randint(1, palette) for _ in range(n))
-        report = _same_color_orbit(table.rows, i, eps, at=0)
+        report = _same_color_orbit(table, i, eps)
         if not report["matches_product"]:
-            failures.append({"key": table.keys[i], "eps": list(eps), **report})
+            failures.append({"key": canonical_key(table.shapes[i]), "eps": list(eps), **report})
     return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
 
 

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .flips import (
     DiagonalSigning,
-    face_pair_mask,
+    FlipQuad,
+    ShapeTable,
+    flip,
     flip_between,
-    flip_characterization,
+    flip_readings,
     flip_row,
     mask_signs,
-    signed_flip,
     signed_flip_diagonal,
     signed_moves,
 )
@@ -145,17 +146,23 @@ class SignedPath:
     end: SignedState
     flips: tuple[Diagonal, ...]
 
-    def states(self) -> list[SignedState]:
-        out = [self.start]
-        for d in self.flips:
-            tri, signs = out[-1]
-            nxt = signed_flip(tri, signs, d)
-            if nxt is None:
-                raise ValueError(f"recorded flip {d} is refused at step {len(out) - 1}")
-            out.append(SignedState(*nxt))
-        if out[-1] != self.end:
+    def steps(self) -> Iterator[tuple[SignedState, FlipQuad, SignedState]]:
+        """Each recorded flip once, as (state before, its quadrilateral, state
+        after); ValueError if a flip is refused or the path misses its end."""
+        state = self.start
+        for k, d in enumerate(self.flips):
+            t2, quad = flip(state.tri, d)
+            move = next(signed_moves([(quad.old, t2, *quad.labels)], state.signs), None)
+            if move is None:
+                raise ValueError(f"recorded flip {d} is refused at step {k}")
+            after = SignedState(t2, move[2])
+            yield state, quad, after
+            state = after
+        if state != self.end:
             raise ValueError("recorded path does not reach its end state")
-        return out
+
+    def states(self) -> list[SignedState]:
+        return [self.start] + [after for _, _, after in self.steps()]
 
 
 def signable_path_search(
@@ -167,10 +174,10 @@ def signable_path_search(
     returns None only when the whole reachable space is exhausted.  A state
     is the integer ``i << n | s``: i indexes the shapes of this call in the
     order they are met (start_tri is 0, end_tri is 1), and s is the signing
-    bitmask of ``flip_table``, bit n - k set when face k is positive.  So the
-    seeds 0 .. 2^n - 1 go in the order of ``product((-1, 1), repeat=n)`` and
-    flips in diagonal order, and results are reproducible.  A shape's row is
-    built when the first of its states is popped.
+    bitmask of ``flips.ShapeTable``, bit n - k set when face k is positive.
+    So the seeds 0 .. 2^n - 1 go in the order of ``product((-1, 1), repeat=n)``
+    and flips in diagonal order, and results are reproducible.  A shape's row
+    is built when the first of its states is popped.
     """
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
@@ -183,22 +190,10 @@ def signable_path_search(
     # Every signing of start_tri is a seed: refuse before building 2^n of them.
     if 2 ** n > max_states:
         raise StateCapExceeded(f"search exceeds {max_states} states")
-    shapes = [start_tri, end_tri]
-    index = {start_tri: 0, end_tri: 1}
-    rows: dict[int, list[tuple[int, int, Diagonal]]] = {}
+    table = ShapeTable([start_tri, end_tri])
     parent: dict[int, tuple[int, Diagonal] | None] = dict.fromkeys(range(1 << n))
     queue = deque(parent)
     low = (1 << n) - 1
-
-    def row_of(i: int) -> list[tuple[int, int, Diagonal]]:
-        row = []
-        for d, t2, b, c in flip_row(shapes[i]):
-            j = index.get(t2)
-            if j is None:
-                j = index[t2] = len(shapes)
-                shapes.append(t2)
-            row.append((j, face_pair_mask(n, b, c), d))
-        return row
 
     def path_from(x: int) -> SignedPath:
         flips_rev = []
@@ -212,11 +207,8 @@ def signable_path_search(
 
     while queue:
         x = queue.popleft()
-        i, s = x >> n, x & low
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = row_of(i)
-        for j, m, d in row:
+        s = x & low
+        for j, m, _, _, d in table.row(x >> n):
             if s & m in (0, m):
                 y = j << n | s ^ m
                 if y in parent:
@@ -269,19 +261,14 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
     (a K2 move); between flips the reading is carried across the class by
     K1 moves.
     """
-    states = path.states()
-    if len(states) == 1:
-        tri, signs = states[0]
+    steps = list(path.steps())
+    if not steps:
+        tri, signs = path.start
         return Certificate([sign_letters(canonical_reading(tri), signs)], [])
     chain: list[SignedWord] = []
     kinds: list[str] = []
-    for i in range(len(states) - 1):
-        t_i, eps_i = states[i]
-        t_j, eps_j = states[i + 1]
-        pair = flip_characterization(t_i, t_j)
-        if pair is None:
-            raise ValueError(f"step {i} of the path is not a flip")
-        w1, w2 = pair
+    for (t_i, eps_i), quad, (_, eps_j) in steps:
+        w1, w2 = flip_readings(t_i, quad)
         if not chain:
             chain.append(sign_letters(w1, eps_i))
         for perm in _class_bridge(abs_word(chain[-1]), w1)[1:]:

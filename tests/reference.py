@@ -11,10 +11,10 @@ from typing import Sequence
 
 from flipforge.flips import (
     DiagonalSigning,
-    FlipTable,
     ShapeTable,
     flip,
     flip_quad,
+    flip_row,
     signed_flip,
     signed_moves,
 )
@@ -154,7 +154,7 @@ def signable_path_by_states(
 ) -> SignedPath | None:
     """signable_path_search by the route on SignedState keys: a breadth-first
     search seeded with every signing of start_tri in product order, flips in
-    diagonal order, rows from a FlipTable, and the same cap."""
+    diagonal order, one flip_row per shape kept in a dict, and the same cap."""
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
     if start_tri.n != end_tri.n:
@@ -168,7 +168,7 @@ def signable_path_by_states(
     sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
     parent: dict = {s: None for s in sources}
     queue = deque(sources)
-    table = FlipTable()
+    rows: dict = {}
 
     def path_from(state: SignedState) -> SignedPath:
         flips_rev = []
@@ -181,7 +181,10 @@ def signable_path_by_states(
 
     while queue:
         state = queue.popleft()
-        for d, t2, signs2 in signed_moves(table[state.tri], state.signs):
+        row = rows.get(state.tri)
+        if row is None:
+            row = rows[state.tri] = flip_row(state.tri)
+        for d, t2, signs2 in signed_moves(row, state.signs):
             ns = SignedState(t2, signs2)
             if ns in parent:
                 continue
@@ -267,11 +270,12 @@ def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
     every directed move, a union-find over the states in the order of
     signed_states, and set unions for the coverage step.  A move negates the
     faces whose bits its mask holds, and needs equal signs on them."""
-    states = [(i, signs) for i in range(len(table.keys)) for signs in product((-1, 1), repeat=n)]
+    keys = [canonical_key(t) for t in table.shapes]
+    states = [(i, signs) for i in range(len(keys)) for signs in product((-1, 1), repeat=n)]
     index = {state: x for x, state in enumerate(states)}
     uf = UnionFind(range(len(states)))
     for x, (i, signs) in enumerate(states):
-        for j, mask, _, _ in table.rows[i]:
+        for j, mask, _, _, _ in table.row(i):
             faces = [k for k in range(1, n + 1) if mask >> (n - k) & 1]
             if len({signs[k - 1] for k in faces}) == 1:
                 signs2 = tuple(-v if k in faces else v for k, v in enumerate(signs, 1))
@@ -282,15 +286,15 @@ def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
         for x in members:
             i, signs = states[x]
             if i in by_shape:
-                violations.append(f"{table.keys[i]}: {by_shape[i]} vs {signs}")
+                violations.append(f"{keys[i]}: {by_shape[i]} vs {signs}")
             by_shape[i] = signs
         underlying[root] = set(by_shape)
     missing = []
-    for i, key in enumerate(table.keys):
+    for i, key in enumerate(keys):
         covered = set()
         for signs in product((-1, 1), repeat=n):
             covered |= underlying[uf.find(index[i, signs])]
-        missing += [(key, table.keys[j]) for j in range(len(table.keys)) if j not in covered]
+        missing += [(key, keys[j]) for j in range(len(keys)) if j not in covered]
     return missing, violations
 
 

@@ -72,6 +72,10 @@ CORPUS = [
     ("signed-path-8", ["signed-path", "31485276", "62817354", "--emit-cert", "cert8.jsonl"],
      ["cert8.jsonl"]),
     ("check-cert-8", ["check-cert", "cert8.jsonl"], []),
+    # the audits whose flip rows are built only for the shapes they read
+    ("verify-switched-8", ["verify", "--suite", "switched", "--n", "8"], []),
+    ("verify-homogeneous-8", ["verify", "--suite", "homogeneous", "--n", "8"], []),
+    ("graph-switched-7", ["graph", "--kind", "switched", "--n", "7", "--mu", "1,3,3"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -124,6 +128,10 @@ GOLDEN = {
     "signed-path-8": "ee36c590a96a92c29947e63318bc8759d6985730bfb348cc28852b6c1c397117",
     "signed-path-8:cert8.jsonl": "c96503f5ee1edd572c92c9552c5adebc88964a758ae00ffefa1632c1aa44ae04",
     "check-cert-8": "4f123439013fd66dbf699cf4416f2ddf220926bbf59fe00bb4413c924bd3a290",
+    # Recorded before one lazily built shape table served every flip traversal.
+    "verify-switched-8": "6c8bb8c19ba860fd8855d8e548d327d1cadcd92d06e56618feef5d5379488d01",
+    "verify-homogeneous-8": "c5b43a832f8caab0e80f974abcafd8f963d0a8f786e5345f7448a37a8d19b100",
+    "graph-switched-7": "858d41067d320148a34dcee134985c700cee254b7ce0b959674b2f33e08fc5e7",
 }
 
 

@@ -233,6 +233,13 @@ class TestSwitched:
                 expected = {canonical_key(t) for t in simple_triangulations(n, mu)}
                 assert set(g.vertices) == expected
 
+    def test_audit_builds_rows_only_for_simple_shapes(self, monkeypatch):
+        calls = count_rows(monkeypatch)
+        assert switched_audit(7)["pass"]
+        simple = {t for mu in compositions(7, graphs.MAX_PARTS) for t in simple_triangulations(7, mu)}
+        assert len(calls) == len(set(calls)) == 127  # of 429 shapes, each row once
+        assert set(calls) == simple
+
 
 class TestReachability:
     def test_zero_missing_pairs_up_to_n7(self):
@@ -282,12 +289,13 @@ class TestFlipTable:
         for n in range(6):
             table = flips.flip_table(n)
             index = {t: i for i, t in enumerate(table.shapes)}
+            assert table.index == index
+            assert [canonical_key(t) for t in table.shapes] == sorted(map(canonical_key, table.shapes))
             bits = {flips.mask_signs(s, n): s for s in range(1 << n)}
             for i, t in enumerate(table.shapes):
-                assert table.keys[i] == canonical_key(t)
                 row = flips.flip_row(t)
                 for s in range(1 << n):
-                    moves = [(j, s ^ m) for j, m, _, _ in table.rows[i] if s & m in (0, m)]
+                    moves = [(j, s ^ m) for j, m, _, _, _ in table.row(i) if s & m in (0, m)]
                     signed = list(flips.signed_moves(row, flips.mask_signs(s, n)))
                     # integer moves decoded, and signed moves encoded, in diagonal order
                     assert [(table.shapes[j], flips.mask_signs(s2, n)) for j, s2 in moves] == \
@@ -297,9 +305,11 @@ class TestFlipTable:
     def test_rows_carry_the_face_labels(self):
         for n in range(1, 6):
             table = flips.flip_table(n)
-            for t, row in zip(table.shapes, table.rows):
-                assert [(b, c) for _, _, b, c in row] == [(b, c) for _, _, b, c in flips.flip_row(t)]
-                assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c in row)
+            rows = [table.row(i) for i in range(CATALAN[n])]
+            assert len(table.shapes) == len(rows) == CATALAN[n]  # every row read, no shape added
+            for t, row in zip(table.shapes, rows):
+                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
+                assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
 
     def test_flip_row_builds_one_adjacency(self, monkeypatch):
         calls = []
@@ -311,6 +321,10 @@ class TestFlipTable:
 
         monkeypatch.setattr(flips, "edge_adjacency", counting_edge_adjacency)
         table = flips.flip_table(6)
+        assert calls == []  # rows are built when read
+        for i in range(CATALAN[6]):
+            table.row(i)
+            table.row(i)
         assert calls == table.shapes  # one per row, in row order
         assert len(calls) == CATALAN[6] == 132
 
@@ -323,13 +337,13 @@ class TestFlipTable:
     @pytest.mark.parametrize("corrupt", ["drop_faces_1_2", "one_bit_masks"])
     def test_failure_text_and_order_match_the_state_route(self, monkeypatch, corrupt):
         n = 4
-        table = flips.flip_table(n)
-        if corrupt == "drop_faces_1_2":  # no flip across faces 1 and 2, in either direction
-            rows = [[e for e in row if e[2:] != (1, 2)] for row in table.rows]
-        else:  # flips across faces 2 and 3 negate face 2 alone, in either direction
-            rows = [[(j, 1 << (n - b) if (b, c) == (2, 3) else m, b, c) for j, m, b, c in row]
-                    for row in table.rows]
-        broken = table._replace(rows=rows)
+        broken = flips.flip_table(n)
+        for i in range(CATALAN[n]):  # a row is built once, so editing it in place corrupts the table
+            row = broken.row(i)
+            if corrupt == "drop_faces_1_2":  # no flip across faces 1 and 2, in either direction
+                row[:] = [e for e in row if e[2:4] != (1, 2)]
+            else:  # flips across faces 2 and 3 negate face 2 alone, in either direction
+                row[:] = [(j, 1 << (n - b) if (b, c) == (2, 3) else m, b, c, d) for j, m, b, c, d in row]
         monkeypatch.setattr(graphs, "flip_table", lambda size: broken)
         rep = signed_reachability_check(n)
         missing, violations = reachability_by_states(broken, n)

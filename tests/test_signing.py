@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import signing, words
+from flipforge import flips, words
 from flipforge.flips import flip, flip_row, signed_moves
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
@@ -276,13 +276,13 @@ class TestSignablePathSearch:
 
     def test_no_row_outlives_one_call(self, monkeypatch):
         calls = []
-        real_flip_row = signing.flip_row
+        real_flip_row = flips.flip_row
 
         def counting_flip_row(t):
             calls.append(t)
             return real_flip_row(t)
 
-        monkeypatch.setattr(signing, "flip_row", counting_flip_row)
+        monkeypatch.setattr(flips, "flip_row", counting_flip_row)
         start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper
@@ -301,6 +301,19 @@ class TestEmitWordCertificate:
         assert report.ok
         assert abs_word(cert.chain[0]) in readings(tri(2, (0, 2)))
         assert abs_word(cert.chain[-1]) in readings(tri(2, (1, 3)))
+
+    def test_replay_refuses_a_refused_flip_and_a_missed_end(self):
+        path = signable_path_search(tri(2, (0, 2)), tri(2, (1, 3)))
+        (a, b), end = path.start.signs, path.end
+        refused = SignedPath(SignedState(path.start.tri, (a, -b)), end, path.flips)
+        missed = SignedPath(path.start, SignedState(end.tri, (a, b)), path.flips)  # the flip negates both
+        unmoved = SignedPath(path.start, end, ())
+        for bad, text in ((refused, r"recorded flip \(0, 2\) is refused at step 0"),
+                          (missed, "does not reach its end state"),
+                          (unmoved, "does not reach its end state")):
+            for replay in (SignedPath.states, emit_word_certificate):
+                with pytest.raises(ValueError, match=text):
+                    replay(bad)
 
     def test_octagon_certificate_matches_chain_endpoints(self):
         t1 = Triangulation(6, tuple(PHI_324156))
@@ -353,6 +366,25 @@ class TestEmitWordCertificate:
             sys.setprofile(None)
         assert cert.kinds.count("K1") > 0 and validate_certificate(cert).ok
         assert calls == []
+
+    def test_emission_flips_each_step_once(self):
+        # matched by code object, so a call under any imported name is seen
+        calls = []
+        flip_code = flips.flip.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is flip_code:
+                calls.append(frame.f_locals["d"])
+
+        path = signable_path_search(phi((2, 6, 1, 4, 7, 5, 3)), phi((1, 3, 2, 5, 6, 4, 7)))
+        sys.setprofile(profile)
+        try:
+            cert = emit_word_certificate(path)
+        finally:
+            sys.setprofile(None)
+        assert validate_certificate(cert).ok
+        assert len(path.flips) == 7
+        assert calls == list(path.flips)
 
     def test_certificate_of_a_long_walk_at_n30(self):
         path = random_signed_walk(30, 20, random.Random(30))
