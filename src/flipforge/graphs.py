@@ -3,8 +3,9 @@
 Everything here enumerates a complete family (all triangulations, all
 permutations, all words of a fixed evaluation, all signed states) at desk
 scale and checks a structural statement, returning a small report dict.
-Connectivity questions go through union-find with deterministic insertion
-order, so reports are reproducible.
+Component counts go through one integer union-find whose roots are least
+elements, so reports are reproducible; the audits work on shape indices,
+and canonical keys are made only where a graph or report is printed.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from itertools import permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from dataclasses import dataclass, field
 
@@ -70,27 +72,28 @@ class CombGraph:
 
 
 class UnionFind:
-    def __init__(self, items: Iterator | Sequence):
-        self.parent = {x: x for x in items}
+    """Disjoint sets over 0..size-1; a root is its set's least element, so pointers point down."""
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    def union(self, a: int, b: int) -> None:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
 
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+    def roots(self) -> list[int]:
+        """Point every element at its root, in increasing order; returns the parent list."""
+        parent = self.parent
+        for x in range(len(parent)):
+            parent[x] = parent[parent[x]]
+        return parent
 
 
 def build_flip_graph(n: int) -> CombGraph:
@@ -132,18 +135,6 @@ def build_signed_state_graph(n: int) -> CombGraph:
     return CombGraph("signed", keys, adjacency)
 
 
-def graph_components(g: CombGraph) -> dict[str, list[str]]:
-    uf = UnionFind(g.vertices)
-    for v in g.vertices:
-        for w in g.adjacency.get(v, ()):
-            uf.union(v, w)
-    return uf.groups()
-
-
-def is_connected(g: CombGraph) -> bool:
-    return len(g.vertices) <= 1 or len(graph_components(g)) == 1
-
-
 def fiber_report(n: int) -> dict:
     """Group permutations by image and compare fibers with sylvester classes."""
     _check_n(n)
@@ -178,11 +169,11 @@ def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
 
 def _same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
     """The report of homogeneous_components for the shape table.shapes[i]."""
-    uf = UnionFind(range(1, len(eps) + 1))
+    uf = UnionFind(len(eps))  # on the face labels less one
     for _, _, b, c, _ in table.row(i):
         if eps[b - 1] == eps[c - 1]:
-            uf.union(b, c)
-    sizes = sorted(len(g) for g in uf.groups().values())
+            uf.union(b - 1, c - 1)
+    sizes = sorted(Counter(uf.roots()).values())
     seen = {i}
     stack = [i]
     while stack:
@@ -204,31 +195,37 @@ def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
     _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
-    return _switched_graph(flip_table(n), mu)
+    table = flip_table(n)
+    adjacency, report = _switched_graph(table, mu)
+    keys = {i: canonical_key(table.shapes[i]) for i in adjacency}
+    g = CombGraph("switched", list(keys.values()),
+                  {keys[i]: sorted(keys[j] for j in kept) for i, kept in adjacency.items()})
+    return g, report
 
 
-def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
-    """switched_graph over the flip table of size sum(mu): a different-color
-    flip between simple shapes is an edge, one into a non-simple shape is filtered."""
+def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, list[int]], dict]:
+    """switched_graph over the flip table of size sum(mu), on shape indices:
+    a different-color flip between simple shapes is an edge, one into a
+    non-simple shape is filtered."""
     eps = block_coloring(mu)
-    keys = {i: canonical_key(t) for i, t in enumerate(table.shapes) if is_simple(t, eps)}
-    filtered = 0
-    adjacency: dict[str, list[str]] = {}
-    for i, key in keys.items():
+    adjacency: dict[int, list[int]] = {i: [] for i, t in enumerate(table.shapes) if is_simple(t, eps)}
+    uf, filtered = UnionFind(len(table.shapes)), 0
+    for i, kept in adjacency.items():
         moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
-        kept = [keys[j] for j in moves if j in keys]
+        kept.extend(j for j in moves if j in adjacency)
         filtered += len(moves) - len(kept)
-        adjacency[key] = sorted(kept)
-    g = CombGraph("switched", list(adjacency), adjacency)
+        for j in kept:
+            uf.union(i, j)
+    roots = uf.roots()
     report = {
         "n": sum(mu),
         "mu": list(mu),
-        "vertices": len(g.vertices),
-        "edges": g.edge_count(),
-        "connected": is_connected(g),
+        "vertices": len(adjacency),
+        "edges": sum(map(len, adjacency.values())) // 2,
+        "connected": len({roots[i] for i in adjacency}) <= 1,
         "filtered_nonsimple": filtered,
     }
-    return g, report
+    return adjacency, report
 
 
 def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
@@ -297,15 +294,8 @@ def signed_reachability_check(n: int) -> dict:
     _check_n(n)
     table = flip_table(n)
     keys, size = [canonical_key(t) for t in table.shapes], 1 << n
-    # union-find over the states i << n | s; a root is the least state of its
-    # component, so every parent pointer points down
-    parent = list(range(len(keys) << n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
+    uf = UnionFind(len(keys) << n)  # over the states i << n | s
+    union = uf.union
     legal = {}
     for i in range(len(keys)):
         for j, m, _, _, _ in table.row(i):
@@ -314,18 +304,13 @@ def signed_reachability_check(n: int) -> dict:
             if m not in legal:
                 legal[m] = [s for s in range(size) if s & m in (0, m)]
             for s in legal[m]:
-                a, b = find(i << n | s), find(j << n | s ^ m)
-                if a < b:
-                    parent[b] = a
-                elif b < a:
-                    parent[a] = b
-    for x in range(len(parent)):
-        parent[x] = parent[parent[x]]  # in increasing order, every state now points at its root
+                union(i << n | s, j << n | s ^ m)
+    roots = uf.roots()
     found = []  # (root, state, text): a second signing of one shape in one component
     cover: dict[int, int] = {}  # root -> bitset of the shape indices in its component
     for i, key in enumerate(keys):
         last: dict[int, int] = {}
-        for s, root in enumerate(parent[i << n:(i + 1) << n]):
+        for s, root in enumerate(roots[i << n:(i + 1) << n]):
             if root in last:
                 found.append((root, i << n | s, f"{key}: {mask_signs(last[root], n)} vs {mask_signs(s, n)}"))
             last[root] = s
@@ -337,7 +322,7 @@ def signed_reachability_check(n: int) -> dict:
     missing_pairs = []
     for i, key in enumerate(keys):
         covered = 0
-        for root in set(parent[i << n:(i + 1) << n]):
+        for root in set(roots[i << n:(i + 1) << n]):
             covered |= cover[root]
         gap = everything & ~covered
         while gap:
@@ -345,7 +330,7 @@ def signed_reachability_check(n: int) -> dict:
             gap &= gap - 1
     return {
         "n": n,
-        "states": len(parent),
+        "states": len(roots),
         "components": len(cover),
         "missing_pairs": missing_pairs,
         "audit_violations": audit_violations,

@@ -7,7 +7,7 @@ library against them.
 
 from collections import deque
 from itertools import permutations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from flipforge.flips import (
     DiagonalSigning,
@@ -18,7 +18,7 @@ from flipforge.flips import (
     signed_flip,
     signed_moves,
 )
-from flipforge.graphs import UnionFind, catalan
+from flipforge.graphs import CombGraph, catalan
 from flipforge.phi import colored_readings, readings, triangulation_from_permutation
 from flipforge.signing import (
     Certificate,
@@ -264,6 +264,46 @@ def path_signable_by_faces(path: Sequence[Triangulation]) -> bool:
     return any(face_sign_walk(path, eps) is not None for eps in product((-1, 1), repeat=n))
 
 
+class DictUnionFind:
+    """A union-find over any hashable items, dict-backed, independent of
+    the library's integer ``graphs.UnionFind``."""
+
+    def __init__(self, items: Iterable):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def groups(self) -> dict:
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
+def graph_components(g: CombGraph) -> dict[str, list[str]]:
+    """The components of a keyed graph, by the reference union-find."""
+    uf = DictUnionFind(g.vertices)
+    for v in g.vertices:
+        for w in g.adjacency.get(v, ()):
+            uf.union(v, w)
+    return uf.groups()
+
+
+def is_connected(g: CombGraph) -> bool:
+    return len(g.vertices) <= 1 or len(graph_components(g)) == 1
+
+
 def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
     """The missing_pairs and audit_violations of signed_reachability_check
     over a flip table, by the route on (shape index, face signs) states:
@@ -273,7 +313,7 @@ def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
     keys = [canonical_key(t) for t in table.shapes]
     states = [(i, signs) for i in range(len(keys)) for signs in product((-1, 1), repeat=n)]
     index = {state: x for x, state in enumerate(states)}
-    uf = UnionFind(range(len(states)))
+    uf = DictUnionFind(range(len(states)))
     for x, (i, signs) in enumerate(states):
         for j, mask, _, _, _ in table.row(i):
             faces = [k for k in range(1, n + 1) if mask >> (n - k) & 1]

@@ -76,6 +76,9 @@ CORPUS = [
     ("verify-switched-8", ["verify", "--suite", "switched", "--n", "8"], []),
     ("verify-homogeneous-8", ["verify", "--suite", "homogeneous", "--n", "8"], []),
     ("graph-switched-7", ["graph", "--kind", "switched", "--n", "7", "--mu", "1,3,3"], []),
+    # the graph builders that turn shape indices into keys only for printing
+    ("graph-cayley", ["graph", "--kind", "cayley", "--n", "4"], []),
+    ("graph-switched-8", ["graph", "--kind", "switched", "--n", "8", "--mu", "2,3,3"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -132,6 +135,9 @@ GOLDEN = {
     "verify-switched-8": "6c8bb8c19ba860fd8855d8e548d327d1cadcd92d06e56618feef5d5379488d01",
     "verify-homogeneous-8": "c5b43a832f8caab0e80f974abcafd8f963d0a8f786e5345f7448a37a8d19b100",
     "graph-switched-7": "858d41067d320148a34dcee134985c700cee254b7ce0b959674b2f33e08fc5e7",
+    # Recorded before the switched audit ran on shape indices with one integer union-find.
+    "graph-cayley": "4973065f4f7258ea6469b5a69ae87cf03837e471b46ff457950eecc7bb07514f",
+    "graph-switched-8": "a16eb8525aef4fd0eb8bee2978bf7f5ce632eba734699763587a9e1d317526e0",
 }
 
 

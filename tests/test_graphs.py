@@ -1,6 +1,7 @@
 """Combinatorial graph builders, audits, and counting checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,10 +17,8 @@ from flipforge.graphs import (
     compositions,
     diagram_audit,
     fiber_report,
-    graph_components,
     homogeneous_components,
     homogeneous_product_audit,
-    is_connected,
     signed_reachability_check,
     size_limit,
     switched_audit,
@@ -32,7 +31,10 @@ from flipforge.triangulation import all_triangulations, canonical_key
 from flipforge.words import block_coloring
 
 from reference import (
+    DictUnionFind,
     catalan_by_recurrence,
+    graph_components,
+    is_connected,
     phi_morphism_check,
     reachability_by_states,
     reading_closure_check,
@@ -219,8 +221,12 @@ class TestSwitched:
     def test_connected_for_every_composition_up_to_n6(self):
         for n in range(1, 7):
             for mu in compositions(n, n):
-                _, rep = switched_graph(n, mu)
+                g, rep = switched_graph(n, mu)
                 assert rep["connected"], (n, mu)
+                # the report counts shape indices; the keyed graph is a second route
+                assert rep["vertices"] == len(g.vertices)
+                assert rep["edges"] == g.edge_count()
+                assert rep["connected"] == is_connected(g)
 
     def test_audits_pass(self):
         for n in range(1, 6):
@@ -240,15 +246,31 @@ class TestSwitched:
         assert len(calls) == len(set(calls)) == 127  # of 429 shapes, each row once
         assert set(calls) == simple
 
+    def test_audit_makes_no_canonical_keys(self, monkeypatch):
+        calls = []
+        real = graphs.canonical_key
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        # patched on graphs only: the sort inside flip_table reads the flips module's name
+        monkeypatch.setattr(graphs, "canonical_key", counting)
+        assert switched_audit(7)["pass"]
+        assert calls == []
+
 
 class TestReachability:
     def test_zero_missing_pairs_up_to_n7(self):
+        components = []
         for n in range(1, 8):
             rep = signed_reachability_check(n)
             assert rep["pass"], rep
             assert rep["missing_pairs"] == []
             assert rep["audit_violations"] == []
             assert rep["states"] == CATALAN[n] * 2**n
+            components.append(rep["components"])
+        assert components == [2, 6, 20, 68, 224, 726, 2328]
 
     def test_n8_counts(self):
         rep = signed_reachability_check(8)
@@ -450,18 +472,37 @@ class TestCaps:
 
 
 class TestUnionFind:
-    def test_groups(self):
-        uf = UnionFind("abcde")
-        uf.union("a", "b")
-        uf.union("d", "e")
-        groups = uf.groups()
-        assert sorted(map(sorted, groups.values())) == [["a", "b"], ["c"], ["d", "e"]]
+    def test_roots_are_least_elements(self):
+        uf = UnionFind(10)
+        for a, b in [(7, 3), (9, 8), (3, 9), (5, 6), (6, 1), (4, 4)]:
+            uf.union(a, b)
+        assert all(p <= x for x, p in enumerate(uf.parent))  # every pointer points down
+        roots = uf.roots()
+        assert roots == [0, 1, 2, 3, 4, 1, 1, 3, 3, 3]
 
-    def test_find_path_compression(self):
-        uf = UnionFind(range(10))
-        for x in range(9):
-            uf.union(x, x + 1)
-        assert len({uf.find(x) for x in range(10)}) == 1
+    def test_roots_agree_with_the_partition(self):
+        uf = UnionFind(10)
+        for x in range(9, 0, -1):
+            uf.union(x, x - 1)
+            assert all(p <= y for y, p in enumerate(uf.parent))
+        assert uf.roots() == [0] * 10
+
+    def test_partition_matches_the_reference(self):
+        rng = random.Random(11)
+        for size in (1, 2, 5, 30, 200):
+            for _ in range(20):
+                edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(2 * size))]
+                uf, ref = UnionFind(size), DictUnionFind(range(size))
+                for a, b in edges:
+                    uf.union(a, b)
+                    ref.union(a, b)
+                    assert all(p <= x for x, p in enumerate(uf.parent))
+                roots = uf.roots()
+                groups = {}
+                for x, root in enumerate(roots):
+                    groups.setdefault(root, []).append(x)
+                assert all(root == min(members) for root, members in groups.items())
+                assert sorted(groups.values()) == sorted(ref.groups().values())
 
 
 class TestGraphSerialization:
