@@ -19,7 +19,7 @@ from .triangulation import (
     canonical_key,
     cut_ear,
     cut_ears,
-    edge_adjacency,
+    face_ends,
     is_simple,
 )
 from .words import Word
@@ -45,14 +45,18 @@ class FlipQuad(NamedTuple):
         return ((a, b), (b, c), (c, d), (a, d))
 
 
-def _quad(adj: dict[int, set[int]], d: Diagonal) -> FlipQuad:
-    """The quadrilateral around the diagonal d of a triangulation with vertex
-    adjacency adj."""
-    common = adj[d[0]] & adj[d[1]]
-    if len(common) != 2:
-        raise ValueError(f"diagonal {d} does not bound exactly two faces")
-    u, v = sorted(common)
-    return FlipQuad(*sorted((d[0], d[1], u, v)), old=d, new=(u, v))
+def _quads(t: Triangulation) -> Iterator[FlipQuad]:
+    """The quadrilateral around each diagonal (i, j) of t, in diagonal order:
+    below it lies the face y with (lo[y], hi[y]) = (i, j), and beyond it face
+    i = (lo[i], i, j) if hi[i] = j (never for i = 0), else face j = (i, j, hi[j])."""
+    lo, hi = face_ends(t)
+    below = {(lo[y], hi[y]): y for y in t.ring.inner}
+    for i, j in t.diagonals:
+        y = below[i, j]
+        if hi[i] == j:
+            yield FlipQuad(lo[i], i, y, j, old=(i, j), new=(lo[i], y))
+        else:
+            yield FlipQuad(i, y, j, hi[j], old=(i, j), new=(y, hi[j]))
 
 
 def _flipped(t: Triangulation, quad: FlipQuad) -> Triangulation:
@@ -63,7 +67,7 @@ def flip_quad(t: Triangulation, d: Diagonal) -> FlipQuad:
     d = (min(d), max(d))
     if d not in t.diagonals:
         raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
-    return _quad(edge_adjacency(t), d)
+    return next(quad for quad in _quads(t) if quad.old == d)
 
 
 def flip(t: Triangulation, d: Diagonal) -> tuple[Triangulation, FlipQuad]:
@@ -123,13 +127,8 @@ def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
 def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
     """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
     the labels of the two faces it exchanges.  Signs and colors never change a
-    row, so every flip loop reads one; one vertex adjacency serves the row."""
-    adj = edge_adjacency(t)
-    row = []
-    for d in t.diagonals:
-        quad = _quad(adj, d)
-        row.append((d, _flipped(t, quad), *quad.labels))
-    return row
+    row, so every flip loop reads one; one read of the face ends serves the row."""
+    return [(quad.old, _flipped(t, quad), *quad.labels) for quad in _quads(t)]
 
 
 class ShapeTable:

@@ -6,6 +6,11 @@ inner vertices ``1..n`` carry colors or signs.  A triangulation is a maximal
 set of ``n - 1`` pairwise noncrossing diagonals; it has exactly ``n``
 triangular faces, and labelling every face by its middle vertex is a
 bijection onto ``1..n``.
+
+Every face is read off one rule: if lo[y] and hi[y] are the lowest and
+highest vertex joined to y (``face_ends``), face y is (lo[y], y, hi[y]),
+where y's neighbours above it meet those below it.  Its base side
+(lo[y], hi[y]) is a diagonal or the roof edge (0, n+1).
 """
 
 from __future__ import annotations
@@ -102,10 +107,11 @@ def validate(t: Triangulation) -> list[str]:
             break
     if not problems and t.n >= 1:
         # n-1 pairwise noncrossing non-boundary chords are automatically maximal;
-        # clipping ears certifies that and checks the face-label bijection.
-        labels = sorted(f.label for f in faces(t))
-        if labels != list(ring.inner):
-            problems.append(f"face labels {labels} are not a bijection onto 1..{t.n}")
+        # then every diagonal and the roof edge lie over exactly one face.
+        lo, hi = face_ends(t)
+        bases = sorted((lo[y], hi[y]) for y in ring.inner)
+        if bases != sorted(t.diagonals + ((0, ring.infinity),)):
+            problems.append(f"face bases {bases} are not the diagonals and the roof edge, each once")
     return problems
 
 
@@ -155,39 +161,31 @@ def cut_ears(live: list[int], diags: set[Diagonal], allowed, pick) -> list[int]:
         cut.append(v)
 
 
-def faces(t: Triangulation) -> list[Face]:
-    """The n triangular faces, sorted by label.  Requires a valid triangulation."""
-    live = list(t.ring.vertices)
-    degree = {v: 0 for v in live}
+def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
+    """The lowest and highest vertex joined to each vertex 0..n+1, as the two
+    lists (lo, hi); face y is (lo[y], y, hi[y])."""
+    n = t.n
+    lo, hi = list(range(-1, n + 1)), list(range(1, n + 3))
+    lo[0], hi[0], lo[n + 1], hi[n + 1] = 1, n + 1, 0, n
     for i, j in t.diagonals:
-        degree[i] += 1
-        degree[j] += 1
-    diags = set(t.diagonals)
-    out: list[Face] = []
-    while len(live) > 2:
-        for v in live:
-            if not degree[v]:
-                break
-        else:
-            raise ValueError("no ear found; not a triangulation")
-        chords = len(diags)
-        a, b = cut_ear(live, diags, v)
-        out.append(Face(*sorted((a, v, b))))
-        if len(diags) < chords:
-            degree[a] -= 1
-            degree[b] -= 1
-    return sorted(out, key=lambda f: f.label)
+        if i < lo[j]:
+            lo[j] = i
+        if j > hi[i]:
+            hi[i] = j
+    return lo, hi
+
+
+def faces(t: Triangulation) -> list[Face]:
+    """The n faces (lo[y], y, hi[y]) by label y; requires a valid triangulation."""
+    lo, hi = face_ends(t)
+    return [Face(lo[y], y, hi[y]) for y in t.ring.inner]
 
 
 def third_vertex(t: Triangulation, i: int) -> int:
     """The third vertex t_i of the unique face containing the edge {i, i+1}."""
     if not 1 <= i <= t.n - 1:
         raise ValueError(f"edge index {i} out of range 1..{t.n - 1}")
-    return _apex(edge_adjacency(t), i)
-
-
-def _apex(adj: dict[int, set[int]], i: int) -> int:
-    """third_vertex read from the vertex adjacency of the triangulation."""
+    adj = edge_adjacency(t)
     common = adj[i] & adj[i + 1]
     if len(common) != 1:
         raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {sorted(common)}")
@@ -200,19 +198,20 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
     (a) colors weakly increase along 1..n, (b) no diagonal joins two inner
     vertices of equal color, (c) for consecutive equal-colored vertices
     i, i+1 the face on the edge {i, i+1} points down: t_i < i.
+
+    Equivalently, with eps_y the color of y: the colors weakly increase and
+    eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1).
+    The face on {y-1, y} is face y iff lo[y] = y - 1, else face y - 1, and
+    only face y points up; so this is (c).  (a) and (c) give (b): an inner
+    diagonal (i, j) with eps_i = eps_j forces eps_i = eps_{i+1} by (a), and
+    no diagonal reaches i + 1 from below i without crossing (i, j), so
+    lo[i+1] = i and (c) fails.  Requires a valid triangulation.
     """
     if len(eps) != t.n:
         raise ValueError(f"coloring has length {len(eps)}, expected {t.n}")
-    if any(eps[i] > eps[i + 1] for i in range(t.n - 1)):
-        return False
-    for i, j in t.diagonals:
-        if 1 <= i and j <= t.n and eps[i - 1] == eps[j - 1]:
-            return False
-    runs = [i for i in range(1, t.n) if eps[i - 1] == eps[i]]
-    if not runs:
-        return True
-    adj = edge_adjacency(t)
-    return all(_apex(adj, i) < i for i in runs)
+    lo, _ = face_ends(t)
+    return all(eps[y - 2] < eps[y - 1] if lo[y] == y - 1 else eps[y - 2] <= eps[y - 1]
+               for y in range(2, t.n + 1))
 
 
 def canonical_key(t: Triangulation) -> str:

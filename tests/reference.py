@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 
 from flipforge.flips import (
     DiagonalSigning,
+    FlipQuad,
     ShapeTable,
     flip,
     flip_quad,
@@ -31,10 +32,13 @@ from flipforge.signing import (
 from flipforge.triangulation import (
     Coloring,
     Diagonal,
+    Face,
     Triangulation,
     VertexRing as _VertexRing,
     all_triangulations,
     canonical_key,
+    cut_ear,
+    edge_adjacency,
     is_simple,
 )
 from flipforge.words import (
@@ -67,6 +71,43 @@ def catalan_by_recurrence(n: int) -> int:
     for m in range(1, n + 1):
         table[m] = sum(table[k] * table[m - 1 - k] for k in range(m))
     return table[n]
+
+
+def faces_by_ears(t: Triangulation) -> list[Face]:
+    """The n faces sorted by label, found by clipping ears off the polygon:
+    each cut vertex v with its two ring neighbours is a face, and the chord
+    that closed the ear leaves the set.  Requires a valid triangulation."""
+    live = list(t.ring.vertices)
+    degree = {v: 0 for v in live}
+    for i, j in t.diagonals:
+        degree[i] += 1
+        degree[j] += 1
+    diags = set(t.diagonals)
+    out: list[Face] = []
+    while len(live) > 2:
+        for v in live:
+            if not degree[v]:
+                break
+        else:
+            raise ValueError("no ear found; not a triangulation")
+        chords = len(diags)
+        a, b = cut_ear(live, diags, v)
+        out.append(Face(*sorted((a, v, b))))
+        if len(diags) < chords:
+            degree[a] -= 1
+            degree[b] -= 1
+    return sorted(out, key=lambda f: f.label)
+
+
+def quad_by_adjacency(t: Triangulation, d: Diagonal) -> FlipQuad:
+    """The quadrilateral around the diagonal d, from the two vertices joined
+    to both of its ends in the vertex adjacency of t."""
+    adj = edge_adjacency(t)
+    common = adj[d[0]] & adj[d[1]]
+    if len(common) != 2:
+        raise ValueError(f"diagonal {d} does not bound exactly two faces")
+    u, v = sorted(common)
+    return FlipQuad(*sorted((d[0], d[1], u, v)), old=d, new=(u, v))
 
 
 def readings_exchange_oracle(

@@ -12,6 +12,7 @@ from flipforge.flips import (
     flip_between,
     flip_characterization,
     flip_quad,
+    flip_row,
     homogeneous_neighbors,
     signed_flip,
     signed_flip_diagonal,
@@ -31,7 +32,7 @@ from flipforge.triangulation import (
 from flipforge.words import abs_word, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
-from reference import readings_exchange_oracle
+from reference import quad_by_adjacency, readings_exchange_oracle
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 
@@ -63,6 +64,17 @@ class TestFlip:
                     back, quad2 = flip(t2, quad.new)
                     assert back == t
                     assert quad2.new == d
+
+    def test_rows_match_the_adjacency_quads(self):
+        for n in range(9):
+            for t in all_triangulations(n):
+                expected = []
+                for d in t.diagonals:
+                    quad = quad_by_adjacency(t, d)
+                    assert flip_quad(t, d) == quad
+                    t2 = Triangulation(n, tuple(e for e in t.diagonals if e != d) + (quad.new,))
+                    expected.append((d, t2, quad.b, quad.c))
+                assert flip_row(t) == expected
 
     def test_quad_labels_are_the_middle_pair(self):
         t = phi((1, 2, 3))

@@ -79,6 +79,10 @@ CORPUS = [
     # the graph builders that turn shape indices into keys only for printing
     ("graph-cayley", ["graph", "--kind", "cayley", "--n", "4"], []),
     ("graph-switched-8", ["graph", "--kind", "switched", "--n", "8", "--mu", "2,3,3"], []),
+    # the two commands that run the simplicity test most: at every insertion step,
+    # and on all 1,430 shapes for each of the 29 mus of size 8
+    ("insert-trace", ["insert-trace", "bacbcaab"], []),
+    ("verify-diagram-8", ["verify", "--suite", "diagram", "--n", "8"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -138,6 +142,9 @@ GOLDEN = {
     # Recorded before the switched audit ran on shape indices with one integer union-find.
     "graph-cayley": "4973065f4f7258ea6469b5a69ae87cf03837e471b46ff457950eecc7bb07514f",
     "graph-switched-8": "a16eb8525aef4fd0eb8bee2978bf7f5ce632eba734699763587a9e1d317526e0",
+    # Recorded before every face was read off the face ends of one pass over the diagonals.
+    "insert-trace": "bc153496ae77327b6f262bbbbc9ee61595450a11ca74846a4353616389579200",
+    "verify-diagram-8": "8e06c35ef98ee40162cc7fed7a3da56acccc7a59e641f989c6a620d948bf6f27",
 }
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from flipforge import flips, graphs
+from flipforge import flips, graphs, triangulation
 from flipforge.graphs import (
     CombGraph,
     UnionFind,
@@ -333,15 +333,16 @@ class TestFlipTable:
                 assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
 
-    def test_flip_row_builds_one_adjacency(self, monkeypatch):
-        calls = []
-        real_edge_adjacency = flips.edge_adjacency
+    def test_flip_row_reads_the_face_ends_once(self, monkeypatch):
+        calls, adjacencies = [], []
+        real_face_ends = flips.face_ends
 
-        def counting_edge_adjacency(t):
+        def counting_face_ends(t):
             calls.append(t)
-            return real_edge_adjacency(t)
+            return real_face_ends(t)
 
-        monkeypatch.setattr(flips, "edge_adjacency", counting_edge_adjacency)
+        monkeypatch.setattr(flips, "face_ends", counting_face_ends)
+        monkeypatch.setattr(triangulation, "edge_adjacency", adjacencies.append)
         table = flips.flip_table(6)
         assert calls == []  # rows are built when read
         for i in range(CATALAN[6]):
@@ -349,6 +350,7 @@ class TestFlipTable:
             table.row(i)
         assert calls == table.shapes  # one per row, in row order
         assert len(calls) == CATALAN[6] == 132
+        assert adjacencies == []
 
     def test_reports_match_the_state_route(self):
         for n in range(6):

@@ -1,6 +1,7 @@
 """Ear-cutting map, readings, canonical readings, colored variant, insertion."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from flipforge.triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
+    faces,
     is_simple,
     third_vertex,
 )
@@ -113,6 +115,18 @@ class TestReadings:
                 member = next(iter(rs))
                 assert rs == sylvester_class(member)
                 assert all(phi(w) == t for w in rs)
+
+    def test_hook_length_formula(self):
+        # face (x, y, z) spans the z - x - 1 letters of a subtree, whose root y
+        # is read after all of them: a shape has n! / prod(z - x - 1) readings
+        for n in range(8):
+            sizes = []
+            for t in all_triangulations(n):
+                hooks = math.prod(z - x - 1 for x, _, z in faces(t))
+                assert math.factorial(n) % hooks == 0
+                sizes.append(len(readings(t)))
+                assert sizes[-1] == math.factorial(n) // hooks
+            assert sum(sizes) == math.factorial(n)
 
 
 class TestCanonicalReading:

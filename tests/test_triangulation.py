@@ -15,6 +15,7 @@ from flipforge.triangulation import (
     crossing,
     ears,
     edge_adjacency,
+    face_ends,
     faces,
     is_simple,
     is_valid,
@@ -22,7 +23,7 @@ from flipforge.triangulation import (
     validate,
 )
 
-from reference import VertexRing, triangulation_from_key
+from reference import VertexRing, faces_by_ears, triangulation_from_key
 from refdata import CATALAN, PHI_235461
 
 
@@ -86,6 +87,15 @@ class TestValidate:
         t = tri(3, (3, 0), (3, 1))
         assert t.diagonals == ((0, 3), (1, 3))
 
+    def test_face_bases_are_checked(self, monkeypatch):
+        # ends read as if the diagonal (0, 3) were missing: the roof edge lies over no face
+        real = triangulation.face_ends
+        monkeypatch.setattr(triangulation, "face_ends",
+                            lambda t: real(Triangulation(t.n, t.diagonals[1:])))
+        problems = validate(tri(3, (1, 3), (0, 3)))
+        assert problems == ["face bases [(0, 3), (1, 3), (1, 4)] are not the diagonals "
+                            "and the roof edge, each once"]
+
 
 class TestEars:
     def test_examples(self):
@@ -124,6 +134,18 @@ class TestFaces:
                     deg = len(adj[v])
                     assert sum(v in f for f in fs) == deg - 1
 
+    def test_face_ends_are_the_extreme_neighbours(self):
+        for n in range(9):
+            for t in all_triangulations(n):
+                adj = edge_adjacency(t)
+                assert face_ends(t) == ([min(adj[v]) for v in range(n + 2)],
+                                        [max(adj[v]) for v in range(n + 2)])
+
+    def test_matches_ear_clipping(self):
+        for n in range(9):
+            for t in all_triangulations(n):
+                assert faces(t) == faces_by_ears(t)
+
     def test_faces_are_genuine_triangles(self):
         for t in all_triangulations(5):
             edges = set(VertexRing(5).boundary_edges()) | set(t.diagonals)
@@ -153,8 +175,8 @@ class TestThirdVertex:
         t = tri(3, (0, 2))  # one chord short: the edge {2, 3} bounds no face
         with pytest.raises(ValueError, match="unique face"):
             third_vertex(t, 2)
-        with pytest.raises(ValueError, match="unique face"):
-            is_simple(t, (1, 2, 2))
+        # is_simple, like faces, requires a valid triangulation, which this is not
+        assert validate(t) == ["expected 2 diagonals for n=3, got 1"]
 
 
 class TestEnumeration:
@@ -191,30 +213,27 @@ class TestSimple:
         with pytest.raises(ValueError):
             is_simple(tri(2, (0, 2)), (1,))
 
-    def test_one_adjacency_per_call(self, monkeypatch):
+    def test_builds_no_adjacency(self, monkeypatch):
         built = []
-        real = triangulation.edge_adjacency
-
-        def counting(t):
-            built.append(t)
-            return real(t)
-
-        monkeypatch.setattr(triangulation, "edge_adjacency", counting)
+        monkeypatch.setattr(triangulation, "edge_adjacency", built.append)
         n = 7
         fan = tri(n, *((0, k) for k in range(2, n + 1)))
         assert is_simple(fan, (1,) * n)
-        assert len(built) == 1  # shared by all n - 1 equal-colored boundary edges
+        for t in all_triangulations(5):
+            for eps in itertools.product((1, 2), repeat=5):
+                is_simple(t, eps)
+        assert built == []  # the face ends alone decide
 
     def test_agrees_with_literal_three_rules(self):
-        # independent re-derivation of the definition, n <= 5, p <= 3
-        def brute(t, eps):
+        # independent re-derivation of the definition on faces found by clipping ears:
+        # every weakly increasing coloring for n <= 7, every coloring by 1..3 for n <= 5
+        def brute(t, fs, eps):
             if list(eps) != sorted(eps):
                 return False
             for i, j in t.diagonals:
                 both_inner = 1 <= i and j <= t.n
                 if both_inner and eps[i - 1] == eps[j - 1]:
                     return False
-            fs = faces(t)
             for i in range(1, t.n):
                 if eps[i - 1] != eps[i]:
                     continue
@@ -226,10 +245,18 @@ class TestSimple:
                     return False
             return True
 
-        for n in range(1, 6):
+        checks = 0
+        for n in range(1, 8):
+            colorings = [tuple(itertools.accumulate(steps, initial=1))
+                         for steps in itertools.product((0, 1), repeat=n - 1)]
+            if n <= 5:
+                colorings += itertools.product((1, 2, 3), repeat=n)
             for t in all_triangulations(n):
-                for eps in itertools.product((1, 2, 3), repeat=n):
-                    assert is_simple(t, eps) == brute(t, eps)
+                fs = faces_by_ears(t)
+                for eps in colorings:
+                    assert is_simple(t, eps) == brute(t, fs, eps)
+                    checks += 1
+        assert checks == 32_489 + sum(CATALAN[n] * 3 ** n for n in range(1, 6))
 
 
 class TestKeys:
