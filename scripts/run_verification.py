@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the verification battery and print one JSON line per report, with its time.
 
+Every suite at one size shares that size's flip table (graphs.run_battery).
+
 Example:
     python scripts/run_verification.py --n 5
     python scripts/run_verification.py --n 6 --suites ref1,fibers
@@ -9,9 +11,8 @@ Example:
 import argparse
 import json
 import sys
-import time
 
-from flipforge.graphs import SUITES, check_battery_size, run_suite
+from flipforge.graphs import SUITES, run_battery
 
 
 def main() -> int:
@@ -28,21 +29,17 @@ def main() -> int:
     if unknown:
         parser.error(f"unknown suites: {unknown}")
     try:
-        check_battery_size(args.n)
+        results = run_battery(tuple(names), args.n, args.seed)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
     all_ok = True
-    for name in names:
-        for n in range(1, args.n + 1):
-            t0 = time.monotonic()
-            report = run_suite(name, n, args.seed)
-            seconds = time.monotonic() - t0
-            all_ok = all_ok and report["pass"]
-            print(json.dumps({"suite": name, "n": n, "pass": report["pass"],
-                              "seconds": round(seconds, 3), "report": report},
-                             sort_keys=True))
+    for report, seconds in results:
+        all_ok = all_ok and report["pass"]
+        print(json.dumps({"suite": report["suite"], "n": report["n"], "pass": report["pass"],
+                          "seconds": round(seconds, 3), "report": report},
+                         sort_keys=True))
     print(json.dumps({"suites": names, "max_n": args.n, "pass": all_ok},
                      sort_keys=True))
     return 0 if all_ok else 1

@@ -17,6 +17,7 @@ from .phi import (
     canonical_reading,
     colored_triangulation_from_word,
     insertion_trace,
+    reading_count,
     readings,
     triangulation_from_permutation,
 )
@@ -86,6 +87,11 @@ def cmd_phi(args) -> int:
 
 def cmd_readings(args) -> int:
     t, _, _ = _load_triangulation(args.file)
+    if args.max_states < 1:
+        raise ValueError(f"readings cap must be at least 1, got {args.max_states}")
+    count = reading_count(t)
+    if count > args.max_states:
+        raise ValueError(f"the {count} readings of {canonical_key(t)} exceed cap {args.max_states}")
     words = sorted(readings(t))
     _print_json({"key": canonical_key(t), "count": len(words),
                  "readings": [",".join(map(str, w)) for w in words]}, args.output)
@@ -286,9 +292,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graphs.check_battery_size(args.n)
     suites = SUITES if args.suite == "all" else (args.suite,)
-    reports = [graphs.run_suite(s, n, args.seed) for s in suites for n in range(1, args.n + 1)]
+    reports = [report for report, _ in graphs.run_battery(suites, args.n, args.seed)]
     ok = all(r["pass"] for r in reports)
     for r in reports:
         sys.stdout.write(jsonio.dumps(r) + "\n")
@@ -332,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("phi", cmd_phi, perm={})
-    add("readings", cmd_readings, file={})
+    p = add("readings", cmd_readings, file={})
+    p.add_argument("--max-states", type=int, default=1_000_000)
     add("canonical", cmd_canonical, file={})
     add("bigphi", cmd_bigphi, word={})
     p = add("insert-trace", cmd_insert_trace, word={})

@@ -21,6 +21,9 @@ from .triangulation import (
     cut_ears,
     face_ends,
     is_simple,
+    rise_mask,
+    up_mask,
+    weakly_increasing,
 )
 from .words import Word
 
@@ -142,12 +145,16 @@ class ShapeTable:
     bit n - k set when face k is positive, and mask holds the bits of faces
     b and c: a signed flip of s is legal iff ``s & mask in (0, mask)`` and
     gives ``s ^ mask``.
+
+    ``up(i)`` is shape i's ``up_mask``, likewise computed on first read, so
+    ``simple(eps)`` tests each shape against a coloring with one AND.
     """
 
     def __init__(self, shapes: Iterable[Triangulation]):
         self.shapes = list(shapes)
         self.index = {t: i for i, t in enumerate(self.shapes)}
         self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
+        self._ups: dict[int, int] = {}
 
     def row(self, i: int) -> list[tuple[int, int, int, int, Diagonal]]:
         row = self._rows.get(i)
@@ -156,6 +163,20 @@ class ShapeTable:
             row = self._rows[i] = [(self._number(t2), 1 << (t.n - b) | 1 << (t.n - c), b, c, d)
                                    for d, t2, b, c in flip_row(t)]
         return row
+
+    def up(self, i: int) -> int:
+        mask = self._ups.get(i)
+        if mask is None:
+            mask = self._ups[i] = up_mask(self.shapes[i])
+        return mask
+
+    def simple(self, eps: Coloring) -> list[int]:
+        """The indices of the shapes that eps makes simple, by ``is_simple``'s
+        rule: eps weakly increases and ``up(i) & ~rise_mask(eps) == 0``."""
+        if not weakly_increasing(eps):
+            return []
+        falls = ~rise_mask(eps)
+        return [i for i in range(len(self.shapes)) if not self.up(i) & falls]
 
     def _number(self, t: Triangulation) -> int:
         j = self.index.get(t)

@@ -6,6 +6,11 @@ scale and checks a structural statement, returning a small report dict.
 Component counts go through one integer union-find whose roots are least
 elements, so reports are reproducible; the audits work on shape indices,
 and canonical keys are made only where a graph or report is printed.
+
+A verification battery (``run_battery``) builds each size's flip table once
+and every suite at that size reads it: its rows, and the up masks that test
+simplicity against a coloring with one AND.  The table is dropped before
+the next size, and no table outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 from typing import Iterator
@@ -21,13 +27,7 @@ from dataclasses import dataclass, field
 
 from .flips import ShapeTable, flip_table, mask_signs
 from .phi import colored_triangulation_from_word, triangulation_from_permutation
-from .triangulation import (
-    Coloring,
-    Triangulation,
-    all_triangulations,
-    canonical_key,
-    is_simple,
-)
+from .triangulation import Coloring, Triangulation, canonical_key
 from .words import Word, block_coloring, standardize, sylvester_class
 
 DEFAULT_MAX_N = 8
@@ -47,13 +47,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}; set FLIPFORGE_MAX_N to raise it")
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-
-def check_battery_size(n: int) -> None:
-    """Refuse a verification battery over sizes 1..n before any suite runs."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _check_n(n)
 
 
 def catalan(n: int) -> int:
@@ -208,7 +201,7 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
     a different-color flip between simple shapes is an edge, one into a
     non-simple shape is filtered."""
     eps = block_coloring(mu)
-    adjacency: dict[int, list[int]] = {i: [] for i, t in enumerate(table.shapes) if is_simple(t, eps)}
+    adjacency: dict[int, list[int]] = {i: [] for i in table.simple(eps)}
     uf, filtered = UnionFind(len(table.shapes)), 0
     for i, kept in adjacency.items():
         moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
@@ -244,12 +237,12 @@ def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
     _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
-    return _diagram_report(list(all_triangulations(n)), mu)
+    return _diagram_report(flip_table(n), mu)
 
 
-def _diagram_report(shapes: list[Triangulation], mu: tuple[int, ...]) -> dict:
-    """commuting_diagram_check over the shapes of size sum(mu); the image is
-    compared with the simple ones among them."""
+def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
+    """commuting_diagram_check over the flip table of size sum(mu); the image
+    is compared with the simple shapes in it."""
     n = sum(mu)
     eps = block_coloring(mu)
     words = list(words_of_evaluation(mu))
@@ -273,7 +266,7 @@ def _diagram_report(shapes: list[Triangulation], mu: tuple[int, ...]) -> dict:
             diff = [j for j in range(n) if sw[j] != sv[j]]
             if len(diff) != 2 or diff[1] != diff[0] + 1 or sw[diff[0]] != sv[diff[0] + 1]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
-    simple_set = {t for t in shapes if is_simple(t, eps)}
+    simple_set = {table.shapes[i] for i in table.simple(eps)}
     return {
         "n": n,
         "mu": list(mu),
@@ -287,12 +280,12 @@ def _diagram_report(shapes: list[Triangulation], mu: tuple[int, ...]) -> dict:
     }
 
 
-def signed_reachability_check(n: int) -> dict:
+def signed_reachability_check(n: int, table: ShapeTable | None = None) -> dict:
     """For each triangulation, the signed orbits of its signings must cover
     the whole flip graph; also audits one-signing-per-triangulation within
-    each orbit."""
+    each orbit.  ``table``, if given, is ``flip_table(n)`` already built."""
     _check_n(n)
-    table = flip_table(n)
+    table = table or flip_table(n)
     keys, size = [canonical_key(t) for t in table.shapes], 1 << n
     uf = UnionFind(len(keys) << n)  # over the states i << n | s
     union = uf.union
@@ -350,11 +343,11 @@ def compositions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def homogeneous_product_audit(n: int, seed: int = 0) -> dict:
+def homogeneous_product_audit(n: int, seed: int = 0, table: ShapeTable | None = None) -> dict:
     """Sample random colorings and check the same-color orbit product law."""
     _check_n(n)
     rng = random.Random(seed)
-    table = flip_table(n)
+    table = table or flip_table(n)
     failures = []
     for _ in range(HOMOGENEOUS_SAMPLES):
         i = rng.choice(range(len(table.shapes)))  # draws as rng.choice over the sorted shapes
@@ -366,20 +359,20 @@ def homogeneous_product_audit(n: int, seed: int = 0) -> dict:
     return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
 
 
-def switched_audit(n: int) -> dict:
+def switched_audit(n: int, table: ShapeTable | None = None) -> dict:
     """Connectivity of every switched-flip graph with at most MAX_PARTS colors."""
     _check_n(n)
-    table = flip_table(n)
+    table = table or flip_table(n)
     rows = [_switched_graph(table, mu)[1] for mu in sorted(compositions(n, MAX_PARTS))]
     return {"n": n, "graphs": rows, "pass": all(r["connected"] for r in rows)}
 
 
-def diagram_audit(n: int) -> dict:
+def diagram_audit(n: int, table: ShapeTable | None = None) -> dict:
     """Commuting-square and morphism checks for every mu with at most
-    MAX_PARTS parts, over one enumeration of the shapes."""
+    MAX_PARTS parts, over one flip table of the shapes."""
     _check_n(n)
-    shapes = list(all_triangulations(n))
-    rows = [_diagram_report(shapes, mu) for mu in sorted(compositions(n, MAX_PARTS))]
+    table = table or flip_table(n)
+    rows = [_diagram_report(table, mu) for mu in sorted(compositions(n, MAX_PARTS))]
     ok = all(not r["square_failures"] and not r["edge_failures"] and r["std_injective"]
              and r["image_is_all_simple"] for r in rows)
     return {"n": n, "reports": rows, "pass": ok}
@@ -387,22 +380,42 @@ def diagram_audit(n: int) -> dict:
 
 # Each audit is looked up as a module global when its suite runs, so a caller
 # that wraps the audits on this module (to time or trace them) sees every call.
+# All but fibers read the flip table of size n they are given, or build one.
 _SUITE_AUDITS = {
-    "ref1": lambda n, seed: signed_reachability_check(n),
-    "fibers": lambda n, seed: fiber_report(n),
-    "homogeneous": lambda n, seed: homogeneous_product_audit(n, seed=seed),
-    "switched": lambda n, seed: switched_audit(n),
-    "diagram": lambda n, seed: diagram_audit(n),
+    "ref1": lambda n, seed, table: signed_reachability_check(n, table),
+    "fibers": lambda n, seed, table: fiber_report(n),
+    "homogeneous": lambda n, seed, table: homogeneous_product_audit(n, seed, table),
+    "switched": lambda n, seed, table: switched_audit(n, table),
+    "diagram": lambda n, seed, table: diagram_audit(n, table),
 }
 SUITES = tuple(_SUITE_AUDITS)
 
 
-def run_suite(suite: str, n: int, seed: int = 0) -> dict:
+def run_suite(suite: str, n: int, seed: int = 0, table: ShapeTable | None = None) -> dict:
     """Run one verification suite at size n; the report names its suite and
-    carries ``pass``.  ``seed`` drives the randomized homogeneous audit."""
+    carries ``pass``.  ``seed`` drives the randomized homogeneous audit, and
+    ``table``, if given, is the ``flip_table(n)`` the suite shares."""
     if suite not in _SUITE_AUDITS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    report = _SUITE_AUDITS[suite](n, seed)
+    report = _SUITE_AUDITS[suite](n, seed, table)
     report["suite"] = suite
     return report
 
+
+def run_battery(suites: tuple[str, ...], n: int, seed: int = 0) -> list[tuple[dict, float]]:
+    """Run every suite at every size 1..n, as (report, seconds) pairs by
+    suite, then by n.  Each size's flip table is built once and shared by
+    the suites, and dropped before the next size; the seconds of a report
+    count the rows and masks its suite was the first to read."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_n(n)  # before any suite runs
+    timed = {}
+    for k in range(1, n + 1):
+        table = flip_table(k)
+        for suite in suites:
+            start = time.monotonic()
+            report = run_suite(suite, k, seed, table)
+            timed[suite, k] = report, time.monotonic() - start
+        del table
+    return [timed[suite, k] for suite in suites for k in range(1, n + 1)]

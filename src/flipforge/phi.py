@@ -15,9 +15,10 @@ with ``insert``.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
-from .triangulation import Coloring, Triangulation, cut_ear, cut_ears, is_simple
+from .triangulation import Coloring, Triangulation, cut_ear, cut_ears, faces, is_simple
 from .words import Word, block_coloring, evaluation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
@@ -58,6 +59,13 @@ def readings(t: Triangulation) -> frozenset[Word]:
         return frozenset(out)
 
     return rec(tuple(t.ring.vertices), frozenset(t.diagonals))
+
+
+def reading_count(t: Triangulation) -> int:
+    """len(readings(t)) without enumerating them: face (x, y, z) spans the
+    z - x - 1 letters of a subtree whose root y is read after all of them,
+    so t has n! / prod(z - x - 1) readings (the hook-length formula)."""
+    return math.factorial(t.n) // math.prod(z - x - 1 for x, _, z in faces(t))
 
 
 def canonical_reading(t: Triangulation) -> Word:

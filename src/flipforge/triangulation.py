@@ -68,8 +68,8 @@ class Triangulation:
     diagonals: tuple[Diagonal, ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(sorted((min(d), max(d)) for d in self.diagonals))
-        object.__setattr__(self, "diagonals", norm)
+        norm = sorted([(i, j) if i < j else (j, i) for i, j in self.diagonals])
+        object.__setattr__(self, "diagonals", tuple(norm))
 
     @property
     def ring(self) -> VertexRing:
@@ -192,6 +192,23 @@ def third_vertex(t: Triangulation, i: int) -> int:
     return common.pop()
 
 
+def up_mask(t: Triangulation) -> int:
+    """Bit y set for each y >= 2 that tops no diagonal (lo[y] == y - 1), that
+    is, whose face y lies on the edge {y-1, y} and points up."""
+    lo, _ = face_ends(t)
+    return sum(1 << y for y in range(2, t.n + 1) if lo[y] == y - 1)
+
+
+def rise_mask(eps: Coloring) -> int:
+    """Bit y set for each y >= 2 colored strictly above y - 1."""
+    return sum(1 << y for y in range(2, len(eps) + 1) if eps[y - 2] < eps[y - 1])
+
+
+def weakly_increasing(eps: Coloring) -> bool:
+    """Whether the colors never fall along 1..n."""
+    return all(a <= b for a, b in zip(eps, eps[1:]))
+
+
 def is_simple(t: Triangulation, eps: Coloring) -> bool:
     """Whether the colored triangulation satisfies the three simplicity rules.
 
@@ -200,7 +217,8 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
     i, i+1 the face on the edge {i, i+1} points down: t_i < i.
 
     Equivalently, with eps_y the color of y: the colors weakly increase and
-    eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1).
+    eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1),
+    i.e. ``up_mask(t) & ~rise_mask(eps) == 0``.
     The face on {y-1, y} is face y iff lo[y] = y - 1, else face y - 1, and
     only face y points up; so this is (c).  (a) and (c) give (b): an inner
     diagonal (i, j) with eps_i = eps_j forces eps_i = eps_{i+1} by (a), and
@@ -209,9 +227,7 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
     """
     if len(eps) != t.n:
         raise ValueError(f"coloring has length {len(eps)}, expected {t.n}")
-    lo, _ = face_ends(t)
-    return all(eps[y - 2] < eps[y - 1] if lo[y] == y - 1 else eps[y - 2] <= eps[y - 1]
-               for y in range(2, t.n + 1))
+    return weakly_increasing(eps) and not up_mask(t) & ~rise_mask(eps)
 
 
 def canonical_key(t: Triangulation) -> str:

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import graphs
+from flipforge import cli, flips, graphs
 from flipforge.cli import main
 
-from refdata import CHAIN, PHI_235461, READINGS_235461
+from refdata import CATALAN, CHAIN, PHI_235461, READINGS_235461
 
 SPHERE_LIST_SIGNS = json.dumps(
     {"n": 3, "north": [[0, 2], [0, 3]], "south": [[0, 2], [0, 3]], "signs": [1]}
@@ -56,6 +56,22 @@ class TestWordCommands:
         assert data["readings"] == ["2,3,5,4,6,1", "2,5,3,4,6,1", "5,2,3,4,6,1"]
         assert data["count"] == 3
         assert data["key"] == "6:1-3;1-4;1-6;1-7;4-6"
+
+    def test_readings_cap_refuses_before_enumerating(self, capsys, tmp_path, monkeypatch):
+        t_file = tmp_path / "t.json"
+        # n=12, shaped as a balanced binary tree: 12! / prod(z - x - 1) = 55,440 readings
+        assert main(["phi", "12,10,8,5,2,11,7,4,1,9,3,6", "-o", str(t_file)]) == 0
+        capsys.readouterr()
+        assert run_json(capsys, "readings", str(t_file), "--max-states", "55440")["count"] == 55440
+
+        def unreachable(t):
+            raise AssertionError("readings enumerated past the cap")
+
+        monkeypatch.setattr(cli, "readings", unreachable)
+        for cap, text in (("55439", "55440 readings"), ("0", "at least 1")):
+            code, out, err = run(capsys, "readings", str(t_file), "--max-states", cap)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and text in err and len(err.splitlines()) == 1
 
     def test_canonical(self, capsys, tmp_path):
         t_file = tmp_path / "t.json"
@@ -262,6 +278,30 @@ class TestGraphAndVerify:
         summary = json.loads(out.splitlines()[-1])
         assert summary["pass"] is True
         assert summary["suites"] == ["ref1", "fibers", "homogeneous", "switched", "diagram"]
+
+    def test_verify_builds_each_table_and_row_once(self, capsys, monkeypatch):
+        tables, rows = [], []
+        real_table, real_row = graphs.flip_table, flips.flip_row
+
+        def counting_table(n):
+            tables.append(n)
+            return real_table(n)
+
+        def counting_row(t):
+            rows.append(t)
+            return real_row(t)
+
+        monkeypatch.setattr(graphs, "flip_table", counting_table)
+        monkeypatch.setattr(flips, "flip_row", counting_row)
+        counts = []
+        for _ in range(2):  # a table that outlived one battery would make the second cheaper
+            tables.clear()
+            rows.clear()
+            assert run(capsys, "verify", "--suite", "all", "--n", "6")[0] == 0
+            counts.append((len(tables), len(rows)))
+            assert tables == [1, 2, 3, 4, 5, 6]  # one table per size, shared by the suites
+            assert len(rows) == len(set(rows)) == sum(CATALAN[1:7])  # ref1 reads every row once
+        assert counts[0] == counts[1]
 
     def test_verify_seeded(self, capsys):
         a = run(capsys, "verify", "--suite", "homogeneous", "--n", "3", "--seed", "5")

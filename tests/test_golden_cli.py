@@ -83,6 +83,10 @@ CORPUS = [
     # and on all 1,430 shapes for each of the 29 mus of size 8
     ("insert-trace", ["insert-trace", "bacbcaab"], []),
     ("verify-diagram-8", ["verify", "--suite", "diagram", "--n", "8"], []),
+    # a non-default seed (the homogeneous audit draws shapes by table order), and
+    # the n=8 signed reachability battery
+    ("verify-7-seeded", ["verify", "--suite", "all", "--n", "7", "--seed", "12345"], []),
+    ("verify-ref1-8", ["verify", "--suite", "ref1", "--n", "8"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -145,6 +149,9 @@ GOLDEN = {
     # Recorded before every face was read off the face ends of one pass over the diagonals.
     "insert-trace": "bc153496ae77327b6f262bbbbc9ee61595450a11ca74846a4353616389579200",
     "verify-diagram-8": "8e06c35ef98ee40162cc7fed7a3da56acccc7a59e641f989c6a620d948bf6f27",
+    # Recorded before each verification battery shared one flip table per size.
+    "verify-7-seeded": "3508fd1ca2f75848d01b9d48eef770041e4e8982f9fc4cd92bea9053a6abca9e",
+    "verify-ref1-8": "e4d752017165778394347040729db4e2ce1635a5ecb0e790408ad446c59a39df",
 }
 
 

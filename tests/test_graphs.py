@@ -33,6 +33,7 @@ from flipforge.words import block_coloring
 from reference import (
     DictUnionFind,
     catalan_by_recurrence,
+    faces_by_ears,
     graph_components,
     is_connected,
     phi_morphism_check,
@@ -352,6 +353,14 @@ class TestFlipTable:
         assert len(calls) == CATALAN[6] == 132
         assert adjacencies == []
 
+    def test_up_masks_are_the_faces_that_point_up(self):
+        for n in range(9):
+            table = flips.flip_table(n)
+            for i, t in enumerate(table.shapes):
+                # face y points up when it lies on the edge {y-1, y}; faces found by clipping ears
+                ups = sum(1 << f.y for f in faces_by_ears(t) if f.y >= 2 and f.x == f.y - 1)
+                assert table.up(i) == triangulation.up_mask(t) == ups
+
     def test_reports_match_the_state_route(self):
         for n in range(6):
             rep = signed_reachability_check(n)
@@ -399,13 +408,13 @@ class TestDiagram:
 
     def test_shapes_are_enumerated_once_per_call(self, monkeypatch):
         calls = []
-        real = graphs.all_triangulations
+        real = graphs.flip_table
 
         def counting(n):
             calls.append(n)
             return real(n)
 
-        monkeypatch.setattr(graphs, "all_triangulations", counting)
+        monkeypatch.setattr(graphs, "flip_table", counting)
         # twice: a cache that outlives one call would make the second call cheaper
         for _ in range(2):
             calls.clear()
@@ -424,6 +433,27 @@ class TestDiagram:
         assert diagram_audit(5)["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(words)
+
+
+class TestBattery:
+    def test_reports_equal_the_per_suite_reports(self):
+        n, seed = 6, 12345
+        battery = graphs.run_battery(graphs.SUITES, n, seed)
+        assert [report for report, _ in battery] == \
+            [graphs.run_suite(s, k, seed) for s in graphs.SUITES for k in range(1, n + 1)]
+        assert all(seconds >= 0 for _, seconds in battery)
+
+    def test_simple_sets_are_the_is_simple_shapes(self):
+        for n in range(1, 8):
+            table = flips.flip_table(n)
+            for mu in compositions(n, graphs.MAX_PARTS):
+                eps = block_coloring(mu)
+                simple = [i for i, t in enumerate(table.shapes) if triangulation.is_simple(t, eps)]
+                assert table.simple(eps) == simple
+                assert table.simple(eps[::-1]) == (simple if len(mu) == 1 else [])
+                assert list(graphs._switched_graph(table, mu)[0]) == simple
+                rep = graphs._diagram_report(table, mu)
+                assert rep["simple_count"] == len(simple) and rep["image_is_all_simple"]
 
 
 class TestReadingClosure:

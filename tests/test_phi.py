@@ -12,6 +12,7 @@ from flipforge.phi import (
     colored_triangulation_from_word,
     insert,
     insertion_trace,
+    reading_count,
     readings,
     triangulation_from_permutation as phi,
 )
@@ -125,7 +126,7 @@ class TestReadings:
                 hooks = math.prod(z - x - 1 for x, _, z in faces(t))
                 assert math.factorial(n) % hooks == 0
                 sizes.append(len(readings(t)))
-                assert sizes[-1] == math.factorial(n) // hooks
+                assert sizes[-1] == math.factorial(n) // hooks == reading_count(t)
             assert sum(sizes) == math.factorial(n)
 
 

@@ -52,6 +52,16 @@ class TestVertexRing:
         assert r.boundary_edges() == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
+class TestConstruction:
+    def test_diagonals_are_normalized_and_sorted(self):
+        assert Triangulation(3, ((3, 1), (0, 3))).diagonals == ((0, 3), (1, 3))
+
+    @pytest.mark.parametrize("bad", [(0, 2, 3), (2,), ()])
+    def test_diagonal_without_two_ends_raises(self, bad):
+        with pytest.raises(ValueError):
+            Triangulation(3, (bad, (0, 3)))
+
+
 class TestCrossing:
     def test_examples(self):
         assert crossing((0, 2), (1, 3))
