@@ -17,14 +17,13 @@ from .triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
-    cut_ear,
-    cut_ears,
-    face_ends,
+    face_tree,
     is_simple,
     rise_mask,
     up_mask,
     weakly_increasing,
 )
+from .phi import least_reading
 from .words import Word
 
 
@@ -52,8 +51,7 @@ def _quads(t: Triangulation) -> Iterator[FlipQuad]:
     """The quadrilateral around each diagonal (i, j) of t, in diagonal order:
     below it lies the face y with (lo[y], hi[y]) = (i, j), and beyond it face
     i = (lo[i], i, j) if hi[i] = j (never for i = 0), else face j = (i, j, hi[j])."""
-    lo, hi = face_ends(t)
-    below = {(lo[y], hi[y]): y for y in t.ring.inner}
+    lo, hi, below = face_tree(t)
     for i, j in t.diagonals:
         y = below[i, j]
         if hi[i] == j:
@@ -101,30 +99,20 @@ def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
 
     The two exchanged letters are the face labels of the flip quadrilateral
     and the tail v carries no letter strictly between them, which is exactly
-    what separates a flip from a within-class exchange.
+    what separates a flip from a within-class exchange.  Each word is the
+    least reading that puts the faces inside the quadrilateral first, then
+    its two letters in order, then the rest, each group by label.
     """
-    a, b, c, dd = quad.a, quad.b, quad.c, quad.d
-
-    live = list(t.ring.vertices)
-    diags = set(t.diagonals)
-    interior = set(range(a + 1, b)) | set(range(b + 1, c)) | set(range(c + 1, dd))
-    prefix = cut_ears(live, diags, interior, min)
-
-    def finish(diags_: set, first: int, second: int) -> list[int]:
-        live_ = list(live)
-        for v in (first, second):
-            if any(v in e for e in diags_):
-                raise AssertionError(f"vertex {v} not an ear after clearing the quad")
-            cut_ear(live_, diags_, v)
-        return [first, second] + cut_ears(live_, diags_, t.ring.inner, min)
-
-    if quad.old == (a, c):
-        first1, second1 = b, c
-    else:
-        first1, second1 = c, b
-    w1 = tuple(prefix + finish(set(diags), first1, second1))
-    w2 = tuple(prefix + finish((diags - {quad.old}) | {quad.new}, second1, first1))
-    return w1, w2
+    a, d = quad.a, quad.d
+    order = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
+    words = []
+    for shape, (x, z) in ((t, order), (_flipped(t, quad), order[::-1])):
+        rank = {x: 1, z: 2}
+        w = least_reading(shape, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
+        if w[d - a - 3:d - a - 1] != (x, z):
+            raise AssertionError(f"{x}, {z} are not read right after the inside of the quad")
+        words.append(w)
+    return words[0], words[1]
 
 
 def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:

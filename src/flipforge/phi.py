@@ -2,10 +2,10 @@
 
 ``triangulation_from_permutation`` scans a permutation left to right, keeping
 the not-yet-seen vertices on a live ring: each letter (except the last) adds
-the diagonal joining its live neighbours, then leaves the ring.  Reading a
-triangulation back means repeatedly recording and cutting an inner ear; the
-set of readings of a triangulation is exactly one sylvester class, so the map
-realizes the class quotient.
+the diagonal joining its live neighbours, then leaves the ring.  A reading
+lists the faces so that each comes after the faces below its two sides: it
+is a linear extension of the face tree.  The readings of a triangulation
+form exactly one sylvester class, so the map realizes the class quotient.
 
 ``colored_triangulation_from_word`` pairs the image of the standardization
 with the weakly increasing coloring given by the word's evaluation; the
@@ -16,10 +16,12 @@ with ``insert``.
 from __future__ import annotations
 
 import math
-from functools import cache
+from heapq import heapify, heappop, heappush
+from itertools import combinations, product
+from typing import Any, Callable
 
-from .triangulation import Coloring, Triangulation, cut_ear, cut_ears, faces, is_simple
-from .words import Word, block_coloring, evaluation, standardize
+from .triangulation import Coloring, Triangulation, face_tree, faces, is_simple
+from .words import Word, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
 
@@ -40,25 +42,27 @@ def triangulation_from_permutation(sigma: Word) -> Triangulation:
 
 
 def readings(t: Triangulation) -> frozenset[Word]:
-    """All words obtained by repeatedly cutting an inner ear of t."""
-    inner = set(t.ring.inner)
+    """Every reading of t, from the leaves of its face tree to the root: face
+    y is read after the faces below its sides (lo[y], y) and (y, hi[y]), so
+    its readings are the shuffles of theirs, each followed by y."""
+    lo, hi, below = face_tree(t)
+    read: dict[int, list[Word]] = {}
 
-    @cache
-    def rec(live: tuple[int, ...], diags: frozenset) -> frozenset[Word]:
-        cuttable = [v for v in live if v in inner]
-        if not cuttable:
-            return frozenset({()})
-        touched = {v for d in diags for v in d}
-        out = set()
-        for v in cuttable:
-            if v in touched:
-                continue
-            live2, diags2 = list(live), set(diags)
-            cut_ear(live2, diags2, v)
-            out.update((v,) + w for w in rec(tuple(live2), frozenset(diags2)))
-        return frozenset(out)
+    def under(i: int, j: int) -> list[Word]:
+        return read.pop(below[i, j]) if j - i > 1 else [()]
 
-    return rec(tuple(t.ring.vertices), frozenset(t.diagonals))
+    for y in sorted(t.ring.inner, key=lambda y: hi[y] - lo[y]):
+        words = []
+        for u, v in product(under(lo[y], y), under(y, hi[y])):
+            u, v = sorted((u, v), key=len)
+            for places in combinations(range(len(u) + len(v)), len(u)):
+                w = list(v)
+                for p, a in zip(places, u):
+                    w.insert(p, a)
+                w.append(y)
+                words.append(tuple(w))
+        read[y] = words
+    return frozenset(under(0, t.n + 1))
 
 
 def reading_count(t: Triangulation) -> int:
@@ -68,14 +72,35 @@ def reading_count(t: Triangulation) -> int:
     return math.factorial(t.n) // math.prod(z - x - 1 for x, _, z in faces(t))
 
 
+def least_reading(t: Triangulation, key: Callable[[int], Any]) -> Word:
+    """The reading that is lexicographically least when letters are compared
+    by key: it always reads next the least face whose children are read,
+    face y waiting for one child below each of its sides that is a diagonal."""
+    lo, hi, below = face_tree(t)
+    parent = {below[s]: y for y in below.values() for s in ((lo[y], y), (y, hi[y])) if s in below}
+    waiting = {y: (y - lo[y] > 1) + (hi[y] - y > 1) for y in below.values()}
+    ready = [(key(y), y) for y, count in waiting.items() if not count]
+    heapify(ready)
+    word = []
+    while ready:
+        y = heappop(ready)[1]
+        word.append(y)
+        if y in parent:
+            p = parent[y]
+            waiting[p] -= 1
+            if not waiting[p]:
+                heappush(ready, (key(p), p))
+    return tuple(word)
+
+
 def canonical_reading(t: Triangulation) -> Word:
-    """The reading that always cuts the greatest-labelled ear (lex-greatest)."""
-    return tuple(cut_ears(list(t.ring.vertices), set(t.diagonals), set(t.ring.inner), max))
+    """The lexicographically greatest reading."""
+    return least_reading(t, lambda y: -y)
 
 
 def colored_triangulation_from_word(w: Word) -> ColoredTriangulation:
-    """The triangulation of the standardization, colored by the evaluation."""
-    return triangulation_from_permutation(standardize(w)), block_coloring(evaluation(w))
+    """The triangulation of the standardization, colored by sorted(w)."""
+    return triangulation_from_permutation(standardize(w)), tuple(sorted(w))
 
 
 def colored_readings(t: Triangulation, eps: Coloring) -> frozenset[Word]:

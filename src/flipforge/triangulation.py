@@ -11,6 +11,10 @@ Every face is read off one rule: if lo[y] and hi[y] are the lowest and
 highest vertex joined to y (``face_ends``), face y is (lo[y], y, hi[y]),
 where y's neighbours above it meet those below it.  Its base side
 (lo[y], hi[y]) is a diagonal or the roof edge (0, n+1).
+
+The faces form a binary tree (``face_tree``): face y's children are the faces
+whose bases are its sides (lo[y], y) and (y, hi[y]), the root lies on the roof
+edge, and face y's subtree holds the hi[y] - lo[y] - 1 faces between its ends.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class VertexRing:
 
     @property
     def inner(self) -> range:
-        """Vertices that may be cut, colored or signed (excludes 0 and oo)."""
+        """Vertices that label faces and carry colors or signs (excludes 0 and oo)."""
         return range(1, self.n + 1)
 
     def boundary_edges(self) -> set[Diagonal]:
@@ -134,33 +138,6 @@ def ears(t: Triangulation) -> set[int]:
     return {v for v in t.ring.vertices if v not in touched}
 
 
-def cut_ear(live: list[int], diags: set[Diagonal], v: int) -> tuple[int, int]:
-    """Cut the ear v off the live ring and return its two ring neighbours.
-
-    The chord joining the neighbours, which closed the ear, leaves ``diags``;
-    both arguments are edited in place.  v must be met by no chord in diags.
-    """
-    idx = live.index(v)
-    a, b = live[idx - 1], live[(idx + 1) % len(live)]
-    diags.discard((min(a, b), max(a, b)))
-    live.pop(idx)
-    return a, b
-
-
-def cut_ears(live: list[int], diags: set[Diagonal], allowed, pick) -> list[int]:
-    """Cut ears among ``allowed`` while any is left, each time the one ``pick``
-    (``min`` or ``max``) chooses; returns the vertices in the order cut."""
-    cut = []
-    while True:
-        touched = {v for d in diags for v in d}
-        candidates = [v for v in live if v in allowed and v not in touched]
-        if not candidates:
-            return cut
-        v = pick(candidates)
-        cut_ear(live, diags, v)
-        cut.append(v)
-
-
 def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
     """The lowest and highest vertex joined to each vertex 0..n+1, as the two
     lists (lo, hi); face y is (lo[y], y, hi[y])."""
@@ -173,6 +150,14 @@ def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
         if j > hi[i]:
             hi[i] = j
     return lo, hi
+
+
+def face_tree(t: Triangulation) -> tuple[list[int], list[int], dict[Diagonal, int]]:
+    """``face_ends`` and ``below``: the face y whose base is (lo[y], hi[y]),
+    keyed by that base.  The faces below the sides (lo[y], y) and (y, hi[y])
+    are face y's children, and the root lies below the roof edge (0, n+1)."""
+    lo, hi = face_ends(t)
+    return lo, hi, {(lo[y], hi[y]): y for y in t.ring.inner}
 
 
 def faces(t: Triangulation) -> list[Face]:

@@ -6,6 +6,7 @@ library against them.
 """
 
 from collections import deque
+from functools import cache
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -37,7 +38,6 @@ from flipforge.triangulation import (
     VertexRing as _VertexRing,
     all_triangulations,
     canonical_key,
-    cut_ear,
     edge_adjacency,
     is_simple,
 )
@@ -71,6 +71,86 @@ def catalan_by_recurrence(n: int) -> int:
     for m in range(1, n + 1):
         table[m] = sum(table[k] * table[m - 1 - k] for k in range(m))
     return table[n]
+
+
+def cut_ear(live: list[int], diags: set[Diagonal], v: int) -> tuple[int, int]:
+    """Cut the ear v off the live ring and return its two ring neighbours.
+
+    The chord joining the neighbours, which closed the ear, leaves ``diags``;
+    both arguments are edited in place.  v must be met by no chord in diags.
+    """
+    idx = live.index(v)
+    a, b = live[idx - 1], live[(idx + 1) % len(live)]
+    diags.discard((min(a, b), max(a, b)))
+    live.pop(idx)
+    return a, b
+
+
+def cut_ears(live: list[int], diags: set[Diagonal], allowed, pick) -> list[int]:
+    """Cut ears among ``allowed`` while any is left, each time the one ``pick``
+    (``min`` or ``max``) chooses; returns the vertices in the order cut."""
+    cut = []
+    while True:
+        touched = {v for d in diags for v in d}
+        candidates = [v for v in live if v in allowed and v not in touched]
+        if not candidates:
+            return cut
+        v = pick(candidates)
+        cut_ear(live, diags, v)
+        cut.append(v)
+
+
+def readings_by_ears(t: Triangulation) -> frozenset[Word]:
+    """All words obtained by repeatedly cutting an inner ear of t off a live
+    vertex ring, as a memoized recursion over (ring, chords) states."""
+    inner = set(t.ring.inner)
+
+    @cache
+    def rec(live: tuple[int, ...], diags: frozenset) -> frozenset[Word]:
+        cuttable = [v for v in live if v in inner]
+        if not cuttable:
+            return frozenset({()})
+        touched = {v for d in diags for v in d}
+        out = set()
+        for v in cuttable:
+            if v in touched:
+                continue
+            live2, diags2 = list(live), set(diags)
+            cut_ear(live2, diags2, v)
+            out.update((v,) + w for w in rec(tuple(live2), frozenset(diags2)))
+        return frozenset(out)
+
+    return rec(tuple(t.ring.vertices), frozenset(t.diagonals))
+
+
+def canonical_reading_by_ears(t: Triangulation) -> Word:
+    """The reading that always cuts the greatest-labelled ear."""
+    return tuple(cut_ears(list(t.ring.vertices), set(t.diagonals), set(t.ring.inner), max))
+
+
+def flip_readings_by_ears(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
+    """flip_readings by ear cutting: cut the ears strictly inside the
+    quadrilateral other than b and c, least first; then cut its two letters,
+    which must be ears, in order; then every other ear, least first.  The
+    flipped word starts from the same ring with the chord exchanged."""
+    a, b, c, dd = quad.a, quad.b, quad.c, quad.d
+    live = list(t.ring.vertices)
+    diags = set(t.diagonals)
+    interior = set(range(a + 1, b)) | set(range(b + 1, c)) | set(range(c + 1, dd))
+    prefix = cut_ears(live, diags, interior, min)
+
+    def finish(diags_: set, first: int, second: int) -> list[int]:
+        live_ = list(live)
+        for v in (first, second):
+            if any(v in e for e in diags_):
+                raise AssertionError(f"vertex {v} not an ear after clearing the quad")
+            cut_ear(live_, diags_, v)
+        return [first, second] + cut_ears(live_, diags_, t.ring.inner, min)
+
+    first, second = (b, c) if quad.old == (a, c) else (c, b)
+    w1 = tuple(prefix + finish(set(diags), first, second))
+    w2 = tuple(prefix + finish((diags - {quad.old}) | {quad.new}, second, first))
+    return w1, w2
 
 
 def faces_by_ears(t: Triangulation) -> list[Face]:

@@ -73,6 +73,15 @@ class TestWordCommands:
             assert (code, out) == (1, "")
             assert err.startswith("error: ") and text in err and len(err.splitlines()) == 1
 
+    def test_readings_of_a_long_shape(self, capsys, tmp_path):
+        # the face tree of the identity at n=600 is a path 600 faces deep
+        t_file = tmp_path / "t.json"
+        assert main(["phi", ",".join(map(str, range(1, 601))), "-o", str(t_file)]) == 0
+        capsys.readouterr()
+        data = run_json(capsys, "readings", str(t_file))
+        assert data["count"] == 1
+        assert data["readings"] == [",".join(map(str, range(1, 601)))]
+
     def test_canonical(self, capsys, tmp_path):
         t_file = tmp_path / "t.json"
         assert main(["phi", "235461", "-o", str(t_file)]) == 0
@@ -101,6 +110,12 @@ class TestWordCommands:
         data = run_json(capsys, "bigphi", "bbcbca")
         assert data["colors"] == [1, 2, 2, 2, 3, 3]
         assert data["n"] == 6
+
+    def test_bigphi_huge_letter(self, capsys):
+        # the coloring is the sorted word, with no list as long as its largest letter
+        data = run_json(capsys, "bigphi", "1,100000000000000000000")
+        assert data["colors"] == [1, 100000000000000000000]
+        assert data["n"] == 2
 
     def test_insert_trace(self, capsys):
         code, out, _ = run(capsys, "insert-trace", "bbcbca")

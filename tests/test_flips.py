@@ -12,6 +12,7 @@ from flipforge.flips import (
     flip_between,
     flip_characterization,
     flip_quad,
+    flip_readings,
     flip_row,
     homogeneous_neighbors,
     signed_flip,
@@ -32,7 +33,7 @@ from flipforge.triangulation import (
 from flipforge.words import abs_word, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
-from reference import quad_by_adjacency, readings_exchange_oracle
+from reference import flip_readings_by_ears, quad_by_adjacency, readings_exchange_oracle
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 
@@ -107,6 +108,22 @@ class TestFlipCharacterization:
     def test_square_pair(self):
         w1, w2 = flip_characterization(tri(2, (0, 2)), tri(2, (1, 3)))
         assert (w1, w2) == ((1, 2), (2, 1))
+
+    def test_equals_ear_cutting(self):
+        for n in range(8):
+            for t in all_triangulations(n):
+                for d in t.diagonals:
+                    quad = flip_quad(t, d)
+                    assert flip_readings(t, quad) == flip_readings_by_ears(t, quad)
+
+    def test_refuses_letters_not_read_after_the_inside(self):
+        # a quadrilateral 0 < 1 < 3 < 4 on (0, 3): face 1 is ready at once, but
+        # face 3 waits for face 2, the one face inside
+        t = tri(3, (0, 2), (0, 3))
+        quad = flip_quad(t, (0, 3))._replace(b=1)
+        for reader in (flip_readings, flip_readings_by_ears):
+            with pytest.raises(AssertionError):
+                reader(t, quad)
 
     def test_exhaustive_audit(self):
         for n in range(2, 6):

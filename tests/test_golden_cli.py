@@ -87,6 +87,13 @@ CORPUS = [
     # the n=8 signed reachability battery
     ("verify-7-seeded", ["verify", "--suite", "all", "--n", "7", "--seed", "12345"], []),
     ("verify-ref1-8", ["verify", "--suite", "ref1", "--n", "8"], []),
+    # a shape with 1,512 readings, and an n=9 certificate whose 49 steps hold 44 K1 exchanges
+    ("phi-10", ["phi", "5,2,9,1,7,10,3,8,4,6", "-o", "t10.json"], ["t10.json"]),
+    ("readings-10", ["readings", "t10.json"], []),
+    ("canonical-10", ["canonical", "t10.json"], []),
+    ("signed-path-9", ["signed-path", "591287364", "245978613", "--emit-cert", "cert9.jsonl"],
+     ["cert9.jsonl"]),
+    ("check-cert-9", ["check-cert", "cert9.jsonl"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -152,6 +159,14 @@ GOLDEN = {
     # Recorded before each verification battery shared one flip table per size.
     "verify-7-seeded": "3508fd1ca2f75848d01b9d48eef770041e4e8982f9fc4cd92bea9053a6abca9e",
     "verify-ref1-8": "e4d752017165778394347040729db4e2ce1635a5ecb0e790408ad446c59a39df",
+    # Recorded before every reading was read off the face tree instead of a ring of ears.
+    "phi-10": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "phi-10:t10.json": "b46fcd78169fd66c0a908fbae3be73943e1d70f4f5c185c0dca89b59cac0c4da",
+    "readings-10": "318402b72c3e410700301e1bc4322812c257256a42cb94d29f82ef9343056e52",
+    "canonical-10": "f6d2e132e86d8afc0321b7b0961518c465253c998c41044b9b0838d3a5cb913c",
+    "signed-path-9": "4344e78565c559803b8ff4700c9c6ec0c7bc2604d0790ea0f96721de35647eb4",
+    "signed-path-9:cert9.jsonl": "cae0231dd048f8af6014c4eed32fbd243cbd014b408c0248141fb88b1b9ce071",
+    "check-cert-9": "31e165c176a192b44842b5b1cf7a970226fb56930d1abf26a15a4b5254ab74e8",
 }
 
 

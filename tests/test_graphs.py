@@ -336,13 +336,14 @@ class TestFlipTable:
 
     def test_flip_row_reads_the_face_ends_once(self, monkeypatch):
         calls, adjacencies = [], []
-        real_face_ends = flips.face_ends
+        real_face_ends = triangulation.face_ends
 
         def counting_face_ends(t):
             calls.append(t)
             return real_face_ends(t)
 
-        monkeypatch.setattr(flips, "face_ends", counting_face_ends)
+        # flip_row reads the face ends through face_tree
+        monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
         monkeypatch.setattr(triangulation, "edge_adjacency", adjacencies.append)
         table = flips.flip_table(6)
         assert calls == []  # rows are built when read

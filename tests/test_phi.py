@@ -1,4 +1,4 @@
-"""Ear-cutting map, readings, canonical readings, colored variant, insertion."""
+"""The shape map, readings, canonical readings, colored variant, insertion."""
 
 import itertools
 import math
@@ -27,6 +27,7 @@ from flipforge.triangulation import (
 from flipforge.words import standardize, sylvester_class
 from flipforge.graphs import catalan
 
+from reference import canonical_reading_by_ears, readings_by_ears
 from refdata import (
     CLASS_BBCBCA,
     PHI_213,
@@ -108,6 +109,16 @@ class TestReadings:
             ident = tuple(range(1, n + 1))
             assert readings(phi(ident)) == {ident}
 
+    def test_equals_ear_cutting(self):
+        for n in range(8):
+            for t in all_triangulations(n):
+                assert readings(t) == readings_by_ears(t)
+
+    def test_long_shape_has_one_reading(self):
+        # the face tree of the identity is a path 2000 faces deep
+        ident = tuple(range(1, 2001))
+        assert readings(phi(ident)) == {ident}
+
     def test_equals_sylvester_class_everywhere(self):
         for n in range(1, 6):
             for t in all_triangulations(n):
@@ -135,6 +146,11 @@ class TestCanonicalReading:
         assert canonical_reading(phi((2, 3, 5, 4, 6, 1))) == (5, 2, 3, 4, 6, 1)
         assert canonical_reading(Triangulation(2, ((0, 2),))) == (1, 2)
         assert canonical_reading(Triangulation(1, ())) == (1,)
+
+    def test_equals_ear_cutting(self):
+        for n in range(9):
+            for t in all_triangulations(n):
+                assert canonical_reading(t) == canonical_reading_by_ears(t)
 
     def test_is_lexicographic_maximum(self):
         for n in range(1, 7):

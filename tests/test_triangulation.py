@@ -16,6 +16,7 @@ from flipforge.triangulation import (
     ears,
     edge_adjacency,
     face_ends,
+    face_tree,
     faces,
     is_simple,
     is_valid,
@@ -155,6 +156,23 @@ class TestFaces:
         for n in range(9):
             for t in all_triangulations(n):
                 assert faces(t) == faces_by_ears(t)
+
+    def test_face_tree_subtrees(self):
+        # face y's subtree holds the hi[y] - lo[y] - 1 faces strictly between
+        # lo[y] and hi[y], and the root, below the roof edge, holds all n
+        for n in range(8):
+            for t in all_triangulations(n):
+                lo, hi, below = face_tree(t)
+                assert sorted(below) == sorted(t.diagonals + ((0, n + 1),)) if n else not below
+                for y in range(1, n + 1):
+                    stack, subtree = [y], []
+                    while stack:
+                        x = stack.pop()
+                        subtree.append(x)
+                        stack += [below[s] for s in ((lo[x], x), (x, hi[x])) if s in below]
+                    assert sorted(subtree) == list(range(lo[y] + 1, hi[y]))
+                if n:
+                    assert (lo[below[0, n + 1]], hi[below[0, n + 1]]) == (0, n + 1)
 
     def test_faces_are_genuine_triangles(self):
         for t in all_triangulations(5):
