@@ -21,6 +21,7 @@ from .triangulation import (
     is_simple,
     rise_mask,
     up_mask,
+    validate,
     weakly_increasing,
 )
 from .phi import least_reading
@@ -50,11 +51,11 @@ class FlipQuad(NamedTuple):
 def _quads(t: Triangulation) -> Iterator[FlipQuad]:
     """The quadrilateral around each diagonal (i, j) of t, in diagonal order:
     below it lies the face y with (lo[y], hi[y]) = (i, j), and beyond it face
-    i = (lo[i], i, j) if hi[i] = j (never for i = 0), else face j = (i, j, hi[j])."""
-    lo, hi, below = face_tree(t)
+    up[y], which is i = (lo[i], i, j) or j = (i, j, hi[j])."""
+    lo, hi, below, up = face_tree(t)
     for i, j in t.diagonals:
         y = below[i, j]
-        if hi[i] == j:
+        if up[y] == i:
             yield FlipQuad(lo[i], i, y, j, old=(i, j), new=(lo[i], y))
         else:
             yield FlipQuad(i, y, j, hi[j], old=(i, j), new=(y, hi[j]))
@@ -91,11 +92,11 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
     """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
     None unless t1 and t2 differ by one flip; see ``flip_readings``."""
     quad = flip_between(t1, t2)
-    return None if quad is None else flip_readings(t1, quad)
+    return None if quad is None else flip_readings(t1, quad, t2)
 
 
-def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
-    """Readings u x z v of t and u z x v of its flip across quad.
+def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[Word, Word]:
+    """Readings u x z v of t and u z x v of t2, its flip across quad.
 
     The two exchanged letters are the face labels of the flip quadrilateral
     and the tail v carries no letter strictly between them, which is exactly
@@ -106,7 +107,7 @@ def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
     a, d = quad.a, quad.d
     order = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
     words = []
-    for shape, (x, z) in ((t, order), (_flipped(t, quad), order[::-1])):
+    for shape, (x, z) in ((t, order), (t2, order[::-1])):
         rank = {x: 1, z: 2}
         w = least_reading(shape, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
         if w[d - a - 3:d - a - 1] != (x, z):
@@ -230,36 +231,38 @@ class DiagonalSigning:
         return set(self.signs) == set(self.base.diagonals)
 
 
+def _valid_face_tree(t: Triangulation):
+    problems = validate(t)
+    if problems:
+        raise ValueError(problems[0])
+    return face_tree(t)
+
+
 def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:
-    """Sign every diagonal by the product of its two face signs."""
-    signs = {d: face_signs[b - 1] * face_signs[c - 1] for d, _, b, c in flip_row(t)}
-    return DiagonalSigning(t, signs)
+    """Sign the base of each face y but the root by the product of the signs
+    of y and of up[y], the face beyond it."""
+    _, _, below, up = _valid_face_tree(t)
+    return DiagonalSigning(t, {d: face_signs[y - 1] * face_signs[up[y] - 1]
+                               for d, y in sorted(below.items()) if up[y]})
 
 
 def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring:
     """Recover face signs from a total diagonal signing and the sign of face 1.
 
     Faces adjacent across a diagonal have sign product equal to the diagonal
-    sign, and the face adjacency is a tree, so one anchor determines all.
+    sign, and the faces form a tree: sign each face relative to the root,
+    from the root down, and scale so that face 1 has the anchor's sign.
     """
     if not ds.is_total():
         raise ValueError("face signs need a total diagonal signing")
     t = ds.base
-    across: dict[int, list[tuple[int, int]]] = {}
-    for d, _, b, c in flip_row(t):
-        across.setdefault(b, []).append((c, ds.signs[d]))
-        across.setdefault(c, []).append((b, ds.signs[d]))
-    sign_of = {1: anchor_sign}
-    stack = [1]
-    while stack:
-        b = stack.pop()
-        for c, sign in across.get(b, ()):
-            if c not in sign_of:
-                sign_of[c] = sign_of[b] * sign
-                stack.append(c)
-    if len(sign_of) < t.n:
-        raise ValueError("face adjacency is not connected; invalid triangulation")
-    return tuple(sign_of[label] for label in t.ring.inner)
+    lo, hi, _, up = _valid_face_tree(t)
+    rel = [1] * (t.n + 2)
+    for y in sorted(t.ring.inner, key=lambda y: lo[y] - hi[y]):
+        if up[y]:
+            rel[y] = rel[up[y]] * ds.signs[lo[y], hi[y]]
+    scale = anchor_sign * rel[1]
+    return tuple(scale * rel[y] for y in t.ring.inner)
 
 
 def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | None:

@@ -45,7 +45,7 @@ def readings(t: Triangulation) -> frozenset[Word]:
     """Every reading of t, from the leaves of its face tree to the root: face
     y is read after the faces below its sides (lo[y], y) and (y, hi[y]), so
     its readings are the shuffles of theirs, each followed by y."""
-    lo, hi, below = face_tree(t)
+    lo, hi, below, _ = face_tree(t)
     read: dict[int, list[Word]] = {}
 
     def under(i: int, j: int) -> list[Word]:
@@ -76,20 +76,18 @@ def least_reading(t: Triangulation, key: Callable[[int], Any]) -> Word:
     """The reading that is lexicographically least when letters are compared
     by key: it always reads next the least face whose children are read,
     face y waiting for one child below each of its sides that is a diagonal."""
-    lo, hi, below = face_tree(t)
-    parent = {below[s]: y for y in below.values() for s in ((lo[y], y), (y, hi[y])) if s in below}
-    waiting = {y: (y - lo[y] > 1) + (hi[y] - y > 1) for y in below.values()}
-    ready = [(key(y), y) for y, count in waiting.items() if not count]
+    lo, hi, _, up = face_tree(t)
+    waiting = [0] + [(y - lo[y] > 1) + (hi[y] - y > 1) for y in t.ring.inner]
+    ready = [(key(y), y) for y in t.ring.inner if not waiting[y]]
     heapify(ready)
     word = []
     while ready:
         y = heappop(ready)[1]
         word.append(y)
-        if y in parent:
-            p = parent[y]
-            waiting[p] -= 1
-            if not waiting[p]:
-                heappush(ready, (key(p), p))
+        p = up[y]
+        waiting[p] -= 1
+        if p and not waiting[p]:
+            heappush(ready, (key(p), p))
     return tuple(word)
 
 

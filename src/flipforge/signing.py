@@ -267,8 +267,8 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
         return Certificate([sign_letters(canonical_reading(tri), signs)], [])
     chain: list[SignedWord] = []
     kinds: list[str] = []
-    for (t_i, eps_i), quad, (_, eps_j) in steps:
-        w1, w2 = flip_readings(t_i, quad)
+    for (t_i, eps_i), quad, (t_j, eps_j) in steps:
+        w1, w2 = flip_readings(t_i, quad, t_j)
         if not chain:
             chain.append(sign_letters(w1, eps_i))
         for perm in _class_bridge(abs_word(chain[-1]), w1)[1:]:

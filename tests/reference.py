@@ -7,7 +7,7 @@ library against them.
 
 from collections import deque
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Sequence
 
 from flipforge.flips import (
@@ -39,6 +39,7 @@ from flipforge.triangulation import (
     all_triangulations,
     canonical_key,
     edge_adjacency,
+    face_ends,
     is_simple,
 )
 from flipforge.words import (
@@ -177,6 +178,49 @@ def faces_by_ears(t: Triangulation) -> list[Face]:
             degree[a] -= 1
             degree[b] -= 1
     return sorted(out, key=lambda f: f.label)
+
+
+def crossing(d1: Diagonal, d2: Diagonal) -> bool:
+    """Whether two chords of the polygon cross in their interiors."""
+    (a, b), (c, d) = sorted(d1), sorted(d2)
+    return a < c < b < d or c < a < d < b
+
+
+@cache
+def _boundary_edges(n: int) -> set[Diagonal]:
+    return VertexRing(n).boundary_edges()
+
+
+def validate_by_crossings(t: Triangulation) -> list[str]:
+    """validate by the boundary-edge set, a duplicate check and a scan of all
+    pairs of diagonals for a crossing, before the face-bases test."""
+    n, infinity = t.n, t.n + 1
+    if n < 0:
+        return [f"n must be nonnegative, got {n}"]
+    problems: list[str] = []
+    boundary = _boundary_edges(n)
+    for d in t.diagonals:
+        i, j = d
+        if not (0 <= i < j <= infinity):
+            problems.append(f"diagonal {d} is not a pair of distinct vertices in 0..{infinity}")
+        elif d in boundary:
+            problems.append(f"diagonal {d} is a boundary edge of the polygon")
+    if problems:
+        return problems
+    if len(set(t.diagonals)) != len(t.diagonals):
+        problems.append("duplicate diagonals")
+    if len(t.diagonals) != max(n - 1, 0):
+        problems.append(f"expected {max(n - 1, 0)} diagonals for n={n}, got {len(t.diagonals)}")
+    for d1, d2 in combinations(t.diagonals, 2):
+        if crossing(d1, d2):
+            problems.append(f"diagonals {d1} and {d2} cross")
+            break
+    if not problems and n >= 1:
+        lo, hi = face_ends(t)
+        bases = sorted((lo[y], hi[y]) for y in range(1, infinity))
+        if bases != sorted(t.diagonals + ((0, infinity),)):
+            problems.append(f"face bases {bases} are not the diagonals and the roof edge, each once")
+    return problems
 
 
 def quad_by_adjacency(t: Triangulation, d: Diagonal) -> FlipQuad:

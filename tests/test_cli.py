@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.dom.minidom
 from pathlib import Path
 
@@ -436,7 +437,7 @@ class TestErrorHandling:
         monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
         calls = []
 
-        def stub(suite, n, seed=0):
+        def stub(suite, n, seed=0, table=None):
             calls.append((suite, n))
             return {"suite": suite, "n": n, "pass": True}
 
@@ -506,6 +507,29 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # the count is checked before anything of size n is built
+    @pytest.mark.parametrize("content, argv", [
+        ('{"n": 30000000, "diagonals": []}', ["canonical"]),
+        ('{"n": 30000000, "north": [], "south": []}', ["heawood-check"]),
+    ], ids=["canonical", "heawood-check"])
+    def test_oversized_n_is_refused_at_once(self, capsys, tmp_path, content, argv):
+        f = tmp_path / "in.json"
+        f.write_text(content)
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(f))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith("expected 29999999 diagonals for n=30000000, got 0\n")
+
+    def test_large_valid_shape_is_read_at_once(self, capsys, tmp_path):
+        f = tmp_path / "fan.json"
+        f.write_text(json.dumps({"n": 8000, "diagonals": [[0, k] for k in range(2, 8001)]}))
+        start = time.perf_counter()
+        data = run_json(capsys, "canonical", str(f))
+        assert time.perf_counter() - start < 1
+        assert data["canonical"] == ",".join(map(str, range(1, 8001)))  # the one reading
 
     @pytest.mark.parametrize("label", ["N:9", "S:0", "N:4", "N:01"])
     @pytest.mark.parametrize("command", ["four-color", "heawood-check", "render"])

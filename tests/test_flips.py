@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from flipforge import flips
 from flipforge.flips import (
     DiagonalSigning,
     diagonal_signing_from_faces,
@@ -113,17 +114,19 @@ class TestFlipCharacterization:
         for n in range(8):
             for t in all_triangulations(n):
                 for d in t.diagonals:
-                    quad = flip_quad(t, d)
-                    assert flip_readings(t, quad) == flip_readings_by_ears(t, quad)
+                    t2, quad = flip(t, d)
+                    assert flip_readings(t, quad, t2) == flip_readings_by_ears(t, quad)
 
     def test_refuses_letters_not_read_after_the_inside(self):
         # a quadrilateral 0 < 1 < 3 < 4 on (0, 3): face 1 is ready at once, but
         # face 3 waits for face 2, the one face inside
         t = tri(3, (0, 2), (0, 3))
-        quad = flip_quad(t, (0, 3))._replace(b=1)
-        for reader in (flip_readings, flip_readings_by_ears):
-            with pytest.raises(AssertionError):
-                reader(t, quad)
+        t2, quad = flip(t, (0, 3))
+        quad = quad._replace(b=1)
+        with pytest.raises(AssertionError):
+            flip_readings(t, quad, t2)
+        with pytest.raises(AssertionError):
+            flip_readings_by_ears(t, quad)
 
     def test_exhaustive_audit(self):
         for n in range(2, 6):
@@ -321,6 +324,33 @@ class TestDiagonalSigning:
                 for fs in itertools.product((1, -1), repeat=n):
                     ds = diagonal_signing_from_faces(t, fs)
                     assert face_signs_from_diagonals(ds, fs[0]) == fs
+
+    def test_conversions_read_the_face_tree_and_flip_nothing(self, monkeypatch):
+        calls = []
+        real = flips._flipped
+        monkeypatch.setattr(flips, "_flipped", lambda t, quad: calls.append(quad) or real(t, quad))
+        for n in range(1, 7):
+            for t in all_triangulations(n):
+                fs = tuple(1 if k % 3 else -1 for k in range(1, n + 1))
+                ds = diagonal_signing_from_faces(t, fs)
+                # the two faces on each side of a diagonal, found by the flip row
+                assert ds.signs == {d: fs[b - 1] * fs[c - 1] for d, _, b, c in flip_row(t)}
+                calls.clear()
+                assert face_signs_from_diagonals(diagonal_signing_from_faces(t, fs), fs[0]) == fs
+                assert calls == []
+        assert face_signs_from_diagonals(diagonal_signing_from_faces(tri(0), ()), 1) == ()
+
+    @pytest.mark.parametrize("diagonals, problem", [
+        (((0, 2), (1, 3)), "face bases"),
+        (((0, 2), (0, 2)), "face bases"),
+        (((0, 2),), "expected 2 diagonals for n=3, got 1"),
+    ], ids=["crossing", "duplicate", "too-few"])
+    def test_conversions_refuse_a_base_that_is_no_triangulation(self, diagonals, problem):
+        t = tri(3, *diagonals)
+        with pytest.raises(ValueError, match=problem):
+            face_signs_from_diagonals(DiagonalSigning(t, {d: 1 for d in diagonals}), 1)
+        with pytest.raises(ValueError, match=problem):
+            diagonal_signing_from_faces(t, (1, 1, 1))
 
 
 class TestSignedFlipOnDiagonals:

@@ -63,7 +63,7 @@ def test_run_verification_refuses_above_cap_before_any_suite(monkeypatch, capsys
     monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
     calls = []
 
-    def stub(suite, n, seed=0):
+    def stub(suite, n, seed=0, table=None):
         calls.append((suite, n))
         return {"suite": suite, "n": n, "pass": True}
 

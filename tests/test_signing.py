@@ -386,6 +386,17 @@ class TestEmitWordCertificate:
         assert len(path.flips) == 7
         assert calls == list(path.flips)
 
+    def test_emission_builds_each_flipped_shape_once(self, monkeypatch):
+        # the flip readings take the flipped shape from the path's replay
+        t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
+        path = signable_path_search(t1, t2)
+        calls = []
+        real = flips._flipped
+        monkeypatch.setattr(flips, "_flipped", lambda t, quad: calls.append(quad.old) or real(t, quad))
+        assert validate_certificate(emit_word_certificate(path)).ok
+        assert len(path.flips) == 6
+        assert calls == list(path.flips)
+
     def test_certificate_of_a_long_walk_at_n30(self):
         path = random_signed_walk(30, 20, random.Random(30))
         cert = emit_word_certificate(path)

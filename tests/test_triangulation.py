@@ -1,6 +1,8 @@
 """Polygon triangulations: validity, faces, ears, simplicity, keys."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,6 @@ from flipforge.triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
-    crossing,
     ears,
     edge_adjacency,
     face_ends,
@@ -24,7 +25,7 @@ from flipforge.triangulation import (
     validate,
 )
 
-from reference import VertexRing, faces_by_ears, triangulation_from_key
+from reference import VertexRing, crossing, faces_by_ears, triangulation_from_key, validate_by_crossings
 from refdata import CATALAN, PHI_235461
 
 
@@ -98,6 +99,50 @@ class TestValidate:
         t = tri(3, (3, 0), (3, 1))
         assert t.diagonals == ((0, 3), (1, 3))
 
+    @staticmethod
+    def assert_as_oracle(t):
+        # same verdict and first problem, except where the oracle names a
+        # duplicate or a crossing first: then the count, or else the face-bases
+        # test, refuses instead
+        new, old = validate(t), validate_by_crossings(t)
+        if old and old[0].startswith(("duplicate", "diagonals")):
+            counts = [p for p in old if p.startswith("expected")]
+            assert new == counts if counts else new and new[0].startswith("face bases"), (t, new, old)
+        else:
+            assert new[:1] == old[:1], (t, new, old)
+        return new
+
+    def test_every_multiset_of_chords_as_the_oracle(self):
+        count = 0
+        for n in range(7):
+            chords = [(i, j) for i in range(n + 2) for j in range(i + 1, n + 2)]
+            for diagonals in itertools.combinations_with_replacement(chords, max(n - 1, 0)):
+                self.assert_as_oracle(Triangulation(n, diagonals))
+                count += 1
+        assert count == 212_745
+
+    def test_seeded_lists_as_the_oracle(self):
+        rng = random.Random(15)
+        verdicts = set()
+        for _ in range(20_000):
+            n = rng.randint(-1, 10)
+            if rng.random() < 0.5 and n > 1:  # one diagonal of a shape replaced
+                diagonals = list(triangulation_from_permutation(rng.sample(range(1, n + 1), n)).diagonals)
+                diagonals[rng.randrange(n - 1)] = tuple(sorted(rng.sample(range(n + 2), 2)))
+            else:
+                k = max(n - 1, 0) + rng.choice((-1, 0, 0, 1))
+                diagonals = [tuple(sorted(rng.sample(range(-1, n + 4), 2))) for _ in range(max(k, 0))]
+            problems = self.assert_as_oracle(Triangulation(n, tuple(diagonals)))
+            verdicts.add(problems[0].split()[0] if problems else "valid")
+        assert verdicts == {"n", "diagonal", "expected", "face", "valid"}
+
+    def test_large_fan_and_oversized_count(self):
+        fan = Triangulation(8000, tuple((0, k) for k in range(2, 8001)))
+        start = time.perf_counter()
+        assert validate(fan) == []
+        assert validate(Triangulation(30_000_000, ())) == ["expected 29999999 diagonals for n=30000000, got 0"]
+        assert time.perf_counter() - start < 1
+
     def test_face_bases_are_checked(self, monkeypatch):
         # ends read as if the diagonal (0, 3) were missing: the roof edge lies over no face
         real = triangulation.face_ends
@@ -162,7 +207,7 @@ class TestFaces:
         # lo[y] and hi[y], and the root, below the roof edge, holds all n
         for n in range(8):
             for t in all_triangulations(n):
-                lo, hi, below = face_tree(t)
+                lo, hi, below, _ = face_tree(t)
                 assert sorted(below) == sorted(t.diagonals + ((0, n + 1),)) if n else not below
                 for y in range(1, n + 1):
                     stack, subtree = [y], []
@@ -173,6 +218,15 @@ class TestFaces:
                     assert sorted(subtree) == list(range(lo[y] + 1, hi[y]))
                 if n:
                     assert (lo[below[0, n + 1]], hi[below[0, n + 1]]) == (0, n + 1)
+
+    def test_up_is_the_parent(self):
+        # up[y] is the face with y below one of its sides; only the root has none
+        for n in range(9):
+            for t in all_triangulations(n):
+                lo, hi, below, up = face_tree(t)
+                parent = {below[s]: y for y in range(1, n + 1) for s in ((lo[y], y), (y, hi[y])) if s in below}
+                assert up == [0] + [parent.get(y, 0) for y in range(1, n + 1)]
+                assert up.count(0) == 2 if n else up == [0]
 
     def test_faces_are_genuine_triangles(self):
         for t in all_triangulations(5):
