@@ -51,7 +51,6 @@ from .signing import (
     SignedState,
     classify_step,
     emit_word_certificate,
-    sigma_closure,
     sign_path_diagonals,
     signable_path_search,
     validate_certificate,

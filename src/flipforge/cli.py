@@ -74,7 +74,7 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _print_json(obj, out: str | None = None) -> None:
+def _print_json(obj, out: str | None) -> None:
     _emit(jsonio.dumps(obj), out)
 
 
@@ -150,7 +150,8 @@ def cmd_flip(args) -> int:
     if signs is not None:
         result = flips.signed_flip(t, signs, d)
         if result is None:
-            _print_json({"refused": True, "reason": "faces at the diagonal carry opposite signs"})
+            _print_json({"refused": True, "reason": "faces at the diagonal carry opposite signs"},
+                        args.output)
             return 1
         t2, signs2 = result
         _print_json(jsonio.triangulation_to_dict(t2, colors=colors, signs=signs2), args.output)
@@ -184,7 +185,7 @@ def cmd_signed_path(args) -> int:
     end = triangulation_from_permutation(parse_word(args.perm2))
     path = signable_path_search(start, end, args.max_states)
     if path is None:
-        _print_json({"found": False})
+        _print_json({"found": False}, args.output)
         return 1
     report = {
         "found": True,
@@ -268,7 +269,7 @@ def cmd_four_color(args) -> int:
     sphere = jsonio.sphere_from_dict(_load_json(args.file))
     coloring = four_color(sphere)
     if coloring is None:
-        _print_json({"found": False})
+        _print_json({"found": False}, args.output)
         return 1
     ok = verify_coloring(sphere, coloring)
     _print_json({"found": True, "verified": ok,

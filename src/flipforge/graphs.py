@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .flips import ShapeTable, flip_table, mask_signs
 from .phi import colored_triangulation_from_word, triangulation_from_permutation
-from .triangulation import Coloring, Triangulation, canonical_key
+from .triangulation import Coloring, Triangulation, canonical_key, face_tree
 from .words import Word, block_coloring, standardize, sylvester_class
 
 DEFAULT_MAX_N = 8
@@ -232,8 +232,9 @@ def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
 
 
 def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
-    """Check that coloring after mapping equals mapping the standardization,
-    and that standardization embeds word moves into permutation moves."""
+    """Check that each word's standardization is a reading of its image,
+    whose coloring gives each letter its face, and that standardization
+    embeds word moves into permutation moves."""
     _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
@@ -241,23 +242,29 @@ def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
 
 
 def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
-    """commuting_diagram_check over the flip table of size sum(mu); the image
-    is compared with the simple shapes in it."""
+    """commuting_diagram_check over the flip table of size sum(mu).  Each
+    word w is mapped once: std(w) must be a reading of the image, each face
+    read before its parent, and letter w[k] must color face std(w)[k].  The
+    image is compared with the simple shapes in it."""
     n = sum(mu)
-    eps = block_coloring(mu)
     words = list(words_of_evaluation(mu))
     std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
     square_failures = []
-    image = set()
+    ups: dict[Triangulation, list[int]] = {}  # the image: each shape's face_tree parents
     edge_failures = []
     for w in words:
         sw = std[w]
         t, colors = colored_triangulation_from_word(w)
-        if colors != eps:
-            square_failures.append(f"{w}: coloring {colors} != {eps}")
-        if t != triangulation_from_permutation(sw):
-            square_failures.append(f"{w}: image disagrees with standardized image")
-        image.add(t)
+        up = ups.get(t)
+        if up is None:
+            up = ups[t] = face_tree(t)[3]
+        pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
+        for k, y in enumerate(sw):
+            pos[y] = k
+        if any(pos[up[y]] < pos[y] for y in sw):
+            square_failures.append(f"{w}: {sw} is not a reading of its image")
+        if any(colors[y - 1] != c for c, y in zip(w, sw)):
+            square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
         for i in range(n - 1):
             if w[i] == w[i + 1]:
                 continue
@@ -266,7 +273,7 @@ def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
             diff = [j for j in range(n) if sw[j] != sv[j]]
             if len(diff) != 2 or diff[1] != diff[0] + 1 or sw[diff[0]] != sv[diff[0] + 1]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
-    simple_set = {table.shapes[i] for i in table.simple(eps)}
+    simple_set = {table.shapes[i] for i in table.simple(block_coloring(mu))}
     return {
         "n": n,
         "mu": list(mu),
@@ -274,8 +281,8 @@ def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
         "square_failures": square_failures,
         "std_injective": len(set(std.values())) == len(words),
         "edge_failures": edge_failures,
-        "image_is_all_simple": image == simple_set,
-        "image_size": len(image),
+        "image_is_all_simple": ups.keys() == simple_set,
+        "image_size": len(ups),
         "simple_count": len(simple_set),
     }
 

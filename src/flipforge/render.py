@@ -96,8 +96,8 @@ def _document(panels: list[list[str]]) -> str:
 
 
 def render_triangulation(t: Triangulation, colors: Coloring | None = None,
-                         signs: Coloring | None = None, title: str = "") -> str:
-    return _document([_panel(t, colors, signs, 0.0, title)])
+                         signs: Coloring | None = None) -> str:
+    return _document([_panel(t, colors, signs, 0.0, "")])
 
 
 def render_sphere(s: SphereTriangulation) -> str:

@@ -26,7 +26,6 @@ from .flips import (
     flip,
     flip_between,
     flip_readings,
-    flip_row,
     mask_signs,
     signed_flip_diagonal,
     signed_moves,
@@ -40,44 +39,9 @@ class StateCapExceeded(RuntimeError):
     """A signed-state search outgrew its state cap."""
 
 
-class ConflictingSigningError(RuntimeError):
-    """One triangulation reached with two different signings in one closure."""
-
-
 class SignedState(NamedTuple):
     tri: Triangulation
     signs: Coloring
-
-
-def sigma_closure(start: SignedState, max_states: int = 1_000_000) -> frozenset[SignedState]:
-    """All signed states reachable from start by signed flips.
-
-    While exploring, checks that no triangulation shows up under two
-    different signings; a violation raises ConflictingSigningError.
-    """
-    if max_states < 1:
-        raise ValueError(f"state cap must be at least 1, got {max_states}")
-    seen = {start}
-    signs_of = {start.tri: start.signs}
-    queue = deque([start])
-    while queue:
-        tri, signs = queue.popleft()
-        # a closure holds one signing per shape, so each row is read once
-        for _, t2, signs2 in signed_moves(flip_row(tri), signs):
-            state = SignedState(t2, signs2)
-            if state in seen:
-                continue
-            known = signs_of.get(state.tri)
-            if known is not None and known != state.signs:
-                raise ConflictingSigningError(
-                    f"{canonical_key(state.tri)} reached with signs {known} and {state.signs}"
-                )
-            signs_of[state.tri] = state.signs
-            seen.add(state)
-            if len(seen) > max_states:
-                raise StateCapExceeded(f"closure exceeds {max_states} states")
-            queue.append(state)
-    return frozenset(seen)
 
 
 class StepWitness(NamedTuple):

@@ -117,15 +117,6 @@ def is_valid(t: Triangulation) -> bool:
     return not validate(t)
 
 
-def edge_adjacency(t: Triangulation) -> dict[int, set[int]]:
-    """Vertex adjacency of the polygon boundary together with the diagonals."""
-    adj: dict[int, set[int]] = {v: set() for v in t.ring.vertices}
-    for i, j in t.ring.boundary_edges() | set(t.diagonals):
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 def ears(t: Triangulation) -> set[int]:
     """Vertices of degree two, i.e. vertices met by no diagonal."""
     touched = {v for d in t.diagonals for v in d}
@@ -165,14 +156,16 @@ def faces(t: Triangulation) -> list[Face]:
 
 
 def third_vertex(t: Triangulation, i: int) -> int:
-    """The third vertex t_i of the unique face containing the edge {i, i+1}."""
+    """The third vertex t_i of the unique face containing the edge {i, i+1}:
+    face i + 1 = (i, i+1, hi[i+1]) if lo[i+1] == i, else face i =
+    (lo[i], i, i+1)."""
     if not 1 <= i <= t.n - 1:
         raise ValueError(f"edge index {i} out of range 1..{t.n - 1}")
-    adj = edge_adjacency(t)
-    common = adj[i] & adj[i + 1]
-    if len(common) != 1:
-        raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {sorted(common)}")
-    return common.pop()
+    problems = validate(t)
+    if problems:
+        raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {problems[0]}")
+    lo, hi = face_ends(t)
+    return hi[i + 1] if lo[i + 1] == i else lo[i]
 
 
 def up_mask(t: Triangulation) -> int:

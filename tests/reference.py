@@ -38,7 +38,6 @@ from flipforge.triangulation import (
     VertexRing as _VertexRing,
     all_triangulations,
     canonical_key,
-    edge_adjacency,
     face_ends,
     is_simple,
 )
@@ -221,6 +220,15 @@ def validate_by_crossings(t: Triangulation) -> list[str]:
         if bases != sorted(t.diagonals + ((0, infinity),)):
             problems.append(f"face bases {bases} are not the diagonals and the roof edge, each once")
     return problems
+
+
+def edge_adjacency(t: Triangulation) -> dict[int, set[int]]:
+    """Vertex adjacency of the polygon boundary together with the diagonals."""
+    adj: dict[int, set[int]] = {v: set() for v in t.ring.vertices}
+    for i, j in t.ring.boundary_edges() | set(t.diagonals):
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
 
 
 def quad_by_adjacency(t: Triangulation, d: Diagonal) -> FlipQuad:
@@ -427,6 +435,41 @@ def path_signable_by_faces(path: Sequence[Triangulation]) -> bool:
     """Free-start oracle: does any initial face signing survive the whole path?"""
     n = path[0].n
     return any(face_sign_walk(path, eps) is not None for eps in product((-1, 1), repeat=n))
+
+
+class ConflictingSigningError(RuntimeError):
+    """One triangulation reached with two different signings in one closure."""
+
+
+def sigma_closure(start: SignedState, max_states: int = 1_000_000) -> frozenset[SignedState]:
+    """All signed states reachable from start by signed flips.
+
+    While exploring, checks that no triangulation shows up under two
+    different signings; a violation raises ConflictingSigningError.
+    """
+    if max_states < 1:
+        raise ValueError(f"state cap must be at least 1, got {max_states}")
+    seen = {start}
+    signs_of = {start.tri: start.signs}
+    queue = deque([start])
+    while queue:
+        tri, signs = queue.popleft()
+        # a closure holds one signing per shape, so each row is read once
+        for _, t2, signs2 in signed_moves(flip_row(tri), signs):
+            state = SignedState(t2, signs2)
+            if state in seen:
+                continue
+            known = signs_of.get(state.tri)
+            if known is not None and known != state.signs:
+                raise ConflictingSigningError(
+                    f"{canonical_key(state.tri)} reached with signs {known} and {state.signs}"
+                )
+            signs_of[state.tri] = state.signs
+            seen.add(state)
+            if len(seen) > max_states:
+                raise StateCapExceeded(f"closure exceeds {max_states} states")
+            queue.append(state)
+    return frozenset(seen)
 
 
 class DictUnionFind:

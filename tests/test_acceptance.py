@@ -27,14 +27,13 @@ from flipforge.phi import colored_triangulation_from_word, insertion_trace
 from flipforge.signing import (
     Certificate,
     classify_step,
-    sigma_closure,
     sign_path_diagonals,
     validate_certificate,
 )
 from flipforge.triangulation import canonical_key
 from flipforge.words import destandardize, standardize
 
-from reference import path_signable_by_faces, signed_states, triangulation_from_key
+from reference import path_signable_by_faces, sigma_closure, signed_states, triangulation_from_key
 from refdata import CHAIN, CHAIN_KINDS
 from test_cli import run_cli
 from test_heawood import chain_sphere

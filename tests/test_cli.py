@@ -143,6 +143,13 @@ class TestTriangulationCommands:
         assert code == 1
         assert json.loads(out)["refused"]
 
+    def test_signed_flip_refusal_goes_to_the_output_file(self, capsys, tmp_path):
+        t_file, out_file = tmp_path / "t.json", tmp_path / "out.json"
+        t_file.write_text(json.dumps({"n": 3, "diagonals": [[0, 2], [0, 3]], "signs": [1, -1, 1]}))
+        code, out, err = run(capsys, "flip", str(t_file), "--d", "0,2", "-o", str(out_file))
+        assert (code, out, err) == (1, "", "")
+        assert json.loads(out_file.read_text())["refused"]
+
     def test_neighbors_modes(self, capsys, tmp_path):
         t_file = tmp_path / "t.json"
         t_file.write_text(

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from flipforge import flips, graphs, triangulation
+from flipforge import phi as phi_module
 from flipforge.graphs import (
     CombGraph,
     UnionFind,
@@ -335,7 +336,7 @@ class TestFlipTable:
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
 
     def test_flip_row_reads_the_face_ends_once(self, monkeypatch):
-        calls, adjacencies = [], []
+        calls = []
         real_face_ends = triangulation.face_ends
 
         def counting_face_ends(t):
@@ -344,7 +345,6 @@ class TestFlipTable:
 
         # flip_row reads the face ends through face_tree
         monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
-        monkeypatch.setattr(triangulation, "edge_adjacency", adjacencies.append)
         table = flips.flip_table(6)
         assert calls == []  # rows are built when read
         for i in range(CATALAN[6]):
@@ -352,7 +352,7 @@ class TestFlipTable:
             table.row(i)
         assert calls == table.shapes  # one per row, in row order
         assert len(calls) == CATALAN[6] == 132
-        assert adjacencies == []
+        assert not hasattr(triangulation, "edge_adjacency")  # no vertex adjacency to build
 
     def test_up_masks_are_the_faces_that_point_up(self):
         for n in range(9):
@@ -406,6 +406,36 @@ class TestDiagram:
     def test_audit_small(self):
         for n in range(1, 5):
             assert diagram_audit(n)["pass"]
+
+    @pytest.mark.parametrize("fault", ["shape", "colors"])
+    def test_square_fails_under_a_wrong_image(self, monkeypatch, fault):
+        real = graphs.colored_triangulation_from_word
+
+        def wrong(w):
+            t, colors = real(w)
+            if fault == "shape":  # the image of the reversed standardization
+                return phi(graphs.standardize(w)[::-1]), colors
+            return t, colors[::-1]
+
+        monkeypatch.setattr(graphs, "colored_triangulation_from_word", wrong)
+        rep = graphs._diagram_report(flips.flip_table(4), (2, 2))
+        assert len(rep["square_failures"]) == rep["words"] == 6
+        assert not diagram_audit(4)["pass"]
+
+    def test_maps_each_word_once(self, monkeypatch):
+        calls = []
+        real = phi_module.triangulation_from_permutation
+
+        def counting(sigma):
+            calls.append(sigma)
+            return real(sigma)
+
+        # phi is reached through colored_triangulation_from_word or directly
+        monkeypatch.setattr(phi_module, "triangulation_from_permutation", counting)
+        monkeypatch.setattr(graphs, "triangulation_from_permutation", counting)
+        assert diagram_audit(5)["pass"]
+        words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
+        assert sorted(calls) == sorted(graphs.standardize(w) for w in words)
 
     def test_shapes_are_enumerated_once_per_call(self, monkeypatch):
         calls = []

@@ -17,9 +17,10 @@ from flipforge.heawood import (
     sphere_faces,
     verify_coloring,
 )
-from flipforge.signing import SignedState, sigma_closure
+from flipforge.signing import SignedState
 from flipforge.triangulation import Triangulation, all_triangulations
 
+from reference import sigma_closure
 from refdata import EPS_END, EPS_START, PHI_324156, PHI_453126
 
 T_324156 = Triangulation(6, tuple(PHI_324156))

@@ -14,14 +14,12 @@ from flipforge.flips import flip, flip_row, signed_moves
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
     Certificate,
-    ConflictingSigningError,
     SignedPath,
     SignedState,
     StateCapExceeded,
     _class_bridge,
     classify_step,
     emit_word_certificate,
-    sigma_closure,
     sign_letters,
     sign_path_diagonals,
     signable_path_search,
@@ -35,6 +33,7 @@ from reference import (
     face_sign_walk,
     path_signable_by_faces,
     sign_path_diagonals_by_tracking,
+    sigma_closure,
     signable_path_by_states,
     sign_permutation_path,
 )
