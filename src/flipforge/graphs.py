@@ -128,28 +128,57 @@ def build_signed_state_graph(n: int) -> CombGraph:
     return CombGraph("signed", keys, adjacency)
 
 
+def _group_by_image(prefix: list[int], pred: list[int], succ: list[int], key: int,
+                    n: int, groups: dict[int, list[Word]]) -> None:
+    """Extend prefix by each live letter in increasing order, as phi reads
+    it: the letter's chord (p, s) to its live neighbours sets bit p*(n+2)+s
+    of key and the letter leaves the ring.  The last letter adds no chord,
+    so a full word is filed under key in groups; phi has one image per key."""
+    if len(prefix) >= n - 1:
+        groups.setdefault(key, []).append((*prefix, succ[0])[:n])  # the last live letter, if any
+        return
+    v = succ[0]
+    while v <= n:
+        p, s = pred[v], succ[v]
+        succ[p], pred[s] = s, p
+        prefix.append(v)
+        _group_by_image(prefix, pred, succ, key | 1 << (p * (n + 2) + s), n, groups)
+        prefix.pop()
+        succ[p] = pred[s] = v
+        v = s
+
+
+def _image_groups(n: int) -> list[list[Word]]:
+    """The permutations of 1..n grouped by their image under phi, without
+    mapping each one: groups in order of their least permutation, and each
+    group in increasing order, as ``itertools.permutations`` gives them."""
+    groups: dict[int, list[Word]] = {}
+    _group_by_image([], list(range(-1, n + 1)), list(range(1, n + 3)), 0, n, groups)
+    return list(groups.values())
+
+
 def fiber_report(n: int) -> dict:
-    """Group permutations by image and compare fibers with sylvester classes."""
+    """Group permutations by image and compare fibers with sylvester classes;
+    each fiber is mapped once, from its least permutation."""
     _check_n(n)
-    fibers: dict[Triangulation, set[Word]] = {}
-    for p in permutations(range(1, n + 1)):
-        fibers.setdefault(triangulation_from_permutation(p), set()).add(p)
+    images: set[Triangulation] = set()
     mismatches = []
     last_letter_ok = True
-    for t, fiber in fibers.items():
-        rep = next(iter(fiber))
-        if sylvester_class(rep) != fiber:
-            mismatches.append(canonical_key(t))
-        if len({w[-1] for w in fiber}) != 1:
+    for fiber in _image_groups(n):
+        t = triangulation_from_permutation(fiber[0])
+        if sylvester_class(fiber[0]) != set(fiber) or t in images:
+            mismatches.append(canonical_key(t))  # two groups with one image are a mismatch too
+        images.add(t)
+        if len({w[-1] for w in fiber if w}) > 1:
             last_letter_ok = False
     return {
         "n": n,
-        "images": len(fibers),
+        "images": len(images),
         "catalan": catalan(n),
-        "count_matches": len(fibers) == catalan(n),
+        "count_matches": len(images) == catalan(n),
         "class_mismatches": mismatches,
         "last_letter_constant": last_letter_ok,
-        "pass": len(fibers) == catalan(n) and not mismatches,
+        "pass": len(images) == catalan(n) and not mismatches,
     }
 
 
@@ -222,13 +251,22 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
 
 
 def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
-    """Every word with evaluation mu, each once, in increasing order."""
-    if not any(mu):
-        yield ()
-    for c, m in enumerate(mu):
-        if m:
-            for rest in words_of_evaluation(mu[:c] + (m - 1,) + mu[c + 1 :]):
-                yield (c + 1,) + rest
+    """Every word with evaluation mu, each once, in increasing order: the
+    next word swaps the last ascent's letter with the least greater letter
+    after it, then reverses the tail."""
+    w = list(block_coloring(mu))
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
 
 
 def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
@@ -269,9 +307,7 @@ def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
             if w[i] == w[i + 1]:
                 continue
             v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-            sv = std[v]
-            diff = [j for j in range(n) if sw[j] != sv[j]]
-            if len(diff) != 2 or diff[1] != diff[0] + 1 or sw[diff[0]] != sv[diff[0] + 1]:
+            if std[v] != sw[:i] + (sw[i + 1], sw[i]) + sw[i + 2 :]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
     simple_set = {table.shapes[i] for i in table.simple(block_coloring(mu))}
     return {

@@ -39,7 +39,7 @@ def block_coloring(mu: tuple[int, ...]) -> Word:
 
 def standardize(w: Word) -> Word:
     """Replace equal letters by increasing runs, left to right, smallest first."""
-    order = sorted(range(len(w)), key=lambda i: (w[i], i))
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: equal letters keep their order
     std = [0] * len(w)
     for rank, i in enumerate(order, start=1):
         std[i] = rank
@@ -117,11 +117,11 @@ class SylvesterWitness(NamedTuple):
 def exchange_witness(w: Word, i: int) -> int | None:
     """Position of the first later letter y with x <= y < z, where x < z are the
     letters at positions i, i+1: the exchange is allowed iff there is one."""
-    x, z = sorted((w[i], w[i + 1]))
-    if x == z:
-        return None
-    for k, y in enumerate(w[i + 2 :], i + 2):
-        if x <= y < z:
+    x, z = w[i], w[i + 1]
+    if z < x:
+        x, z = z, x
+    for k in range(i + 2, len(w)):
+        if x <= w[k] < z:  # never when x == z
             return k
     return None
 

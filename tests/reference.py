@@ -627,6 +627,23 @@ def phi_morphism_check(n: int) -> dict:
     }
 
 
+def fibers_by_phi(n: int) -> dict[Triangulation, set[Word]]:
+    """The permutations of 1..n grouped by mapping each one with phi, the
+    images in order of first appearance."""
+    fibers: dict[Triangulation, set[Word]] = {}
+    for p in permutations(range(1, n + 1)):
+        fibers.setdefault(triangulation_from_permutation(p), set()).add(p)
+    return fibers
+
+
+def exchange_witness_by_scan(w: Word, i: int) -> int | None:
+    """The least position k > i + 1 whose letter lies in [min, max) of the
+    pair at i, i + 1, found by listing every such position."""
+    lo, hi = min(w[i], w[i + 1]), max(w[i], w[i + 1])
+    found = [k for k, y in enumerate(w) if k > i + 1 and lo <= y < hi]
+    return found[0] if found else None
+
+
 def reading_closure_check(n: int) -> dict:
     """Readings of every triangulation must equal one whole sylvester class."""
     failures = []

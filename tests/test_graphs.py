@@ -35,6 +35,7 @@ from reference import (
     DictUnionFind,
     catalan_by_recurrence,
     faces_by_ears,
+    fibers_by_phi,
     graph_components,
     is_connected,
     phi_morphism_check,
@@ -139,6 +140,52 @@ class TestFibers:
             assert rep["images"] == CATALAN[n]
             assert rep["class_mismatches"] == []
             assert rep["last_letter_constant"]
+
+    def test_groups_equal_the_phi_fibers(self):
+        for n in range(8):
+            groups = graphs._image_groups(n)
+            fibers = fibers_by_phi(n)
+            assert {frozenset(g) for g in groups} == {frozenset(f) for f in fibers.values()}
+            assert len(groups) == len(fibers) == CATALAN[n]
+            # in the order phi first reaches each image, each group increasing
+            assert [g[0] for g in groups] == [min(f) for f in fibers.values()]
+            assert all(g == sorted(g) for g in groups)
+
+    def test_maps_and_walks_each_fiber_once(self, monkeypatch):
+        mapped, walked = [], []
+        real_phi, real_class = graphs.triangulation_from_permutation, graphs.sylvester_class
+
+        def counting_phi(sigma):
+            mapped.append(sigma)
+            return real_phi(sigma)
+
+        def counting_class(w):
+            walked.append(w)
+            return real_class(w)
+
+        monkeypatch.setattr(graphs, "triangulation_from_permutation", counting_phi)
+        monkeypatch.setattr(graphs, "sylvester_class", counting_class)
+        assert fiber_report(7)["pass"]
+        assert len(mapped) == len(walked) == CATALAN[7] == 429
+        assert mapped == [min(f) for f in fibers_by_phi(7).values()]
+
+    def test_fails_when_the_classes_are_wrong(self, monkeypatch):
+        monkeypatch.setattr(graphs, "sylvester_class", lambda w: frozenset({w}))
+        rep = fiber_report(4)
+        assert rep["class_mismatches"] != []
+        assert not rep["pass"]
+
+    def test_fails_when_two_groups_share_an_image(self, monkeypatch):
+        monkeypatch.setattr(graphs, "triangulation_from_permutation", lambda sigma: phi((1, 2, 3)))
+        rep = fiber_report(3)
+        assert rep["images"] == 1 and len(rep["class_mismatches"]) == CATALAN[3] - 1
+        assert not rep["pass"]
+
+    def test_every_suite_passes_at_n0(self):
+        for suite in graphs.SUITES:
+            rep = graphs.run_suite(suite, 0)
+            assert rep["suite"] == suite and rep["n"] == 0 and rep["pass"]
+        assert fiber_report(0)["last_letter_constant"]
 
 
 class TestHomogeneous:
@@ -422,6 +469,15 @@ class TestDiagram:
         assert len(rep["square_failures"]) == rep["words"] == 6
         assert not diagram_audit(4)["pass"]
 
+    def test_edge_check_needs_the_move_at_its_own_position(self, monkeypatch):
+        # reversed standardizations are one move apart at n - 2 - i, not at i
+        real = graphs.standardize
+        monkeypatch.setattr(graphs, "standardize", lambda w: real(w)[::-1])
+        rep = graphs._diagram_report(flips.flip_table(4), (2, 2))
+        moved = [(w, i) for w in words_of_evaluation((2, 2)) for i in range(3) if w[i] != w[i + 1]]
+        assert len(rep["edge_failures"]) == sum(i != 1 for _, i in moved) > 0
+        assert rep["std_injective"]
+
     def test_maps_each_word_once(self, monkeypatch):
         calls = []
         real = phi_module.triangulation_from_permutation
@@ -516,7 +572,7 @@ class TestCompositions:
         ws = list(words_of_evaluation((2, 1)))
         assert ws == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
         assert len(list(words_of_evaluation((1, 3, 2)))) == 60
-        for mu in ((1, 3, 2), (2, 2), (3,), (1, 1, 1, 1)):
+        for mu in ((1, 3, 2), (2, 2), (3,), (1, 1, 1, 1), (0, 2), (2, 0, 1), (0, 0), ()):
             assert list(words_of_evaluation(mu)) == sorted(set(itertools.permutations(block_coloring(mu))))
 
 

@@ -14,6 +14,7 @@ from flipforge.words import (
     delta_profile,
     destandardize,
     evaluation,
+    exchange_witness,
     format_word,
     parse_word,
     respects_blocks,
@@ -23,7 +24,7 @@ from flipforge.words import (
     sylvester_neighbors,
 )
 
-from reference import format_signed_word, parse_signed_word
+from reference import exchange_witness_by_scan, format_signed_word, parse_signed_word
 from refdata import CHAIN, CLASS_BBCBCA, READINGS_235461
 
 BBCBCA = (2, 2, 3, 2, 3, 1)
@@ -59,6 +60,33 @@ class TestStandardize:
                 assert sigma[i] > sigma[j]
             else:  # ties broken left to right
                 assert sigma[i] < sigma[j]
+
+
+def words_up_to(n):
+    """Every word of every evaluation with total at most n."""
+    return [w for k in range(n + 1) for mu in compositions(k, k) for w in words_of_evaluation(mu)]
+
+
+def standardize_by_position_sort(w):
+    order = sorted(range(len(w)), key=lambda i: (w[i], i))
+    return tuple(order.index(i) + 1 for i in range(len(w)))
+
+
+class TestExchangeRule:
+    def test_witness_equals_the_scan_on_every_word(self):
+        for w in words_up_to(7):
+            for i in range(len(w) - 1):
+                assert exchange_witness(w, i) == exchange_witness_by_scan(w, i)
+
+    @given(st.lists(st.integers(2**64 - 3, 2**64 + 3) | st.integers(1, 2**70), min_size=2, max_size=9).map(tuple))
+    def test_rules_on_big_letters(self, w):
+        for i in range(len(w) - 1):
+            assert exchange_witness(w, i) == exchange_witness_by_scan(w, i)
+        assert standardize(w) == standardize_by_position_sort(w)
+
+    def test_standardize_equals_the_letter_then_position_sort(self):
+        for w in words_up_to(7):
+            assert standardize(w) == standardize_by_position_sort(w)
 
 
 class TestDestandardize:
