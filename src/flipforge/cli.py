@@ -296,9 +296,9 @@ def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = [report for report, _ in graphs.run_battery(suites, args.n, args.seed)]
     ok = all(r["pass"] for r in reports)
-    for r in reports:
-        sys.stdout.write(jsonio.dumps(r) + "\n")
-    sys.stdout.write(jsonio.dumps({"pass": ok, "suites": list(suites), "max_n": args.n}) + "\n")
+    lines = [jsonio.dumps(r) for r in reports]
+    lines.append(jsonio.dumps({"pass": ok, "suites": list(suites), "max_n": args.n}))
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1
 
 

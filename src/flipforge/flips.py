@@ -17,7 +17,9 @@ from .triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
+    chord_code,
     face_tree,
+    from_chord_code,
     is_simple,
     rise_mask,
     up_mask,
@@ -119,7 +121,8 @@ def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[
 def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
     """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
     the labels of the two faces it exchanges.  Signs and colors never change a
-    row, so every flip loop reads one; one read of the face ends serves the row."""
+    row; one read of the face ends serves it.  ``ShapeTable.row`` numbers the
+    same flips by chord code instead of building each result."""
     return [(quad.old, _flipped(t, quad), *quad.labels) for quad in _quads(t)]
 
 
@@ -127,13 +130,15 @@ class ShapeTable:
     """The shapes of one traversal, numbered in the order they are added,
     and their flip rows over those numbers.
 
-    ``row(i)`` is built from one ``flip_row`` the first time it is asked
-    for, and a flip result not yet in the table is added to it.  The entry
-    (j, mask, b, c, d) flips shape i across its diagonal d to shape j,
-    exchanging faces b < c, in diagonal order.  A signing is a bitmask with
-    bit n - k set when face k is positive, and mask holds the bits of faces
-    b and c: a signed flip of s is legal iff ``s & mask in (0, mask)`` and
-    gives ``s ^ mask``.
+    Shapes are keyed by ``chord_code``: ``row(i)`` is built the first time
+    it is asked for, from one pass over shape i's flip quadrilaterals, and
+    each flip result is the code with the old diagonal's bit swapped for the
+    new one's.  Only a code not yet in the table is decoded, and the shape
+    is added to it.  The entry (j, mask, b, c, d) flips shape i across its
+    diagonal d to shape j, exchanging faces b < c, in diagonal order.
+    A signing is a bitmask with bit n - k set when face k is positive, and
+    mask holds the bits of faces b and c: a signed flip of s is legal iff
+    ``s & mask in (0, mask)`` and gives ``s ^ mask``.
 
     ``up(i)`` is shape i's ``up_mask``, likewise computed on first read, so
     ``simple(eps)`` tests each shape against a coloring with one AND.
@@ -141,7 +146,7 @@ class ShapeTable:
 
     def __init__(self, shapes: Iterable[Triangulation]):
         self.shapes = list(shapes)
-        self.index = {t: i for i, t in enumerate(self.shapes)}
+        self.index = {chord_code(t): i for i, t in enumerate(self.shapes)}
         self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
         self._ups: dict[int, int] = {}
 
@@ -149,8 +154,13 @@ class ShapeTable:
         row = self._rows.get(i)
         if row is None:
             t = self.shapes[i]
-            row = self._rows[i] = [(self._number(t2), 1 << (t.n - b) | 1 << (t.n - c), b, c, d)
-                                   for d, t2, b, c in flip_row(t)]
+            n, w, code = t.n, t.n + 2, chord_code(t)
+            row = []
+            for q in _quads(t):
+                (i1, j1), (i2, j2) = q.old, q.new
+                j = self._number(n, code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2)
+                row.append((j, 1 << (n - q.b) | 1 << (n - q.c), q.b, q.c, q.old))
+            self._rows[i] = row
         return row
 
     def up(self, i: int) -> int:
@@ -167,11 +177,11 @@ class ShapeTable:
         falls = ~rise_mask(eps)
         return [i for i in range(len(self.shapes)) if not self.up(i) & falls]
 
-    def _number(self, t: Triangulation) -> int:
-        j = self.index.get(t)
+    def _number(self, n: int, code: int) -> int:
+        j = self.index.get(code)
         if j is None:
-            j = self.index[t] = len(self.shapes)
-            self.shapes.append(t)
+            j = self.index[code] = len(self.shapes)
+            self.shapes.append(from_chord_code(n, code))
         return j
 
 

@@ -38,7 +38,12 @@ HOMOGENEOUS_SAMPLES = 50  # random colorings per homogeneous audit
 def size_limit() -> int:
     """Upper bound on n for whole-family enumerations (env FLIPFORGE_MAX_N)."""
     raw = os.environ.get("FLIPFORGE_MAX_N")
-    return int(raw) if raw else DEFAULT_MAX_N
+    if not raw:
+        return DEFAULT_MAX_N
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"FLIPFORGE_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _check_n(n: int) -> None:
@@ -133,7 +138,8 @@ def _group_by_image(prefix: list[int], pred: list[int], succ: list[int], key: in
     """Extend prefix by each live letter in increasing order, as phi reads
     it: the letter's chord (p, s) to its live neighbours sets bit p*(n+2)+s
     of key and the letter leaves the ring.  The last letter adds no chord,
-    so a full word is filed under key in groups; phi has one image per key."""
+    so a full word is filed under key in groups: the key is the
+    ``chord_code`` of the word's image, so phi has one image per key."""
     if len(prefix) >= n - 1:
         groups.setdefault(key, []).append((*prefix, succ[0])[:n])  # the last live letter, if any
         return

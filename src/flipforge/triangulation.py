@@ -211,6 +211,23 @@ def canonical_key(t: Triangulation) -> str:
     return f"{t.n}:" + ";".join(f"{i}-{j}" for i, j in t.diagonals)
 
 
+def chord_code(t: Triangulation) -> int:
+    """Integer key: bit i*(n+2)+j set for each diagonal (i, j)."""
+    w = t.n + 2
+    return sum(1 << i * w + j for i, j in t.diagonals)
+
+
+def from_chord_code(n: int, code: int) -> Triangulation:
+    """The triangulation of size n whose ``chord_code`` is code.  As j < n+2,
+    reading the set bits from low to high reads the diagonals in order."""
+    diagonals = []
+    while code:
+        low = code & -code
+        diagonals.append(divmod(low.bit_length() - 1, n + 2))
+        code ^= low
+    return Triangulation(n, tuple(diagonals))
+
+
 def all_triangulations(n: int) -> Iterator[Triangulation]:
     """Enumerate every triangulation of the (n+2)-gon (c_n of them)."""
 

@@ -304,18 +304,18 @@ class TestGraphAndVerify:
 
     def test_verify_builds_each_table_and_row_once(self, capsys, monkeypatch):
         tables, rows = [], []
-        real_table, real_row = graphs.flip_table, flips.flip_row
+        real_table, real_quads = graphs.flip_table, flips._quads
 
         def counting_table(n):
             tables.append(n)
             return real_table(n)
 
-        def counting_row(t):
+        def counting_quads(t):  # one call per row built
             rows.append(t)
-            return real_row(t)
+            return real_quads(t)
 
         monkeypatch.setattr(graphs, "flip_table", counting_table)
-        monkeypatch.setattr(flips, "flip_row", counting_row)
+        monkeypatch.setattr(flips, "_quads", counting_quads)
         counts = []
         for _ in range(2):  # a table that outlived one battery would make the second cheaper
             tables.clear()
@@ -325,6 +325,15 @@ class TestGraphAndVerify:
             assert tables == [1, 2, 3, 4, 5, 6]  # one table per size, shared by the suites
             assert len(rows) == len(set(rows)) == sum(CATALAN[1:7])  # ref1 reads every row once
         assert counts[0] == counts[1]
+
+    def test_verify_writes_to_the_output_file(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "4", "--seed", "2")
+        assert code == 0 and out
+        f = tmp_path / "verify.jsonl"
+        code, out_with_file, err = run(capsys, "verify", "--suite", "all", "--n", "4",
+                                       "--seed", "2", "-o", str(f))
+        assert (code, out_with_file, err) == (0, "", "")
+        assert f.read_bytes() == out.encode()
 
     def test_verify_seeded(self, capsys):
         a = run(capsys, "verify", "--suite", "homogeneous", "--n", "3", "--seed", "5")
@@ -412,6 +421,12 @@ class TestErrorHandling:
         code, _, err = run(capsys, "graph", "--kind", "flip", "--n", "6")
         assert code == 1
         assert "FLIPFORGE_MAX_N" in err
+
+    def test_env_cap_that_is_not_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLIPFORGE_MAX_N", "abc")
+        code, out, err = run(capsys, "verify", "--n", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: FLIPFORGE_MAX_N must be an integer, got 'abc'\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "heawood-check", "/nonexistent/sphere.json")

@@ -28,7 +28,7 @@ from flipforge.graphs import (
 )
 from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
-from flipforge.triangulation import all_triangulations, canonical_key
+from flipforge.triangulation import all_triangulations, canonical_key, chord_code
 from flipforge.words import block_coloring
 
 from reference import (
@@ -150,6 +150,14 @@ class TestFibers:
             # in the order phi first reaches each image, each group increasing
             assert [g[0] for g in groups] == [min(f) for f in fibers.values()]
             assert all(g == sorted(g) for g in groups)
+
+    def test_group_keys_are_chord_codes(self):
+        for n in range(7):
+            groups = {}
+            graphs._group_by_image([], list(range(-1, n + 1)), list(range(1, n + 3)), 0, n, groups)
+            assert len(groups) == CATALAN[n]
+            for key, words in groups.items():
+                assert all(chord_code(phi(w)) == key for w in words)
 
     def test_maps_and_walks_each_fiber_once(self, monkeypatch):
         mapped, walked = [], []
@@ -337,15 +345,16 @@ class TestReachability:
 
 
 def count_rows(monkeypatch) -> list:
-    """Record the shape of every flips.flip_row call for the rest of the test."""
+    """Record the shape of every flips._quads call, one per row built, for
+    the rest of the test."""
     calls = []
-    real_flip_row = flips.flip_row
+    real_quads = flips._quads
 
-    def counting_flip_row(t):
+    def counting_quads(t):
         calls.append(t)
-        return real_flip_row(t)
+        return real_quads(t)
 
-    monkeypatch.setattr(flips, "flip_row", counting_flip_row)
+    monkeypatch.setattr(flips, "_quads", counting_quads)
     return calls
 
 
@@ -360,7 +369,7 @@ class TestFlipTable:
         for n in range(6):
             table = flips.flip_table(n)
             index = {t: i for i, t in enumerate(table.shapes)}
-            assert table.index == index
+            assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
             assert [canonical_key(t) for t in table.shapes] == sorted(map(canonical_key, table.shapes))
             bits = {flips.mask_signs(s, n): s for s in range(1 << n)}
             for i, t in enumerate(table.shapes):
@@ -374,13 +383,28 @@ class TestFlipTable:
                     assert moves == [(index[t2], bits[signs2]) for _, t2, signs2 in signed]
 
     def test_rows_carry_the_face_labels(self):
-        for n in range(1, 6):
+        for n in range(1, 9):
             table = flips.flip_table(n)
             rows = [table.row(i) for i in range(CATALAN[n])]
             assert len(table.shapes) == len(rows) == CATALAN[n]  # every row read, no shape added
             for t, row in zip(table.shapes, rows):
                 assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
+
+    def test_lazy_table_walks_every_shape(self):
+        # rows numbered by chord code against flip_row, which builds each result
+        start = phi((3, 5, 1, 7, 2, 6, 4))
+        table = flips.ShapeTable([start])
+        i = 0
+        while i < len(table.shapes):
+            t = table.shapes[i]
+            row = table.row(i)
+            assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
+            assert all(m == 1 << (7 - b) | 1 << (7 - c) for _, m, b, c, _ in row)
+            i += 1
+        assert len(table.shapes) == CATALAN[7]
+        assert set(table.shapes) == set(all_triangulations(7))
+        assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
 
     def test_flip_row_reads_the_face_ends_once(self, monkeypatch):
         calls = []
@@ -584,6 +608,12 @@ class TestCaps:
             build_flip_graph(4)
         monkeypatch.delenv("FLIPFORGE_MAX_N")
         assert build_flip_graph(4) is not None
+
+    def test_env_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("FLIPFORGE_MAX_N", "abc")
+        with pytest.raises(ValueError) as info:
+            size_limit()
+        assert str(info.value) == "FLIPFORGE_MAX_N must be an integer, got 'abc'"
 
     def test_env_override_raises_the_cap(self, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "9")

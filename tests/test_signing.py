@@ -275,13 +275,13 @@ class TestSignablePathSearch:
 
     def test_no_row_outlives_one_call(self, monkeypatch):
         calls = []
-        real_flip_row = flips.flip_row
+        real_quads = flips._quads
 
-        def counting_flip_row(t):
+        def counting_quads(t):  # one call per row built
             calls.append(t)
-            return real_flip_row(t)
+            return real_quads(t)
 
-        monkeypatch.setattr(flips, "flip_row", counting_flip_row)
+        monkeypatch.setattr(flips, "_quads", counting_quads)
         start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper

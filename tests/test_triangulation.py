@@ -14,10 +14,12 @@ from flipforge.triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
+    chord_code,
     ears,
     face_ends,
     face_tree,
     faces,
+    from_chord_code,
     is_simple,
     is_valid,
     third_vertex,
@@ -359,6 +361,28 @@ class TestKeys:
 
     def test_equal_objects_equal_keys(self):
         assert canonical_key(tri(3, (3, 1), (0, 3))) == canonical_key(tri(3, (0, 3), (1, 3)))
+
+    def test_chord_code_example(self):
+        # bit i*(n+2)+j per diagonal (i, j): (0, 2) is bit 2 and (1, 3) bit 8
+        assert chord_code(tri(2, (0, 2))) == 1 << 2
+        assert chord_code(tri(3, (3, 1), (0, 3))) == 1 << 3 | 1 << 8
+        assert from_chord_code(3, 1 << 3 | 1 << 8).diagonals == ((0, 3), (1, 3))
+        assert chord_code(tri(0)) == 0 and from_chord_code(0, 0) == tri(0)
+
+    def test_chord_code_round_trip(self):
+        for n in range(0, 9):
+            codes = set()
+            for t in all_triangulations(n):
+                code = chord_code(t)
+                assert from_chord_code(n, code) == t
+                codes.add(code)
+            assert len(codes) == CATALAN[n]
+        rng = random.Random(80)
+        for w in (list(range(1, 81)), list(range(80, 0, -1)), rng.sample(range(1, 81), 80)):
+            t = triangulation_from_permutation(tuple(w))
+            code = chord_code(t)
+            assert code.bit_length() > 64  # past a machine word
+            assert from_chord_code(80, code) == t
 
     @given(st.integers(0, 6), st.randoms())
     def test_key_is_injective_on_samples(self, n, rng):
