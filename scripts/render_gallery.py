@@ -10,6 +10,7 @@ import argparse
 import pathlib
 import sys
 
+from flipforge.graphs import size_limit
 from flipforge.heawood import mirror_sphere
 from flipforge.render import render_sphere, render_triangulation
 from flipforge.triangulation import all_triangulations, canonical_key
@@ -22,6 +23,15 @@ def main() -> int:
     parser.add_argument("--spheres", action="store_true",
                         help="also render a mirror-glued sphere per shape")
     args = parser.parse_args()
+
+    try:
+        cap = size_limit()
+        if not 0 <= args.n <= cap:
+            raise ValueError(f"--n must lie in 0..{cap}, got {args.n}; "
+                             "set FLIPFORGE_MAX_N to raise the cap")
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -165,12 +165,15 @@ def cmd_neighbors(args) -> int:
     t, colors, signs = _load_triangulation(args.file)
     mode = args.mode
     if mode == "plain":
-        out = [jsonio.triangulation_to_dict(t2) for _, t2, _, _ in flips.flip_row(t)]
+        table = flips.ShapeTable([t])
+        out = [jsonio.triangulation_to_dict(table.shapes[j]) for j, *_ in table.row(0)]
     elif mode == "signed":
         if signs is None:
             raise ValueError("signed neighbors need a 'signs' entry")
-        moves = flips.signed_moves(flips.flip_row(t), signs)
-        out = [jsonio.triangulation_to_dict(t2, signs=signs2) for _, t2, signs2 in moves]
+        table = flips.ShapeTable([t])
+        moves = [(table.shapes[j], flips.flip_signs(signs, b, c)) for j, _, b, c, _ in table.row(0)]
+        out = [jsonio.triangulation_to_dict(t2, signs=signs2) for t2, signs2 in moves
+               if signs2 is not None]
     else:
         if colors is None:
             raise ValueError(f"{mode} neighbors need a 'colors' entry")

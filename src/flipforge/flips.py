@@ -19,7 +19,6 @@ from .triangulation import (
     canonical_key,
     chord_code,
     face_tree,
-    from_chord_code,
     is_simple,
     rise_mask,
     up_mask,
@@ -118,12 +117,14 @@ def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[
     return words[0], words[1]
 
 
-def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
-    """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
-    the labels of the two faces it exchanges.  Signs and colors never change a
-    row; one read of the face ends serves it.  ``ShapeTable.row`` numbers the
-    same flips by chord code instead of building each result."""
-    return [(quad.old, _flipped(t, quad), *quad.labels) for quad in _quads(t)]
+def flip_signs(signs: Coloring, b: int, c: int) -> Coloring | None:
+    """The signed flip rule on face signs: faces b and c must carry equal
+    signs, and the flip negates both; None if their signs differ."""
+    if signs[b - 1] != signs[c - 1]:
+        return None
+    signs2 = list(signs)
+    signs2[b - 1] = signs2[c - 1] = -signs[b - 1]
+    return tuple(signs2)
 
 
 class ShapeTable:
@@ -133,9 +134,10 @@ class ShapeTable:
     Shapes are keyed by ``chord_code``: ``row(i)`` is built the first time
     it is asked for, from one pass over shape i's flip quadrilaterals, and
     each flip result is the code with the old diagonal's bit swapped for the
-    new one's.  Only a code not yet in the table is decoded, and the shape
-    is added to it.  The entry (j, mask, b, c, d) flips shape i across its
-    diagonal d to shape j, exchanging faces b < c, in diagonal order.
+    new one's.  Only a code not yet in the table is built into a shape, by
+    the flip that reached it, and added.  The entry (j, mask, b, c, d) flips
+    shape i across its diagonal d to shape j, exchanging faces b < c, in
+    diagonal order.
     A signing is a bitmask with bit n - k set when face k is positive, and
     mask holds the bits of faces b and c: a signed flip of s is legal iff
     ``s & mask in (0, mask)`` and gives ``s ^ mask``.
@@ -158,7 +160,7 @@ class ShapeTable:
             row = []
             for q in _quads(t):
                 (i1, j1), (i2, j2) = q.old, q.new
-                j = self._number(n, code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2)
+                j = self._number(code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2, t, q)
                 row.append((j, 1 << (n - q.b) | 1 << (n - q.c), q.b, q.c, q.old))
             self._rows[i] = row
         return row
@@ -177,11 +179,11 @@ class ShapeTable:
         falls = ~rise_mask(eps)
         return [i for i in range(len(self.shapes)) if not self.up(i) & falls]
 
-    def _number(self, n: int, code: int) -> int:
+    def _number(self, code: int, t: Triangulation, quad: FlipQuad) -> int:
         j = self.index.get(code)
         if j is None:
             j = self.index[code] = len(self.shapes)
-            self.shapes.append(from_chord_code(n, code))
+            self.shapes.append(_flipped(t, quad))
         return j
 
 
@@ -197,37 +199,30 @@ def mask_signs(s: int, n: int) -> Coloring:
     return tuple(1 if s >> (n - k) & 1 else -1 for k in range(1, n + 1))
 
 
-def signed_moves(row, signs: Coloring) -> Iterator[tuple[Diagonal, Triangulation, Coloring]]:
-    """The signed flips of a row: each diagonal whose two faces carry equal
-    signs flips and negates both, giving (diagonal, result, new signs)."""
-    for d, t2, b, c in row:
-        if signs[b - 1] == signs[c - 1]:
-            signs2 = list(signs)
-            signs2[b - 1] = signs2[c - 1] = -signs[b - 1]
-            yield d, t2, tuple(signs2)
-
-
 def signed_flip(
     t: Triangulation, signs: Coloring, d: Diagonal
 ) -> tuple[Triangulation, Coloring] | None:
     """Flip d if its two faces carry equal signs, negating both; else None."""
     t2, quad = flip(t, d)
-    for _, t2, signs2 in signed_moves([(quad.old, t2, *quad.labels)], signs):
-        return t2, signs2
-    return None
+    signs2 = flip_signs(signs, *quad.labels)
+    return None if signs2 is None else (t2, signs2)
 
 
 def homogeneous_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
     """Flips whose two faces share a color; the coloring is unchanged."""
-    return [(t2, eps) for _, t2, b, c in flip_row(t) if eps[b - 1] == eps[c - 1]]
+    table = ShapeTable([t])
+    return [(table.shapes[j], eps) for j, _, b, c, _ in table.row(0) if eps[b - 1] == eps[c - 1]]
 
 
 def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
     """Different-color flips from a simple state whose result stays simple."""
     if not is_simple(t, eps):
         raise ValueError("switched flips are only defined between simple colored triangulations")
-    return [(t2, eps) for _, t2, b, c in flip_row(t)
-            if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)]
+    table = ShapeTable([t])
+    row = table.row(0)  # adds the results to the table before simple() reads it
+    simple = set(table.simple(eps))
+    return [(table.shapes[j], eps) for j, _, b, c, _ in row
+            if eps[b - 1] != eps[c - 1] and j in simple]
 
 
 @dataclass

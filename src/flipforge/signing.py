@@ -26,9 +26,9 @@ from .flips import (
     flip,
     flip_between,
     flip_readings,
+    flip_signs,
     mask_signs,
     signed_flip_diagonal,
-    signed_moves,
 )
 from .phi import canonical_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
@@ -116,10 +116,10 @@ class SignedPath:
         state = self.start
         for k, d in enumerate(self.flips):
             t2, quad = flip(state.tri, d)
-            move = next(signed_moves([(quad.old, t2, *quad.labels)], state.signs), None)
-            if move is None:
+            signs2 = flip_signs(state.signs, *quad.labels)
+            if signs2 is None:
                 raise ValueError(f"recorded flip {d} is refused at step {k}")
-            after = SignedState(t2, move[2])
+            after = SignedState(t2, signs2)
             yield state, quad, after
             state = after
         if state != self.end:

@@ -8,7 +8,7 @@ library against them.
 from collections import deque
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from flipforge.flips import (
     DiagonalSigning,
@@ -16,9 +16,7 @@ from flipforge.flips import (
     ShapeTable,
     flip,
     flip_quad,
-    flip_row,
     signed_flip,
-    signed_moves,
 )
 from flipforge.graphs import CombGraph, catalan
 from flipforge.phi import colored_readings, readings, triangulation_from_permutation
@@ -240,6 +238,27 @@ def quad_by_adjacency(t: Triangulation, d: Diagonal) -> FlipQuad:
         raise ValueError(f"diagonal {d} does not bound exactly two faces")
     u, v = sorted(common)
     return FlipQuad(*sorted((d[0], d[1], u, v)), old=d, new=(u, v))
+
+
+def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
+    """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
+    the labels of the two faces it exchanges: the object route, one public
+    ``flip`` per diagonal, that ``ShapeTable.row`` must equal."""
+    row = []
+    for d in t.diagonals:
+        t2, quad = flip(t, d)
+        row.append((d, t2, *quad.labels))
+    return row
+
+
+def signed_moves(row, signs: Coloring) -> Iterator[tuple[Diagonal, Triangulation, Coloring]]:
+    """The signed flips of a flip_row: each diagonal whose two faces carry
+    equal signs flips and negates both, giving (diagonal, result, new signs)."""
+    for d, t2, b, c in row:
+        if signs[b - 1] == signs[c - 1]:
+            signs2 = list(signs)
+            signs2[b - 1] = signs2[c - 1] = -signs[b - 1]
+            yield d, t2, tuple(signs2)
 
 
 def readings_exchange_oracle(
@@ -571,6 +590,17 @@ def triangulation_from_key(key: str) -> Triangulation:
             i, _, j = part.partition("-")
             diags.append((int(i), int(j)))
     return Triangulation(int(head), tuple(diags))
+
+
+def from_chord_code(n: int, code: int) -> Triangulation:
+    """The triangulation of size n whose ``chord_code`` is code.  As j < n+2,
+    reading the set bits from low to high reads the diagonals in order."""
+    diagonals = []
+    while code:
+        low = code & -code
+        diagonals.append(divmod(low.bit_length() - 1, n + 2))
+        code ^= low
+    return Triangulation(n, tuple(diagonals))
 
 
 def parse_signed_word(text: str) -> SignedWord:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,10 @@ import pytest
 
 from flipforge import cli, flips, graphs
 from flipforge.cli import main
+from flipforge.phi import colored_triangulation_from_word
+from flipforge.triangulation import is_simple
 
+from reference import flip_row, signed_moves
 from refdata import CATALAN, CHAIN, PHI_235461, READINGS_235461
 
 SPHERE_LIST_SIGNS = json.dumps(
@@ -161,6 +165,30 @@ class TestTriangulationCommands:
         switched = run_json(capsys, "neighbors", str(t_file), "--mode", "switched")
         assert len(homog["neighbors"]) + len(switched["neighbors"]) <= 2
 
+
+    def test_neighbors_match_the_oracle_at_n12(self, capsys, tmp_path):
+        def entry(t2, **extra):
+            return {"n": 12, "diagonals": [list(d) for d in t2.diagonals],
+                    **{key: list(v) for key, v in extra.items()}}
+
+        rng = random.Random(12)
+        for k in range(4):
+            t, eps = colored_triangulation_from_word(tuple(rng.randint(1, 4) for _ in range(12)))
+            signs = tuple(rng.choice((-1, 1)) for _ in range(12))
+            t_file = tmp_path / f"t{k}.json"
+            t_file.write_text(json.dumps(entry(t, colors=eps, signs=signs)))
+            row = flip_row(t)
+            want = {
+                "plain": [entry(t2) for _, t2, _, _ in row],
+                "signed": [entry(t2, signs=s2) for _, t2, s2 in signed_moves(row, signs)],
+                "homogeneous": [entry(t2, colors=eps) for _, t2, b, c in row
+                                if eps[b - 1] == eps[c - 1]],
+                "switched": [entry(t2, colors=eps) for _, t2, b, c in row
+                             if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)],
+            }
+            for mode, neighbors in want.items():
+                data = run_json(capsys, "neighbors", str(t_file), "--mode", mode)
+                assert data == {"mode": mode, "count": len(neighbors), "neighbors": neighbors}
 
 class TestPathCommands:
     def test_signed_path_with_certificate(self, capsys, tmp_path):

@@ -14,7 +14,6 @@ from flipforge.flips import (
     flip_characterization,
     flip_quad,
     flip_readings,
-    flip_row,
     homogeneous_neighbors,
     signed_flip,
     signed_flip_diagonal,
@@ -31,10 +30,16 @@ from flipforge.triangulation import (
     faces,
     is_simple,
 )
-from flipforge.words import abs_word, sylvester_class
+from flipforge.words import abs_word, block_coloring, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
-from reference import flip_readings_by_ears, quad_by_adjacency, readings_exchange_oracle
+from reference import (
+    flip_readings_by_ears,
+    flip_row,
+    quad_by_adjacency,
+    readings_exchange_oracle,
+    signed_moves,
+)
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 
@@ -76,6 +81,8 @@ class TestFlip:
                     assert flip_quad(t, d) == quad
                     t2 = Triangulation(n, tuple(e for e in t.diagonals if e != d) + (quad.new,))
                     expected.append((d, t2, quad.b, quad.c))
+                table = flips.ShapeTable([t])
+                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in table.row(0)] == expected
                 assert flip_row(t) == expected
 
     def test_quad_labels_are_the_middle_pair(self):
@@ -292,6 +299,41 @@ class TestSwitched:
                         if t1 == t2 or e1 != e2:
                             continue
                         assert (t2 in nbrs) == readings_exchange_oracle(t1, t2, e1)
+
+
+class TestNeighboursAgainstTheOracle:
+    """The helpers read ShapeTable.row; the oracle flips one public diagonal
+    at a time.  Both list results in diagonal order."""
+
+    def test_object_rows_left_the_library(self):
+        assert not hasattr(flips, "flip_row")
+        assert not hasattr(flips, "signed_moves")
+
+    def test_signed_flip_under_every_signing(self):
+        for n in range(7):
+            for t in all_triangulations(n):
+                row = flip_row(t)
+                for signs in itertools.product((-1, 1), repeat=n):
+                    got = [(d, signed_flip(t, signs, d)) for d in t.diagonals]
+                    want = {d: (t2, signs2) for d, t2, signs2 in signed_moves(row, signs)}
+                    assert got == [(d, want.get(d)) for d in t.diagonals]
+
+    def test_homogeneous_and_switched_under_every_block_coloring(self):
+        switched_seen = 0
+        for n in range(7):
+            colorings = [block_coloring(mu) for mu in compositions(n, 3)]
+            for t in all_triangulations(n):
+                row = flip_row(t)
+                for eps in colorings:
+                    assert homogeneous_neighbors(t, eps) == \
+                        [(t2, eps) for _, t2, b, c in row if eps[b - 1] == eps[c - 1]]
+                    if not is_simple(t, eps):
+                        continue
+                    want = [(t2, eps) for _, t2, b, c in row
+                            if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)]
+                    assert switched_neighbors(t, eps) == want
+                    switched_seen += len(want)
+        assert switched_seen > 0
 
 
 class TestDiagonalSigning:

@@ -27,6 +27,12 @@ PATH = {"n": 6, "path": [[[1, 3], [1, 4], [1, 6], [1, 7], [4, 6]],
 # flipped by the second
 PATH3 = {"n": 3, "path": [[[0, 2], [0, 3]], [[0, 3], [1, 3]], [[1, 3], [1, 4]]]}
 UNSIGNABLE = {"n": 3, "path": [[list(d) for d in step] for step in UNSIGNABLE_PATH_N3]}
+# the colored shape of the word 1,1,2,4,3,3,2,3,1,3,4,3 with seeded signs: five
+# switched, six homogeneous and three signed flips, at the interactive sizes
+COLORED12 = {"n": 12, "diagonals": [[0, 2], [0, 3], [0, 9], [0, 10], [3, 5], [3, 8], [3, 9],
+                                    [5, 7], [5, 8], [10, 12], [10, 13]],
+             "colors": [1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 4],
+             "signs": [1, -1, 1, 1, -1, -1, -1, -1, -1, 1, 1, -1]}
 
 # (label, argv, files the command writes)
 CORPUS = [
@@ -94,6 +100,12 @@ CORPUS = [
     ("signed-path-9", ["signed-path", "591287364", "245978613", "--emit-cert", "cert9.jsonl"],
      ["cert9.jsonl"]),
     ("check-cert-9", ["check-cert", "cert9.jsonl"], []),
+    # every neighbour mode and a signed flip at n=12
+    ("neighbors-plain-12", ["neighbors", "colored12.json", "--mode", "plain"], []),
+    ("neighbors-signed-12", ["neighbors", "colored12.json", "--mode", "signed"], []),
+    ("neighbors-homogeneous-12", ["neighbors", "colored12.json", "--mode", "homogeneous"], []),
+    ("neighbors-switched-12", ["neighbors", "colored12.json", "--mode", "switched"], []),
+    ("flip-signed-12", ["flip", "colored12.json", "--d", "3,8"], []),
 ]
 
 # Recorded before the ear-cutting and suite-registry refactor.
@@ -167,6 +179,12 @@ GOLDEN = {
     "signed-path-9": "4344e78565c559803b8ff4700c9c6ec0c7bc2604d0790ea0f96721de35647eb4",
     "signed-path-9:cert9.jsonl": "cae0231dd048f8af6014c4eed32fbd243cbd014b408c0248141fb88b1b9ce071",
     "check-cert-9": "31e165c176a192b44842b5b1cf7a970226fb56930d1abf26a15a4b5254ab74e8",
+    # Recorded before ShapeTable.row became the only flip row.
+    "neighbors-plain-12": "f3fd86d867ae7b9d986fab6bc421e52236e32cae56bf910a010d6d9750fcb439",
+    "neighbors-signed-12": "bc5f0330b710534ff4ed409d6615435481bfb00815a57fcde5ec72f26f3aa02c",
+    "neighbors-homogeneous-12": "a03237e4935958ed90d004cac4c73442be8cf95afc724a13461f3b1404bcdbe7",
+    "neighbors-switched-12": "2ff5dbc92d0ba6e6f98bdb2774d3e87da168d2c19c414356232977008fb57a70",
+    "flip-signed-12": "d8110726b0d3d7ef3ba5ff2b24ca6a1c8ac249fba3c02deb38f268048a0d6918",
 }
 
 
@@ -176,8 +194,8 @@ def sha(data: bytes) -> str:
 
 def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("path", PATH),
-                      ("path3", PATH3), ("unsignable", UNSIGNABLE)):
+    for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("colored12", COLORED12),
+                      ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     got = {}
     for label, argv, written in CORPUS:

@@ -36,11 +36,13 @@ from reference import (
     catalan_by_recurrence,
     faces_by_ears,
     fibers_by_phi,
+    flip_row,
     graph_components,
     is_connected,
     phi_morphism_check,
     reachability_by_states,
     reading_closure_check,
+    signed_moves,
     signed_states,
     simple_triangulations,
 )
@@ -373,10 +375,10 @@ class TestFlipTable:
             assert [canonical_key(t) for t in table.shapes] == sorted(map(canonical_key, table.shapes))
             bits = {flips.mask_signs(s, n): s for s in range(1 << n)}
             for i, t in enumerate(table.shapes):
-                row = flips.flip_row(t)
+                row = flip_row(t)
                 for s in range(1 << n):
                     moves = [(j, s ^ m) for j, m, _, _, _ in table.row(i) if s & m in (0, m)]
-                    signed = list(flips.signed_moves(row, flips.mask_signs(s, n)))
+                    signed = list(signed_moves(row, flips.mask_signs(s, n)))
                     # integer moves decoded, and signed moves encoded, in diagonal order
                     assert [(table.shapes[j], flips.mask_signs(s2, n)) for j, s2 in moves] == \
                         [(t2, signs2) for _, t2, signs2 in signed]
@@ -388,21 +390,26 @@ class TestFlipTable:
             rows = [table.row(i) for i in range(CATALAN[n])]
             assert len(table.shapes) == len(rows) == CATALAN[n]  # every row read, no shape added
             for t, row in zip(table.shapes, rows):
-                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
+                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flip_row(t)
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
 
-    def test_lazy_table_walks_every_shape(self):
-        # rows numbered by chord code against flip_row, which builds each result
+    def test_lazy_table_walks_every_shape(self, monkeypatch):
+        # rows numbered by chord code against the oracle's flip_row, which
+        # flips each diagonal by itself
+        built = []
+        real = flips._flipped
+        monkeypatch.setattr(flips, "_flipped", lambda t, quad: built.append(t) or real(t, quad))
         start = phi((3, 5, 1, 7, 2, 6, 4))
         table = flips.ShapeTable([start])
         i = 0
         while i < len(table.shapes):
-            t = table.shapes[i]
-            row = table.row(i)
-            assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flips.flip_row(t)
-            assert all(m == 1 << (7 - b) | 1 << (7 - c) for _, m, b, c, _ in row)
+            table.row(i)
             i += 1
-        assert len(table.shapes) == CATALAN[7]
+        # _flipped decodes each shape once, from the first row that meets its code
+        assert len(built) == len(table.shapes) - 1 == CATALAN[7] - 1
+        for t, row in zip(table.shapes, map(table.row, range(CATALAN[7]))):
+            assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flip_row(t)
+            assert all(m == 1 << (7 - b) | 1 << (7 - c) for _, m, b, c, _ in row)
         assert set(table.shapes) == set(all_triangulations(7))
         assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
 
@@ -414,7 +421,7 @@ class TestFlipTable:
             calls.append(t)
             return real_face_ends(t)
 
-        # flip_row reads the face ends through face_tree
+        # a row reads the face ends through face_tree
         monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
         table = flips.flip_table(6)
         assert calls == []  # rows are built when read

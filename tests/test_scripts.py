@@ -89,3 +89,20 @@ def test_render_gallery_with_spheres(tmp_path):
     assert len([p for p in svgs if p.name.endswith(".sphere.svg")]) == 5
     assert all(p.read_text(encoding="utf-8").startswith("<svg") for p in svgs)
     assert proc.stdout == f"wrote 10 SVG files to {out}/\n"
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (["--n", "-1"], None),
+    (["--n", "-3", "--spheres"], None),
+    (["--n", "3", "--spheres"], "2"),
+], ids=["negative", "negative-spheres", "above-cap"])
+def test_render_gallery_refuses_bad_sizes_before_writing(tmp_path, monkeypatch, argv, cap):
+    monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
+    if cap is not None:
+        monkeypatch.setenv("FLIPFORGE_MAX_N", cap)
+    out = tmp_path / "gallery"
+    proc = run_script("render_gallery.py", *argv, "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert not out.exists()

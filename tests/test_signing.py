@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flipforge import flips, words
-from flipforge.flips import flip, flip_row, signed_moves
+from flipforge.flips import flip
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
     Certificate,
@@ -31,11 +31,13 @@ from flipforge.words import abs_word
 from reference import (
     class_bridge_by_search,
     face_sign_walk,
+    flip_row,
     path_signable_by_faces,
     sign_path_diagonals_by_tracking,
     sigma_closure,
     signable_path_by_states,
     sign_permutation_path,
+    signed_moves,
 )
 from refdata import (
     CHAIN,
