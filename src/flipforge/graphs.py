@@ -234,7 +234,9 @@ def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
 def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, list[int]], dict]:
     """switched_graph over the flip table of size sum(mu), on shape indices:
     a different-color flip between simple shapes is an edge, one into a
-    non-simple shape is filtered."""
+    non-simple shape is filtered.  No flip has been filtered for any mu with
+    at most MAX_PARTS parts and n <= 7 (the tests pin ``filtered_nonsimple``
+    at 0 there), so the filter is kept as a checked invariant of the audit."""
     eps = block_coloring(mu)
     adjacency: dict[int, list[int]] = {i: [] for i in table.simple(eps)}
     uf, filtered = UnionFind(len(table.shapes)), 0

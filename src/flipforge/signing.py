@@ -15,8 +15,8 @@ a negative diagonal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .flips import (
@@ -134,14 +134,26 @@ def signable_path_search(
 ) -> SignedPath | None:
     """Shortest signed-flip path from (start_tri, any signs) to end_tri.
 
-    Runs a breadth-first search seeded with every signing of start_tri;
-    returns None only when the whole reachable space is exhausted.  A state
-    is the integer ``i << n | s``: i indexes the shapes of this call in the
-    order they are met (start_tri is 0, end_tri is 1), and s is the signing
-    bitmask of ``flips.ShapeTable``, bit n - k set when face k is positive.
-    So the seeds 0 .. 2^n - 1 go in the order of ``product((-1, 1), repeat=n)``
-    and flips in diagonal order, and results are reproducible.  A shape's row
-    is built when the first of its states is popped.
+    A breadth-first search by layers on a ``ShapeTable([start_tri,
+    end_tri])``, so start_tri is shape 0 and end_tri shape 1.  A signing is
+    the bitmask s of ``flips.ShapeTable``, bit n - k set when face k is
+    positive, and a layer maps each shape to the bitset of its signings first
+    reached at that depth (bit s set for signing s); layer 0 is every signing
+    of start_tri.  A row entry with mask m moves a bitset B by one shift each
+    way (``_step``), since s ^ m is s + m when s & m == 0 and s - m when
+    s & m == m.  Each frontier is first matched against end_tri's own row (a
+    flip undoes itself with the same mask), so the shapes of the last
+    frontier build no rows; returns None only when the whole reachable space
+    is exhausted.
+
+    The path is the one a FIFO search seeded in mask order with flips in
+    diagonal order would return: the least (seed, entry index, ...) among
+    shortest paths, found by one backward pass of the signings that still
+    lead to an end state and one forward pass taking the least seed and then
+    the least entry.  The cap is that search's too: the states of each layer
+    are counted as it is built, and on the last layer only those the FIFO
+    search meets before the end state (``_fifo_rank``), which is computed
+    only when a bound on the last layer could cross the cap.
     """
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
@@ -155,35 +167,118 @@ def signable_path_search(
     if 2 ** n > max_states:
         raise StateCapExceeded(f"search exceeds {max_states} states")
     table = ShapeTable([start_tri, end_tri])
-    parent: dict[int, tuple[int, Diagonal] | None] = dict.fromkeys(range(1 << n))
-    queue = deque(parent)
-    low = (1 << n) - 1
+    end_row = table.row(1)
+    halves = _Halves(n)
+    layers = [{0: halves.full}]
+    seen = {0: halves.full}
+    count = size = 1 << n
+    while True:
+        frontier = layers[-1]
+        ends = 0
+        for j, m, *_ in end_row:
+            if j in frontier:
+                ends |= _step(frontier[j], m, halves)
+        if ends:
+            break
+        layer: dict[int, int] = {}
+        before = count
+        for i, bits in frontier.items():
+            for j, m, *_ in table.row(i):
+                new = _step(bits, m, halves) & ~seen.get(j, 0)
+                if new:
+                    seen[j] = seen.get(j, 0) | new
+                    layer[j] = layer.get(j, 0) | new
+                    count += new.bit_count()
+                    if count > max_states:
+                        raise StateCapExceeded(f"search exceeds {max_states} states")
+        if not layer:
+            return None
+        layers.append(layer)
+        size = count - before
 
-    def path_from(x: int) -> SignedPath:
-        flips_rev = []
-        end = x
-        while parent[x] is not None:
-            x, d = parent[x]
-            flips_rev.append(d)
-        return SignedPath(SignedState(start_tri, mask_signs(x, n)),
-                          SignedState(end_tri, mask_signs(end & low, n)),
-                          tuple(reversed(flips_rev)))
+    # useful[t][i]: the signings of shape i in layer t on a shortest path to an end state
+    useful = [{j: u for j, m, *_ in end_row
+               if j in frontier and (u := _step(ends, m, halves) & frontier[j])}, {1: ends}]
+    for layer in reversed(layers[:-1]):
+        later = useful[0]
+        u_layer = {}
+        for i, bits in layer.items():
+            u = 0
+            for j, m, *_ in table.row(i):
+                if j in later:
+                    u |= _step(later[j], m, halves)
+            u &= bits
+            if u:
+                u_layer[i] = u
+        useful.insert(0, u_layer)
 
-    while queue:
-        x = queue.popleft()
-        s = x & low
-        for j, m, _, _, d in table.row(x >> n):
-            if s & m in (0, m):
-                y = j << n | s ^ m
-                if y in parent:
-                    continue
-                parent[y] = (x, d)
-                if len(parent) > max_states:
-                    raise StateCapExceeded(f"search exceeds {max_states} states")
-                if j == 1:
-                    return path_from(y)
-                queue.append(y)
-    return None
+    seeds = useful[0][0]
+    i, s = 0, (seeds & -seeds).bit_length() - 1
+    steps, diagonals = [], []
+    for later in useful[1:]:
+        for e, (j, m, _, _, d) in enumerate(table.row(i)):
+            if s & m in (0, m) and later.get(j, 0) >> (s ^ m) & 1:
+                break
+        steps.append((i, s, e))
+        diagonals.append(d)
+        i, s = j, s ^ m
+
+    last = min((n - 1) * size, (comb(2 * n, n) // (n + 1) << n) - count)
+    if count + last > max_states and count + _fifo_rank(table, layers, seen, steps, halves) + 1 > max_states:
+        raise StateCapExceeded(f"search exceeds {max_states} states")
+    return SignedPath(SignedState(start_tri, mask_signs(steps[0][1], n)),
+                      SignedState(end_tri, mask_signs(s, n)), tuple(diagonals))
+
+
+class _Halves(dict):
+    """For a mask m of two faces, the bitsets over the 2^n signings of those
+    with both faces negative (s & m == 0) and with both positive (s & m == m),
+    built on first use."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.full = (1 << (1 << n)) - 1
+        # clear[p]: the signings with bit p clear, blocks of 2^p set bits every 2^(p+1)
+        self.clear = []
+        for p in range(n):
+            bits, width = (1 << (1 << p)) - 1, 2 << p
+            while width < 1 << n:
+                bits |= bits << width
+                width <<= 1
+            self.clear.append(bits)
+
+    def __missing__(self, m: int) -> tuple[int, int]:
+        p, q = (m & -m).bit_length() - 1, m.bit_length() - 1
+        zero = self.clear[p] & self.clear[q]
+        one = self.full ^ (self.clear[p] | self.clear[q])
+        self[m] = zero, one
+        return zero, one
+
+
+def _step(bits: int, m: int, halves: _Halves) -> int:
+    """The signings s ^ m of the signings s in bits that the flip of mask m allows."""
+    zero, one = halves[m]
+    return (bits & zero) << m | (bits & one) >> m
+
+
+def _fifo_rank(table: ShapeTable, layers: list[dict[int, int]], seen: dict[int, int],
+               steps: list[tuple[int, int, int]], halves: _Halves) -> int:
+    """The number of last-layer states that a FIFO search meets before the end
+    state of the path ``steps``: those first reached by a shortest path that
+    leaves it at a smaller label, a smaller seed or, from its state (i, s) at
+    some depth, a smaller entry index e.  The last layer is every state not
+    in ``seen``."""
+    below = {0: (1 << steps[0][1]) - 1}
+    for t, (i, s, e) in enumerate(steps):
+        moves = [(j, _step(bits, m, halves)) for k, bits in below.items() for j, m, *_ in table.row(k)]
+        moves += [(j, 1 << (s ^ m)) for j, m, *_ in table.row(i)[:e] if s & m in (0, m)]
+        depth = layers[t + 1] if t + 1 < len(layers) else None
+        below = {}
+        for j, bits in moves:
+            bits &= ~seen.get(j, 0) if depth is None else depth.get(j, 0)
+            if bits:
+                below[j] = below.get(j, 0) | bits
+    return sum(bits.bit_count() for bits in below.values())
 
 
 def sign_letters(perm: Word, face_signs: Coloring) -> SignedWord:

@@ -291,6 +291,14 @@ class TestSwitched:
         for n in range(1, 6):
             assert switched_audit(n)["pass"]
 
+    def test_no_flip_leaves_simplicity(self):
+        # the filter of non-simple results never fires for n <= 7, yet flips are examined
+        for n in range(1, 8):
+            graphs_n = switched_audit(n)["graphs"]
+            assert len(graphs_n) == sum(1 for _ in compositions(n, graphs.MAX_PARTS))
+            assert [g["filtered_nonsimple"] for g in graphs_n] == [0] * len(graphs_n)
+            assert n < 2 or any(g["edges"] for g in graphs_n)
+
     def test_vertices_are_exactly_the_simple_triangulations(self):
         for n in range(1, 6):
             for mu in compositions(n, 3):

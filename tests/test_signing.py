@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import flips, words
+from flipforge import flips, signing, words
 from flipforge.flips import flip
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
@@ -52,6 +52,55 @@ from refdata import (
 
 def tri(n, *diags):
     return Triangulation(n, tuple(diags))
+
+
+def seeded_pairs(rng, count):
+    """Two different shapes of random permutations, alternately of size 6 and 7."""
+    pairs = []
+    while len(pairs) < count:
+        n = 7 if len(pairs) % 2 else 6
+        t1, t2 = (phi(tuple(rng.sample(range(1, n + 1), n))) for _ in range(2))
+        if t1 != t2:
+            pairs.append((t1, t2))
+    return pairs
+
+
+def state_route_success_cap(t1, t2):
+    """The least cap under which the state route returns a path, by bisection.
+    It raises exactly when its state count passes the cap, so below this cap
+    it raises and from it on it returns the same path."""
+    lo, hi = 1, sum(1 for _ in all_triangulations(t1.n)) << t1.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            signable_path_by_states(t1, t2, max_states=mid)
+            hi = mid
+        except StateCapExceeded:
+            lo = mid + 1
+    return lo
+
+
+def search_outcome(t1, t2, cap):
+    try:
+        return signable_path_search(t1, t2, max_states=cap)
+    except StateCapExceeded as exc:
+        return str(exc)
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch module.name to record each call's arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+CAP_PAIRS = seeded_pairs(random.Random(61), 6)
 
 
 def random_loop_free_path(n, length, rng):
@@ -274,6 +323,39 @@ class TestSignablePathSearch:
             if not isinstance(expected, str):
                 break
         assert cap > 16 and len(expected.flips) > 1
+
+    @pytest.mark.parametrize("k", range(len(CAP_PAIRS)))
+    def test_cap_matches_the_state_route_near_the_success_cap(self, k, monkeypatch):
+        t1, t2 = CAP_PAIRS[k]
+        success = state_route_success_cap(t1, t2)
+        path = signable_path_by_states(t1, t2, max_states=success)
+        ranks = count_calls(monkeypatch, signing, "_fifo_rank")
+        for cap in range(max(1, success - 300), success + 3):
+            expected = path if cap >= success else f"search exceeds {cap} states"
+            assert search_outcome(t1, t2, cap) == expected, cap
+        assert ranks  # the caps next to the success cap fall inside the last layer
+
+    def test_rank_decides_the_caps_next_to_the_success_cap(self, monkeypatch):
+        start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
+        success = state_route_success_cap(start, end)
+        ranks = count_calls(monkeypatch, signing, "_fifo_rank")
+        assert search_outcome(start, end, success - 1) == f"search exceeds {success - 1} states"
+        assert search_outcome(start, end, success) == signable_path_by_states(start, end)
+        assert len(ranks) == 2
+        # no last layer can cross the default cap for n <= 8
+        ranks.clear()
+        for t1, t2 in seeded_pairs(random.Random(62), 4) + [(phi((2, 7, 1, 8, 4, 6, 3, 5)),
+                                                              phi((8, 1, 6, 3, 5, 2, 7, 4)))]:
+            assert signable_path_search(t1, t2) is not None
+        assert ranks == []
+
+    def test_worked_pair_builds_fewer_rows_and_shapes(self, monkeypatch):
+        rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
+        shapes = count_calls(monkeypatch, flips, "_flipped")  # one call per shape added
+        path = signable_path_search(Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126)))
+        assert len(path.flips) == 6
+        # a FIFO search over single states built 87 rows and 114 shapes here
+        assert (len(rows), len(shapes)) == (78, 106)
 
     def test_no_row_outlives_one_call(self, monkeypatch):
         calls = []
