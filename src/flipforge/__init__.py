@@ -9,7 +9,6 @@ from .triangulation import (
     ears,
     faces,
     is_simple,
-    is_valid,
     third_vertex,
     validate,
 )

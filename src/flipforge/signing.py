@@ -16,7 +16,6 @@ a negative diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .flips import (
@@ -150,10 +149,9 @@ def signable_path_search(
     diagonal order would return: the least (seed, entry index, ...) among
     shortest paths, found by one backward pass of the signings that still
     lead to an end state and one forward pass taking the least seed and then
-    the least entry.  The cap is that search's too: the states of each layer
-    are counted as it is built, and on the last layer only those the FIFO
-    search meets before the end state (``_fifo_rank``), which is computed
-    only when a bound on the last layer could cross the cap.
+    the least entry.  StateCapExceeded is raised iff the signed states at
+    distance < d from the seeds, d the path length (or every reachable state
+    when there is no path), number more than max_states.
     """
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
@@ -171,7 +169,7 @@ def signable_path_search(
     halves = _Halves(n)
     layers = [{0: halves.full}]
     seen = {0: halves.full}
-    count = size = 1 << n
+    count = 1 << n
     while True:
         frontier = layers[-1]
         ends = 0
@@ -181,7 +179,6 @@ def signable_path_search(
         if ends:
             break
         layer: dict[int, int] = {}
-        before = count
         for i, bits in frontier.items():
             for j, m, *_ in table.row(i):
                 new = _step(bits, m, halves) & ~seen.get(j, 0)
@@ -194,7 +191,6 @@ def signable_path_search(
         if not layer:
             return None
         layers.append(layer)
-        size = count - before
 
     # useful[t][i]: the signings of shape i in layer t on a shortest path to an end state
     useful = [{j: u for j, m, *_ in end_row
@@ -214,19 +210,14 @@ def signable_path_search(
 
     seeds = useful[0][0]
     i, s = 0, (seeds & -seeds).bit_length() - 1
-    steps, diagonals = [], []
+    seed, diagonals = s, []
     for later in useful[1:]:
-        for e, (j, m, _, _, d) in enumerate(table.row(i)):
+        for j, m, _, _, d in table.row(i):
             if s & m in (0, m) and later.get(j, 0) >> (s ^ m) & 1:
                 break
-        steps.append((i, s, e))
         diagonals.append(d)
         i, s = j, s ^ m
-
-    last = min((n - 1) * size, (comb(2 * n, n) // (n + 1) << n) - count)
-    if count + last > max_states and count + _fifo_rank(table, layers, seen, steps, halves) + 1 > max_states:
-        raise StateCapExceeded(f"search exceeds {max_states} states")
-    return SignedPath(SignedState(start_tri, mask_signs(steps[0][1], n)),
+    return SignedPath(SignedState(start_tri, mask_signs(seed, n)),
                       SignedState(end_tri, mask_signs(s, n)), tuple(diagonals))
 
 
@@ -259,26 +250,6 @@ def _step(bits: int, m: int, halves: _Halves) -> int:
     """The signings s ^ m of the signings s in bits that the flip of mask m allows."""
     zero, one = halves[m]
     return (bits & zero) << m | (bits & one) >> m
-
-
-def _fifo_rank(table: ShapeTable, layers: list[dict[int, int]], seen: dict[int, int],
-               steps: list[tuple[int, int, int]], halves: _Halves) -> int:
-    """The number of last-layer states that a FIFO search meets before the end
-    state of the path ``steps``: those first reached by a shortest path that
-    leaves it at a smaller label, a smaller seed or, from its state (i, s) at
-    some depth, a smaller entry index e.  The last layer is every state not
-    in ``seen``."""
-    below = {0: (1 << steps[0][1]) - 1}
-    for t, (i, s, e) in enumerate(steps):
-        moves = [(j, _step(bits, m, halves)) for k, bits in below.items() for j, m, *_ in table.row(k)]
-        moves += [(j, 1 << (s ^ m)) for j, m, *_ in table.row(i)[:e] if s & m in (0, m)]
-        depth = layers[t + 1] if t + 1 < len(layers) else None
-        below = {}
-        for j, bits in moves:
-            bits &= ~seen.get(j, 0) if depth is None else depth.get(j, 0)
-            if bits:
-                below[j] = below.get(j, 0) | bits
-    return sum(bits.bit_count() for bits in below.values())
 
 
 def sign_letters(perm: Word, face_signs: Coloring) -> SignedWord:

@@ -113,10 +113,6 @@ def validate(t: Triangulation) -> list[str]:
     return []
 
 
-def is_valid(t: Triangulation) -> bool:
-    return not validate(t)
-
-
 def ears(t: Triangulation) -> set[int]:
     """Vertices of degree two, i.e. vertices met by no diagonal."""
     touched = {v for d in t.diagonals for v in d}

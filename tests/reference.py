@@ -341,36 +341,18 @@ def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:
     raise ValueError(f"{w_to} is not in the class of {w_from}")
 
 
-def signable_path_by_states(
-    start_tri: Triangulation, end_tri: Triangulation, max_states: int = 1_000_000
-) -> SignedPath | None:
-    """signable_path_search by the route on SignedState keys: a breadth-first
-    search seeded with every signing of start_tri in product order, flips in
-    diagonal order, one flip_row per shape kept in a dict, and the same cap."""
-    if max_states < 1:
-        raise ValueError(f"state cap must be at least 1, got {max_states}")
-    if start_tri.n != end_tri.n:
-        raise ValueError("triangulations must have equal n")
-    n = start_tri.n
-    if start_tri == end_tri:
-        state = SignedState(start_tri, (-1,) * n)
-        return SignedPath(state, state, ())
-    if 2 ** n > max_states:
-        raise StateCapExceeded(f"search exceeds {max_states} states")
-    sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=n)]
-    parent: dict = {s: None for s in sources}
+def first_reached(start_tri: Triangulation) -> Iterator[tuple[SignedState, tuple | None]]:
+    """A breadth-first search over SignedState keys, seeded with every signing
+    of start_tri in product order, flips in diagonal order and one flip_row
+    per shape kept in a dict: each reachable signed state once, in the order
+    the search first reaches it, with its parent (state, diagonal), or None
+    for a seed."""
+    sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=start_tri.n)]
+    seen = set(sources)
+    for state in sources:
+        yield state, None
     queue = deque(sources)
     rows: dict = {}
-
-    def path_from(state: SignedState) -> SignedPath:
-        flips_rev = []
-        cur = state
-        while parent[cur] is not None:
-            prev, d = parent[cur]
-            flips_rev.append(d)
-            cur = prev
-        return SignedPath(cur, state, tuple(reversed(flips_rev)))
-
     while queue:
         state = queue.popleft()
         row = rows.get(state.tri)
@@ -378,15 +360,50 @@ def signable_path_by_states(
             row = rows[state.tri] = flip_row(state.tri)
         for d, t2, signs2 in signed_moves(row, state.signs):
             ns = SignedState(t2, signs2)
-            if ns in parent:
-                continue
-            parent[ns] = (state, d)
-            if len(parent) > max_states:
-                raise StateCapExceeded(f"search exceeds {max_states} states")
-            if ns.tri == end_tri:
-                return path_from(ns)
-            queue.append(ns)
+            if ns not in seen:
+                seen.add(ns)
+                queue.append(ns)
+                yield ns, (state, d)
+
+
+def signable_path_by_states(start_tri: Triangulation, end_tri: Triangulation) -> SignedPath | None:
+    """signable_path_search, uncapped, by the route on SignedState keys: the
+    path to the first state of end_tri that ``first_reached`` meets."""
+    if start_tri == end_tri:
+        state = SignedState(start_tri, (-1,) * start_tri.n)
+        return SignedPath(state, state, ())
+    parent: dict = {}
+    for state, via in first_reached(start_tri):
+        parent[state] = via
+        if state.tri == end_tri:
+            end, flips_rev = state, []
+            while parent[state] is not None:
+                state, d = parent[state]
+                flips_rev.append(d)
+            return SignedPath(state, end, tuple(reversed(flips_rev)))
     return None
+
+
+def depths_below_end(start_tri: Triangulation, end_tri: Triangulation) -> dict[SignedState, int]:
+    """Each signed state at distance < d from the signings of start_tri, with
+    its distance, where d is the distance to the nearest state of end_tri (or
+    infinite when none is reachable); by ``first_reached``, whose order is by
+    distance."""
+    depth: dict[SignedState, int] = {}
+    if start_tri == end_tri:
+        return depth
+    for state, via in first_reached(start_tri):
+        if state.tri == end_tri:
+            return {s: t for s, t in depth.items() if t <= depth[via[0]]}
+        depth[state] = 0 if via is None else depth[via[0]] + 1
+    return depth
+
+
+def states_below_end(start_tri: Triangulation, end_tri: Triangulation) -> int:
+    """The signed states at distance < d from the signings of start_tri, d the
+    distance to end_tri: the least cap under which signable_path_search
+    returns a path."""
+    return len(depths_below_end(start_tri, end_tri))
 
 
 def flipped_diagonal(t1: Triangulation, t2: Triangulation) -> Diagonal:

@@ -106,7 +106,14 @@ CORPUS = [
     ("neighbors-homogeneous-12", ["neighbors", "colored12.json", "--mode", "homogeneous"], []),
     ("neighbors-switched-12", ["neighbors", "colored12.json", "--mode", "switched"], []),
     ("flip-signed-12", ["flip", "colored12.json", "--d", "3,8"], []),
+    # the worked pair one state below its cap and at it: the states at
+    # distance < 6 from the start shape's signings number 984
+    ("signed-path-refused", ["signed-path", "324156", "453126", "--max-states", "983"], []),
+    ("signed-path-at-cap", ["signed-path", "324156", "453126", "--max-states", "984"], []),
 ]
+
+# labels whose command exits 1 with an error on stderr, whose hash is pinned too
+REFUSED = {"signed-path-refused"}
 
 # Recorded before the ear-cutting and suite-registry refactor.
 GOLDEN = {
@@ -185,6 +192,12 @@ GOLDEN = {
     "neighbors-homogeneous-12": "a03237e4935958ed90d004cac4c73442be8cf95afc724a13461f3b1404bcdbe7",
     "neighbors-switched-12": "2ff5dbc92d0ba6e6f98bdb2774d3e87da168d2c19c414356232977008fb57a70",
     "flip-signed-12": "d8110726b0d3d7ef3ba5ff2b24ca6a1c8ac249fba3c02deb38f268048a0d6918",
+    # Recorded before the signed-path cap counted only the states at distance < d.
+    "signed-path-refused": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "signed-path-refused:stderr": "14ccd0cf04f771d5d1db154e24791be0a49ada8759e391e93f630d8f4e567565",
+    # Recorded after the signed-path cap counted only the states at distance < d;
+    # before, the cap also counted part of the last layer and refused this command.
+    "signed-path-at-cap": "f24ca1649f241545cb78e767216f9ab247ccd8e63199c7eec2a97271a2018b18",
 }
 
 
@@ -201,8 +214,10 @@ def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
     for label, argv, written in CORPUS:
         code = main(argv)
         out, err = capsys.readouterr()
-        assert code == 0, (label, err)
+        assert code == (1 if label in REFUSED else 0), (label, err)
         got[label] = sha(out.encode())
+        if err:
+            got[f"{label}:stderr"] = sha(err.encode())
         for path in written:
             got[f"{label}:{path}"] = sha((tmp_path / path).read_bytes())
     assert got == GOLDEN

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import flips, signing, words
+from flipforge import flips, words
 from flipforge.flips import flip
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
@@ -30,6 +30,7 @@ from flipforge.words import abs_word
 
 from reference import (
     class_bridge_by_search,
+    depths_below_end,
     face_sign_walk,
     flip_row,
     path_signable_by_faces,
@@ -38,6 +39,7 @@ from reference import (
     signable_path_by_states,
     sign_permutation_path,
     signed_moves,
+    states_below_end,
 )
 from refdata import (
     CHAIN,
@@ -65,21 +67,6 @@ def seeded_pairs(rng, count):
     return pairs
 
 
-def state_route_success_cap(t1, t2):
-    """The least cap under which the state route returns a path, by bisection.
-    It raises exactly when its state count passes the cap, so below this cap
-    it raises and from it on it returns the same path."""
-    lo, hi = 1, sum(1 for _ in all_triangulations(t1.n)) << t1.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            signable_path_by_states(t1, t2, max_states=mid)
-            hi = mid
-        except StateCapExceeded:
-            lo = mid + 1
-    return lo
-
-
 def search_outcome(t1, t2, cap):
     try:
         return signable_path_search(t1, t2, max_states=cap)
@@ -100,7 +87,8 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-CAP_PAIRS = seeded_pairs(random.Random(61), 6)
+WORKED_PAIR = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
+CAP_PAIRS = seeded_pairs(random.Random(61), 6) + [WORKED_PAIR]
 
 
 def random_loop_free_path(n, length, rng):
@@ -308,46 +296,53 @@ class TestSignablePathSearch:
 
     def test_cap_matches_the_state_route(self):
         t1, t2 = phi((1, 2, 3, 4)), phi((4, 3, 2, 1))
-
-        def outcome(search, cap):
-            try:
-                return search(t1, t2, max_states=cap)
-            except StateCapExceeded as exc:
-                return str(exc)
-
-        # up to the cap at which the state route first succeeds, which is its
-        # final state count; the 14 shapes of n=4 have 14 * 16 states in all
-        for cap in range(1, 14 * 16 + 1):
-            expected = outcome(signable_path_by_states, cap)
-            assert outcome(signable_path_search, cap) == expected
-            if not isinstance(expected, str):
-                break
-        assert cap > 16 and len(expected.flips) > 1
+        below, path = states_below_end(t1, t2), signable_path_by_states(t1, t2)
+        # every cap to two past the states at distance < d, of the 14 * 16 states of n=4
+        for cap in range(1, below + 3):
+            expected = path if cap >= below else f"search exceeds {cap} states"
+            assert search_outcome(t1, t2, cap) == expected, cap
+        assert below > 16 and len(path.flips) > 1
 
     @pytest.mark.parametrize("k", range(len(CAP_PAIRS)))
-    def test_cap_matches_the_state_route_near_the_success_cap(self, k, monkeypatch):
+    def test_cap_matches_the_state_route_near_the_success_cap(self, k):
         t1, t2 = CAP_PAIRS[k]
-        success = state_route_success_cap(t1, t2)
-        path = signable_path_by_states(t1, t2, max_states=success)
-        ranks = count_calls(monkeypatch, signing, "_fifo_rank")
-        for cap in range(max(1, success - 300), success + 3):
-            expected = path if cap >= success else f"search exceeds {cap} states"
+        below, path = states_below_end(t1, t2), signable_path_by_states(t1, t2)
+        for cap in range(max(1, below - 300), below + 3):
+            expected = path if cap >= below else f"search exceeds {cap} states"
             assert search_outcome(t1, t2, cap) == expected, cap
-        assert ranks  # the caps next to the success cap fall inside the last layer
 
-    def test_rank_decides_the_caps_next_to_the_success_cap(self, monkeypatch):
-        start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
-        success = state_route_success_cap(start, end)
-        ranks = count_calls(monkeypatch, signing, "_fifo_rank")
-        assert search_outcome(start, end, success - 1) == f"search exceeds {success - 1} states"
-        assert search_outcome(start, end, success) == signable_path_by_states(start, end)
-        assert len(ranks) == 2
-        # no last layer can cross the default cap for n <= 8
-        ranks.clear()
+    @pytest.mark.parametrize("k", range(len(CAP_PAIRS)))
+    def test_cap_bounds_the_rows_built(self, k, monkeypatch):
+        t1, t2 = CAP_PAIRS[k]
+        depth = depths_below_end(t1, t2)
+        rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
+        path = signable_path_search(t1, t2, max_states=len(depth))
+        built = len(rows)  # before path.states(), whose flips call _quads too
+        d = len(path.flips)
+        assert d - 1 == max(depth.values())
+        # the rows that expand layers 0..d-2, the end shape's own row, and the
+        # penultimate shape's row for its last diagonal; none for the last layer
+        expected = {state.tri for state, t in depth.items() if t <= d - 2}
+        expected |= {t2, path.states()[-2].tri}
+        assert built == len(expected)
+
+    def test_default_cap_returns_paths_to_n8(self):
         for t1, t2 in seeded_pairs(random.Random(62), 4) + [(phi((2, 7, 1, 8, 4, 6, 3, 5)),
                                                               phi((8, 1, 6, 3, 5, 2, 7, 4)))]:
             assert signable_path_search(t1, t2) is not None
-        assert ranks == []
+
+    def test_capped_n11_pair_returns_its_path(self):
+        # two rng.sample permutations from random.Random(1): the states at distance
+        # < 9 fit the default cap, but not with those of the last layer that a
+        # search over single states meets before the end state
+        start = phi((3, 10, 2, 5, 1, 4, 6, 8, 11, 9, 7))
+        end = phi((2, 8, 1, 7, 4, 5, 9, 10, 11, 6, 3))
+        t0 = time.monotonic()
+        path = signable_path_search(start, end)
+        assert time.monotonic() - t0 < 2.0
+        assert len(path.flips) == 9
+        assert list(path.steps())[-1][2] == path.end and path.end.tri == end
+        assert validate_certificate(emit_word_certificate(path)).ok
 
     def test_worked_pair_builds_fewer_rows_and_shapes(self, monkeypatch):
         rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
