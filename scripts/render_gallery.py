@@ -34,16 +34,20 @@ def main() -> int:
         return 1
 
     out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     count = 0
-    for t in all_triangulations(args.n):
-        stem = canonical_key(t).replace(":", "_").replace(";", "-")
-        (out / f"{stem}.svg").write_text(render_triangulation(t), encoding="utf-8")
-        count += 1
-        if args.spheres:
-            eps = tuple(1 if i % 2 else -1 for i in range(1, args.n + 1))
-            svg = render_sphere(mirror_sphere(t, eps))
-            (out / f"{stem}.sphere.svg").write_text(svg, encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for t in all_triangulations(args.n):
+            stem = canonical_key(t).replace(":", "_").replace(";", "-")
+            (out / f"{stem}.svg").write_text(render_triangulation(t), encoding="utf-8")
+            count += 1
+            if args.spheres:
+                eps = tuple(1 if i % 2 else -1 for i in range(1, args.n + 1))
+                svg = render_sphere(mirror_sphere(t, eps))
+                (out / f"{stem}.sphere.svg").write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write the gallery to {out}: {exc}\n")
+        return 1
     print(f"wrote {count * (2 if args.spheres else 1)} SVG files to {out}/")
     return 0
 

@@ -6,26 +6,19 @@ from .triangulation import (
     VertexRing,
     all_triangulations,
     canonical_key,
-    ears,
     faces,
     is_simple,
-    third_vertex,
     validate,
 )
 from .words import (
     abs_word,
-    bar,
     block_coloring,
-    delta_profile,
     destandardize,
-    evaluation,
     standardize,
-    sylvester_adjacent,
     sylvester_class,
 )
 from .phi import (
     canonical_reading,
-    colored_readings,
     colored_triangulation_from_word,
     insert,
     insertion_trace,
@@ -35,11 +28,8 @@ from .phi import (
 from .flips import (
     DiagonalSigning,
     FlipQuad,
-    diagonal_signing_from_faces,
-    face_signs_from_diagonals,
     flip,
     flip_between,
-    flip_characterization,
     homogeneous_neighbors,
     signed_flip,
     signed_flip_diagonal,

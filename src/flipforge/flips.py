@@ -22,7 +22,6 @@ from .triangulation import (
     is_simple,
     rise_mask,
     up_mask,
-    validate,
     weakly_increasing,
 )
 from .phi import least_reading
@@ -87,13 +86,6 @@ def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
         return None
     t2_check, quad = flip(t1, gone.pop())
     return quad if t2_check == t2 else None
-
-
-def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, Word] | None:
-    """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
-    None unless t1 and t2 differ by one flip; see ``flip_readings``."""
-    quad = flip_between(t1, t2)
-    return None if quad is None else flip_readings(t1, quad, t2)
 
 
 def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[Word, Word]:
@@ -231,43 +223,6 @@ class DiagonalSigning:
 
     base: Triangulation
     signs: dict[Diagonal, int]
-
-    def is_total(self) -> bool:
-        return set(self.signs) == set(self.base.diagonals)
-
-
-def _valid_face_tree(t: Triangulation):
-    problems = validate(t)
-    if problems:
-        raise ValueError(problems[0])
-    return face_tree(t)
-
-
-def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:
-    """Sign the base of each face y but the root by the product of the signs
-    of y and of up[y], the face beyond it."""
-    _, _, below, up = _valid_face_tree(t)
-    return DiagonalSigning(t, {d: face_signs[y - 1] * face_signs[up[y] - 1]
-                               for d, y in sorted(below.items()) if up[y]})
-
-
-def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring:
-    """Recover face signs from a total diagonal signing and the sign of face 1.
-
-    Faces adjacent across a diagonal have sign product equal to the diagonal
-    sign, and the faces form a tree: sign each face relative to the root,
-    from the root down, and scale so that face 1 has the anchor's sign.
-    """
-    if not ds.is_total():
-        raise ValueError("face signs need a total diagonal signing")
-    t = ds.base
-    lo, hi, _, up = _valid_face_tree(t)
-    rel = [1] * (t.n + 2)
-    for y in sorted(t.ring.inner, key=lambda y: lo[y] - hi[y]):
-        if up[y]:
-            rel[y] = rel[up[y]] * ds.signs[lo[y], hi[y]]
-    scale = anchor_sign * rel[1]
-    return tuple(scale * rel[y] for y in t.ring.inner)
 
 
 def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | None:

@@ -65,9 +65,6 @@ class CombGraph:
     vertices: list[str]
     adjacency: dict[str, list[str]] = field(default_factory=dict)
 
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
 
 class UnionFind:
     """Disjoint sets over 0..size-1; a root is its set's least element, so pointers point down."""
@@ -188,15 +185,11 @@ def fiber_report(n: int) -> dict:
     }
 
 
-def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
-    """Monochrome face components and the size of the same-color flip orbit."""
-    if len(eps) != t.n:
-        raise ValueError("coloring length mismatch")
-    return _same_color_orbit(ShapeTable([t]), 0, eps)
-
-
-def _same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
-    """The report of homogeneous_components for the shape table.shapes[i]."""
+def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
+    """The same-color flips of the shape table.shapes[i] under eps (those
+    whose faces b, c have equal colors): the sizes of the classes they join
+    the n faces into, and the number of shapes they reach, which must be the
+    product of the Catalan numbers of those sizes."""
     uf = UnionFind(len(eps))  # on the face labels less one
     for _, _, b, c, _ in table.row(i):
         if eps[b - 1] == eps[c - 1]:
@@ -277,21 +270,13 @@ def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
         w[i + 1:] = w[:i:-1]
 
 
-def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
-    """Check that each word's standardization is a reading of its image,
-    whose coloring gives each letter its face, and that standardization
-    embeds word moves into permutation moves."""
-    _check_n(n)
-    if sum(mu) != n:
-        raise ValueError(f"mu {mu} does not sum to {n}")
-    return _diagram_report(flip_table(n), mu)
-
-
-def _diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
-    """commuting_diagram_check over the flip table of size sum(mu).  Each
-    word w is mapped once: std(w) must be a reading of the image, each face
-    read before its parent, and letter w[k] must color face std(w)[k].  The
-    image is compared with the simple shapes in it."""
+def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
+    """The commuting square of the words of evaluation mu, over the flip
+    table of size sum(mu).  Each word w is mapped once: std(w) must be a
+    reading of the image, each face read before its parent, and letter w[k]
+    must color face std(w)[k]; standardization must be injective and take
+    each word move to a permutation move.  The image is compared with the
+    shapes the block coloring of mu makes simple."""
     n = sum(mu)
     words = list(words_of_evaluation(mu))
     std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
@@ -404,7 +389,7 @@ def homogeneous_product_audit(n: int, seed: int = 0, table: ShapeTable | None = 
         i = rng.choice(range(len(table.shapes)))  # draws as rng.choice over the sorted shapes
         palette = rng.randint(1, max(1, n))
         eps = tuple(rng.randint(1, palette) for _ in range(n))
-        report = _same_color_orbit(table, i, eps)
+        report = same_color_orbit(table, i, eps)
         if not report["matches_product"]:
             failures.append({"key": canonical_key(table.shapes[i]), "eps": list(eps), **report})
     return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
@@ -423,7 +408,7 @@ def diagram_audit(n: int, table: ShapeTable | None = None) -> dict:
     MAX_PARTS parts, over one flip table of the shapes."""
     _check_n(n)
     table = table or flip_table(n)
-    rows = [_diagram_report(table, mu) for mu in sorted(compositions(n, MAX_PARTS))]
+    rows = [diagram_report(table, mu) for mu in sorted(compositions(n, MAX_PARTS))]
     ok = all(not r["square_failures"] and not r["edge_failures"] and r["std_injective"]
              and r["image_is_all_simple"] for r in rows)
     return {"n": n, "reports": rows, "pass": ok}

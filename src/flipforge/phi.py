@@ -101,13 +101,6 @@ def colored_triangulation_from_word(w: Word) -> ColoredTriangulation:
     return triangulation_from_permutation(standardize(w)), tuple(sorted(w))
 
 
-def colored_readings(t: Triangulation, eps: Coloring) -> frozenset[Word]:
-    """Color each reading letterwise; requires a simple colored triangulation."""
-    if not is_simple(t, eps):
-        raise ValueError("colored readings are only defined for simple colored triangulations")
-    return frozenset(tuple(eps[v - 1] for v in word) for word in readings(t))
-
-
 def insert(state: ColoredTriangulation, value: int, color: int) -> ColoredTriangulation:
     """Grow a simple colored triangulation by one vertex of the given color.
 

@@ -124,9 +124,6 @@ class SignedPath:
         if state != self.end:
             raise ValueError("recorded path does not reach its end state")
 
-    def states(self) -> list[SignedState]:
-        return [self.start] + [after for _, _, after in self.steps()]
-
 
 def signable_path_search(
     start_tri: Triangulation, end_tri: Triangulation, max_states: int = 1_000_000

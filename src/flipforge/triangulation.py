@@ -113,12 +113,6 @@ def validate(t: Triangulation) -> list[str]:
     return []
 
 
-def ears(t: Triangulation) -> set[int]:
-    """Vertices of degree two, i.e. vertices met by no diagonal."""
-    touched = {v for d in t.diagonals for v in d}
-    return {v for v in t.ring.vertices if v not in touched}
-
-
 def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
     """The lowest and highest vertex joined to each vertex 0..n+1, as the two
     lists (lo, hi); face y is (lo[y], y, hi[y])."""
@@ -149,19 +143,6 @@ def faces(t: Triangulation) -> list[Face]:
     """The n faces (lo[y], y, hi[y]) by label y; requires a valid triangulation."""
     lo, hi = face_ends(t)
     return [Face(lo[y], y, hi[y]) for y in t.ring.inner]
-
-
-def third_vertex(t: Triangulation, i: int) -> int:
-    """The third vertex t_i of the unique face containing the edge {i, i+1}:
-    face i + 1 = (i, i+1, hi[i+1]) if lo[i+1] == i, else face i =
-    (lo[i], i, i+1)."""
-    if not 1 <= i <= t.n - 1:
-        raise ValueError(f"edge index {i} out of range 1..{t.n - 1}")
-    problems = validate(t)
-    if problems:
-        raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {problems[0]}")
-    lo, hi = face_ends(t)
-    return hi[i + 1] if lo[i + 1] == i else lo[i]
 
 
 def up_mask(t: Triangulation) -> int:

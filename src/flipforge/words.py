@@ -8,7 +8,7 @@ values.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 Word = tuple[int, ...]
 SignedWord = tuple[int, ...]
@@ -20,16 +20,6 @@ class ClosureCapExceeded(RuntimeError):
 
 def is_permutation(w) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
-
-
-def evaluation(w: Word) -> tuple[int, ...]:
-    """Letter multiplicities (mu_1, ..., mu_p) with p = max letter."""
-    if not w:
-        return ()
-    counts = [0] * max(w)
-    for a in w:
-        counts[a - 1] += 1
-    return tuple(counts)
 
 
 def block_coloring(mu: tuple[int, ...]) -> Word:
@@ -80,40 +70,6 @@ def destandardize(sigma: Word, mu: tuple[int, ...]) -> Word:
     return tuple(letter[v] for v in sigma)
 
 
-class DeltaProfile(NamedTuple):
-    """Greedy split of 1..n into maximal runs appearing in increasing order."""
-
-    segments: tuple[Word, ...]
-    lengths: tuple[int, ...]
-
-
-def delta_profile(sigma: Word) -> DeltaProfile:
-    if not is_permutation(sigma):
-        raise ValueError(f"{sigma} is not a permutation")
-    pos = {v: i for i, v in enumerate(sigma)}
-    segments: list[Word] = []
-    v = 1
-    n = len(sigma)
-    while v <= n:
-        end = v
-        while end < n and pos[end + 1] > pos[end]:
-            end += 1
-        segments.append(tuple(range(v, end + 1)))
-        v = end + 1
-    return DeltaProfile(tuple(segments), tuple(len(s) for s in segments))
-
-
-class SylvesterWitness(NamedTuple):
-    """Decomposition u x z u' y u'' / u z x u' y u'' with x <= y < z."""
-
-    u: Word
-    x: int
-    z: int
-    mid: Word
-    y: int
-    tail: Word
-
-
 def exchange_witness(w: Word, i: int) -> int | None:
     """Position of the first later letter y with x <= y < z, where x < z are the
     letters at positions i, i+1: the exchange is allowed iff there is one."""
@@ -134,18 +90,6 @@ def adjacent_difference(w1: Word, w2: Word) -> int | None:
     if len(diff) != 2 or diff[1] != diff[0] + 1:
         return None
     return diff[0]
-
-
-def sylvester_adjacent(w1: Word, w2: Word) -> SylvesterWitness | None:
-    """Witness that w1, w2 differ by one legal exchange of adjacent letters."""
-    i = adjacent_difference(w1, w2)
-    if i is None or (w1[i], w1[i + 1]) != (w2[i + 1], w2[i]):
-        return None
-    k = exchange_witness(w1, i)
-    if k is None:
-        return None
-    x, z = sorted((w1[i], w1[i + 1]))
-    return SylvesterWitness(w1[:i], x, z, w1[i + 2 : k], w1[k], w1[k + 1 :])
 
 
 def sylvester_neighbors(w: Word) -> Iterator[Word]:
@@ -169,12 +113,6 @@ def sylvester_class(w: Word, cap: int = 1_000_000) -> frozenset[Word]:
                 seen.add(nxt)
                 stack.append(nxt)
     return frozenset(seen)
-
-
-def bar(letter: int) -> int:
-    if letter == 0:
-        raise ValueError("signed letters are nonzero")
-    return -letter
 
 
 def abs_word(w: SignedWord) -> Word:

@@ -1,25 +1,26 @@
 """Test-only reference code: brute-force or second routes to what the
-library computes, and the helpers that only the tests use.
-
-None of these is needed by ``flipforge`` itself; the tests check the
-library against them.
+library computes, and every name that only the tests reach, which
+``tests/test_layout.py`` keeps out of ``src/``.
 """
 
 from collections import deque
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from flipforge.flips import (
     DiagonalSigning,
     FlipQuad,
     ShapeTable,
     flip,
+    flip_between,
     flip_quad,
+    flip_readings,
+    flip_table,
     signed_flip,
 )
-from flipforge.graphs import CombGraph, catalan
-from flipforge.phi import colored_readings, readings, triangulation_from_permutation
+from flipforge.graphs import CombGraph, catalan, diagram_report, same_color_orbit
+from flipforge.phi import readings, triangulation_from_permutation
 from flipforge.signing import (
     Certificate,
     PathSigning,
@@ -37,12 +38,17 @@ from flipforge.triangulation import (
     all_triangulations,
     canonical_key,
     face_ends,
+    face_tree,
     is_simple,
+    validate,
 )
 from flipforge.words import (
     SignedWord,
     Word,
+    adjacent_difference,
     block_coloring,
+    exchange_witness,
+    is_permutation,
     is_signed_word,
     sylvester_class,
     sylvester_neighbors,
@@ -705,3 +711,154 @@ def reading_closure_check(n: int) -> dict:
                     failures.append(canonical_key(t))
                     break
     return {"n": n, "triangulations": catalan(n), "failures": failures}
+
+
+def ears(t: Triangulation) -> set[int]:
+    """Vertices of degree two, i.e. vertices met by no diagonal."""
+    touched = {v for d in t.diagonals for v in d}
+    return {v for v in t.ring.vertices if v not in touched}
+
+
+def third_vertex(t: Triangulation, i: int) -> int:
+    """The third vertex t_i of the unique face containing the edge {i, i+1}:
+    face i + 1 = (i, i+1, hi[i+1]) if lo[i+1] == i, else face i =
+    (lo[i], i, i+1)."""
+    if not 1 <= i <= t.n - 1:
+        raise ValueError(f"edge index {i} out of range 1..{t.n - 1}")
+    problems = validate(t)
+    if problems:
+        raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {problems[0]}")
+    lo, hi = face_ends(t)
+    return hi[i + 1] if lo[i + 1] == i else lo[i]
+
+
+def evaluation(w: Word) -> tuple[int, ...]:
+    """Letter multiplicities (mu_1, ..., mu_p) with p = max letter."""
+    if not w:
+        return ()
+    counts = [0] * max(w)
+    for a in w:
+        counts[a - 1] += 1
+    return tuple(counts)
+
+
+class DeltaProfile(NamedTuple):
+    """Greedy split of 1..n into maximal runs appearing in increasing order."""
+
+    segments: tuple[Word, ...]
+    lengths: tuple[int, ...]
+
+
+def delta_profile(sigma: Word) -> DeltaProfile:
+    if not is_permutation(sigma):
+        raise ValueError(f"{sigma} is not a permutation")
+    pos = {v: i for i, v in enumerate(sigma)}
+    segments: list[Word] = []
+    v = 1
+    n = len(sigma)
+    while v <= n:
+        end = v
+        while end < n and pos[end + 1] > pos[end]:
+            end += 1
+        segments.append(tuple(range(v, end + 1)))
+        v = end + 1
+    return DeltaProfile(tuple(segments), tuple(len(s) for s in segments))
+
+
+class SylvesterWitness(NamedTuple):
+    """Decomposition u x z u' y u'' / u z x u' y u'' with x <= y < z."""
+
+    u: Word
+    x: int
+    z: int
+    mid: Word
+    y: int
+    tail: Word
+
+
+def sylvester_adjacent(w1: Word, w2: Word) -> SylvesterWitness | None:
+    """Witness that w1, w2 differ by one legal exchange of adjacent letters."""
+    i = adjacent_difference(w1, w2)
+    if i is None or (w1[i], w1[i + 1]) != (w2[i + 1], w2[i]):
+        return None
+    k = exchange_witness(w1, i)
+    if k is None:
+        return None
+    x, z = sorted((w1[i], w1[i + 1]))
+    return SylvesterWitness(w1[:i], x, z, w1[i + 2 : k], w1[k], w1[k + 1 :])
+
+
+def bar(letter: int) -> int:
+    if letter == 0:
+        raise ValueError("signed letters are nonzero")
+    return -letter
+
+
+def colored_readings(t: Triangulation, eps: Coloring) -> frozenset[Word]:
+    """Color each reading letterwise; requires a simple colored triangulation."""
+    if not is_simple(t, eps):
+        raise ValueError("colored readings are only defined for simple colored triangulations")
+    return frozenset(tuple(eps[v - 1] for v in word) for word in readings(t))
+
+
+def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, Word] | None:
+    """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
+    None unless t1 and t2 differ by one flip; see ``flips.flip_readings``."""
+    quad = flip_between(t1, t2)
+    return None if quad is None else flip_readings(t1, quad, t2)
+
+
+def _valid_face_tree(t: Triangulation):
+    problems = validate(t)
+    if problems:
+        raise ValueError(problems[0])
+    return face_tree(t)
+
+
+def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:
+    """Sign the base of each face y but the root by the product of the signs
+    of y and of up[y], the face beyond it."""
+    _, _, below, up = _valid_face_tree(t)
+    return DiagonalSigning(t, {d: face_signs[y - 1] * face_signs[up[y] - 1]
+                               for d, y in sorted(below.items()) if up[y]})
+
+
+def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring:
+    """Recover face signs from a total diagonal signing and the sign of face 1.
+
+    Faces adjacent across a diagonal have sign product equal to the diagonal
+    sign, and the faces form a tree: sign each face relative to the root,
+    from the root down, and scale so that face 1 has the anchor's sign.
+    """
+    if set(ds.signs) != set(ds.base.diagonals):
+        raise ValueError("face signs need a total diagonal signing")
+    t = ds.base
+    lo, hi, _, up = _valid_face_tree(t)
+    rel = [1] * (t.n + 2)
+    for y in sorted(t.ring.inner, key=lambda y: lo[y] - hi[y]):
+        if up[y]:
+            rel[y] = rel[up[y]] * ds.signs[lo[y], hi[y]]
+    scale = anchor_sign * rel[1]
+    return tuple(scale * rel[y] for y in t.ring.inner)
+
+
+def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
+    """The homogeneous audit's report on one colored shape."""
+    if len(eps) != t.n:
+        raise ValueError("coloring length mismatch")
+    return same_color_orbit(ShapeTable([t]), 0, eps)
+
+
+def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
+    """The diagram audit's report on one mu, over a fresh flip table."""
+    if sum(mu) != n:
+        raise ValueError(f"mu {mu} does not sum to {n}")
+    return diagram_report(flip_table(n), mu)
+
+
+def edge_count(g: CombGraph) -> int:
+    return sum(len(v) for v in g.adjacency.values()) // 2
+
+
+def path_states(path: SignedPath) -> list[SignedState]:
+    return [path.start] + [after for _, _, after in path.steps()]

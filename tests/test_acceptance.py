@@ -15,7 +15,6 @@ import pytest
 from flipforge.graphs import (
     build_flip_graph,
     catalan,
-    commuting_diagram_check,
     compositions,
     fiber_report,
     homogeneous_product_audit,
@@ -33,7 +32,13 @@ from flipforge.signing import (
 from flipforge.triangulation import canonical_key
 from flipforge.words import destandardize, standardize
 
-from reference import path_signable_by_faces, sigma_closure, signed_states, triangulation_from_key
+from reference import (
+    commuting_diagram_check,
+    path_signable_by_faces,
+    sigma_closure,
+    signed_states,
+    triangulation_from_key,
+)
 from refdata import CHAIN, CHAIN_KINDS
 from test_cli import run_cli
 from test_heawood import chain_sphere

@@ -14,11 +14,9 @@ from flipforge.graphs import (
     build_flip_graph,
     build_signed_state_graph,
     catalan,
-    commuting_diagram_check,
     compositions,
     diagram_audit,
     fiber_report,
-    homogeneous_components,
     homogeneous_product_audit,
     signed_reachability_check,
     size_limit,
@@ -34,10 +32,13 @@ from flipforge.words import block_coloring
 from reference import (
     DictUnionFind,
     catalan_by_recurrence,
+    commuting_diagram_check,
+    edge_count,
     faces_by_ears,
     fibers_by_phi,
     flip_row,
     graph_components,
+    homogeneous_components,
     is_connected,
     phi_morphism_check,
     reachability_by_states,
@@ -62,12 +63,12 @@ class TestFlipGraph:
     def test_square(self):
         g = build_flip_graph(2)
         assert len(g.vertices) == 2
-        assert g.edge_count() == 1
+        assert edge_count(g) == 1
 
     def test_pentagon_cycle(self):
         g = build_flip_graph(3)
         assert len(g.vertices) == 5
-        assert g.edge_count() == 5
+        assert edge_count(g) == 5
         assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
         assert is_connected(g)
 
@@ -82,14 +83,14 @@ class TestFlipGraph:
             assert len(g.vertices) == CATALAN[n]
             assert is_connected(g)
             if n >= 2:
-                assert g.edge_count() == (n - 1) * CATALAN[n] // 2
+                assert edge_count(g) == (n - 1) * CATALAN[n] // 2
 
 
 class TestCayleyGraph:
     def test_s3(self):
         g = build_cayley_graph(3)
         assert len(g.vertices) == 6
-        assert g.edge_count() == 6
+        assert edge_count(g) == 6
 
     def test_degree_is_n_minus_one(self):
         for n in range(2, 6):
@@ -108,7 +109,7 @@ class TestSignedStateGraph:
     def test_frozen_n3(self):
         g = build_signed_state_graph(3)
         assert len(g.vertices) == 40
-        assert g.edge_count() == 20
+        assert edge_count(g) == 20
 
 
 class TestMorphism:
@@ -262,19 +263,19 @@ class TestSwitched:
             f = build_flip_graph(n)
             assert rep["connected"] or n == 1
             assert len(g.vertices) == len(f.vertices)
-            assert g.edge_count() == f.edge_count()
+            assert edge_count(g) == edge_count(f)
 
     def test_constant_coloring_is_a_single_vertex(self):
         for n in range(1, 7):
             g, rep = switched_graph(n, (n,))
             assert len(g.vertices) == 1
-            assert g.edge_count() == 0
+            assert edge_count(g) == 0
             assert rep["connected"]
 
     def test_frozen_two_two(self):
         g, rep = switched_graph(4, (2, 2))
         assert len(g.vertices) == 3
-        assert g.edge_count() == 2
+        assert edge_count(g) == 2
         assert rep["connected"]
 
     def test_connected_for_every_composition_up_to_n6(self):
@@ -284,7 +285,7 @@ class TestSwitched:
                 assert rep["connected"], (n, mu)
                 # the report counts shape indices; the keyed graph is a second route
                 assert rep["vertices"] == len(g.vertices)
-                assert rep["edges"] == g.edge_count()
+                assert rep["edges"] == edge_count(g)
                 assert rep["connected"] == is_connected(g)
 
     def test_audits_pass(self):
@@ -504,7 +505,7 @@ class TestDiagram:
             return t, colors[::-1]
 
         monkeypatch.setattr(graphs, "colored_triangulation_from_word", wrong)
-        rep = graphs._diagram_report(flips.flip_table(4), (2, 2))
+        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
         assert len(rep["square_failures"]) == rep["words"] == 6
         assert not diagram_audit(4)["pass"]
 
@@ -512,7 +513,7 @@ class TestDiagram:
         # reversed standardizations are one move apart at n - 2 - i, not at i
         real = graphs.standardize
         monkeypatch.setattr(graphs, "standardize", lambda w: real(w)[::-1])
-        rep = graphs._diagram_report(flips.flip_table(4), (2, 2))
+        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
         moved = [(w, i) for w in words_of_evaluation((2, 2)) for i in range(3) if w[i] != w[i + 1]]
         assert len(rep["edge_failures"]) == sum(i != 1 for _, i in moved) > 0
         assert rep["std_injective"]
@@ -578,7 +579,7 @@ class TestBattery:
                 assert table.simple(eps) == simple
                 assert table.simple(eps[::-1]) == (simple if len(mu) == 1 else [])
                 assert list(graphs._switched_graph(table, mu)[0]) == simple
-                rep = graphs._diagram_report(table, mu)
+                rep = graphs.diagram_report(table, mu)
                 assert rep["simple_count"] == len(simple) and rep["image_is_all_simple"]
 
 

@@ -106,3 +106,13 @@ def test_render_gallery_refuses_bad_sizes_before_writing(tmp_path, monkeypatch, 
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert not out.exists()
+
+
+def test_render_gallery_refuses_an_out_path_that_is_a_file(tmp_path):
+    out = tmp_path / "gallery"
+    out.write_text("not a directory", encoding="utf-8")
+    proc = run_script("render_gallery.py", "--n", "2", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert out.read_text(encoding="utf-8") == "not a directory"

@@ -34,6 +34,7 @@ from reference import (
     face_sign_walk,
     flip_row,
     path_signable_by_faces,
+    path_states,
     sign_path_diagonals_by_tracking,
     sigma_closure,
     signable_path_by_states,
@@ -248,7 +249,7 @@ class TestSignablePathSearch:
         )
         assert path is not None
         assert len(path.flips) == 6
-        states = path.states()
+        states = path_states(path)
         assert states[0] == path.start and states[-1] == path.end
         assert len(states) == 7
 
@@ -317,13 +318,13 @@ class TestSignablePathSearch:
         depth = depths_below_end(t1, t2)
         rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
         path = signable_path_search(t1, t2, max_states=len(depth))
-        built = len(rows)  # before path.states(), whose flips call _quads too
+        built = len(rows)  # before path_states(path), whose flips call _quads too
         d = len(path.flips)
         assert d - 1 == max(depth.values())
         # the rows that expand layers 0..d-2, the end shape's own row, and the
         # penultimate shape's row for its last diagonal; none for the last layer
         expected = {state.tri for state, t in depth.items() if t <= d - 2}
-        expected |= {t2, path.states()[-2].tri}
+        expected |= {t2, path_states(path)[-2].tri}
         assert built == len(expected)
 
     def test_default_cap_returns_paths_to_n8(self):
@@ -389,7 +390,7 @@ class TestEmitWordCertificate:
         for bad, text in ((refused, r"recorded flip \(0, 2\) is refused at step 0"),
                           (missed, "does not reach its end state"),
                           (unmoved, "does not reach its end state")):
-            for replay in (SignedPath.states, emit_word_certificate):
+            for replay in (path_states, emit_word_certificate):
                 with pytest.raises(ValueError, match=text):
                     replay(bad)
 

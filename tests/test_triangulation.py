@@ -15,21 +15,21 @@ from flipforge.triangulation import (
     all_triangulations,
     canonical_key,
     chord_code,
-    ears,
     face_ends,
     face_tree,
     faces,
     is_simple,
-    third_vertex,
     validate,
 )
 
 from reference import (
     VertexRing,
     crossing,
+    ears,
     edge_adjacency,
     faces_by_ears,
     from_chord_code,
+    third_vertex,
     triangulation_from_key,
     validate_by_crossings,
 )

@@ -9,22 +9,26 @@ from flipforge.graphs import compositions, words_of_evaluation
 from flipforge.words import (
     ClosureCapExceeded,
     abs_word,
-    bar,
     block_coloring,
-    delta_profile,
     destandardize,
-    evaluation,
     exchange_witness,
     format_word,
     parse_word,
     respects_blocks,
     standardize,
-    sylvester_adjacent,
     sylvester_class,
     sylvester_neighbors,
 )
 
-from reference import exchange_witness_by_scan, format_signed_word, parse_signed_word
+from reference import (
+    bar,
+    delta_profile,
+    evaluation,
+    exchange_witness_by_scan,
+    format_signed_word,
+    parse_signed_word,
+    sylvester_adjacent,
+)
 from refdata import CHAIN, CLASS_BBCBCA, READINGS_235461
 
 BBCBCA = (2, 2, 3, 2, 3, 1)
