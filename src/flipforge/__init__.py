@@ -3,7 +3,6 @@
 from .triangulation import (
     Face,
     Triangulation,
-    VertexRing,
     all_triangulations,
     canonical_key,
     faces,
@@ -47,7 +46,6 @@ from .signing import (
 from .heawood import (
     SphereTriangulation,
     four_color,
-    glue,
     heawood_check,
     mirror_sphere,
     verify_coloring,

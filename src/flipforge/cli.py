@@ -12,7 +12,7 @@ import sys
 
 from . import flips, graphs, jsonio, render
 from .graphs import SUITES
-from .heawood import four_color, glue, heawood_check, verify_coloring
+from .heawood import SphereTriangulation, four_color, heawood_check, verify_coloring
 from .phi import (
     canonical_reading,
     colored_triangulation_from_word,
@@ -250,13 +250,9 @@ def cmd_sign_path_diagonals(args) -> int:
 def cmd_glue(args) -> int:
     north, _, nsigns = _load_triangulation(args.north)
     south, _, ssigns = _load_triangulation(args.south)
-    face_signs = None
-    if nsigns is not None and ssigns is not None:
-        face_signs = {("N", i + 1): s for i, s in enumerate(nsigns)}
-        face_signs |= {("S", i + 1): s for i, s in enumerate(ssigns)}
-    elif (nsigns is None) != (ssigns is None):
+    if (nsigns is None) != (ssigns is None):
         raise ValueError("either both hemispheres carry signs or neither does")
-    sphere = glue(north, south, face_signs)
+    sphere = SphereTriangulation(north, south, None if nsigns is None else (nsigns, ssigns))
     _print_json(jsonio.sphere_to_dict(sphere), args.output)
     return 0
 

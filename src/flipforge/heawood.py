@@ -11,67 +11,54 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .triangulation import Coloring, Diagonal, Face, Triangulation, faces, validate
-
-FaceKey = tuple[str, int]  # hemisphere "N"/"S" and face label
+from .triangulation import Coloring, Diagonal, Triangulation, faces, validate
 
 
 @dataclass
 class SphereTriangulation:
-    n: int
+    """north and south glued along the boundary of their polygon; ``signs``
+    is the pair (north signs, south signs), each a +-1 tuple by face label."""
+
     north: Triangulation
     south: Triangulation
-    face_signs: dict[FaceKey, int] | None = None
+    signs: tuple[Coloring, Coloring] | None = None
 
     def __post_init__(self) -> None:
-        if self.north.n != self.n or self.south.n != self.n:
-            raise ValueError("hemispheres disagree with n")
+        if self.north.n != self.south.n:
+            raise ValueError(f"cannot glue n={self.north.n} and n={self.south.n}")
         for hemi, t in (("north", self.north), ("south", self.south)):
             problems = validate(t)
             if problems:
                 raise ValueError(f"{hemi} is not a triangulation: {problems[0]}")
+        if self.signs is not None and any(len(signs) != self.n for signs in self.signs):
+            raise ValueError(f"each hemisphere needs one face sign per label 1..{self.n}")
 
-
-def glue(north: Triangulation, south: Triangulation,
-         face_signs: dict[FaceKey, int] | None = None) -> SphereTriangulation:
-    if north.n != south.n:
-        raise ValueError(f"cannot glue n={north.n} and n={south.n}")
-    return SphereTriangulation(north.n, north, south, face_signs)
+    @property
+    def n(self) -> int:
+        return self.north.n
 
 
 def mirror_sphere(t: Triangulation, eps: Coloring) -> SphereTriangulation:
     """Glue t to itself, the south copy carrying the opposite face signs."""
-    signs: dict[FaceKey, int] = {}
-    for label in t.ring.inner:
-        signs[("N", label)] = eps[label - 1]
-        signs[("S", label)] = -eps[label - 1]
-    return SphereTriangulation(t.n, t, t, signs)
-
-
-def sphere_faces(s: SphereTriangulation) -> list[tuple[FaceKey, Face]]:
-    out = [(("N", f.label), f) for f in faces(s.north)]
-    out += [(("S", f.label), f) for f in faces(s.south)]
-    return out
+    return SphereTriangulation(t, t, (eps, tuple(-s for s in eps)))
 
 
 def sphere_edges(s: SphereTriangulation) -> set[Diagonal]:
-    edges = set(s.north.ring.boundary_edges())
-    edges |= set(s.north.diagonals)
-    edges |= set(s.south.diagonals)
-    return edges
+    """The n+2 boundary edges of the polygon and both hemispheres' diagonals."""
+    edges = {(v, v + 1) for v in range(s.n + 1)} | {(0, s.n + 1)}
+    return edges | set(s.north.diagonals) | set(s.south.diagonals)
 
 
 def heawood_check(s: SphereTriangulation) -> list[int]:
     """Vertices whose incident face signs do not sum to 0 mod 3 (empty = pass)."""
-    if s.face_signs is None:
+    if s.signs is None:
         raise ValueError("heawood check needs face signs")
-    total = {v: 0 for v in s.north.ring.vertices}
-    for key, face in sphere_faces(s):
-        if key not in s.face_signs:
-            raise ValueError(f"face {key} is unsigned")
-        for v in face:
-            total[v] += s.face_signs[key]
-    return [v for v in sorted(total) if total[v] % 3 != 0]
+    total = [0] * (s.n + 2)
+    for t, signs in zip((s.north, s.south), s.signs):
+        for face, sign in zip(faces(t), signs):
+            for v in face:
+                total[v] += sign
+    return [v for v in range(s.n + 2) if total[v] % 3]
 
 
 def color_graph(vertices: list[int], edges: set[tuple[int, int]], colors: int = 4) -> dict[int, int] | None:
@@ -102,7 +89,7 @@ def color_graph(vertices: list[int], edges: set[tuple[int, int]], colors: int = 
 
 def four_color(s: SphereTriangulation) -> dict[int, int] | None:
     """A proper vertex coloring of the glued sphere with colors 0..3."""
-    return color_graph(list(s.north.ring.vertices), sphere_edges(s))
+    return color_graph(list(range(s.n + 2)), sphere_edges(s))
 
 
 def coloring_violations(s: SphereTriangulation, coloring: dict[int, int]) -> list[Diagonal]:

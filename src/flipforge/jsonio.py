@@ -66,8 +66,9 @@ def sphere_to_dict(s: SphereTriangulation) -> dict:
         "north": [list(d) for d in s.north.diagonals],
         "south": [list(d) for d in s.south.diagonals],
     }
-    if s.face_signs is not None:
-        out["signs"] = {f"{hemi}:{label}": sign for (hemi, label), sign in sorted(s.face_signs.items())}
+    if s.signs is not None:
+        out["signs"] = {f"{hemi}:{label}": sign
+                        for hemi, signs in zip("NS", s.signs) for label, sign in enumerate(signs, 1)}
     return out
 
 
@@ -78,19 +79,25 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
         south = Triangulation(n, tuple((_integer(i), _integer(j)) for i, j in data["south"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed sphere object: {exc}") from exc
-    face_signs = None
+    signs = None
     if "signs" in data:
-        if not isinstance(data["signs"], dict):
-            raise ValueError(f"signs must be an object, got {type(data['signs']).__name__}")
-        face_signs = {}
-        for key, sign in data["signs"].items():
+        entries = data["signs"]
+        if not isinstance(entries, dict):
+            raise ValueError(f"signs must be an object, got {type(entries).__name__}")
+        for key, sign in entries.items():
             hemi, _, label = key.partition(":")
             if hemi not in ("N", "S") or not label.isdigit() or type(sign) is not int or sign not in (-1, 1):
                 raise ValueError(f"malformed face sign entry {key!r}: {sign!r}")
             if str(int(label)) != label or not 1 <= int(label) <= n:
                 raise ValueError(f"face sign entry {key!r} names no face label 1..{n}")
-            face_signs[(hemi, int(label))] = sign
-    return SphereTriangulation(n, north, south, face_signs)
+        # the entries name distinct faces, so the first unsigned face comes
+        # within len(entries) + 1 keys, however large n is
+        keys = (f"{hemi}:{label}" for hemi in "NS" for label in range(1, n + 1))
+        unsigned = next((key for key in keys if key not in entries), None)
+        if unsigned is not None:
+            raise ValueError(f"face {unsigned} is unsigned")
+        signs = tuple(tuple(entries[f"{hemi}:{label}"] for label in range(1, n + 1)) for hemi in "NS")
+    return SphereTriangulation(north, south, signs)
 
 
 def certificate_to_lines(cert: Certificate) -> list[str]:

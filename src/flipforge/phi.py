@@ -51,7 +51,7 @@ def readings(t: Triangulation) -> frozenset[Word]:
     def under(i: int, j: int) -> list[Word]:
         return read.pop(below[i, j]) if j - i > 1 else [()]
 
-    for y in sorted(t.ring.inner, key=lambda y: hi[y] - lo[y]):
+    for y in sorted(range(1, t.n + 1), key=lambda y: hi[y] - lo[y]):
         words = []
         for u, v in product(under(lo[y], y), under(y, hi[y])):
             u, v = sorted((u, v), key=len)
@@ -77,8 +77,9 @@ def least_reading(t: Triangulation, key: Callable[[int], Any]) -> Word:
     by key: it always reads next the least face whose children are read,
     face y waiting for one child below each of its sides that is a diagonal."""
     lo, hi, _, up = face_tree(t)
-    waiting = [0] + [(y - lo[y] > 1) + (hi[y] - y > 1) for y in t.ring.inner]
-    ready = [(key(y), y) for y in t.ring.inner if not waiting[y]]
+    inner = range(1, t.n + 1)
+    waiting = [0] + [(y - lo[y] > 1) + (hi[y] - y > 1) for y in inner]
+    ready = [(key(y), y) for y in inner if not waiting[y]]
     heapify(ready)
     word = []
     while ready:

@@ -101,16 +101,9 @@ def render_triangulation(t: Triangulation, colors: Coloring | None = None,
 
 
 def render_sphere(s: SphereTriangulation) -> str:
-    def hemi_signs(tag: str) -> Coloring | None:
-        if s.face_signs is None:
-            return None
-        for label in range(1, s.n + 1):
-            if (tag, label) not in s.face_signs:
-                raise ValueError(f"face {(tag, label)} is unsigned")
-        return tuple(s.face_signs[(tag, label)] for label in range(1, s.n + 1))
-
-    north = _panel(s.north, None, hemi_signs("N"), 0.0, "north")
-    south = _panel(s.south, None, hemi_signs("S"), SIZE, "south")
+    north_signs, south_signs = s.signs or (None, None)
+    north = _panel(s.north, None, north_signs, 0.0, "north")
+    south = _panel(s.south, None, south_signs, SIZE, "south")
     return _document([north, south])
 
 

@@ -27,31 +27,6 @@ Diagonal = tuple[int, int]
 Coloring = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VertexRing:
-    """The cyclically ordered vertex set 0, 1, ..., n, n+1 of the polygon."""
-
-    n: int
-
-    @property
-    def infinity(self) -> int:
-        return self.n + 1
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n + 2)
-
-    @property
-    def inner(self) -> range:
-        """Vertices that label faces and carry colors or signs (excludes 0 and oo)."""
-        return range(1, self.n + 1)
-
-    def boundary_edges(self) -> set[Diagonal]:
-        edges = {(v, v + 1) for v in range(self.infinity)}
-        edges.add((0, self.infinity))
-        return edges
-
-
 class Face(NamedTuple):
     """A triangular face; its label is the middle vertex."""
 
@@ -74,10 +49,6 @@ class Triangulation:
     def __post_init__(self) -> None:
         norm = sorted([(i, j) if i < j else (j, i) for i, j in self.diagonals])
         object.__setattr__(self, "diagonals", tuple(norm))
-
-    @property
-    def ring(self) -> VertexRing:
-        return VertexRing(self.n)
 
 
 def validate(t: Triangulation) -> list[str]:
@@ -107,7 +78,7 @@ def validate(t: Triangulation) -> list[str]:
     if len(t.diagonals) != max(n - 1, 0):
         return [f"expected {max(n - 1, 0)} diagonals for n={n}, got {len(t.diagonals)}"]
     lo, hi = face_ends(t)
-    bases = sorted((lo[y], hi[y]) for y in t.ring.inner)
+    bases = sorted((lo[y], hi[y]) for y in range(1, n + 1))
     if n and bases != sorted(t.diagonals + ((0, n + 1),)):
         return [f"face bases {bases} are not the diagonals and the roof edge, each once"]
     return []
@@ -135,14 +106,15 @@ def face_tree(t: Triangulation) -> tuple[list[int], list[int], dict[Diagonal, in
     i = (lo[i], i, j) if hi[i] = j, else face j = (i, j, hi[j]); as
     hi[0] = n+1, ``up`` of the root is 0."""
     lo, hi = face_ends(t)
-    up = [0] + [lo[y] if hi[lo[y]] == hi[y] else hi[y] for y in t.ring.inner]
-    return lo, hi, {(lo[y], hi[y]): y for y in t.ring.inner}, up
+    inner = range(1, t.n + 1)
+    up = [0] + [lo[y] if hi[lo[y]] == hi[y] else hi[y] for y in inner]
+    return lo, hi, {(lo[y], hi[y]): y for y in inner}, up
 
 
 def faces(t: Triangulation) -> list[Face]:
     """The n faces (lo[y], y, hi[y]) by label y; requires a valid triangulation."""
     lo, hi = face_ends(t)
-    return [Face(lo[y], y, hi[y]) for y in t.ring.inner]
+    return [Face(lo[y], y, hi[y]) for y in range(1, t.n + 1)]
 
 
 def up_mask(t: Triangulation) -> int:

@@ -34,7 +34,6 @@ from flipforge.triangulation import (
     Diagonal,
     Face,
     Triangulation,
-    VertexRing as _VertexRing,
     all_triangulations,
     canonical_key,
     face_ends,
@@ -53,20 +52,6 @@ from flipforge.words import (
     sylvester_class,
     sylvester_neighbors,
 )
-
-
-class VertexRing(_VertexRing):
-    """The polygon's vertex ring with its linear predecessor and successor."""
-
-    def pred(self, v: int) -> int:
-        if not 0 < v <= self.infinity:
-            raise ValueError(f"vertex {v} has no predecessor on a ring of size {self.n + 2}")
-        return v - 1
-
-    def succ(self, v: int) -> int:
-        if not 0 <= v < self.infinity:
-            raise ValueError(f"vertex {v} has no successor on a ring of size {self.n + 2}")
-        return v + 1
 
 
 def catalan_by_recurrence(n: int) -> int:
@@ -107,7 +92,7 @@ def cut_ears(live: list[int], diags: set[Diagonal], allowed, pick) -> list[int]:
 def readings_by_ears(t: Triangulation) -> frozenset[Word]:
     """All words obtained by repeatedly cutting an inner ear of t off a live
     vertex ring, as a memoized recursion over (ring, chords) states."""
-    inner = set(t.ring.inner)
+    inner = set(range(1, t.n + 1))
 
     @cache
     def rec(live: tuple[int, ...], diags: frozenset) -> frozenset[Word]:
@@ -124,12 +109,12 @@ def readings_by_ears(t: Triangulation) -> frozenset[Word]:
             out.update((v,) + w for w in rec(tuple(live2), frozenset(diags2)))
         return frozenset(out)
 
-    return rec(tuple(t.ring.vertices), frozenset(t.diagonals))
+    return rec(tuple(range(t.n + 2)), frozenset(t.diagonals))
 
 
 def canonical_reading_by_ears(t: Triangulation) -> Word:
     """The reading that always cuts the greatest-labelled ear."""
-    return tuple(cut_ears(list(t.ring.vertices), set(t.diagonals), set(t.ring.inner), max))
+    return tuple(cut_ears(list(range(t.n + 2)), set(t.diagonals), set(range(1, t.n + 1)), max))
 
 
 def flip_readings_by_ears(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
@@ -138,7 +123,7 @@ def flip_readings_by_ears(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]
     which must be ears, in order; then every other ear, least first.  The
     flipped word starts from the same ring with the chord exchanged."""
     a, b, c, dd = quad.a, quad.b, quad.c, quad.d
-    live = list(t.ring.vertices)
+    live = list(range(t.n + 2))
     diags = set(t.diagonals)
     interior = set(range(a + 1, b)) | set(range(b + 1, c)) | set(range(c + 1, dd))
     prefix = cut_ears(live, diags, interior, min)
@@ -149,7 +134,7 @@ def flip_readings_by_ears(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]
             if any(v in e for e in diags_):
                 raise AssertionError(f"vertex {v} not an ear after clearing the quad")
             cut_ear(live_, diags_, v)
-        return [first, second] + cut_ears(live_, diags_, t.ring.inner, min)
+        return [first, second] + cut_ears(live_, diags_, range(1, t.n + 1), min)
 
     first, second = (b, c) if quad.old == (a, c) else (c, b)
     w1 = tuple(prefix + finish(set(diags), first, second))
@@ -161,7 +146,7 @@ def faces_by_ears(t: Triangulation) -> list[Face]:
     """The n faces sorted by label, found by clipping ears off the polygon:
     each cut vertex v with its two ring neighbours is a face, and the chord
     that closed the ear leaves the set.  Requires a valid triangulation."""
-    live = list(t.ring.vertices)
+    live = list(range(t.n + 2))
     degree = {v: 0 for v in live}
     for i, j in t.diagonals:
         degree[i] += 1
@@ -190,8 +175,9 @@ def crossing(d1: Diagonal, d2: Diagonal) -> bool:
 
 
 @cache
-def _boundary_edges(n: int) -> set[Diagonal]:
-    return VertexRing(n).boundary_edges()
+def boundary_edges(n: int) -> frozenset[Diagonal]:
+    """The n+2 sides of the polygon 0, 1, ..., n+1."""
+    return frozenset({(v, v + 1) for v in range(n + 1)} | {(0, n + 1)})
 
 
 def validate_by_crossings(t: Triangulation) -> list[str]:
@@ -201,7 +187,7 @@ def validate_by_crossings(t: Triangulation) -> list[str]:
     if n < 0:
         return [f"n must be nonnegative, got {n}"]
     problems: list[str] = []
-    boundary = _boundary_edges(n)
+    boundary = boundary_edges(n)
     for d in t.diagonals:
         i, j = d
         if not (0 <= i < j <= infinity):
@@ -228,8 +214,8 @@ def validate_by_crossings(t: Triangulation) -> list[str]:
 
 def edge_adjacency(t: Triangulation) -> dict[int, set[int]]:
     """Vertex adjacency of the polygon boundary together with the diagonals."""
-    adj: dict[int, set[int]] = {v: set() for v in t.ring.vertices}
-    for i, j in t.ring.boundary_edges() | set(t.diagonals):
+    adj: dict[int, set[int]] = {v: set() for v in range(t.n + 2)}
+    for i, j in boundary_edges(t.n) | set(t.diagonals):
         adj[i].add(j)
         adj[j].add(i)
     return adj
@@ -716,7 +702,7 @@ def reading_closure_check(n: int) -> dict:
 def ears(t: Triangulation) -> set[int]:
     """Vertices of degree two, i.e. vertices met by no diagonal."""
     touched = {v for d in t.diagonals for v in d}
-    return {v for v in t.ring.vertices if v not in touched}
+    return {v for v in range(t.n + 2) if v not in touched}
 
 
 def third_vertex(t: Triangulation, i: int) -> int:
@@ -835,11 +821,11 @@ def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring
     t = ds.base
     lo, hi, _, up = _valid_face_tree(t)
     rel = [1] * (t.n + 2)
-    for y in sorted(t.ring.inner, key=lambda y: lo[y] - hi[y]):
+    for y in sorted(range(1, t.n + 1), key=lambda y: lo[y] - hi[y]):
         if up[y]:
             rel[y] = rel[up[y]] * ds.signs[lo[y], hi[y]]
     scale = anchor_sign * rel[1]
-    return tuple(scale * rel[y] for y in t.ring.inner)
+    return tuple(scale * rel[y] for y in range(1, t.n + 1))
 
 
 def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:

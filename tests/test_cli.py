@@ -27,6 +27,11 @@ SPHERE_SIGNED = json.dumps(
      "signs": {f"{h}:{k}": 1 for h in "NS" for k in (1, 2, 3)}}
 )
 
+SPHERE_PARTLY_SIGNED = json.dumps(
+    {"n": 3, "north": [[0, 2], [0, 3]], "south": [[0, 2], [0, 3]],
+     "signs": {f"{h}:{k}": 1 for h in "NS" for k in (1, 2, 3) if (h, k) != ("N", 2)}}
+)
+
 
 def run_cli(*argv, **kwargs):
     # The CLI in a child interpreter: works from a checkout with PYTHONPATH=src,
@@ -456,6 +461,33 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == "error: FLIPFORGE_MAX_N must be an integer, got 'abc'\n"
 
+    # T stands for a triangulation file with neither colors nor signs
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--kind", "switched", "--n", "3", "--mu", "a,b"],
+            ["graph", "--kind", "switched", "--n", "3", "--mu", "0,3"],
+            ["graph", "--kind", "switched", "--n", "3", "--mu", "1,1"],
+            ["graph", "--kind", "switched", "--n", "3"],
+            ["graph", "--kind", "flip", "--n", "-1"],
+            ["flip", "T", "--d", "1,2,3"],
+            ["neighbors", "T", "--mode", "signed"],
+            ["neighbors", "T", "--mode", "homogeneous"],
+            ["neighbors", "T", "--mode", "switched"],
+            ["signed-path", "12", "123"],
+            ["dstd", "213", "--mu", "2,x"],
+        ],
+        ids=["mu-not-numbers", "mu-zero-part", "mu-wrong-sum", "mu-missing", "graph-negative-n",
+             "flip-three-ends", "neighbors-signed-unsigned", "neighbors-homogeneous-uncolored",
+             "neighbors-switched-uncolored", "signed-path-sizes-differ", "dstd-mu-not-numbers"],
+    )
+    def test_bad_argument_is_one_error_line(self, capsys, tmp_path, argv):
+        t_file = tmp_path / "t.json"
+        t_file.write_text(json.dumps({"n": 3, "diagonals": [[0, 2], [0, 3]]}))
+        code, out, err = run(capsys, *[str(t_file) if a == "T" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "heawood-check", "/nonexistent/sphere.json")
         assert code == 1
@@ -509,10 +541,13 @@ class TestErrorHandling:
             ('{"n": 3, "path": [[1, 2]]}', ["sign-path-diagonals"]),
             ('{"n": 3, "path": 5}', ["sign-path-diagonals"]),
             ("[1, 2]", ["sign-path-diagonals"]),
+            ('{"n": 3, "path": []}', ["sign-path-diagonals"]),
+            ('{"n": 3, "path": [[[0, 2], [0, 3]], [[1, 3], [1, 4]]]}', ["sign-path-diagonals"]),
+            (SPHERE_PARTLY_SIGNED, ["four-color"]),
         ],
         ids=["heawood-list-signs", "four-color-list-signs", "render-list-signs",
              "render-empty", "render-scalar", "path-step-pair", "path-not-list",
-             "path-file-list"],
+             "path-file-list", "path-empty", "path-step-not-a-flip", "four-color-partly-signed"],
     )
     def test_malformed_file_is_one_error_line(self, capsys, tmp_path, content, argv):
         f = tmp_path / "in.json"

@@ -99,7 +99,7 @@ BAD_SPHERE = st.one_of(
     st.sampled_from(["n", "north", "south"]).map(lambda f: corrupted(SPHERE, f, DROP)),
 )
 
-# read, but a command that needs every face sign refuses it
+# refused when read
 UNSIGNED_SPHERE = st.lists(st.sampled_from(sorted(SPHERE["signs"])), min_size=1, unique=True).map(
     lambda drop: corrupted(SPHERE, "signs", {k: v for k, v in SPHERE["signs"].items() if k not in drop}))
 
@@ -174,7 +174,7 @@ def test_malformed_sphere(tmp_path_factory, obj, command):
 
 
 @EXAMPLES
-@given(obj=UNSIGNED_SPHERE, command=st.sampled_from(["heawood-check", "render"]))
+@given(obj=UNSIGNED_SPHERE, command=st.sampled_from(["heawood-check", "four-color", "render"]))
 def test_sphere_with_unsigned_faces(tmp_path_factory, obj, command):
     assert_one_error_line([command, write(tmp_path_factory, "fuzz-s.json", json.dumps(obj))])
 

@@ -110,6 +110,9 @@ CORPUS = [
     # distance < 6 from the start shape's signings number 984
     ("signed-path-refused", ["signed-path", "324156", "453126", "--max-states", "983"], []),
     ("signed-path-at-cap", ["signed-path", "324156", "453126", "--max-states", "984"], []),
+    # two readings of one shape: a path of no flips, whose certificate is one word
+    ("signed-path-0", ["signed-path", "1243", "1423", "--emit-cert", "z.jsonl"], ["z.jsonl"]),
+    ("check-cert-0", ["check-cert", "z.jsonl"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -198,6 +201,10 @@ GOLDEN = {
     # Recorded after the signed-path cap counted only the states at distance < d;
     # before, the cap also counted part of the last layer and refused this command.
     "signed-path-at-cap": "f24ca1649f241545cb78e767216f9ab247ccd8e63199c7eec2a97271a2018b18",
+    # Recorded before the sphere's face signs became a pair of sign tuples.
+    "signed-path-0": "e4b504136aea5b37c68b8155ae640b3b809b41a331e54148b23ebef972ee14a3",
+    "signed-path-0:z.jsonl": "e92664b807dfcdeeaf3bf36b8a874dd18074f2951e5950aa1c6fc832c07d8ae7",
+    "check-cert-0": "1d4af83a5c8e88781d76628dd77f43ea769e7ae1f10b62a251c270b067ccdbad",
 }
 
 

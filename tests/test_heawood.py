@@ -10,15 +10,13 @@ from flipforge.heawood import (
     color_graph,
     coloring_violations,
     four_color,
-    glue,
     heawood_check,
     mirror_sphere,
     sphere_edges,
-    sphere_faces,
     verify_coloring,
 )
 from flipforge.signing import SignedState
-from flipforge.triangulation import Triangulation, all_triangulations
+from flipforge.triangulation import Triangulation, all_triangulations, faces
 
 from reference import sigma_closure
 from refdata import EPS_END, EPS_START, PHI_324156, PHI_453126
@@ -28,50 +26,55 @@ T_453126 = Triangulation(6, tuple(PHI_453126))
 
 
 def chain_sphere():
-    signs = {("N", i + 1): s for i, s in enumerate(EPS_END)}
-    signs |= {("S", i + 1): -s for i, s in enumerate(EPS_START)}
-    return glue(T_453126, T_324156, signs)
+    return SphereTriangulation(T_453126, T_324156, (EPS_END, tuple(-s for s in EPS_START)))
 
 
 def all_sphere_signings(n):
     for values in itertools.product((1, -1), repeat=2 * n):
-        yield {
-            **{("N", i + 1): values[i] for i in range(n)},
-            **{("S", i + 1): values[n + i] for i in range(n)},
-        }
+        yield values[:n], values[n:]
+
+
+def sphere_faces(s):
+    return faces(s.north) + faces(s.south)
 
 
 class TestGlue:
     def test_small_counts(self):
-        s = glue(Triangulation(1, ()), Triangulation(1, ()))
+        s = SphereTriangulation(Triangulation(1, ()), Triangulation(1, ()))
         assert s.n == 1
         assert len(sphere_faces(s)) == 2
         assert len({v for e in sphere_edges(s) for v in e}) == 3
 
     def test_octagon_pair_is_twelve_faces_on_eight_vertices(self):
-        s = glue(T_324156, T_453126)
+        s = SphereTriangulation(T_324156, T_453126)
         assert len(sphere_faces(s)) == 12
         assert len({v for e in sphere_edges(s) for v in e}) == 8
 
     def test_mirror_faces_share_vertices(self):
         t = Triangulation(3, ((1, 3), (0, 3)))
-        fs = dict(sphere_faces(glue(t, t)))
-        for label in range(1, 4):
-            assert fs[("N", label)] == fs[("S", label)]
+        s = mirror_sphere(t, (1, -1, 1))
+        assert faces(s.north) == faces(s.south) == faces(t)
+        assert s.signs == ((1, -1, 1), (-1, 1, -1))
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            glue(Triangulation(2, ((0, 2),)), Triangulation(3, ((1, 3), (0, 3))))
+        with pytest.raises(ValueError, match="cannot glue n=2 and n=3"):
+            SphereTriangulation(Triangulation(2, ((0, 2),)), Triangulation(3, ((1, 3), (0, 3))))
 
     def test_invalid_hemisphere_rejected(self):
         bad = Triangulation(2, ((0, 2), (1, 3)))
         with pytest.raises(ValueError):
-            SphereTriangulation(2, bad, Triangulation(2, ((0, 2),)), None)
+            SphereTriangulation(bad, Triangulation(2, ((0, 2),)), None)
+
+    @pytest.mark.parametrize("signs", [((1,), (1, 1)), ((1, 1), (1, 1, 1)), ((), ())])
+    def test_sign_tuple_of_the_wrong_length_rejected(self, signs):
+        t = Triangulation(2, ((0, 2),))
+        with pytest.raises(ValueError, match="one face sign per label"):
+            SphereTriangulation(t, t, signs)
 
 
 class TestHeawoodCheck:
     def test_requires_signs(self):
-        s = glue(T_324156, T_453126)
+        s = SphereTriangulation(T_324156, T_453126)
         with pytest.raises(ValueError):
             heawood_check(s)
 
@@ -87,19 +90,15 @@ class TestHeawoodCheck:
     def test_all_positive_needs_divisible_face_counts(self):
         # with every face +, a vertex sums to its incident-face count
         t = Triangulation(2, ((0, 2),))
-        signs = {(h, i): 1 for h in "NS" for i in (1, 2)}
-        s = glue(t, t, signs)
+        s = SphereTriangulation(t, t, ((1, 1), (1, 1)))
         bad = heawood_check(s)
         assert bad  # the square corners touch 4 or 2 faces, never 0 mod 3
-        fs = dict(sphere_faces(s))
         for v in range(4):
-            incident = sum(v in f for f in fs.values())
+            incident = sum(v in f for f in sphere_faces(s))
             assert (v in bad) == (incident % 3 != 0)
 
     def test_violations_are_sorted_vertices(self):
-        bad = heawood_check(
-            glue(T_324156, T_453126, {(h, i): 1 for h in "NS" for i in range(1, 7)})
-        )
+        bad = heawood_check(SphereTriangulation(T_324156, T_453126, ((1,) * 6, (1,) * 6)))
         assert bad == sorted(bad)
 
 
@@ -109,36 +108,30 @@ class TestHeawoodPreservation:
         for n in range(1, 5):
             for north in all_triangulations(n):
                 for south in all_triangulations(n):
-                    for signs in all_sphere_signings(n):
-                        s = glue(north, south, signs)
-                        if heawood_check(s):
+                    for eps, south_signs in all_sphere_signings(n):
+                        if heawood_check(SphereTriangulation(north, south, (eps, south_signs))):
                             continue
-                        eps = tuple(signs[("N", i + 1)] for i in range(n))
                         for d in north.diagonals:
                             moved = signed_flip(north, eps, d)
                             if moved is None:
                                 continue
                             north2, eps2 = moved
-                            signs2 = dict(signs)
-                            for i in range(n):
-                                signs2[("N", i + 1)] = eps2[i]
-                            assert heawood_check(glue(north2, south, signs2)) == []
+                            assert heawood_check(SphereTriangulation(north2, south, (eps2, south_signs))) == []
 
     def test_preserved_along_whole_closures(self):
         # mirror spheres stay Heawood under every signed-flip orbit
         for n in range(1, 5):
             for t in all_triangulations(n):
                 for eps in itertools.product((1, -1), repeat=n):
-                    south_signs = {("S", i + 1): -eps[i] for i in range(n)}
+                    south_signs = tuple(-s for s in eps)
                     for state in sigma_closure(SignedState(t, eps)):
-                        signs = {("N", i + 1): state.signs[i] for i in range(n)}
-                        sphere = glue(state.tri, t, signs | south_signs)
+                        sphere = SphereTriangulation(state.tri, t, (state.signs, south_signs))
                         assert heawood_check(sphere) == []
 
 
 class TestFourColor:
     def test_triangle_sphere_uses_three_distinct_colors(self):
-        s = glue(Triangulation(1, ()), Triangulation(1, ()))
+        s = SphereTriangulation(Triangulation(1, ()), Triangulation(1, ()))
         coloring = four_color(s)
         assert coloring is not None
         assert len(set(coloring.values())) == 3
@@ -157,7 +150,7 @@ class TestFourColor:
             ts = list(all_triangulations(n))
             for north in ts:
                 for south in ts:
-                    s = glue(north, south)
+                    s = SphereTriangulation(north, south)
                     coloring = four_color(s)
                     assert coloring is not None
                     assert verify_coloring(s, coloring)
@@ -168,9 +161,9 @@ class TestFourColor:
         for n in range(1, 4):
             for north in all_triangulations(n):
                 for south in all_triangulations(n):
-                    s = glue(north, south)
+                    s = SphereTriangulation(north, south)
                     outcomes = [
-                        not heawood_check(glue(north, south, signs))
+                        not heawood_check(SphereTriangulation(north, south, signs))
                         for signs in all_sphere_signings(n)
                     ]
                     assert any(outcomes)
@@ -181,7 +174,7 @@ class TestFourColor:
 
 class TestVerifyColoring:
     def test_constant_coloring_rejected(self):
-        s = glue(Triangulation(2, ((0, 2),)), Triangulation(2, ((0, 2),)))
+        s = SphereTriangulation(Triangulation(2, ((0, 2),)), Triangulation(2, ((0, 2),)))
         coloring = {v: 0 for v in range(4)}
         assert not verify_coloring(s, coloring)
         assert coloring_violations(s, coloring)

@@ -64,3 +64,15 @@ def test_every_library_name_is_reached():
             if attrs[name] == own_attrs[name] and (method or names[name] == own_names[name]):
                 unreached.append(label)
     assert not unreached, f"reached only by tests (move them to tests/reference.py): {unreached}"
+
+
+def test_sphere_sign_keys_live_in_jsonio():
+    """Only jsonio knows the text form "N:k"/"S:k" of a sphere's face signs;
+    every other module holds them as the pair (north signs, south signs)."""
+    holders = []
+    for path in sorted((ROOT / "src" / "flipforge").glob("*.py")):
+        if path.name != "jsonio.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            holders += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Constant) and node.value in ("N", "S", "NS")]
+    assert not holders, f"hemisphere keys outside jsonio: {holders}"

@@ -227,6 +227,12 @@ class TestValidateCertificate:
         assert report.first_bad_step == 0
         assert report.reason
 
+    def test_words_of_different_lengths_are_refused(self):
+        report = validate_certificate(Certificate(chain=((1, 2), (2, 1, 3)), kinds=("K1",)))
+        assert not report.ok
+        assert report.first_bad_step == 0
+        assert report.reason
+
 
 class TestSignablePathSearch:
     def test_equal_endpoints(self):
@@ -380,6 +386,20 @@ class TestEmitWordCertificate:
         assert report.ok
         assert abs_word(cert.chain[0]) in readings(tri(2, (0, 2)))
         assert abs_word(cert.chain[-1]) in readings(tri(2, (1, 3)))
+
+    def test_zero_flip_path_is_one_word(self):
+        # 1243 and 1423 are two readings of one shape
+        t = phi((1, 2, 4, 3))
+        assert phi((1, 4, 2, 3)) == t
+        path = signable_path_search(t, phi((1, 4, 2, 3)))
+        assert path.flips == ()
+        cert = emit_word_certificate(path)
+        assert len(cert.chain) == 1 and cert.kinds == []
+        report = validate_certificate(cert)
+        assert report.ok
+        assert report.endpoints[0] == report.endpoints[1]
+        assert report.endpoints[0] in readings(t)
+        assert tuple(1 if a > 0 else -1 for a in sorted(cert.chain[0], key=abs)) == path.start.signs
 
     def test_replay_refuses_a_refused_flip_and_a_missed_end(self):
         path = signable_path_search(tri(2, (0, 2)), tri(2, (1, 3)))

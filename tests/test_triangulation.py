@@ -23,7 +23,7 @@ from flipforge.triangulation import (
 )
 
 from reference import (
-    VertexRing,
+    boundary_edges,
     crossing,
     ears,
     edge_adjacency,
@@ -38,27 +38,6 @@ from refdata import CATALAN, PHI_235461
 
 def tri(n, *diags):
     return Triangulation(n, tuple(diags))
-
-
-class TestVertexRing:
-    def test_basic_layout(self):
-        r = VertexRing(3)
-        assert r.infinity == 4
-        assert list(r.vertices) == [0, 1, 2, 3, 4]
-        assert list(r.inner) == [1, 2, 3]
-
-    def test_pred_succ_are_linear(self):
-        r = VertexRing(3)
-        assert r.pred(4) == 3
-        assert r.succ(0) == 1
-        with pytest.raises(ValueError):
-            r.pred(0)
-        with pytest.raises(ValueError):
-            r.succ(4)
-
-    def test_boundary_edges(self):
-        r = VertexRing(2)
-        assert r.boundary_edges() == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 
 class TestConstruction:
@@ -170,9 +149,8 @@ class TestEars:
         for n in range(2, 7):
             for t in all_triangulations(n):
                 e = ears(t)
-                ring = VertexRing(n)
                 assert len(e) >= 2
-                assert all(0 <= v <= ring.infinity for v in e)
+                assert all(0 <= v <= n + 1 for v in e)
                 for v in e:
                     assert (v + 1) % (n + 2) not in e
 
@@ -237,7 +215,7 @@ class TestFaces:
 
     def test_faces_are_genuine_triangles(self):
         for t in all_triangulations(5):
-            edges = set(VertexRing(5).boundary_edges()) | set(t.diagonals)
+            edges = boundary_edges(5) | set(t.diagonals)
             for x, y, z in faces(t):
                 assert x < y < z
                 for e in ((x, y), (y, z), (x, z)):
