@@ -277,6 +277,8 @@ def cmd_four_color(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    if args.mu is not None and args.kind != "switched":
+        raise ValueError(f"--mu applies only to --kind switched, not {args.kind}")
     if args.kind == "flip":
         g = graphs.build_flip_graph(args.n)
     elif args.kind == "cayley":
@@ -287,7 +289,7 @@ def cmd_graph(args) -> int:
         if not args.mu:
             raise ValueError("switched graphs need --mu")
         g, _ = graphs.switched_graph(args.n, _parse_mu(args.mu))
-    _print_json(jsonio.graph_to_dict(g), args.output)
+    _print_json(g, args.output)
     return 0
 
 

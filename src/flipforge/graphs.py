@@ -21,9 +21,7 @@ import random
 import time
 from collections import Counter
 from itertools import permutations, product
-from typing import Iterator
-
-from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .flips import ShapeTable, flip_table, mask_signs
 from .phi import colored_triangulation_from_word, triangulation_from_permutation
@@ -59,13 +57,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass
-class CombGraph:
-    kind: str
-    vertices: list[str]
-    adjacency: dict[str, list[str]] = field(default_factory=dict)
-
-
 class UnionFind:
     """Disjoint sets over 0..size-1; a root is its set's least element, so pointers point down."""
 
@@ -91,43 +82,39 @@ class UnionFind:
         return parent
 
 
-def build_flip_graph(n: int) -> CombGraph:
+def _graph(kind: str, vertices: list[str], pairs: Iterable[tuple[str, str]]) -> dict:
+    """The printed graph: its vertex keys in order, and each edge once as
+    its (smaller, larger) key pair, the pairs sorted."""
+    edges = sorted({(v, w) if v < w else (w, v) for v, w in pairs})
+    return {"kind": kind, "vertices": vertices, "edges": [list(e) for e in edges]}
+
+
+def build_flip_graph(n: int) -> dict:
     """The flip graph on all triangulations, keyed by canonical key."""
     _check_n(n)
     table = flip_table(n)
     keys = [canonical_key(t) for t in table.shapes]
-    adjacency = {key: sorted(keys[j] for j, *_ in table.row(i)) for i, key in enumerate(keys)}
-    return CombGraph("flip", keys, adjacency)
+    return _graph("flip", keys, ((key, keys[j]) for i, key in enumerate(keys) for j, *_ in table.row(i)))
 
 
-def build_cayley_graph(n: int) -> CombGraph:
-    """Adjacent-transposition moves on all permutations of 1..n."""
+def build_cayley_graph(n: int) -> dict:
+    """Adjacent-transposition moves on all permutations of 1..n, in increasing order."""
     _check_n(n)
-    verts = sorted(permutations(range(1, n + 1)))
-    adjacency: dict[str, list[str]] = {}
-    for p in verts:
-        nbrs = []
-        for i in range(n - 1):
-            q = p[:i] + (p[i + 1], p[i]) + p[i + 2 :]
-            nbrs.append(",".join(map(str, q)))
-        adjacency[",".join(map(str, p))] = sorted(nbrs)
-    return CombGraph("cayley", [",".join(map(str, p)) for p in verts], adjacency)
+    keys = {p: ",".join(map(str, p)) for p in permutations(range(1, n + 1))}
+    return _graph("cayley", list(keys.values()),
+                  ((keys[p], keys[p[:i] + (p[i + 1], p[i]) + p[i + 2:]]) for p in keys for i in range(n - 1)))
 
 
-def build_signed_state_graph(n: int) -> CombGraph:
+def build_signed_state_graph(n: int) -> dict:
     """All (triangulation, face signs) states joined by signed flips, keyed
     "<canonical key>|<one + or - per face>"."""
     _check_n(n)
     table = flip_table(n)
     tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
     keys = [f"{canonical_key(t)}|{tag}" for t in table.shapes for tag in tags]  # keys[i << n | s]
-    adjacency: dict[str, list[str]] = {}
-    for i in range(len(table.shapes)):
-        row = table.row(i)
-        for s in range(1 << n):
-            moves = (keys[j << n | s ^ m] for j, m, *_ in row if s & m in (0, m))
-            adjacency[keys[i << n | s]] = sorted(moves)
-    return CombGraph("signed", keys, adjacency)
+    return _graph("signed", keys, ((keys[i << n | s], keys[j << n | s ^ m])
+                                   for i in range(len(table.shapes)) for j, m, *_ in table.row(i)
+                                   for s in range(1 << n) if s & m in (0, m)))
 
 
 def _group_by_image(prefix: list[int], pred: list[int], succ: list[int], key: int,
@@ -211,7 +198,7 @@ def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
     }
 
 
-def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
+def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[dict, dict]:
     """The switched-flip graph on simple triangulations colored by mu blocks."""
     _check_n(n)
     if sum(mu) != n:
@@ -219,9 +206,8 @@ def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[CombGraph, dict]:
     table = flip_table(n)
     adjacency, report = _switched_graph(table, mu)
     keys = {i: canonical_key(table.shapes[i]) for i in adjacency}
-    g = CombGraph("switched", list(keys.values()),
-                  {keys[i]: sorted(keys[j] for j in kept) for i, kept in adjacency.items()})
-    return g, report
+    pairs = ((keys[i], keys[j]) for i, kept in adjacency.items() for j in kept)
+    return _graph("switched", list(keys.values()), pairs), report
 
 
 def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, list[int]], dict]:

@@ -1,4 +1,4 @@
-"""JSON forms for triangulations, spheres, certificates and graphs.
+"""JSON forms for triangulations, spheres and certificates.
 
 All emitters sort keys and collections so that equal objects serialize to
 identical bytes.
@@ -12,7 +12,6 @@ from typing import Any
 from .heawood import SphereTriangulation
 from .signing import Certificate
 from .triangulation import Coloring, Triangulation, validate
-from .graphs import CombGraph
 
 
 def dumps(obj: Any) -> str:
@@ -125,11 +124,3 @@ def certificate_from_lines(lines: list[str]) -> Certificate:
         raise ValueError("empty certificate")
     return Certificate(chain, kinds)
 
-
-def graph_to_dict(g: CombGraph) -> dict:
-    edges = sorted({tuple(sorted((v, w))) for v in g.vertices for w in g.adjacency.get(v, ())})
-    return {
-        "kind": g.kind,
-        "vertices": list(g.vertices),
-        "edges": [list(e) for e in edges],
-    }

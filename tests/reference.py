@@ -19,7 +19,7 @@ from flipforge.flips import (
     flip_table,
     signed_flip,
 )
-from flipforge.graphs import CombGraph, catalan, diagram_report, same_color_orbit
+from flipforge.graphs import catalan, diagram_report, same_color_orbit
 from flipforge.phi import readings, triangulation_from_permutation
 from flipforge.signing import (
     Certificate,
@@ -527,17 +527,26 @@ class DictUnionFind:
         return out
 
 
-def graph_components(g: CombGraph) -> dict[str, list[str]]:
-    """The components of a keyed graph, by the reference union-find."""
-    uf = DictUnionFind(g.vertices)
-    for v in g.vertices:
-        for w in g.adjacency.get(v, ()):
-            uf.union(v, w)
+def adjacency(g: dict) -> dict[str, list[str]]:
+    """Each vertex's sorted neighbour keys, rebuilt from the edges of a
+    printed graph ``{"kind", "vertices", "edges"}``."""
+    out: dict[str, list[str]] = {v: [] for v in g["vertices"]}
+    for v, w in g["edges"]:
+        out[v].append(w)
+        out[w].append(v)
+    return {v: sorted(ws) for v, ws in out.items()}
+
+
+def graph_components(g: dict) -> dict[str, list[str]]:
+    """The components of a printed graph, by the reference union-find."""
+    uf = DictUnionFind(g["vertices"])
+    for v, w in g["edges"]:
+        uf.union(v, w)
     return uf.groups()
 
 
-def is_connected(g: CombGraph) -> bool:
-    return len(g.vertices) <= 1 or len(graph_components(g)) == 1
+def is_connected(g: dict) -> bool:
+    return len(g["vertices"]) <= 1 or len(graph_components(g)) == 1
 
 
 def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
@@ -842,8 +851,8 @@ def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
     return diagram_report(flip_table(n), mu)
 
 
-def edge_count(g: CombGraph) -> int:
-    return sum(len(v) for v in g.adjacency.values()) // 2
+def edge_count(g: dict) -> int:
+    return len(g["edges"])
 
 
 def path_states(path: SignedPath) -> list[SignedState]:

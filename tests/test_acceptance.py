@@ -33,6 +33,7 @@ from flipforge.triangulation import canonical_key
 from flipforge.words import destandardize, standardize
 
 from reference import (
+    adjacency,
     commuting_diagram_check,
     path_signable_by_faces,
     sigma_closure,
@@ -199,8 +200,8 @@ def test_08_switched_connectivity_and_square(report):
 
 
 def _loop_free_paths(n, max_len):
-    g = build_flip_graph(n)
-    tris = {key: triangulation_from_key(key) for key in g.vertices}
+    nbrs = adjacency(build_flip_graph(n))
+    tris = {key: triangulation_from_key(key) for key in nbrs}
     paths = []
 
     def extend(path):
@@ -208,11 +209,11 @@ def _loop_free_paths(n, max_len):
             paths.append([tris[key] for key in path])
         if len(path) == max_len + 1:
             return
-        for nxt in g.adjacency[path[-1]]:
+        for nxt in nbrs[path[-1]]:
             if nxt not in path:
                 extend(path + [nxt])
 
-    for start in g.vertices:
+    for start in nbrs:
         extend([start])
     return paths
 

@@ -476,10 +476,14 @@ class TestErrorHandling:
             ["neighbors", "T", "--mode", "switched"],
             ["signed-path", "12", "123"],
             ["dstd", "213", "--mu", "2,x"],
+            ["dstd", "113", "--mu", "1,2"],
+            ["graph", "--kind", "flip", "--n", "3", "--mu", "1,2"],
+            ["graph", "--kind", "cayley", "--n", "3", "--mu", "9,9"],
         ],
         ids=["mu-not-numbers", "mu-zero-part", "mu-wrong-sum", "mu-missing", "graph-negative-n",
              "flip-three-ends", "neighbors-signed-unsigned", "neighbors-homogeneous-uncolored",
-             "neighbors-switched-uncolored", "signed-path-sizes-differ", "dstd-mu-not-numbers"],
+             "neighbors-switched-uncolored", "signed-path-sizes-differ", "dstd-mu-not-numbers",
+             "dstd-not-a-permutation", "graph-flip-mu", "graph-cayley-mu"],
     )
     def test_bad_argument_is_one_error_line(self, capsys, tmp_path, argv):
         t_file = tmp_path / "t.json"

@@ -113,6 +113,8 @@ CORPUS = [
     # two readings of one shape: a path of no flips, whose certificate is one word
     ("signed-path-0", ["signed-path", "1243", "1423", "--emit-cert", "z.jsonl"], ["z.jsonl"]),
     ("check-cert-0", ["check-cert", "z.jsonl"], []),
+    # the Cayley graph past the smallest sizes: 720 permutations, 1,800 edges
+    ("graph-cayley-6", ["graph", "--kind", "cayley", "--n", "6"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -205,6 +207,8 @@ GOLDEN = {
     "signed-path-0": "e4b504136aea5b37c68b8155ae640b3b809b41a331e54148b23ebef972ee14a3",
     "signed-path-0:z.jsonl": "e92664b807dfcdeeaf3bf36b8a874dd18074f2951e5950aa1c6fc832c07d8ae7",
     "check-cert-0": "1d4af83a5c8e88781d76628dd77f43ea769e7ae1f10b62a251c270b067ccdbad",
+    # Recorded before the graph builders returned the printed graph.
+    "graph-cayley-6": "a6c56101dd68a2b08c8553e6ec5d49e1ed548f62b6d3ac3065dddc10e839d1d8",
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 from flipforge import flips, graphs, triangulation
 from flipforge import phi as phi_module
 from flipforge.graphs import (
-    CombGraph,
     UnionFind,
     build_cayley_graph,
     build_flip_graph,
@@ -31,6 +30,7 @@ from flipforge.words import block_coloring
 
 from reference import (
     DictUnionFind,
+    adjacency,
     catalan_by_recurrence,
     commuting_diagram_check,
     edge_count,
@@ -62,25 +62,25 @@ class TestCatalan:
 class TestFlipGraph:
     def test_square(self):
         g = build_flip_graph(2)
-        assert len(g.vertices) == 2
+        assert len(g["vertices"]) == 2
         assert edge_count(g) == 1
 
     def test_pentagon_cycle(self):
         g = build_flip_graph(3)
-        assert len(g.vertices) == 5
+        assert len(g["vertices"]) == 5
         assert edge_count(g) == 5
-        assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
+        assert all(len(ws) == 2 for ws in adjacency(g).values())
         assert is_connected(g)
 
     def test_hexagon_cubic(self):
         g = build_flip_graph(4)
-        assert len(g.vertices) == 14
-        assert all(len(g.adjacency[v]) == 3 for v in g.vertices)
+        assert len(g["vertices"]) == 14
+        assert all(len(ws) == 3 for ws in adjacency(g).values())
 
     def test_sizes_and_connectivity(self):
         for n in range(1, 9):
             g = build_flip_graph(n)
-            assert len(g.vertices) == CATALAN[n]
+            assert len(g["vertices"]) == CATALAN[n]
             assert is_connected(g)
             if n >= 2:
                 assert edge_count(g) == (n - 1) * CATALAN[n] // 2
@@ -89,13 +89,13 @@ class TestFlipGraph:
 class TestCayleyGraph:
     def test_s3(self):
         g = build_cayley_graph(3)
-        assert len(g.vertices) == 6
+        assert len(g["vertices"]) == 6
         assert edge_count(g) == 6
 
     def test_degree_is_n_minus_one(self):
         for n in range(2, 6):
             g = build_cayley_graph(n)
-            assert all(len(g.adjacency[v]) == n - 1 for v in g.vertices)
+            assert all(len(ws) == n - 1 for ws in adjacency(g).values())
             assert is_connected(g)
 
 
@@ -103,12 +103,12 @@ class TestSignedStateGraph:
     def test_counts(self):
         for n in range(1, 5):
             g = build_signed_state_graph(n)
-            assert len(g.vertices) == CATALAN[n] * 2**n
+            assert len(g["vertices"]) == CATALAN[n] * 2**n
         assert len(signed_states(3)) == 40
 
     def test_frozen_n3(self):
         g = build_signed_state_graph(3)
-        assert len(g.vertices) == 40
+        assert len(g["vertices"]) == 40
         assert edge_count(g) == 20
 
 
@@ -192,6 +192,11 @@ class TestFibers:
         assert rep["images"] == 1 and len(rep["class_mismatches"]) == CATALAN[3] - 1
         assert not rep["pass"]
 
+    def test_unknown_suite_is_refused_with_the_suite_names(self):
+        with pytest.raises(ValueError) as info:
+            graphs.run_suite("nope", 3)
+        assert str(info.value) == "unknown suite 'nope'; expected one of ref1, fibers, homogeneous, switched, diagram"
+
     def test_every_suite_passes_at_n0(self):
         for suite in graphs.SUITES:
             rep = graphs.run_suite(suite, 0)
@@ -255,6 +260,18 @@ class TestHomogeneous:
         assert a["pass"]
         assert a["failures"] == []
 
+    def test_fails_when_the_product_law_is_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(graphs, "catalan", lambda n: catalan(n) + 1)
+        rep = homogeneous_product_audit(5, seed=3)
+        assert not rep["pass"]
+        assert len(rep["failures"]) == graphs.HOMOGENEOUS_SAMPLES == 50
+        keys = {canonical_key(t) for t in all_triangulations(5)}
+        for failure in rep["failures"]:
+            assert failure["key"] in keys
+            assert len(failure["eps"]) == 5
+            assert sum(failure["component_sizes"]) == 5
+            assert failure["reachable"] != failure["expected_product"]
+
 
 class TestSwitched:
     def test_distinct_colors_reduce_to_flip_graph(self):
@@ -262,19 +279,19 @@ class TestSwitched:
             g, rep = switched_graph(n, (1,) * n)
             f = build_flip_graph(n)
             assert rep["connected"] or n == 1
-            assert len(g.vertices) == len(f.vertices)
+            assert len(g["vertices"]) == len(f["vertices"])
             assert edge_count(g) == edge_count(f)
 
     def test_constant_coloring_is_a_single_vertex(self):
         for n in range(1, 7):
             g, rep = switched_graph(n, (n,))
-            assert len(g.vertices) == 1
+            assert len(g["vertices"]) == 1
             assert edge_count(g) == 0
             assert rep["connected"]
 
     def test_frozen_two_two(self):
         g, rep = switched_graph(4, (2, 2))
-        assert len(g.vertices) == 3
+        assert len(g["vertices"]) == 3
         assert edge_count(g) == 2
         assert rep["connected"]
 
@@ -284,7 +301,7 @@ class TestSwitched:
                 g, rep = switched_graph(n, mu)
                 assert rep["connected"], (n, mu)
                 # the report counts shape indices; the keyed graph is a second route
-                assert rep["vertices"] == len(g.vertices)
+                assert rep["vertices"] == len(g["vertices"])
                 assert rep["edges"] == edge_count(g)
                 assert rep["connected"] == is_connected(g)
 
@@ -305,7 +322,7 @@ class TestSwitched:
             for mu in compositions(n, 3):
                 g, _ = switched_graph(n, mu)
                 expected = {canonical_key(t) for t in simple_triangulations(n, mu)}
-                assert set(g.vertices) == expected
+                assert set(g["vertices"]) == expected
 
     def test_audit_builds_rows_only_for_simple_shapes(self, monkeypatch):
         calls = count_rows(monkeypatch)
@@ -633,7 +650,7 @@ class TestCaps:
 
     def test_env_override_raises_the_cap(self, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "9")
-        assert len(build_flip_graph(9).vertices) == CATALAN[9]
+        assert len(build_flip_graph(9)["vertices"]) == CATALAN[9]
 
 
 class TestUnionFind:
@@ -672,11 +689,7 @@ class TestUnionFind:
 
 class TestGraphSerialization:
     def test_components_of_disconnected_graph(self):
-        g = CombGraph(
-            kind="toy",
-            vertices=("a", "b", "c"),
-            adjacency={"a": {"b"}, "b": {"a"}, "c": set()},
-        )
+        g = {"kind": "toy", "vertices": ["a", "b", "c"], "edges": [["a", "b"]]}
         comps = graph_components(g)
         assert sorted(map(len, comps.values())) == [1, 2]
         assert not is_connected(g)

@@ -76,3 +76,9 @@ def test_sphere_sign_keys_live_in_jsonio():
             holders += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
                         if isinstance(node, ast.Constant) and node.value in ("N", "S", "NS")]
     assert not holders, f"hemisphere keys outside jsonio: {holders}"
+
+
+def test_jsonio_imports_nothing_from_graphs():
+    """The graph builders return the printed graph, so no file format reads a graph type."""
+    tree = ast.parse((ROOT / "src" / "flipforge" / "jsonio.py").read_text(encoding="utf-8"))
+    assert "graphs" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -171,6 +171,12 @@ class TestClassifyStep:
     def test_self_step_is_nothing(self):
         assert classify_step(CHAIN[0], CHAIN[0]) is None
 
+    @pytest.mark.parametrize("w1, w2", [((1, 1, 2), (1, 2, 1)), ((0, 1, 2), (1, 0, 2)),
+                                        ((1, 2, 3), (2, -2, 3))],
+                             ids=["repeated", "zero", "repeated-absolute-value"])
+    def test_word_with_a_repeated_or_zero_letter_is_nothing(self, w1, w2):
+        assert classify_step(w1, w2) is None
+
     def test_k2_with_opposite_signs_is_rejected(self):
         # exchanging letters of opposite sign is not an authorized move
         assert classify_step((1, -5, 2), (5, -1, 2)) is None
@@ -195,6 +201,15 @@ class TestValidateCertificate:
         assert report.ok
         assert report.first_bad_step is None
         assert report.endpoints == (abs_word(CHAIN[0]), abs_word(CHAIN[-1]))
+
+    def test_empty_chain_is_refused_at_step_0(self):
+        report = validate_certificate(Certificate([], []))
+        assert (report.ok, report.first_bad_step, report.reason) == (False, 0, "empty chain")
+
+    def test_kinds_that_do_not_match_the_chain_are_refused(self):
+        report = validate_certificate(Certificate([(1, 2), (2, 1)], []))
+        assert (report.ok, report.first_bad_step) == (False, 0)
+        assert report.reason == "2 words need 1 kinds, got 0"
 
     def test_singleton_chain(self):
         cert = Certificate(chain=(CHAIN[0],), kinds=())
