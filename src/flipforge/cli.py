@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on domain errors (invalid objects, failed
-checks), 2 on usage errors.  All structured output is JSON on stdout.
+checks), 2 on usage errors.  Each command returns (exit code, result), the
+result a JSON value or a finished text (JSON lines, SVG); `main` writes it
+once, to stdout or to the -o file.
 """
 
 from __future__ import annotations
@@ -74,18 +76,13 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _print_json(obj, out: str | None) -> None:
-    _emit(jsonio.dumps(obj), out)
-
-
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> tuple[int, object]:
     perm = parse_word(args.perm)
     t = triangulation_from_permutation(perm)
-    _print_json(jsonio.triangulation_to_dict(t), args.output)
-    return 0
+    return 0, jsonio.triangulation_to_dict(t)
 
 
-def cmd_readings(args) -> int:
+def cmd_readings(args) -> tuple[int, object]:
     t, _, _ = _load_triangulation(args.file)
     if args.max_states < 1:
         raise ValueError(f"readings cap must be at least 1, got {args.max_states}")
@@ -93,75 +90,62 @@ def cmd_readings(args) -> int:
     if count > args.max_states:
         raise ValueError(f"the {count} readings of {canonical_key(t)} exceed cap {args.max_states}")
     words = sorted(readings(t))
-    _print_json({"key": canonical_key(t), "count": len(words),
-                 "readings": [",".join(map(str, w)) for w in words]}, args.output)
-    return 0
+    return 0, {"key": canonical_key(t), "count": len(words),
+               "readings": [",".join(map(str, w)) for w in words]}
 
 
-def cmd_canonical(args) -> int:
+def cmd_canonical(args) -> tuple[int, object]:
     t, _, _ = _load_triangulation(args.file)
     word = canonical_reading(t)
-    _print_json({"key": canonical_key(t), "canonical": ",".join(map(str, word))}, args.output)
-    return 0
+    return 0, {"key": canonical_key(t), "canonical": ",".join(map(str, word))}
 
 
-def cmd_bigphi(args) -> int:
+def cmd_bigphi(args) -> tuple[int, object]:
     word = parse_word(args.word)
     t, eps = colored_triangulation_from_word(word)
-    _print_json(jsonio.triangulation_to_dict(t, colors=eps), args.output)
-    return 0
+    return 0, jsonio.triangulation_to_dict(t, colors=eps)
 
 
-def cmd_insert_trace(args) -> int:
+def cmd_insert_trace(args) -> tuple[int, object]:
     word = parse_word(args.word)
-    lines = []
-    for t, eps in insertion_trace(word):
-        lines.append(jsonio.dumps(jsonio.triangulation_to_dict(t, colors=eps)))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    lines = [jsonio.dumps(jsonio.triangulation_to_dict(t, colors=eps))
+             for t, eps in insertion_trace(word)]
+    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_std(args) -> int:
+def cmd_std(args) -> tuple[int, object]:
     word = parse_word(args.word)
-    _print_json({"std": ",".join(map(str, standardize(word)))}, args.output)
-    return 0
+    return 0, {"std": ",".join(map(str, standardize(word)))}
 
 
-def cmd_dstd(args) -> int:
+def cmd_dstd(args) -> tuple[int, object]:
     perm = parse_word(args.perm)
     mu = _parse_mu(args.mu)
     word = destandardize(perm, mu)
     display = format_word(word, "a") if max(word) <= 26 else format_word(word, "1,1")
-    _print_json({"word": display, "letters": list(word)}, args.output)
-    return 0
+    return 0, {"word": display, "letters": list(word)}
 
 
-def cmd_class(args) -> int:
+def cmd_class(args) -> tuple[int, object]:
     word = parse_word(args.word)
     members = sorted(sylvester_class(word, cap=args.max_states))
-    _print_json({"count": len(members),
-                 "class": [format_word(w, args.word) for w in members]}, args.output)
-    return 0
+    return 0, {"count": len(members), "class": [format_word(w, args.word) for w in members]}
 
 
-def cmd_flip(args) -> int:
+def cmd_flip(args) -> tuple[int, object]:
     t, colors, signs = _load_triangulation(args.file)
     d = _parse_diagonal(args.d)
     if signs is not None:
         result = flips.signed_flip(t, signs, d)
         if result is None:
-            _print_json({"refused": True, "reason": "faces at the diagonal carry opposite signs"},
-                        args.output)
-            return 1
+            return 1, {"refused": True, "reason": "faces at the diagonal carry opposite signs"}
         t2, signs2 = result
-        _print_json(jsonio.triangulation_to_dict(t2, colors=colors, signs=signs2), args.output)
-        return 0
+        return 0, jsonio.triangulation_to_dict(t2, colors=colors, signs=signs2)
     t2, _ = flips.flip(t, d)
-    _print_json(jsonio.triangulation_to_dict(t2, colors=colors), args.output)
-    return 0
+    return 0, jsonio.triangulation_to_dict(t2, colors=colors)
 
 
-def cmd_neighbors(args) -> int:
+def cmd_neighbors(args) -> tuple[int, object]:
     t, colors, signs = _load_triangulation(args.file)
     mode = args.mode
     if mode == "plain":
@@ -179,17 +163,15 @@ def cmd_neighbors(args) -> int:
             raise ValueError(f"{mode} neighbors need a 'colors' entry")
         step = flips.homogeneous_neighbors if mode == "homogeneous" else flips.switched_neighbors
         out = [jsonio.triangulation_to_dict(t2, colors=eps) for t2, eps in step(t, colors)]
-    _print_json({"mode": mode, "count": len(out), "neighbors": out}, args.output)
-    return 0
+    return 0, {"mode": mode, "count": len(out), "neighbors": out}
 
 
-def cmd_signed_path(args) -> int:
+def cmd_signed_path(args) -> tuple[int, object]:
     start = triangulation_from_permutation(parse_word(args.perm1))
     end = triangulation_from_permutation(parse_word(args.perm2))
     path = signable_path_search(start, end, args.max_states)
     if path is None:
-        _print_json({"found": False}, args.output)
-        return 1
+        return 1, {"found": False}
     report = {
         "found": True,
         "start_key": canonical_key(start),
@@ -205,11 +187,10 @@ def cmd_signed_path(args) -> int:
             fh.write("\n".join(jsonio.certificate_to_lines(cert)) + "\n")
         report["certificate"] = args.emit_cert
         report["certificate_ok"] = validate_certificate(cert).ok
-    _print_json(report, args.output)
-    return 0
+    return 0, report
 
 
-def cmd_check_cert(args) -> int:
+def cmd_check_cert(args) -> tuple[int, object]:
     with open(args.file, "r", encoding="utf-8") as fh:
         cert = jsonio.certificate_from_lines(fh.readlines())
     report = validate_certificate(cert)
@@ -223,11 +204,10 @@ def cmd_check_cert(args) -> int:
     else:
         payload["first_bad_step"] = report.first_bad_step
         payload["reason"] = report.reason
-    _print_json(payload, args.output)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), payload
 
 
-def cmd_sign_path_diagonals(args) -> int:
+def cmd_sign_path_diagonals(args) -> tuple[int, object]:
     data = _load_json(args.file)
     if not isinstance(data, dict) or "n" not in data or not isinstance(data.get("path"), list):
         raise ValueError('path file must contain {"n": ..., "path": [[diagonals], ...]}')
@@ -235,48 +215,41 @@ def cmd_sign_path_diagonals(args) -> int:
     path = [jsonio.triangulation_from_dict(step)[0] for step in steps]
     result = sign_path_diagonals(path)
     if not result.signable:
-        _print_json({"signable": False, "failed_step": result.failed_step}, args.output)
-        return 0
-    payload = {
+        return 0, {"signable": False, "failed_step": result.failed_step}
+    return 0, {
         "signable": True,
         "signings": [
             {f"{i}-{j}": s for (i, j), s in sorted(ds.signs.items())} for ds in result.signings
         ],
     }
-    _print_json(payload, args.output)
-    return 0
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args) -> tuple[int, object]:
     north, _, nsigns = _load_triangulation(args.north)
     south, _, ssigns = _load_triangulation(args.south)
     if (nsigns is None) != (ssigns is None):
         raise ValueError("either both hemispheres carry signs or neither does")
     sphere = SphereTriangulation(north, south, None if nsigns is None else (nsigns, ssigns))
-    _print_json(jsonio.sphere_to_dict(sphere), args.output)
-    return 0
+    return 0, jsonio.sphere_to_dict(sphere)
 
 
-def cmd_heawood_check(args) -> int:
+def cmd_heawood_check(args) -> tuple[int, object]:
     sphere = jsonio.sphere_from_dict(_load_json(args.file))
     bad = heawood_check(sphere)
-    _print_json({"ok": not bad, "violations": bad}, args.output)
-    return 0
+    return 0, {"ok": not bad, "violations": bad}
 
 
-def cmd_four_color(args) -> int:
+def cmd_four_color(args) -> tuple[int, object]:
     sphere = jsonio.sphere_from_dict(_load_json(args.file))
     coloring = four_color(sphere)
     if coloring is None:
-        _print_json({"found": False}, args.output)
-        return 1
+        return 1, {"found": False}
     ok = verify_coloring(sphere, coloring)
-    _print_json({"found": True, "verified": ok,
-                 "coloring": {str(v): c for v, c in sorted(coloring.items())}}, args.output)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"found": True, "verified": ok,
+                              "coloring": {str(v): c for v, c in sorted(coloring.items())}}
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> tuple[int, object]:
     if args.mu is not None and args.kind != "switched":
         raise ValueError(f"--mu applies only to --kind switched, not {args.kind}")
     if args.kind == "flip":
@@ -289,21 +262,19 @@ def cmd_graph(args) -> int:
         if not args.mu:
             raise ValueError("switched graphs need --mu")
         g, _ = graphs.switched_graph(args.n, _parse_mu(args.mu))
-    _print_json(g, args.output)
-    return 0
+    return 0, g
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, object]:
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports = [report for report, _ in graphs.run_battery(suites, args.n, args.seed)]
     ok = all(r["pass"] for r in reports)
     lines = [jsonio.dumps(r) for r in reports]
     lines.append(jsonio.dumps({"pass": ok, "suites": list(suites), "max_n": args.n}))
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if ok else 1
+    return (0 if ok else 1), "\n".join(lines) + "\n"
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple[int, object]:
     with open(args.file, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     first = json.loads(lines[0]) if lines else None
@@ -319,11 +290,7 @@ def cmd_render(args) -> int:
         svg = render.render_triangulation(t, colors=colors, signs=signs)
     else:
         raise ValueError("unrecognized object; expected triangulation, sphere or certificate")
-    if args.format == "json":
-        _print_json({"svg": svg}, args.output)
-    else:
-        _emit(svg, args.output)
-    return 0
+    return 0, ({"svg": svg} if args.format == "json" else svg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,8 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        code, result = args.handler(args)
+        _emit(result if isinstance(result, str) else jsonio.dumps(result), args.output)
+        return code
+    except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

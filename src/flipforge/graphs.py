@@ -84,9 +84,10 @@ class UnionFind:
 
 def _graph(kind: str, vertices: list[str], pairs: Iterable[tuple[str, str]]) -> dict:
     """The printed graph: its vertex keys in order, and each edge once as
-    its (smaller, larger) key pair, the pairs sorted."""
+    its (smaller, larger) key pair, the pairs sorted; JSON writes each
+    pair as a list."""
     edges = sorted({(v, w) if v < w else (w, v) for v, w in pairs})
-    return {"kind": kind, "vertices": vertices, "edges": [list(e) for e in edges]}
+    return {"kind": kind, "vertices": vertices, "edges": edges}
 
 
 def build_flip_graph(n: int) -> dict:

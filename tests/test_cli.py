@@ -492,6 +492,20 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    # a JSON result, a text result and a refusal that still has a result to write
+    @pytest.mark.parametrize(
+        "argv",
+        [["std", "bacbcaab"], ["verify", "--n", "1"], ["flip", "T", "--d", "0,2"]],
+        ids=["std", "verify", "flip-refused"],
+    )
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, argv):
+        t_file = tmp_path / "t.json"
+        t_file.write_text(json.dumps({"n": 2, "diagonals": [[0, 2]], "signs": [1, -1]}))
+        argv = [str(t_file) if a == "T" else a for a in argv]
+        code, out, err = run(capsys, *argv, "-o", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "heawood-check", "/nonexistent/sphere.json")
         assert code == 1

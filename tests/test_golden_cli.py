@@ -33,6 +33,10 @@ COLORED12 = {"n": 12, "diagonals": [[0, 2], [0, 3], [0, 9], [0, 10], [3, 5], [3,
                                     [5, 7], [5, 8], [10, 12], [10, 13]],
              "colors": [1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 4],
              "signs": [1, -1, 1, 1, -1, -1, -1, -1, -1, 1, 1, -1]}
+# the first three steps of the worked pair's certificate, K2 each, with the
+# second recorded as K1
+SWAPPED = [{"word": [-3, -2, 4, -1, 5, -6]}, {"kind": "K2", "word": [2, 3, 4, -1, 5, -6]},
+           {"kind": "K1", "word": [2, -4, -3, -1, 5, -6]}, {"kind": "K2", "word": [2, -4, 1, 3, 5, -6]}]
 
 # (label, argv, files the command writes)
 CORPUS = [
@@ -115,10 +119,22 @@ CORPUS = [
     ("check-cert-0", ["check-cert", "z.jsonl"], []),
     # the Cayley graph past the smallest sizes: 720 permutations, 1,800 edges
     ("graph-cayley-6", ["graph", "--kind", "cayley", "--n", "6"], []),
+    # the word commands, and bigphi on the word insert-trace reads
+    ("bigphi", ["bigphi", "bacbcaab"], []),
+    ("std", ["std", "bacbcaab"], []),
+    ("dstd", ["dstd", "4,1,7,5,8,2,3,6", "--mu", "3,3,2"], []),
+    ("class", ["class", "bacbcaab"], []),
+    # an unsigned flip, and a triangulation's SVG wrapped in JSON
+    ("flip-plain", ["flip", "t.json", "--d", "1,4"], []),
+    ("render-json", ["render", "colored.json", "--format", "json"], []),
+    # the two refusals that still print a result: a signed flip whose faces
+    # carry opposite signs, and a certificate with one kind swapped
+    ("flip-signed-refused", ["flip", "colored12.json", "--d", "0,2"], []),
+    ("check-cert-swapped", ["check-cert", "swapped.jsonl"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
-REFUSED = {"signed-path-refused"}
+REFUSED = {"signed-path-refused", "flip-signed-refused", "check-cert-swapped"}
 
 # Recorded before the ear-cutting and suite-registry refactor.
 GOLDEN = {
@@ -209,6 +225,15 @@ GOLDEN = {
     "check-cert-0": "1d4af83a5c8e88781d76628dd77f43ea769e7ae1f10b62a251c270b067ccdbad",
     # Recorded before the graph builders returned the printed graph.
     "graph-cayley-6": "a6c56101dd68a2b08c8553e6ec5d49e1ed548f62b6d3ac3065dddc10e839d1d8",
+    # Recorded before every command returned its result for main to write.
+    "bigphi": "a2d801461ba5af583acb3a50b75752890ea8c4a39970ca8d877e05a852996e3f",
+    "std": "16541e934af56a38ea608d407d90701edaa332cd4c8c3f151c87bf67f30e4277",
+    "dstd": "75a221771c44e9f5a6b2675f8b51b64ca5b11ec3712dd555cdce913d4619a957",
+    "class": "38cfd8ba6f3d31867d3165f48992aa507bce51efaedcafa4f71fa91e28289a3c",
+    "flip-plain": "d6987077339dc3878417dcb457898c47b9f3749909e3aac1345a26000d3e20c2",
+    "render-json": "a0507e861bb16872cac1877b19b28c09ad86dd9131d2cf51470edf5b38d74f9e",
+    "flip-signed-refused": "feb211b08add3c54be48e19943e79868d3a719030c91c6b1b7dd20513d2e9b56",
+    "check-cert-swapped": "960212c66f4f273e50121979c32eb4bea6dd061cf57a70e103923ed9f7c3af80",
 }
 
 
@@ -216,11 +241,16 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def write_inputs(tmp_path):
     for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("colored12", COLORED12),
                       ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    (tmp_path / "swapped.jsonl").write_text("".join(json.dumps(line) + "\n" for line in SWAPPED))
+
+
+def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
     got = {}
     for label, argv, written in CORPUS:
         code = main(argv)
@@ -232,3 +262,22 @@ def test_golden_cli_corpus(capsys, tmp_path, monkeypatch):
         for path in written:
             got[f"{label}:{path}"] = sha((tmp_path / path).read_bytes())
     assert got == GOLDEN
+
+
+def test_output_file_holds_what_stdout_prints(capsys, tmp_path, monkeypatch):
+    # stdout alone gets a closing newline when the result lacks one
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    for label, argv, _ in CORPUS:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if "-o" in argv:
+            continue
+        target = tmp_path / f"{label}.out"
+        assert main(argv + ["-o", str(target)]) == code, label
+        assert capsys.readouterr() == ("", err), label
+        if not out:  # refused before any result
+            assert not target.exists(), label
+            continue
+        written = target.read_bytes()
+        assert written + (b"" if written.endswith(b"\n") else b"\n") == out.encode(), label
