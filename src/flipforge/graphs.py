@@ -303,12 +303,11 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
     }
 
 
-def signed_reachability_check(n: int, table: ShapeTable | None = None) -> dict:
+def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     """For each triangulation, the signed orbits of its signings must cover
     the whole flip graph; also audits one-signing-per-triangulation within
-    each orbit.  ``table``, if given, is ``flip_table(n)`` already built."""
+    each orbit.  ``table`` is ``flip_table(n)``."""
     _check_n(n)
-    table = table or flip_table(n)
     keys, size = [canonical_key(t) for t in table.shapes], 1 << n
     uf = UnionFind(len(keys) << n)  # over the states i << n | s
     union = uf.union
@@ -355,7 +354,7 @@ def signed_reachability_check(n: int, table: ShapeTable | None = None) -> dict:
 
 
 def compositions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
-    """All ways to write n as an ordered sum of at most max_parts positive parts."""
+    """All ways to write n as an ordered sum of at most max_parts positive parts, in increasing order."""
     if n == 0:
         yield ()
         return
@@ -366,11 +365,10 @@ def compositions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def homogeneous_product_audit(n: int, seed: int = 0, table: ShapeTable | None = None) -> dict:
+def homogeneous_product_audit(n: int, table: ShapeTable, seed: int = 0) -> dict:
     """Sample random colorings and check the same-color orbit product law."""
     _check_n(n)
     rng = random.Random(seed)
-    table = table or flip_table(n)
     failures = []
     for _ in range(HOMOGENEOUS_SAMPLES):
         i = rng.choice(range(len(table.shapes)))  # draws as rng.choice over the sorted shapes
@@ -382,20 +380,18 @@ def homogeneous_product_audit(n: int, seed: int = 0, table: ShapeTable | None = 
     return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
 
 
-def switched_audit(n: int, table: ShapeTable | None = None) -> dict:
+def switched_audit(n: int, table: ShapeTable) -> dict:
     """Connectivity of every switched-flip graph with at most MAX_PARTS colors."""
     _check_n(n)
-    table = table or flip_table(n)
-    rows = [_switched_graph(table, mu)[1] for mu in sorted(compositions(n, MAX_PARTS))]
+    rows = [_switched_graph(table, mu)[1] for mu in compositions(n, MAX_PARTS)]
     return {"n": n, "graphs": rows, "pass": all(r["connected"] for r in rows)}
 
 
-def diagram_audit(n: int, table: ShapeTable | None = None) -> dict:
+def diagram_audit(n: int, table: ShapeTable) -> dict:
     """Commuting-square and morphism checks for every mu with at most
     MAX_PARTS parts, over one flip table of the shapes."""
     _check_n(n)
-    table = table or flip_table(n)
-    rows = [diagram_report(table, mu) for mu in sorted(compositions(n, MAX_PARTS))]
+    rows = [diagram_report(table, mu) for mu in compositions(n, MAX_PARTS)]
     ok = all(not r["square_failures"] and not r["edge_failures"] and r["std_injective"]
              and r["image_is_all_simple"] for r in rows)
     return {"n": n, "reports": rows, "pass": ok}
@@ -403,33 +399,26 @@ def diagram_audit(n: int, table: ShapeTable | None = None) -> dict:
 
 # Each audit is looked up as a module global when its suite runs, so a caller
 # that wraps the audits on this module (to time or trace them) sees every call.
-# All but fibers read the flip table of size n they are given, or build one.
+# All but fibers read the flip table of size n the battery built.
 _SUITE_AUDITS = {
     "ref1": lambda n, seed, table: signed_reachability_check(n, table),
     "fibers": lambda n, seed, table: fiber_report(n),
-    "homogeneous": lambda n, seed, table: homogeneous_product_audit(n, seed, table),
+    "homogeneous": lambda n, seed, table: homogeneous_product_audit(n, table, seed),
     "switched": lambda n, seed, table: switched_audit(n, table),
     "diagram": lambda n, seed, table: diagram_audit(n, table),
 }
 SUITES = tuple(_SUITE_AUDITS)
 
 
-def run_suite(suite: str, n: int, seed: int = 0, table: ShapeTable | None = None) -> dict:
-    """Run one verification suite at size n; the report names its suite and
-    carries ``pass``.  ``seed`` drives the randomized homogeneous audit, and
-    ``table``, if given, is the ``flip_table(n)`` the suite shares."""
-    if suite not in _SUITE_AUDITS:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
-    report = _SUITE_AUDITS[suite](n, seed, table)
-    report["suite"] = suite
-    return report
-
-
 def run_battery(suites: tuple[str, ...], n: int, seed: int = 0) -> list[tuple[dict, float]]:
     """Run every suite at every size 1..n, as (report, seconds) pairs by
-    suite, then by n.  Each size's flip table is built once and shared by
-    the suites, and dropped before the next size; the seconds of a report
-    count the rows and masks its suite was the first to read."""
+    suite, then by n; a report names its suite.  Each size's flip table is
+    built once and shared by the suites, and dropped before the next size;
+    the seconds of a report count the rows and masks its suite was the
+    first to read."""
+    for suite in suites:
+        if suite not in _SUITE_AUDITS:
+            raise ValueError(f"unknown suite {suite!r}; expected one of {', '.join(SUITES)}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     _check_n(n)  # before any suite runs
@@ -438,7 +427,8 @@ def run_battery(suites: tuple[str, ...], n: int, seed: int = 0) -> list[tuple[di
         table = flip_table(k)
         for suite in suites:
             start = time.monotonic()
-            report = run_suite(suite, k, seed, table)
+            report = _SUITE_AUDITS[suite](k, seed, table)
+            report["suite"] = suite
             timed[suite, k] = report, time.monotonic() - start
         del table
     return [timed[suite, k] for suite in suites for k in range(1, n + 1)]

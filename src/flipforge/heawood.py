@@ -61,8 +61,8 @@ def heawood_check(s: SphereTriangulation) -> list[int]:
     return [v for v in range(s.n + 2) if total[v] % 3]
 
 
-def color_graph(vertices: list[int], edges: set[tuple[int, int]], colors: int = 4) -> dict[int, int] | None:
-    """Greedy-ordered backtracking proper coloring; None when impossible."""
+def color_graph(vertices: list[int], edges: set[tuple[int, int]]) -> dict[int, int] | None:
+    """Greedy-ordered backtracking proper coloring with colors 0..3; None when impossible."""
     adj: dict[int, set[int]] = {v: set() for v in vertices}
     for a, b in edges:
         adj[a].add(b)
@@ -75,7 +75,7 @@ def color_graph(vertices: list[int], edges: set[tuple[int, int]], colors: int = 
             return True
         v = order[i]
         used = {assignment[u] for u in adj[v] if u in assignment}
-        for c in range(colors):
+        for c in range(4):
             if c in used:
                 continue
             assignment[v] = c
@@ -92,13 +92,6 @@ def four_color(s: SphereTriangulation) -> dict[int, int] | None:
     return color_graph(list(range(s.n + 2)), sphere_edges(s))
 
 
-def coloring_violations(s: SphereTriangulation, coloring: dict[int, int]) -> list[Diagonal]:
-    bad = []
-    for a, b in sorted(sphere_edges(s)):
-        if a not in coloring or b not in coloring or coloring[a] == coloring[b]:
-            bad.append((a, b))
-    return bad
-
-
 def verify_coloring(s: SphereTriangulation, coloring: dict[int, int]) -> bool:
-    return not coloring_violations(s, coloring)
+    """Whether coloring gives the two ends of every edge of s two different colors."""
+    return all(a in coloring and b in coloring and coloring[a] != coloring[b] for a, b in sphere_edges(s))

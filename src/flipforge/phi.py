@@ -21,15 +21,15 @@ from itertools import combinations, product
 from typing import Any, Callable
 
 from .triangulation import Coloring, Triangulation, face_tree, faces, is_simple
-from .words import Word, standardize
+from .words import Word, is_permutation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
 
 
 def triangulation_from_permutation(sigma: Word) -> Triangulation:
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if not is_permutation(sigma):
         raise ValueError(f"{sigma} is not a permutation")
+    n = len(sigma)
     pred = list(range(-1, n + 1))
     succ = list(range(1, n + 3))
     diagonals = []
@@ -102,14 +102,13 @@ def colored_triangulation_from_word(w: Word) -> ColoredTriangulation:
     return triangulation_from_permutation(standardize(w)), tuple(sorted(w))
 
 
-def insert(state: ColoredTriangulation, value: int, color: int) -> ColoredTriangulation:
+def insert(state: ColoredTriangulation, color: int) -> ColoredTriangulation:
     """Grow a simple colored triangulation by one vertex of the given color.
 
     The new vertex lands after the last vertex colored below ``color``
     (vertex 0 acting as a colorless floor, the roof as a ceiling); the old
     boundary edge it covers becomes a diagonal and the new face takes the
-    new color.  ``value`` names the vertex being inserted and does not
-    affect the position.  Labels are renumbered to stay contiguous.
+    new color.  Labels are renumbered to stay contiguous.
     """
     t, eps = state
     if not is_simple(t, eps):
@@ -128,10 +127,9 @@ def insert(state: ColoredTriangulation, value: int, color: int) -> ColoredTriang
 
 def insertion_trace(w: Word) -> list[ColoredTriangulation]:
     """States of the right-to-left insertion fold of w, ending at its image."""
-    pairs = list(zip(standardize(w), w))
     state: ColoredTriangulation = (Triangulation(0, ()), ())
     trace = [state]
-    for value, color in reversed(pairs):
-        state = insert(state, value, color)
+    for color in reversed(w):
+        state = insert(state, color)
         trace.append(state)
     return trace

@@ -43,16 +43,8 @@ class SignedState(NamedTuple):
     signs: Coloring
 
 
-class StepWitness(NamedTuple):
-    kind: str
-    index: int
-    alpha: int
-    gamma: int
-    y: int | None
-
-
-def classify_step(w1: SignedWord, w2: SignedWord) -> StepWitness | None:
-    """Classify a pair of signed words as a K1 or K2 move, or neither."""
+def classify_step(w1: SignedWord, w2: SignedWord) -> str | None:
+    """The kind of move, "K1" or "K2", that takes signed word w1 to w2, or None."""
     if not (is_signed_word(w1) and is_signed_word(w2)):
         return None
     i = adjacent_difference(w1, w2)
@@ -61,9 +53,9 @@ def classify_step(w1: SignedWord, w2: SignedWord) -> StepWitness | None:
     alpha, gamma = w1[i], w1[i + 1]
     k = exchange_witness(abs_word(w1), i)
     if (w2[i], w2[i + 1]) == (gamma, alpha) and k is not None:
-        return StepWitness("K1", i, alpha, gamma, w1[k])
+        return "K1"
     if (w2[i], w2[i + 1]) == (-gamma, -alpha) and k is None and (alpha > 0) == (gamma > 0):
-        return StepWitness("K2", i, alpha, gamma, None)
+        return "K2"
     return None
 
 
@@ -93,11 +85,11 @@ def validate_certificate(cert: Certificate) -> CertReport:
         if not is_signed_word(w):
             return CertReport(False, i, f"entry {i} is not a signed word: {w}")
     for i in range(len(chain) - 1):
-        witness = classify_step(chain[i], chain[i + 1])
-        if witness is None:
+        kind = classify_step(chain[i], chain[i + 1])
+        if kind is None:
             return CertReport(False, i, f"step {i} is neither a K1 nor a K2 move")
-        if witness.kind != kinds[i]:
-            return CertReport(False, i, f"step {i} classifies as {witness.kind}, recorded {kinds[i]}")
+        if kind != kinds[i]:
+            return CertReport(False, i, f"step {i} classifies as {kind}, recorded {kinds[i]}")
     return CertReport(True, endpoints=(abs_word(chain[0]), abs_word(chain[-1])))
 
 

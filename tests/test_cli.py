@@ -537,11 +537,7 @@ class TestErrorHandling:
         monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
         calls = []
 
-        def stub(suite, n, seed=0, table=None):
-            calls.append((suite, n))
-            return {"suite": suite, "n": n, "pass": True}
-
-        monkeypatch.setattr(graphs, "run_suite", stub)
+        monkeypatch.setattr(graphs, "flip_table", calls.append)
         code, out, err = run(capsys, "verify", "--n", str(graphs.size_limit() + 1))
         assert code == 1
         assert calls == [] and out == ""

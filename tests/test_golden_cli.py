@@ -131,6 +131,8 @@ CORPUS = [
     # carry opposite signs, and a certificate with one kind swapped
     ("flip-signed-refused", ["flip", "colored12.json", "--d", "0,2"], []),
     ("check-cert-swapped", ["check-cert", "swapped.jsonl"], []),
+    # one suite with a non-default seed: the registry must hand the seed to its audit
+    ("verify-homogeneous-6-seeded", ["verify", "--suite", "homogeneous", "--n", "6", "--seed", "12345"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -234,6 +236,8 @@ GOLDEN = {
     "render-json": "a0507e861bb16872cac1877b19b28c09ad86dd9131d2cf51470edf5b38d74f9e",
     "flip-signed-refused": "feb211b08add3c54be48e19943e79868d3a719030c91c6b1b7dd20513d2e9b56",
     "check-cert-swapped": "960212c66f4f273e50121979c32eb4bea6dd061cf57a70e103923ed9f7c3af80",
+    # Recorded before the audits took the battery's table and run_suite left the library.
+    "verify-homogeneous-6-seeded": "87a46a917b941894a86c16f7c9ad4a0c31cc7bd22b0916a8de2435c2b1441c62",
 }
 
 

@@ -49,6 +49,15 @@ from reference import (
 )
 from refdata import CATALAN
 
+# each suite's audit on a flip table of its own, as (n, seed) -> report
+SUITE_AUDITS = {
+    "ref1": lambda n, seed: signed_reachability_check(n, flips.flip_table(n)),
+    "fibers": lambda n, seed: fiber_report(n),
+    "homogeneous": lambda n, seed: homogeneous_product_audit(n, flips.flip_table(n), seed),
+    "switched": lambda n, seed: switched_audit(n, flips.flip_table(n)),
+    "diagram": lambda n, seed: diagram_audit(n, flips.flip_table(n)),
+}
+
 
 class TestCatalan:
     def test_values(self):
@@ -194,13 +203,13 @@ class TestFibers:
 
     def test_unknown_suite_is_refused_with_the_suite_names(self):
         with pytest.raises(ValueError) as info:
-            graphs.run_suite("nope", 3)
+            graphs.run_battery(("nope",), 3)
         assert str(info.value) == "unknown suite 'nope'; expected one of ref1, fibers, homogeneous, switched, diagram"
 
     def test_every_suite_passes_at_n0(self):
-        for suite in graphs.SUITES:
-            rep = graphs.run_suite(suite, 0)
-            assert rep["suite"] == suite and rep["n"] == 0 and rep["pass"]
+        for audit in SUITE_AUDITS.values():
+            rep = audit(0, 0)
+            assert rep["n"] == 0 and rep["pass"]
         assert fiber_report(0)["last_letter_constant"]
 
 
@@ -249,20 +258,20 @@ class TestHomogeneous:
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper
             calls.clear()
-            assert homogeneous_product_audit(7)["pass"]
+            assert homogeneous_product_audit(7, flips.flip_table(7))["pass"]
             counts.append(len(calls))
         assert counts[0] == counts[1] <= CATALAN[7]
 
     def test_seeded_audit_is_deterministic(self):
-        a = homogeneous_product_audit(5, seed=3)
-        b = homogeneous_product_audit(5, seed=3)
+        a = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
+        b = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
         assert a == b
         assert a["pass"]
         assert a["failures"] == []
 
     def test_fails_when_the_product_law_is_off_by_one(self, monkeypatch):
         monkeypatch.setattr(graphs, "catalan", lambda n: catalan(n) + 1)
-        rep = homogeneous_product_audit(5, seed=3)
+        rep = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
         assert not rep["pass"]
         assert len(rep["failures"]) == graphs.HOMOGENEOUS_SAMPLES == 50
         keys = {canonical_key(t) for t in all_triangulations(5)}
@@ -307,12 +316,12 @@ class TestSwitched:
 
     def test_audits_pass(self):
         for n in range(1, 6):
-            assert switched_audit(n)["pass"]
+            assert switched_audit(n, flips.flip_table(n))["pass"]
 
     def test_no_flip_leaves_simplicity(self):
         # the filter of non-simple results never fires for n <= 7, yet flips are examined
         for n in range(1, 8):
-            graphs_n = switched_audit(n)["graphs"]
+            graphs_n = switched_audit(n, flips.flip_table(n))["graphs"]
             assert len(graphs_n) == sum(1 for _ in compositions(n, graphs.MAX_PARTS))
             assert [g["filtered_nonsimple"] for g in graphs_n] == [0] * len(graphs_n)
             assert n < 2 or any(g["edges"] for g in graphs_n)
@@ -326,7 +335,7 @@ class TestSwitched:
 
     def test_audit_builds_rows_only_for_simple_shapes(self, monkeypatch):
         calls = count_rows(monkeypatch)
-        assert switched_audit(7)["pass"]
+        assert switched_audit(7, flips.flip_table(7))["pass"]
         simple = {t for mu in compositions(7, graphs.MAX_PARTS) for t in simple_triangulations(7, mu)}
         assert len(calls) == len(set(calls)) == 127  # of 429 shapes, each row once
         assert set(calls) == simple
@@ -341,7 +350,7 @@ class TestSwitched:
 
         # patched on graphs only: the sort inside flip_table reads the flips module's name
         monkeypatch.setattr(graphs, "canonical_key", counting)
-        assert switched_audit(7)["pass"]
+        assert switched_audit(7, flips.flip_table(7))["pass"]
         assert calls == []
 
 
@@ -349,7 +358,7 @@ class TestReachability:
     def test_zero_missing_pairs_up_to_n7(self):
         components = []
         for n in range(1, 8):
-            rep = signed_reachability_check(n)
+            rep = signed_reachability_check(n, flips.flip_table(n))
             assert rep["pass"], rep
             assert rep["missing_pairs"] == []
             assert rep["audit_violations"] == []
@@ -358,7 +367,7 @@ class TestReachability:
         assert components == [2, 6, 20, 68, 224, 726, 2328]
 
     def test_n8_counts(self):
-        rep = signed_reachability_check(8)
+        rep = signed_reachability_check(8, flips.flip_table(8))
         assert rep["states"] == CATALAN[8] * 2**8 == 366080
         assert rep["components"] == 7440
         assert rep["pass"]
@@ -368,7 +377,7 @@ class TestReachability:
         # twice: a cache that outlives one call would make the second call cheaper
         for _ in range(2):
             calls.clear()
-            assert signed_reachability_check(5)["pass"]
+            assert signed_reachability_check(5, flips.flip_table(5))["pass"]
             assert len(calls) == CATALAN[5]  # one row per shape, not one per signing
 
 
@@ -468,12 +477,12 @@ class TestFlipTable:
 
     def test_reports_match_the_state_route(self):
         for n in range(6):
-            rep = signed_reachability_check(n)
+            rep = signed_reachability_check(n, flips.flip_table(n))
             assert (rep["missing_pairs"], rep["audit_violations"]) == \
                 reachability_by_states(flips.flip_table(n), n)
 
     @pytest.mark.parametrize("corrupt", ["drop_faces_1_2", "one_bit_masks"])
-    def test_failure_text_and_order_match_the_state_route(self, monkeypatch, corrupt):
+    def test_failure_text_and_order_match_the_state_route(self, corrupt):
         n = 4
         broken = flips.flip_table(n)
         for i in range(CATALAN[n]):  # a row is built once, so editing it in place corrupts the table
@@ -482,8 +491,7 @@ class TestFlipTable:
                 row[:] = [e for e in row if e[2:4] != (1, 2)]
             else:  # flips across faces 2 and 3 negate face 2 alone, in either direction
                 row[:] = [(j, 1 << (n - b) if (b, c) == (2, 3) else m, b, c, d) for j, m, b, c, d in row]
-        monkeypatch.setattr(graphs, "flip_table", lambda size: broken)
-        rep = signed_reachability_check(n)
+        rep = signed_reachability_check(n, broken)
         missing, violations = reachability_by_states(broken, n)
         assert rep["missing_pairs"] == missing
         assert rep["audit_violations"] == violations
@@ -505,11 +513,11 @@ class TestDiagram:
         assert rep["image_size"] == CATALAN[4]
 
     def test_all_words_n5_two_colors(self):
-        assert diagram_audit(5)["pass"]
+        assert diagram_audit(5, flips.flip_table(5))["pass"]
 
     def test_audit_small(self):
         for n in range(1, 5):
-            assert diagram_audit(n)["pass"]
+            assert diagram_audit(n, flips.flip_table(n))["pass"]
 
     @pytest.mark.parametrize("fault", ["shape", "colors"])
     def test_square_fails_under_a_wrong_image(self, monkeypatch, fault):
@@ -524,7 +532,7 @@ class TestDiagram:
         monkeypatch.setattr(graphs, "colored_triangulation_from_word", wrong)
         rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
         assert len(rep["square_failures"]) == rep["words"] == 6
-        assert not diagram_audit(4)["pass"]
+        assert not diagram_audit(4, flips.flip_table(4))["pass"]
 
     def test_edge_check_needs_the_move_at_its_own_position(self, monkeypatch):
         # reversed standardizations are one move apart at n - 2 - i, not at i
@@ -546,7 +554,7 @@ class TestDiagram:
         # phi is reached through colored_triangulation_from_word or directly
         monkeypatch.setattr(phi_module, "triangulation_from_permutation", counting)
         monkeypatch.setattr(graphs, "triangulation_from_permutation", counting)
-        assert diagram_audit(5)["pass"]
+        assert diagram_audit(5, flips.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(graphs.standardize(w) for w in words)
 
@@ -562,8 +570,8 @@ class TestDiagram:
         # twice: a cache that outlives one call would make the second call cheaper
         for _ in range(2):
             calls.clear()
-            assert diagram_audit(5)["pass"]
-            assert calls == [5]  # one enumeration for all 11 mus
+            assert diagram_audit(5, graphs.flip_table(5))["pass"]
+            assert calls == [5]  # the caller's one enumeration serves all 11 mus
 
     def test_each_word_is_standardized_once(self, monkeypatch):
         calls = []
@@ -574,17 +582,24 @@ class TestDiagram:
             return real(w)
 
         monkeypatch.setattr(graphs, "standardize", counting)
-        assert diagram_audit(5)["pass"]
+        assert diagram_audit(5, flips.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(words)
 
 
 class TestBattery:
+    def test_unknown_suite_is_refused_before_any_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graphs, "flip_table", built.append)
+        with pytest.raises(ValueError, match="unknown suite 'nope'; expected one of ref1, fibers"):
+            graphs.run_battery(("ref1", "nope"), 3)
+        assert built == []
+
     def test_reports_equal_the_per_suite_reports(self):
         n, seed = 6, 12345
         battery = graphs.run_battery(graphs.SUITES, n, seed)
         assert [report for report, _ in battery] == \
-            [graphs.run_suite(s, k, seed) for s in graphs.SUITES for k in range(1, n + 1)]
+            [{**SUITE_AUDITS[s](k, seed), "suite": s} for s in graphs.SUITES for k in range(1, n + 1)]
         assert all(seconds >= 0 for _, seconds in battery)
 
     def test_simple_sets_are_the_is_simple_shapes(self):
@@ -624,6 +639,12 @@ class TestCompositions:
     def test_counts(self):
         for n in range(1, 8):
             assert len(list(compositions(n, n))) == 2 ** (n - 1)
+
+    def test_yielded_in_increasing_order(self):
+        # the switched and diagram audits list their reports in this order
+        for n in range(9):
+            for k in range(9):
+                assert list(compositions(n, k)) == sorted(compositions(n, k))
 
     def test_words_of_evaluation(self):
         ws = list(words_of_evaluation((2, 1)))

@@ -1,5 +1,6 @@
 """Layout: every name the library defines is reached by the library itself,
-a command, a script or the benchmark, not by the tests alone.
+a command, a script or the benchmark, not by the tests alone, and every
+parameter of a library function is read by it.
 
 Test-only oracles belong in ``tests/reference.py``.  The scan reads
 ``src/flipforge/*.py`` (all but ``__init__.py``, whose re-exports reach
@@ -64,6 +65,22 @@ def test_every_library_name_is_reached():
             if attrs[name] == own_attrs[name] and (method or names[name] == own_names[name]):
                 unreached.append(label)
     assert not unreached, f"reached only by tests (move them to tests/reference.py): {unreached}"
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each def in the library is loaded in the def's body
+    (a nested def's load counts); a lambda is exempt, as the suite registry's
+    adapters share one signature whatever their audit reads."""
+    unread = []
+    for path in sorted((ROOT / "src" / "flipforge").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS[:2]):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                loaded, _ = uses(ast.Module(body=node.body, type_ignores=[]))
+                unread += [f"{path.stem}.{node.name}: {p.arg}" for p in params if not loaded[p.arg]]
+    assert not unread, f"parameters never read: {unread}"
 
 
 def test_sphere_sign_keys_live_in_jsonio():

@@ -201,7 +201,7 @@ class TestColoredReadings:
 class TestInsertion:
     def test_base_case(self):
         state = (Triangulation(0, ()), ())
-        t, eps = insert(state, 1, 7)
+        t, eps = insert(state, 7)
         assert t == Triangulation(1, ())
         assert eps == (7,)
 
@@ -228,7 +228,7 @@ class TestInsertion:
     def test_rejects_non_simple_state(self):
         t = Triangulation(3, ((1, 3), (0, 3)))
         with pytest.raises(ValueError):
-            insert((t, (1, 2, 1)), 4, 2)
+            insert((t, (1, 2, 1)), 2)
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=7).map(tuple))
     def test_fold_matches_phi_random(self, w):

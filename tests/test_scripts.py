@@ -63,11 +63,7 @@ def test_run_verification_refuses_above_cap_before_any_suite(monkeypatch, capsys
     monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
     calls = []
 
-    def stub(suite, n, seed=0, table=None):
-        calls.append((suite, n))
-        return {"suite": suite, "n": n, "pass": True}
-
-    monkeypatch.setattr(graphs, "run_suite", stub)
+    monkeypatch.setattr(graphs, "flip_table", calls.append)
     script = ROOT / "scripts" / "run_verification.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--n", str(graphs.size_limit() + 1)])
     with pytest.raises(SystemExit) as exit_info:
