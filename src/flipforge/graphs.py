@@ -3,9 +3,10 @@
 Everything here enumerates a complete family (all triangulations, all
 permutations, all words of a fixed evaluation, all signed states) at desk
 scale and checks a structural statement, returning a small report dict.
-Component counts go through one integer union-find whose roots are least
-elements, so reports are reproducible; the audits work on shape indices,
-and canonical keys are made only where a graph or report is printed.
+Component counts go through one integer union-find, which links a batch of
+pairs per call and whose roots are least elements, so reports are
+reproducible; the audits work on shape indices, and canonical keys are made
+only where a graph or report is printed.
 
 A verification battery (``run_battery``) builds each size's flip table once
 and every suite at that size reads it: its rows, and the up masks that test
@@ -63,16 +64,18 @@ class UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Link a and b for each (a, b) of pairs, in order, halving paths as they are walked."""
         parent = self.parent
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
 
     def roots(self) -> list[int]:
         """Point every element at its root, in increasing order; returns the parent list."""
@@ -179,9 +182,7 @@ def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
     the n faces into, and the number of shapes they reach, which must be the
     product of the Catalan numbers of those sizes."""
     uf = UnionFind(len(eps))  # on the face labels less one
-    for _, _, b, c, _ in table.row(i):
-        if eps[b - 1] == eps[c - 1]:
-            uf.union(b - 1, c - 1)
+    uf.union((b - 1, c - 1) for _, _, b, c, _ in table.row(i) if eps[b - 1] == eps[c - 1])
     sizes = sorted(Counter(uf.roots()).values())
     seen = {i}
     stack = [i]
@@ -224,8 +225,7 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
         moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
         kept.extend(j for j in moves if j in adjacency)
         filtered += len(moves) - len(kept)
-        for j in kept:
-            uf.union(i, j)
+        uf.union((i, j) for j in kept)
     roots = uf.roots()
     report = {
         "n": sum(mu),
@@ -279,10 +279,14 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
         pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
         for k, y in enumerate(sw):
             pos[y] = k
-        if any(pos[up[y]] < pos[y] for y in sw):
-            square_failures.append(f"{w}: {sw} is not a reading of its image")
-        if any(colors[y - 1] != c for c, y in zip(w, sw)):
-            square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
+        for y in sw:
+            if pos[up[y]] < pos[y]:
+                square_failures.append(f"{w}: {sw} is not a reading of its image")
+                break
+        for c, y in zip(w, sw):
+            if colors[y - 1] != c:
+                square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
+                break
         for i in range(n - 1):
             if w[i] == w[i + 1]:
                 continue
@@ -308,41 +312,48 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     the whole flip graph; also audits one-signing-per-triangulation within
     each orbit.  ``table`` is ``flip_table(n)``."""
     _check_n(n)
-    keys, size = [canonical_key(t) for t in table.shapes], 1 << n
-    uf = UnionFind(len(keys) << n)  # over the states i << n | s
-    union = uf.union
-    legal = {}
-    for i in range(len(keys)):
+    shapes, size = table.shapes, 1 << n
+    uf = UnionFind(len(shapes) << n)  # over the states i << n | s
+    legal: dict[int, list[tuple[int, int]]] = {}  # m -> (s, s ^ m) for each signing s that m may flip
+    for i in range(len(shapes)):
+        a = i << n
         for j, m, _, _, _ in table.row(i):
             if j < i:
                 continue  # the flip back from j undoes this one
-            if m not in legal:
-                legal[m] = [s for s in range(size) if s & m in (0, m)]
-            for s in legal[m]:
-                union(i << n | s, j << n | s ^ m)
+            pairs = legal.get(m)
+            if pairs is None:
+                pairs = legal[m] = [(s, s ^ m) for s in range(size) if s & m in (0, m)]
+            b = j << n
+            uf.union([(a | s, b | t) for s, t in pairs])
     roots = uf.roots()
     found = []  # (root, state, text): a second signing of one shape in one component
     cover: dict[int, int] = {}  # root -> bitset of the shape indices in its component
-    for i, key in enumerate(keys):
-        last: dict[int, int] = {}
-        for s, root in enumerate(roots[i << n:(i + 1) << n]):
-            if root in last:
-                found.append((root, i << n | s, f"{key}: {mask_signs(last[root], n)} vs {mask_signs(s, n)}"))
-            last[root] = s
-        for root in last:
+    for i in range(len(shapes)):
+        block = roots[i << n:(i + 1) << n]
+        distinct = set(block)
+        if len(distinct) < size:  # some component holds two signings of this shape
+            key = canonical_key(shapes[i])
+            last: dict[int, int] = {}
+            for s, root in enumerate(block):
+                if root in last:
+                    found.append((root, i << n | s, f"{key}: {mask_signs(last[root], n)} vs {mask_signs(s, n)}"))
+                last[root] = s
+        for root in distinct:
             cover[root] = cover.get(root, 0) | 1 << i
     # by component in order of its least state, then by state within it
     audit_violations = [text for _, _, text in sorted(found)]
-    everything = (1 << len(keys)) - 1
+    everything = (1 << len(shapes)) - 1
     missing_pairs = []
-    for i, key in enumerate(keys):
+    for i in range(len(shapes)):
         covered = 0
         for root in set(roots[i << n:(i + 1) << n]):
             covered |= cover[root]
         gap = everything & ~covered
-        while gap:
-            missing_pairs.append((key, keys[(gap & -gap).bit_length() - 1]))
-            gap &= gap - 1
+        if gap:
+            key = canonical_key(shapes[i])
+            while gap:
+                missing_pairs.append((key, canonical_key(shapes[(gap & -gap).bit_length() - 1])))
+                gap &= gap - 1
     return {
         "n": n,
         "states": len(roots),

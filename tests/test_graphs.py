@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -481,9 +482,11 @@ class TestFlipTable:
             assert (rep["missing_pairs"], rep["audit_violations"]) == \
                 reachability_by_states(flips.flip_table(n), n)
 
-    @pytest.mark.parametrize("corrupt", ["drop_faces_1_2", "one_bit_masks"])
-    def test_failure_text_and_order_match_the_state_route(self, corrupt):
-        n = 4
+    @pytest.mark.parametrize("corrupt, n", [
+        pytest.param(corrupt, n, id=corrupt if n == 4 else f"{corrupt}-n{n}")
+        for n in (4, 5) for corrupt in ("drop_faces_1_2", "one_bit_masks")
+    ])
+    def test_failure_text_and_order_match_the_state_route(self, corrupt, n):
         broken = flips.flip_table(n)
         for i in range(CATALAN[n]):  # a row is built once, so editing it in place corrupts the table
             row = broken.row(i)
@@ -497,6 +500,20 @@ class TestFlipTable:
         assert rep["audit_violations"] == violations
         assert missing if corrupt == "drop_faces_1_2" else violations
         assert not rep["pass"]
+
+    def test_reachability_at_n7_peaks_below_3_mib(self):
+        table = flips.flip_table(7)
+        for i in range(CATALAN[7]):
+            table.row(i)  # built first, so the peak counts only what the check itself holds
+        tracemalloc.start()
+        try:
+            rep = signed_reachability_check(7, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["pass"] and rep["states"] == CATALAN[7] << 7
+        # about 2.1 MiB; keeping a set of roots per shape until the end would double it
+        assert peak < 3 << 20
 
 
 class TestDiagram:
@@ -677,8 +694,8 @@ class TestCaps:
 class TestUnionFind:
     def test_roots_are_least_elements(self):
         uf = UnionFind(10)
-        for a, b in [(7, 3), (9, 8), (3, 9), (5, 6), (6, 1), (4, 4)]:
-            uf.union(a, b)
+        uf.union([(7, 3), (9, 8), (3, 9)])
+        uf.union(iter([(5, 6), (6, 1), (4, 4)]))  # any iterable of pairs
         assert all(p <= x for x, p in enumerate(uf.parent))  # every pointer points down
         roots = uf.roots()
         assert roots == [0, 1, 2, 3, 4, 1, 1, 3, 3, 3]
@@ -686,7 +703,7 @@ class TestUnionFind:
     def test_roots_agree_with_the_partition(self):
         uf = UnionFind(10)
         for x in range(9, 0, -1):
-            uf.union(x, x - 1)
+            uf.union([(x, x - 1)])
             assert all(p <= y for y, p in enumerate(uf.parent))
         assert uf.roots() == [0] * 10
 
@@ -695,17 +712,24 @@ class TestUnionFind:
         for size in (1, 2, 5, 30, 200):
             for _ in range(20):
                 edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(2 * size))]
-                uf, ref = UnionFind(size), DictUnionFind(range(size))
+                ref = DictUnionFind(range(size))
                 for a, b in edges:
-                    uf.union(a, b)
                     ref.union(a, b)
+                one_by_one, one_batch, generator = UnionFind(size), UnionFind(size), UnionFind(size)
+                for a, b in edges:
+                    one_by_one.union([(a, b)])
+                    assert all(p <= x for x, p in enumerate(one_by_one.parent))
+                one_batch.union(edges)
+                one_batch.union([])  # an empty batch links nothing
+                generator.union((a, b) for a, b in edges)
+                for uf in (one_by_one, one_batch, generator):
                     assert all(p <= x for x, p in enumerate(uf.parent))
-                roots = uf.roots()
-                groups = {}
-                for x, root in enumerate(roots):
-                    groups.setdefault(root, []).append(x)
-                assert all(root == min(members) for root, members in groups.items())
-                assert sorted(groups.values()) == sorted(ref.groups().values())
+                    roots = uf.roots()
+                    groups = {}
+                    for x, root in enumerate(roots):
+                        groups.setdefault(root, []).append(x)
+                    assert all(root == min(members) for root, members in groups.items())
+                    assert sorted(groups.values()) == sorted(ref.groups().values())
 
 
 class TestGraphSerialization:
