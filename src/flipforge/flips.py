@@ -134,15 +134,15 @@ class ShapeTable:
     mask holds the bits of faces b and c: a signed flip of s is legal iff
     ``s & mask in (0, mask)`` and gives ``s ^ mask``.
 
-    ``up(i)`` is shape i's ``up_mask``, likewise computed on first read, so
-    ``simple(eps)`` tests each shape against a coloring with one AND.
+    ``simple(eps)`` tests each shape against a coloring with one AND of its
+    ``up_mask``, kept in a list that each call extends to every shape.
     """
 
     def __init__(self, shapes: Iterable[Triangulation]):
         self.shapes = list(shapes)
         self.index = {chord_code(t): i for i, t in enumerate(self.shapes)}
         self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
-        self._ups: dict[int, int] = {}
+        self._ups: list[int] = []  # up_mask of shapes[i]
 
     def row(self, i: int) -> list[tuple[int, int, int, int, Diagonal]]:
         row = self._rows.get(i)
@@ -157,19 +157,15 @@ class ShapeTable:
             self._rows[i] = row
         return row
 
-    def up(self, i: int) -> int:
-        mask = self._ups.get(i)
-        if mask is None:
-            mask = self._ups[i] = up_mask(self.shapes[i])
-        return mask
-
     def simple(self, eps: Coloring) -> list[int]:
         """The indices of the shapes that eps makes simple, by ``is_simple``'s
-        rule: eps weakly increases and ``up(i) & ~rise_mask(eps) == 0``."""
+        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``."""
         if not weakly_increasing(eps):
             return []
+        ups = self._ups
+        ups.extend(map(up_mask, self.shapes[len(ups):]))
         falls = ~rise_mask(eps)
-        return [i for i in range(len(self.shapes)) if not self.up(i) & falls]
+        return [i for i, up in enumerate(ups) if not up & falls]
 
     def _number(self, code: int, t: Triangulation, quad: FlipQuad) -> int:
         j = self.index.get(code)

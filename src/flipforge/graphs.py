@@ -25,7 +25,7 @@ from itertools import permutations, product
 from typing import Iterable, Iterator
 
 from .flips import ShapeTable, flip_table, mask_signs
-from .phi import colored_triangulation_from_word, triangulation_from_permutation
+from .phi import colored_image_code, triangulation_from_permutation
 from .triangulation import Coloring, Triangulation, canonical_key, face_tree
 from .words import Word, block_coloring, standardize, sylvester_class
 
@@ -259,30 +259,35 @@ def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
 
 def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
     """The commuting square of the words of evaluation mu, over the flip
-    table of size sum(mu).  Each word w is mapped once: std(w) must be a
-    reading of the image, each face read before its parent, and letter w[k]
-    must color face std(w)[k]; standardization must be injective and take
-    each word move to a permutation move.  The image is compared with the
-    shapes the block coloring of mu makes simple."""
+    table of size sum(mu).  Each word w is standardized once and mapped once,
+    to the table index of its image's chord code: std(w) must be a reading
+    of that shape, each face read before its parent, and letter w[k] must
+    color face std(w)[k]; standardization must be injective and take each
+    word move to a permutation move.  The image is compared with the shapes
+    the block coloring of mu makes simple."""
     n = sum(mu)
     words = list(words_of_evaluation(mu))
     std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
     square_failures = []
-    ups: dict[Triangulation, list[int]] = {}  # the image: each shape's face_tree parents
+    ups: dict[int, list[int]] = {}  # the image: each shape index's face_tree parents
     edge_failures = []
     for w in words:
         sw = std[w]
-        t, colors = colored_triangulation_from_word(w)
-        up = ups.get(t)
-        if up is None:
-            up = ups[t] = face_tree(t)[3]
-        pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
-        for k, y in enumerate(sw):
-            pos[y] = k
-        for y in sw:
-            if pos[up[y]] < pos[y]:
-                square_failures.append(f"{w}: {sw} is not a reading of its image")
-                break
+        code, colors = colored_image_code(w, sw)
+        j = table.index.get(code)
+        if j is None:
+            square_failures.append(f"{w}: its image is not a triangulation of size {n}")
+        else:
+            up = ups.get(j)
+            if up is None:
+                up = ups[j] = face_tree(table.shapes[j])[3]
+            pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
+            for k, y in enumerate(sw):
+                pos[y] = k
+            for y in sw:
+                if pos[up[y]] < pos[y]:
+                    square_failures.append(f"{w}: {sw} is not a reading of its image")
+                    break
         for c, y in zip(w, sw):
             if colors[y - 1] != c:
                 square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
@@ -293,7 +298,7 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
             v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
             if std[v] != sw[:i] + (sw[i + 1], sw[i]) + sw[i + 2 :]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
-    simple_set = {table.shapes[i] for i in table.simple(block_coloring(mu))}
+    simple = table.simple(block_coloring(mu))
     return {
         "n": n,
         "mu": list(mu),
@@ -301,9 +306,9 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
         "square_failures": square_failures,
         "std_injective": len(set(std.values())) == len(words),
         "edge_failures": edge_failures,
-        "image_is_all_simple": ups.keys() == simple_set,
+        "image_is_all_simple": ups.keys() == set(simple),
         "image_size": len(ups),
-        "simple_count": len(simple_set),
+        "simple_count": len(simple),
     }
 
 

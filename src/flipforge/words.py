@@ -8,8 +8,6 @@ values.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 Word = tuple[int, ...]
 SignedWord = tuple[int, ...]
 
@@ -92,26 +90,29 @@ def adjacent_difference(w1: Word, w2: Word) -> int | None:
     return diff[0]
 
 
-def sylvester_neighbors(w: Word) -> Iterator[Word]:
-    for i in range(len(w) - 1):
-        if exchange_witness(w, i) is not None:
-            yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-
-
 def sylvester_class(w: Word, cap: int = 1_000_000) -> frozenset[Word]:
-    """The congruence class of w, by closure under adjacent exchanges."""
+    """The congruence class of w, by closure under adjacent exchanges.  Each
+    member is read right to left, ``later`` holding one bit per rank of the
+    letters after positions i, i+1; ``exchange_witness`` finds a letter iff
+    ``later`` meets the ranks from the lesser letter's to below the greater's."""
     if cap < 1:
         raise ValueError(f"class cap must be at least 1, got {cap}")
+    bit = {v: 1 << k for k, v in enumerate(sorted(set(w)))}
     seen = {w}
     stack = [w]
     while stack:
         current = stack.pop()
-        for nxt in sylvester_neighbors(current):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClosureCapExceeded(f"class of {w} exceeds cap {cap}")
-                seen.add(nxt)
-                stack.append(nxt)
+        later = 0
+        for i in range(len(current) - 2, -1, -1):
+            a, b = current[i], current[i + 1]
+            if later & abs(bit[a] - bit[b]):
+                nxt = current[:i] + (b, a) + current[i + 2 :]
+                if nxt not in seen:
+                    if len(seen) >= cap:
+                        raise ClosureCapExceeded(f"class of {w} exceeds cap {cap}")
+                    seen.add(nxt)
+                    stack.append(nxt)
+            later |= bit[b]
     return frozenset(seen)
 
 

@@ -42,6 +42,7 @@ from flipforge.triangulation import (
     validate,
 )
 from flipforge.words import (
+    ClosureCapExceeded,
     SignedWord,
     Word,
     adjacent_difference,
@@ -50,7 +51,6 @@ from flipforge.words import (
     is_permutation,
     is_signed_word,
     sylvester_class,
-    sylvester_neighbors,
 )
 
 
@@ -308,6 +308,30 @@ def sign_permutation_path(
             kinds.append("K2")
         chain.append(w)
     return Certificate(chain, kinds), None
+
+
+def sylvester_neighbors(w: Word) -> Iterator[Word]:
+    """Every word one allowed adjacent exchange from w, in position order."""
+    for i in range(len(w) - 1):
+        if exchange_witness(w, i) is not None:
+            yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+
+def sylvester_class_by_neighbors(w: Word, cap: int = 1_000_000) -> frozenset[Word]:
+    """The congruence class of w by a stack over ``sylvester_neighbors``,
+    each exchange found by an ``exchange_witness`` suffix scan; raises
+    ``ClosureCapExceeded`` on reaching a member past the cap."""
+    seen = {w}
+    stack = [w]
+    while stack:
+        current = stack.pop()
+        for nxt in sylvester_neighbors(current):
+            if nxt not in seen:
+                if len(seen) >= cap:
+                    raise ClosureCapExceeded(f"class of {w} exceeds cap {cap}")
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen)
 
 
 def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:

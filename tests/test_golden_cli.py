@@ -133,10 +133,14 @@ CORPUS = [
     ("check-cert-swapped", ["check-cert", "swapped.jsonl"], []),
     # one suite with a non-default seed: the registry must hand the seed to its audit
     ("verify-homogeneous-6-seeded", ["verify", "--suite", "homogeneous", "--n", "6", "--seed", "12345"], []),
+    # the closure of every fiber at n=8, and a 560-member class and its refusal one state short
+    ("verify-fibers-8", ["verify", "--suite", "fibers", "--n", "8"], []),
+    ("class-9", ["class", "245978613"], []),
+    ("class-9-refused", ["class", "245978613", "--max-states", "559"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
-REFUSED = {"signed-path-refused", "flip-signed-refused", "check-cert-swapped"}
+REFUSED = {"signed-path-refused", "flip-signed-refused", "check-cert-swapped", "class-9-refused"}
 
 # Recorded before the ear-cutting and suite-registry refactor.
 GOLDEN = {
@@ -238,6 +242,11 @@ GOLDEN = {
     "check-cert-swapped": "960212c66f4f273e50121979c32eb4bea6dd061cf57a70e103923ed9f7c3af80",
     # Recorded before the audits took the battery's table and run_suite left the library.
     "verify-homogeneous-6-seeded": "87a46a917b941894a86c16f7c9ad4a0c31cc7bd22b0916a8de2435c2b1441c62",
+    # Recorded before the class closure tested each exchange with a bitmask.
+    "verify-fibers-8": "a8e7f46902cc43cf27798d07fff147f119f1c97a6eeded49c2cb5d3d1d8a0183",
+    "class-9": "689c25b2fc0f2205cb16dd33090b972dd00eb3b424e110fa6f1c7e995013cb5a",
+    "class-9-refused": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "class-9-refused:stderr": "c72bfa3aa1b8085fb11d59d79f85abb557b50fd43aa9fb8646830e857200c687",
 }
 
 

@@ -2,12 +2,12 @@
 
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from flipforge import flips, graphs, triangulation
-from flipforge import phi as phi_module
 from flipforge.graphs import (
     UnionFind,
     build_cayley_graph,
@@ -474,7 +474,7 @@ class TestFlipTable:
             for i, t in enumerate(table.shapes):
                 # face y points up when it lies on the edge {y-1, y}; faces found by clipping ears
                 ups = sum(1 << f.y for f in faces_by_ears(t) if f.y >= 2 and f.x == f.y - 1)
-                assert table.up(i) == triangulation.up_mask(t) == ups
+                assert triangulation.up_mask(t) == ups
 
     def test_reports_match_the_state_route(self):
         for n in range(6):
@@ -538,17 +538,25 @@ class TestDiagram:
 
     @pytest.mark.parametrize("fault", ["shape", "colors"])
     def test_square_fails_under_a_wrong_image(self, monkeypatch, fault):
-        real = graphs.colored_triangulation_from_word
+        real = graphs.colored_image_code
 
-        def wrong(w):
-            t, colors = real(w)
+        def wrong(w, sigma):
+            code, colors = real(w, sigma)
             if fault == "shape":  # the image of the reversed standardization
-                return phi(graphs.standardize(w)[::-1]), colors
-            return t, colors[::-1]
+                return chord_code(phi(graphs.standardize(w)[::-1])), colors
+            return code, colors[::-1]
 
-        monkeypatch.setattr(graphs, "colored_triangulation_from_word", wrong)
+        monkeypatch.setattr(graphs, "colored_image_code", wrong)
         rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
         assert len(rep["square_failures"]) == rep["words"] == 6
+        assert not diagram_audit(4, flips.flip_table(4))["pass"]
+
+    def test_an_image_outside_the_table_is_a_square_failure(self, monkeypatch):
+        monkeypatch.setattr(graphs, "colored_image_code", lambda w, sigma: (-1, tuple(sorted(w))))
+        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
+        assert rep["square_failures"] == [f"{w}: its image is not a triangulation of size 4"
+                                          for w in words_of_evaluation((2, 2))]
+        assert rep["image_size"] == 0 and not rep["image_is_all_simple"]
         assert not diagram_audit(4, flips.flip_table(4))["pass"]
 
     def test_edge_check_needs_the_move_at_its_own_position(self, monkeypatch):
@@ -562,18 +570,40 @@ class TestDiagram:
 
     def test_maps_each_word_once(self, monkeypatch):
         calls = []
-        real = phi_module.triangulation_from_permutation
+        real = graphs.colored_image_code
 
-        def counting(sigma):
+        def counting(w, sigma):
             calls.append(sigma)
-            return real(sigma)
+            return real(w, sigma)
 
-        # phi is reached through colored_triangulation_from_word or directly
-        monkeypatch.setattr(phi_module, "triangulation_from_permutation", counting)
-        monkeypatch.setattr(graphs, "triangulation_from_permutation", counting)
+        monkeypatch.setattr(graphs, "colored_image_code", counting)
         assert diagram_audit(5, flips.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(graphs.standardize(w) for w in words)
+
+    def test_builds_no_triangulation_past_the_table(self):
+        # matched by code object, so a construction anywhere is seen
+        table = flips.flip_table(6)
+        calls = []
+        init = triangulation.Triangulation.__init__.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is init:
+                calls.append(frame.f_locals["diagonals"])
+
+        sys.setprofile(profile)
+        try:
+            rep = diagram_audit(6, table)
+        finally:
+            sys.setprofile(None)
+        assert rep["pass"]
+        assert calls == []
+        sys.setprofile(profile)  # and the hook does see a construction
+        try:
+            phi((2, 1))
+        finally:
+            sys.setprofile(None)
+        assert calls == [((1, 3),)]
 
     def test_shapes_are_enumerated_once_per_call(self, monkeypatch):
         calls = []

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from flipforge.phi import (
     canonical_reading,
+    colored_image_code,
     colored_triangulation_from_word,
     insert,
     insertion_trace,
@@ -19,6 +20,7 @@ from flipforge.triangulation import (
     Triangulation,
     all_triangulations,
     canonical_key,
+    chord_code,
     faces,
     is_simple,
 )
@@ -180,6 +182,19 @@ class TestColoredTriangulation:
                 assert is_simple(t, eps)
                 assert t == phi(standardize(w))
                 assert eps == tuple(sorted(w))
+
+
+class TestColoredImageCode:
+    def test_code_is_the_chord_code_of_phi_on_every_permutation_to_n7(self):
+        for n in range(8):
+            for sigma in itertools.permutations(range(1, n + 1)):
+                assert colored_image_code(sigma, sigma) == (chord_code(phi(sigma)), tuple(range(1, n + 1)))
+
+    def test_pair_is_the_colored_image_as_a_code(self):
+        for n in range(1, 6):
+            for w in itertools.product((1, 2, 3), repeat=n):
+                t, eps = colored_triangulation_from_word(w)
+                assert colored_image_code(w, standardize(w)) == (chord_code(t), eps)
 
 
 class TestColoredReadings:

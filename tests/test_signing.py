@@ -456,10 +456,10 @@ class TestEmitWordCertificate:
     def test_emission_searches_no_class(self):
         # matched by code object, so a call under any imported name is seen
         calls = []
-        neighbors = words.sylvester_neighbors.__code__
+        closure = words.sylvester_class.__code__
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is neighbors:
+            if event == "call" and frame.f_code is closure:
                 calls.append(frame.f_locals["w"])
 
         path = signable_path_search(phi((2, 6, 1, 4, 7, 5, 3)), phi((1, 3, 2, 5, 6, 4, 7)))

@@ -1,6 +1,9 @@
 """Words, standardization, sylvester rewriting, signed letters, parsing."""
 
 import itertools
+import math
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +20,6 @@ from flipforge.words import (
     respects_blocks,
     standardize,
     sylvester_class,
-    sylvester_neighbors,
 )
 
 from reference import (
@@ -28,6 +30,8 @@ from reference import (
     format_signed_word,
     parse_signed_word,
     sylvester_adjacent,
+    sylvester_class_by_neighbors,
+    sylvester_neighbors,
 )
 from refdata import CHAIN, CLASS_BBCBCA, READINGS_235461
 
@@ -214,6 +218,33 @@ class TestSylvesterClass:
     def test_cap_enforced(self):
         with pytest.raises(ClosureCapExceeded):
             sylvester_class(BBCBCA, cap=1)
+
+    def test_cap_refuses_exactly_the_classes_larger_than_it(self):
+        words = [BBCBCA, (2, 4, 5, 9, 7, 8, 6, 1, 3)] + [s for s in perms(5) if s[0] == 3]
+        for w in words:
+            size = len(sylvester_class_by_neighbors(w))
+            assert len(sylvester_class(w, cap=size)) == size
+            if size > 1:
+                with pytest.raises(ClosureCapExceeded, match=f"class of {re.escape(str(w))} exceeds cap {size - 1}$"):
+                    sylvester_class(w, cap=size - 1)
+
+    def test_equals_the_neighbor_closure_on_every_permutation_to_n7(self):
+        for n in range(8):
+            oracle = {}  # each class once, from its first permutation, then read by every member
+            for sigma in perms(n):
+                if sigma not in oracle:
+                    cls = sylvester_class_by_neighbors(sigma)
+                    oracle.update(dict.fromkeys(cls, cls))
+                assert sylvester_class(sigma) == oracle[sigma]
+            assert len(oracle) == math.factorial(n)
+
+    def test_equals_the_neighbor_closure_on_seeded_words(self):
+        rng = random.Random(29)
+        for k in range(300):
+            # repeated letters; every third word on letters far apart, which only their order relates
+            alphabet = (1, 7, 10**9) if k % 3 == 0 else range(1, rng.randint(1, 5) + 1)
+            w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            assert sylvester_class(w) == sylvester_class_by_neighbors(w)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_cap_below_one_is_refused(self, cap):
