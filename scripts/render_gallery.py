@@ -10,10 +10,10 @@ import argparse
 import pathlib
 import sys
 
-from flipforge.graphs import size_limit
+from flipforge import graphs
 from flipforge.heawood import mirror_sphere
 from flipforge.render import render_sphere, render_triangulation
-from flipforge.triangulation import all_triangulations, canonical_key
+from flipforge.triangulation import canonical_key
 
 
 def main() -> int:
@@ -25,10 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        cap = size_limit()
-        if not 0 <= args.n <= cap:
-            raise ValueError(f"--n must lie in 0..{cap}, got {args.n}; "
-                             "set FLIPFORGE_MAX_N to raise the cap")
+        shapes = graphs.flip_table(args.n).shapes
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -37,7 +34,7 @@ def main() -> int:
     count = 0
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for t in all_triangulations(args.n):
+        for t in shapes:
             stem = canonical_key(t).replace(":", "_").replace(";", "-")
             (out / f"{stem}.svg").write_text(render_triangulation(t), encoding="utf-8")
             count += 1

@@ -3,7 +3,8 @@
 A flip replaces a diagonal by the other chord of the quadrilateral made of
 its two faces.  The two faces involved keep their labels (the middle
 vertices of the quadrilateral), so colorings and signings indexed by face
-label transform by editing at most two entries.
+label transform by editing at most two entries.  This is the flip kernel
+alone, and it reads only ``triangulation``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .triangulation import (
     Coloring,
     Diagonal,
     Triangulation,
-    all_triangulations,
-    canonical_key,
     chord_code,
     face_tree,
     is_simple,
@@ -24,8 +23,6 @@ from .triangulation import (
     up_mask,
     weakly_increasing,
 )
-from .phi import least_reading
-from .words import Word
 
 
 class FlipQuad(NamedTuple):
@@ -86,27 +83,6 @@ def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
         return None
     t2_check, quad = flip(t1, gone.pop())
     return quad if t2_check == t2 else None
-
-
-def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[Word, Word]:
-    """Readings u x z v of t and u z x v of t2, its flip across quad.
-
-    The two exchanged letters are the face labels of the flip quadrilateral
-    and the tail v carries no letter strictly between them, which is exactly
-    what separates a flip from a within-class exchange.  Each word is the
-    least reading that puts the faces inside the quadrilateral first, then
-    its two letters in order, then the rest, each group by label.
-    """
-    a, d = quad.a, quad.d
-    order = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
-    words = []
-    for shape, (x, z) in ((t, order), (t2, order[::-1])):
-        rank = {x: 1, z: 2}
-        w = least_reading(shape, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
-        if w[d - a - 3:d - a - 1] != (x, z):
-            raise AssertionError(f"{x}, {z} are not read right after the inside of the quad")
-        words.append(w)
-    return words[0], words[1]
 
 
 def flip_signs(signs: Coloring, b: int, c: int) -> Coloring | None:
@@ -173,13 +149,6 @@ class ShapeTable:
             j = self.index[code] = len(self.shapes)
             self.shapes.append(_flipped(t, quad))
         return j
-
-
-def flip_table(n: int) -> ShapeTable:
-    """Every shape of size n sorted by canonical key, so the states
-    ``i << n | s`` count the shapes by canonical key and, within a shape, the
-    signings in the order of ``product((-1, 1), repeat=n)``."""
-    return ShapeTable(sorted(all_triangulations(n), key=canonical_key))
 
 
 def mask_signs(s: int, n: int) -> Coloring:

@@ -8,10 +8,14 @@ pairs per call and whose roots are least elements, so reports are
 reproducible; the audits work on shape indices, and canonical keys are made
 only where a graph or report is printed.
 
-A verification battery (``run_battery``) builds each size's flip table once
-and every suite at that size reads it: its rows, and the up masks that test
-simplicity against a coloring with one AND.  The table is dropped before
-the next size, and no table outlives the call that built it.
+The size cap is checked where a family is enumerated: ``flip_table(n)``,
+every shape of size n, checks it first, as ``build_cayley_graph`` and
+``fiber_report`` do for permutations, and an audit trusts the table it takes.
+A verification battery (``run_battery``) checks the cap before any suite,
+builds each size's flip table once and every suite at that size reads it:
+its rows, and the up masks that test simplicity against a coloring with one
+AND.  The table is dropped before the next size, and no table outlives the
+call that built it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from collections import Counter
 from itertools import permutations, product
 from typing import Iterable, Iterator
 
-from .flips import ShapeTable, flip_table, mask_signs
+from .flips import ShapeTable, mask_signs
 from .phi import colored_image_code, triangulation_from_permutation
-from .triangulation import Coloring, Triangulation, canonical_key, face_tree
+from .triangulation import Coloring, Triangulation, all_triangulations, canonical_key, face_tree
 from .words import Word, block_coloring, standardize, sylvester_class
 
 DEFAULT_MAX_N = 8
@@ -51,6 +55,15 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}; set FLIPFORGE_MAX_N to raise it")
     if n < 0:
         raise ValueError("n must be nonnegative")
+
+
+def flip_table(n: int) -> ShapeTable:
+    """Every shape of size n sorted by canonical key, so the states
+    ``i << n | s`` count the shapes by canonical key and, within a shape, the
+    signings in the order of ``product((-1, 1), repeat=n)``.  The size cap is
+    checked before any shape is built."""
+    _check_n(n)
+    return ShapeTable(sorted(all_triangulations(n), key=canonical_key))
 
 
 def catalan(n: int) -> int:
@@ -95,7 +108,6 @@ def _graph(kind: str, vertices: list[str], pairs: Iterable[tuple[str, str]]) -> 
 
 def build_flip_graph(n: int) -> dict:
     """The flip graph on all triangulations, keyed by canonical key."""
-    _check_n(n)
     table = flip_table(n)
     keys = [canonical_key(t) for t in table.shapes]
     return _graph("flip", keys, ((key, keys[j]) for i, key in enumerate(keys) for j, *_ in table.row(i)))
@@ -112,7 +124,6 @@ def build_cayley_graph(n: int) -> dict:
 def build_signed_state_graph(n: int) -> dict:
     """All (triangulation, face signs) states joined by signed flips, keyed
     "<canonical key>|<one + or - per face>"."""
-    _check_n(n)
     table = flip_table(n)
     tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
     keys = [f"{canonical_key(t)}|{tag}" for t in table.shapes for tag in tags]  # keys[i << n | s]
@@ -202,7 +213,6 @@ def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
 
 def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[dict, dict]:
     """The switched-flip graph on simple triangulations colored by mu blocks."""
-    _check_n(n)
     if sum(mu) != n:
         raise ValueError(f"mu {mu} does not sum to {n}")
     table = flip_table(n)
@@ -263,8 +273,9 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
     to the table index of its image's chord code: std(w) must be a reading
     of that shape, each face read before its parent, and letter w[k] must
     color face std(w)[k]; standardization must be injective and take each
-    word move to a permutation move.  The image is compared with the shapes
-    the block coloring of mu makes simple."""
+    word move to a permutation move.  A move and its inverse are one
+    exchange, so each is checked once, from the word with the ascent.  The
+    image is compared with the shapes the block coloring of mu makes simple."""
     n = sum(mu)
     words = list(words_of_evaluation(mu))
     std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
@@ -293,8 +304,8 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
                 square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
                 break
         for i in range(n - 1):
-            if w[i] == w[i + 1]:
-                continue
+            if w[i] >= w[i + 1]:
+                continue  # the move from v back to w is this one, checked from v's ascent
             v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
             if std[v] != sw[:i] + (sw[i + 1], sw[i]) + sw[i + 2 :]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
@@ -316,7 +327,6 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     """For each triangulation, the signed orbits of its signings must cover
     the whole flip graph; also audits one-signing-per-triangulation within
     each orbit.  ``table`` is ``flip_table(n)``."""
-    _check_n(n)
     shapes, size = table.shapes, 1 << n
     uf = UnionFind(len(shapes) << n)  # over the states i << n | s
     legal: dict[int, list[tuple[int, int]]] = {}  # m -> (s, s ^ m) for each signing s that m may flip
@@ -383,7 +393,6 @@ def compositions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
 
 def homogeneous_product_audit(n: int, table: ShapeTable, seed: int = 0) -> dict:
     """Sample random colorings and check the same-color orbit product law."""
-    _check_n(n)
     rng = random.Random(seed)
     failures = []
     for _ in range(HOMOGENEOUS_SAMPLES):
@@ -398,7 +407,6 @@ def homogeneous_product_audit(n: int, table: ShapeTable, seed: int = 0) -> dict:
 
 def switched_audit(n: int, table: ShapeTable) -> dict:
     """Connectivity of every switched-flip graph with at most MAX_PARTS colors."""
-    _check_n(n)
     rows = [_switched_graph(table, mu)[1] for mu in compositions(n, MAX_PARTS)]
     return {"n": n, "graphs": rows, "pass": all(r["connected"] for r in rows)}
 
@@ -406,7 +414,6 @@ def switched_audit(n: int, table: ShapeTable) -> dict:
 def diagram_audit(n: int, table: ShapeTable) -> dict:
     """Commuting-square and morphism checks for every mu with at most
     MAX_PARTS parts, over one flip table of the shapes."""
-    _check_n(n)
     rows = [diagram_report(table, mu) for mu in compositions(n, MAX_PARTS)]
     ok = all(not r["square_failures"] and not r["edge_failures"] and r["std_injective"]
              and r["image_is_all_simple"] for r in rows)

@@ -7,10 +7,12 @@ same-sign pair and bars both letters, provided no later letter lies strictly
 between them in absolute value.  A K2 move is the word shadow of a signed
 flip, with letter signs equal to face signs.
 
-``sign_path_diagonals`` decides signability of a concrete flip path by
-replaying ``flips.signed_flip_diagonal`` along it: a flip installs a positive
-diagonal, negates the signed sides of its quadrilateral, and refuses to flip
-a negative diagonal.
+``sign_path_diagonals`` decides signability of a concrete flip path: it
+signs the first shape so that each of its diagonals is positive when flipped,
+then replays ``flips.signed_flip_diagonal`` forward once.  A flip installs a
+positive diagonal, negates the signed sides of its quadrilateral, and
+refuses to flip a negative diagonal.  ``flip_readings`` gives the two words
+of one flip that a word certificate's K2 move exchanges.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .flips import (
     ShapeTable,
     flip,
     flip_between,
-    flip_readings,
     flip_signs,
     mask_signs,
     signed_flip_diagonal,
 )
-from .phi import canonical_reading
+from .phi import canonical_reading, least_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
 from .words import SignedWord, Word, abs_word, adjacent_difference, exchange_witness, is_signed_word
 
@@ -273,6 +274,27 @@ def _class_bridge(w_from: Word, w_to: Word) -> list[Word]:
     return chain
 
 
+def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[Word, Word]:
+    """Readings u x z v of t and u z x v of t2, its flip across quad.
+
+    The two exchanged letters are the face labels of the flip quadrilateral
+    and the tail v carries no letter strictly between them, which is exactly
+    what separates a flip from a within-class exchange.  Each word is the
+    least reading that puts the faces inside the quadrilateral first, then
+    its two letters in order, then the rest, each group by label.
+    """
+    a, d = quad.a, quad.d
+    order = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
+    words = []
+    for shape, (x, z) in ((t, order), (t2, order[::-1])):
+        rank = {x: 1, z: 2}
+        w = least_reading(shape, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
+        if w[d - a - 3:d - a - 1] != (x, z):
+            raise AssertionError(f"{x}, {z} are not read right after the inside of the quad")
+        words.append(w)
+    return words[0], words[1]
+
+
 def emit_word_certificate(path: SignedPath) -> Certificate:
     """Realize a signed-flip path as a chain of K1/K2 moves on signed words.
 
@@ -308,11 +330,13 @@ class PathSigning:
 def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
     """Decide signability of a flip path and produce per-step diagonal signings.
 
-    Forward: replay the signed flips from a signing with no diagonal signed,
-    so each diagonal is signed once a flip creates it; a step flipping a
-    negative diagonal makes the path unsignable.  On success, unsigned
-    diagonals of the final triangulation get +, and the earlier signings are
-    recovered by flipping each new diagonal back.
+    The first signing gives each diagonal of path[0] the sign that makes it
+    positive when it is flipped, or when the path ends if it never is: a
+    flip negates the signed sides of its quadrilateral, so a diagonal starts
+    negative iff it is a side of an odd number of flips while it is
+    unflipped.  One forward replay of ``signed_flip_diagonal`` from there
+    gives the other signings.  A diagonal a flip creates starts positive,
+    and the first step that meets it negative makes the path unsignable.
     """
     if not path:
         raise ValueError("empty path")
@@ -322,20 +346,16 @@ def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
         if quad is None:
             raise ValueError(f"{canonical_key(t1)} -> {canonical_key(t2)} is not a flip")
         quads.append(quad)
-    ds = DiagonalSigning(path[0], {})
+    first = dict.fromkeys(path[0].diagonals, 1)
+    live = set(first)  # the diagonals of path[0] not flipped yet
+    for quad in quads:
+        for side in live.intersection(quad.sides()):
+            first[side] = -first[side]
+        live.discard(quad.old)
+    signings = [DiagonalSigning(path[0], first)]
     for i, quad in enumerate(quads):
-        ds = signed_flip_diagonal(ds, quad.old)
+        ds = signed_flip_diagonal(signings[-1], quad.old)
         if ds is None:
             return PathSigning(False, failed_step=i)
-
-    out = [DiagonalSigning(path[-1], {d: ds.signs.get(d, 1) for d in path[-1].diagonals})]
-    for i in reversed(range(len(quads))):
-        prev = signed_flip_diagonal(out[0], quads[i].new)
-        if prev is None:
-            raise AssertionError(f"internal check failed reversing step {i}")
-        out.insert(0, prev)
-    for i, quad in enumerate(quads):
-        stepped = signed_flip_diagonal(out[i], quad.old)
-        if stepped is None or stepped.signs != out[i + 1].signs:
-            raise AssertionError(f"internal check failed reversing step {i}")
-    return PathSigning(True, signings=out)
+        signings.append(ds)
+    return PathSigning(True, signings=signings)

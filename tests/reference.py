@@ -15,11 +15,9 @@ from flipforge.flips import (
     flip,
     flip_between,
     flip_quad,
-    flip_readings,
-    flip_table,
     signed_flip,
 )
-from flipforge.graphs import catalan, diagram_report, same_color_orbit
+from flipforge.graphs import catalan, diagram_report, flip_table, same_color_orbit
 from flipforge.phi import readings, triangulation_from_permutation
 from flipforge.signing import (
     Certificate,
@@ -27,6 +25,7 @@ from flipforge.signing import (
     SignedPath,
     SignedState,
     StateCapExceeded,
+    flip_readings,
     sign_letters,
 )
 from flipforge.triangulation import (
@@ -822,7 +821,7 @@ def colored_readings(t: Triangulation, eps: Coloring) -> frozenset[Word]:
 
 def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, Word] | None:
     """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
-    None unless t1 and t2 differ by one flip; see ``flips.flip_readings``."""
+    None unless t1 and t2 differ by one flip; see ``signing.flip_readings``."""
     quad = flip_between(t1, t2)
     return None if quad is None else flip_readings(t1, quad, t2)
 

@@ -12,8 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from flipforge.flips import flip_table
 from flipforge.graphs import (
+    flip_table,
     build_flip_graph,
     catalan,
     compositions,

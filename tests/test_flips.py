@@ -10,7 +10,6 @@ from flipforge.flips import (
     flip,
     flip_between,
     flip_quad,
-    flip_readings,
     homogeneous_neighbors,
     signed_flip,
     signed_flip_diagonal,
@@ -27,6 +26,7 @@ from flipforge.triangulation import (
     faces,
     is_simple,
 )
+from flipforge.signing import flip_readings
 from flipforge.words import abs_word, block_coloring, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 

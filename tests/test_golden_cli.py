@@ -27,6 +27,22 @@ PATH = {"n": 6, "path": [[[1, 3], [1, 4], [1, 6], [1, 7], [4, 6]],
 # flipped by the second
 PATH3 = {"n": 3, "path": [[[0, 2], [0, 3]], [[0, 3], [1, 3]], [[1, 3], [1, 4]]]}
 UNSIGNABLE = {"n": 3, "path": [[list(d) for d in step] for step in UNSIGNABLE_PATH_N3]}
+# ten flips at n=7: diagonal (1, 5) of the first shape is a side of five flips
+# before it is flipped, so it starts negative, and (1, 7) a side of six; (2, 4)
+# is never flipped but is a side of three, so it starts negative too
+PATH7 = {"n": 7, "path": [[[0, 7], [1, 4], [1, 5], [1, 6], [1, 7], [2, 4]],
+                          [[0, 7], [1, 4], [1, 5], [1, 7], [2, 4], [5, 7]],
+                          [[0, 7], [1, 5], [1, 7], [2, 4], [2, 5], [5, 7]],
+                          [[0, 7], [1, 5], [1, 6], [1, 7], [2, 4], [2, 5]],
+                          [[1, 5], [1, 6], [1, 7], [1, 8], [2, 4], [2, 5]],
+                          [[1, 4], [1, 5], [1, 6], [1, 7], [1, 8], [2, 4]],
+                          [[1, 4], [1, 5], [1, 7], [1, 8], [2, 4], [5, 7]],
+                          [[1, 4], [1, 7], [1, 8], [2, 4], [4, 7], [5, 7]],
+                          [[0, 7], [1, 4], [1, 7], [2, 4], [4, 7], [5, 7]],
+                          [[0, 4], [0, 7], [1, 4], [2, 4], [4, 7], [5, 7]],
+                          [[0, 2], [0, 4], [0, 7], [2, 4], [4, 7], [5, 7]]]}
+# the same path with its last flip taken at (4, 7), which is negative there
+PATH7_UNSIGNABLE = {"n": 7, "path": PATH7["path"][:10] + [[[0, 4], [0, 5], [0, 7], [1, 4], [2, 4], [5, 7]]]}
 # the colored shape of the word 1,1,2,4,3,3,2,3,1,3,4,3 with seeded signs: five
 # switched, six homogeneous and three signed flips, at the interactive sizes
 COLORED12 = {"n": 12, "diagonals": [[0, 2], [0, 3], [0, 9], [0, 10], [3, 5], [3, 8], [3, 9],
@@ -137,6 +153,10 @@ CORPUS = [
     ("verify-fibers-8", ["verify", "--suite", "fibers", "--n", "8"], []),
     ("class-9", ["class", "245978613"], []),
     ("class-9-refused", ["class", "245978613", "--max-states", "559"], []),
+    # a ten-flip path whose first signing negates diagonals that are sides of
+    # later flips, and its variant refused at the last step
+    ("sign-path-diagonals-7", ["sign-path-diagonals", "path7.json"], []),
+    ("sign-path-diagonals-7-unsignable", ["sign-path-diagonals", "path7u.json"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -247,6 +267,9 @@ GOLDEN = {
     "class-9": "689c25b2fc0f2205cb16dd33090b972dd00eb3b424e110fa6f1c7e995013cb5a",
     "class-9-refused": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "class-9-refused:stderr": "c72bfa3aa1b8085fb11d59d79f85abb557b50fd43aa9fb8646830e857200c687",
+    # Recorded before a flip path was signed in one forward pass.
+    "sign-path-diagonals-7": "b0b2910d813868a29cabef56f7c2bbc7b1ee22e4cba81afdc887b8fa6db363d9",
+    "sign-path-diagonals-7-unsignable": "3725633e917ed3090052588de8498fd61f78db11e4257aa3bf615b15ba213ee7",
 }
 
 
@@ -256,7 +279,8 @@ def sha(data: bytes) -> str:
 
 def write_inputs(tmp_path):
     for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("colored12", COLORED12),
-                      ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE)):
+                      ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE),
+                      ("path7", PATH7), ("path7u", PATH7_UNSIGNABLE)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     (tmp_path / "swapped.jsonl").write_text("".join(json.dumps(line) + "\n" for line in SWAPPED))
 

@@ -52,11 +52,11 @@ from refdata import CATALAN
 
 # each suite's audit on a flip table of its own, as (n, seed) -> report
 SUITE_AUDITS = {
-    "ref1": lambda n, seed: signed_reachability_check(n, flips.flip_table(n)),
+    "ref1": lambda n, seed: signed_reachability_check(n, graphs.flip_table(n)),
     "fibers": lambda n, seed: fiber_report(n),
-    "homogeneous": lambda n, seed: homogeneous_product_audit(n, flips.flip_table(n), seed),
-    "switched": lambda n, seed: switched_audit(n, flips.flip_table(n)),
-    "diagram": lambda n, seed: diagram_audit(n, flips.flip_table(n)),
+    "homogeneous": lambda n, seed: homogeneous_product_audit(n, graphs.flip_table(n), seed),
+    "switched": lambda n, seed: switched_audit(n, graphs.flip_table(n)),
+    "diagram": lambda n, seed: diagram_audit(n, graphs.flip_table(n)),
 }
 
 
@@ -259,20 +259,20 @@ class TestHomogeneous:
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper
             calls.clear()
-            assert homogeneous_product_audit(7, flips.flip_table(7))["pass"]
+            assert homogeneous_product_audit(7, graphs.flip_table(7))["pass"]
             counts.append(len(calls))
         assert counts[0] == counts[1] <= CATALAN[7]
 
     def test_seeded_audit_is_deterministic(self):
-        a = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
-        b = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
+        a = homogeneous_product_audit(5, graphs.flip_table(5), seed=3)
+        b = homogeneous_product_audit(5, graphs.flip_table(5), seed=3)
         assert a == b
         assert a["pass"]
         assert a["failures"] == []
 
     def test_fails_when_the_product_law_is_off_by_one(self, monkeypatch):
         monkeypatch.setattr(graphs, "catalan", lambda n: catalan(n) + 1)
-        rep = homogeneous_product_audit(5, flips.flip_table(5), seed=3)
+        rep = homogeneous_product_audit(5, graphs.flip_table(5), seed=3)
         assert not rep["pass"]
         assert len(rep["failures"]) == graphs.HOMOGENEOUS_SAMPLES == 50
         keys = {canonical_key(t) for t in all_triangulations(5)}
@@ -317,12 +317,12 @@ class TestSwitched:
 
     def test_audits_pass(self):
         for n in range(1, 6):
-            assert switched_audit(n, flips.flip_table(n))["pass"]
+            assert switched_audit(n, graphs.flip_table(n))["pass"]
 
     def test_no_flip_leaves_simplicity(self):
         # the filter of non-simple results never fires for n <= 7, yet flips are examined
         for n in range(1, 8):
-            graphs_n = switched_audit(n, flips.flip_table(n))["graphs"]
+            graphs_n = switched_audit(n, graphs.flip_table(n))["graphs"]
             assert len(graphs_n) == sum(1 for _ in compositions(n, graphs.MAX_PARTS))
             assert [g["filtered_nonsimple"] for g in graphs_n] == [0] * len(graphs_n)
             assert n < 2 or any(g["edges"] for g in graphs_n)
@@ -336,7 +336,7 @@ class TestSwitched:
 
     def test_audit_builds_rows_only_for_simple_shapes(self, monkeypatch):
         calls = count_rows(monkeypatch)
-        assert switched_audit(7, flips.flip_table(7))["pass"]
+        assert switched_audit(7, graphs.flip_table(7))["pass"]
         simple = {t for mu in compositions(7, graphs.MAX_PARTS) for t in simple_triangulations(7, mu)}
         assert len(calls) == len(set(calls)) == 127  # of 429 shapes, each row once
         assert set(calls) == simple
@@ -349,9 +349,9 @@ class TestSwitched:
             calls.append(t)
             return real(t)
 
-        # patched on graphs only: the sort inside flip_table reads the flips module's name
+        table = graphs.flip_table(7)  # built before the patch: its sort reads graphs.canonical_key
         monkeypatch.setattr(graphs, "canonical_key", counting)
-        assert switched_audit(7, flips.flip_table(7))["pass"]
+        assert switched_audit(7, table)["pass"]
         assert calls == []
 
 
@@ -359,7 +359,7 @@ class TestReachability:
     def test_zero_missing_pairs_up_to_n7(self):
         components = []
         for n in range(1, 8):
-            rep = signed_reachability_check(n, flips.flip_table(n))
+            rep = signed_reachability_check(n, graphs.flip_table(n))
             assert rep["pass"], rep
             assert rep["missing_pairs"] == []
             assert rep["audit_violations"] == []
@@ -368,7 +368,7 @@ class TestReachability:
         assert components == [2, 6, 20, 68, 224, 726, 2328]
 
     def test_n8_counts(self):
-        rep = signed_reachability_check(8, flips.flip_table(8))
+        rep = signed_reachability_check(8, graphs.flip_table(8))
         assert rep["states"] == CATALAN[8] * 2**8 == 366080
         assert rep["components"] == 7440
         assert rep["pass"]
@@ -378,7 +378,7 @@ class TestReachability:
         # twice: a cache that outlives one call would make the second call cheaper
         for _ in range(2):
             calls.clear()
-            assert signed_reachability_check(5, flips.flip_table(5))["pass"]
+            assert signed_reachability_check(5, graphs.flip_table(5))["pass"]
             assert len(calls) == CATALAN[5]  # one row per shape, not one per signing
 
 
@@ -399,13 +399,13 @@ def count_rows(monkeypatch) -> list:
 class TestFlipTable:
     def test_states_decode_in_signed_states_order(self):
         for n in range(6):
-            table = flips.flip_table(n)
+            table = graphs.flip_table(n)
             decoded = [SignedState(t, flips.mask_signs(s, n)) for t in table.shapes for s in range(1 << n)]
             assert decoded == signed_states(n)
 
     def test_integer_moves_are_the_signed_moves(self):
         for n in range(6):
-            table = flips.flip_table(n)
+            table = graphs.flip_table(n)
             index = {t: i for i, t in enumerate(table.shapes)}
             assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
             assert [canonical_key(t) for t in table.shapes] == sorted(map(canonical_key, table.shapes))
@@ -422,7 +422,7 @@ class TestFlipTable:
 
     def test_rows_carry_the_face_labels(self):
         for n in range(1, 9):
-            table = flips.flip_table(n)
+            table = graphs.flip_table(n)
             rows = [table.row(i) for i in range(CATALAN[n])]
             assert len(table.shapes) == len(rows) == CATALAN[n]  # every row read, no shape added
             for t, row in zip(table.shapes, rows):
@@ -459,7 +459,7 @@ class TestFlipTable:
 
         # a row reads the face ends through face_tree
         monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
-        table = flips.flip_table(6)
+        table = graphs.flip_table(6)
         assert calls == []  # rows are built when read
         for i in range(CATALAN[6]):
             table.row(i)
@@ -470,7 +470,7 @@ class TestFlipTable:
 
     def test_up_masks_are_the_faces_that_point_up(self):
         for n in range(9):
-            table = flips.flip_table(n)
+            table = graphs.flip_table(n)
             for i, t in enumerate(table.shapes):
                 # face y points up when it lies on the edge {y-1, y}; faces found by clipping ears
                 ups = sum(1 << f.y for f in faces_by_ears(t) if f.y >= 2 and f.x == f.y - 1)
@@ -478,16 +478,16 @@ class TestFlipTable:
 
     def test_reports_match_the_state_route(self):
         for n in range(6):
-            rep = signed_reachability_check(n, flips.flip_table(n))
+            rep = signed_reachability_check(n, graphs.flip_table(n))
             assert (rep["missing_pairs"], rep["audit_violations"]) == \
-                reachability_by_states(flips.flip_table(n), n)
+                reachability_by_states(graphs.flip_table(n), n)
 
     @pytest.mark.parametrize("corrupt, n", [
         pytest.param(corrupt, n, id=corrupt if n == 4 else f"{corrupt}-n{n}")
         for n in (4, 5) for corrupt in ("drop_faces_1_2", "one_bit_masks")
     ])
     def test_failure_text_and_order_match_the_state_route(self, corrupt, n):
-        broken = flips.flip_table(n)
+        broken = graphs.flip_table(n)
         for i in range(CATALAN[n]):  # a row is built once, so editing it in place corrupts the table
             row = broken.row(i)
             if corrupt == "drop_faces_1_2":  # no flip across faces 1 and 2, in either direction
@@ -502,7 +502,7 @@ class TestFlipTable:
         assert not rep["pass"]
 
     def test_reachability_at_n7_peaks_below_3_mib(self):
-        table = flips.flip_table(7)
+        table = graphs.flip_table(7)
         for i in range(CATALAN[7]):
             table.row(i)  # built first, so the peak counts only what the check itself holds
         tracemalloc.start()
@@ -530,11 +530,11 @@ class TestDiagram:
         assert rep["image_size"] == CATALAN[4]
 
     def test_all_words_n5_two_colors(self):
-        assert diagram_audit(5, flips.flip_table(5))["pass"]
+        assert diagram_audit(5, graphs.flip_table(5))["pass"]
 
     def test_audit_small(self):
         for n in range(1, 5):
-            assert diagram_audit(n, flips.flip_table(n))["pass"]
+            assert diagram_audit(n, graphs.flip_table(n))["pass"]
 
     @pytest.mark.parametrize("fault", ["shape", "colors"])
     def test_square_fails_under_a_wrong_image(self, monkeypatch, fault):
@@ -547,25 +547,35 @@ class TestDiagram:
             return code, colors[::-1]
 
         monkeypatch.setattr(graphs, "colored_image_code", wrong)
-        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
+        rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         assert len(rep["square_failures"]) == rep["words"] == 6
-        assert not diagram_audit(4, flips.flip_table(4))["pass"]
+        assert not diagram_audit(4, graphs.flip_table(4))["pass"]
 
     def test_an_image_outside_the_table_is_a_square_failure(self, monkeypatch):
         monkeypatch.setattr(graphs, "colored_image_code", lambda w, sigma: (-1, tuple(sorted(w))))
-        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
+        rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         assert rep["square_failures"] == [f"{w}: its image is not a triangulation of size 4"
                                           for w in words_of_evaluation((2, 2))]
         assert rep["image_size"] == 0 and not rep["image_is_all_simple"]
-        assert not diagram_audit(4, flips.flip_table(4))["pass"]
+        assert not diagram_audit(4, graphs.flip_table(4))["pass"]
 
     def test_edge_check_needs_the_move_at_its_own_position(self, monkeypatch):
-        # reversed standardizations are one move apart at n - 2 - i, not at i
+        # reversed standardizations are one move apart at n - 2 - i, not at i;
+        # each move is checked once, from the word with the ascent at i
         real = graphs.standardize
         monkeypatch.setattr(graphs, "standardize", lambda w: real(w)[::-1])
-        rep = graphs.diagram_report(flips.flip_table(4), (2, 2))
-        moved = [(w, i) for w in words_of_evaluation((2, 2)) for i in range(3) if w[i] != w[i + 1]]
+        rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
+        moved = [(w, i) for w in words_of_evaluation((2, 2)) for i in range(3) if w[i] < w[i + 1]]
         assert len(rep["edge_failures"]) == sum(i != 1 for _, i in moved) > 0
+        assert rep["std_injective"]
+
+    def test_each_move_is_checked_once_from_its_ascent(self, monkeypatch):
+        # (2, 2, 1, 1) has one move, to (2, 1, 2, 1), whose ascent at 1 holds it;
+        # (4, 3, 1, 2) standardizes no word of (2, 2), so std stays injective
+        real = graphs.standardize
+        monkeypatch.setattr(graphs, "standardize", lambda w: (4, 3, 1, 2) if w == (2, 2, 1, 1) else real(w))
+        rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
+        assert rep["edge_failures"] == ["(2, 1, 2, 1)~(2, 2, 1, 1): standardizations are not one move apart"]
         assert rep["std_injective"]
 
     def test_maps_each_word_once(self, monkeypatch):
@@ -577,13 +587,13 @@ class TestDiagram:
             return real(w, sigma)
 
         monkeypatch.setattr(graphs, "colored_image_code", counting)
-        assert diagram_audit(5, flips.flip_table(5))["pass"]
+        assert diagram_audit(5, graphs.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(graphs.standardize(w) for w in words)
 
     def test_builds_no_triangulation_past_the_table(self):
         # matched by code object, so a construction anywhere is seen
-        table = flips.flip_table(6)
+        table = graphs.flip_table(6)
         calls = []
         init = triangulation.Triangulation.__init__.__code__
 
@@ -629,7 +639,7 @@ class TestDiagram:
             return real(w)
 
         monkeypatch.setattr(graphs, "standardize", counting)
-        assert diagram_audit(5, flips.flip_table(5))["pass"]
+        assert diagram_audit(5, graphs.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(words)
 
@@ -651,7 +661,7 @@ class TestBattery:
 
     def test_simple_sets_are_the_is_simple_shapes(self):
         for n in range(1, 8):
-            table = flips.flip_table(n)
+            table = graphs.flip_table(n)
             for mu in compositions(n, graphs.MAX_PARTS):
                 eps = block_coloring(mu)
                 simple = [i for i, t in enumerate(table.shapes) if triangulation.is_simple(t, eps)]
@@ -702,6 +712,16 @@ class TestCompositions:
 
 
 class TestCaps:
+    def test_flip_table_refuses_before_enumerating(self, monkeypatch):
+        monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)
+        calls = []
+        monkeypatch.setattr(graphs, "all_triangulations", lambda n: calls.append(n) or [])
+        for n, message in ((size_limit() + 1, "FLIPFORGE_MAX_N"), (-1, "nonnegative")):
+            with pytest.raises(ValueError, match=message):
+                graphs.flip_table(n)
+        assert calls == []
+        assert graphs.flip_table(size_limit()).shapes == [] and calls == [size_limit()]  # the stub is the one read
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "3")
         assert size_limit() == 3

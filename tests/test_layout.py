@@ -95,6 +95,19 @@ def test_sphere_sign_keys_live_in_jsonio():
     assert not holders, f"hemisphere keys outside jsonio: {holders}"
 
 
+def test_flips_imports_only_from_triangulation():
+    """flips is the flip kernel alone: the family's table lives in graphs and
+    the readings of a flip in signing."""
+    tree = ast.parse((ROOT / "src" / "flipforge" / "flips.py").read_text(encoding="utf-8"))
+    sources = set()  # the package modules flips reads; `from . import x` counts as None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("flipforge")):
+            sources.add(node.module)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names if alias.name.startswith("flipforge"))
+    assert sources == {"triangulation"}
+
+
 def test_jsonio_imports_nothing_from_graphs():
     """The graph builders return the printed graph, so no file format reads a graph type."""
     tree = ast.parse((ROOT / "src" / "flipforge" / "jsonio.py").read_text(encoding="utf-8"))

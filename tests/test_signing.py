@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import flips, words
+from flipforge import flips, signing, words
 from flipforge.flips import flip
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
@@ -565,6 +565,42 @@ class TestSignPathDiagonals:
                     count += 1
                     unsignable += not got.signable
         assert (count, unsignable) == (1861, 448)
+
+    def test_matches_the_tracking_reference_on_long_random_walks(self):
+        # seeded walks of up to 14 flips at n = 5..9, backtracking included
+        rng = random.Random(30)
+        signable = unsignable = 0
+        for n in range(5, 10):
+            for _ in range(120):
+                path = [phi(tuple(rng.sample(range(1, n + 1), n)))]
+                for _ in range(rng.randint(1, 14)):
+                    path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
+                got = sign_path_diagonals(path)
+                assert got == sign_path_diagonals_by_tracking(path)
+                signable += got.signable
+                unsignable += not got.signable
+        assert signable > 100 and unsignable > 100
+
+    def test_replays_each_step_once(self, monkeypatch):
+        calls = []
+        real = signing.signed_flip_diagonal
+
+        def counting(ds, d):
+            calls.append(d)
+            return real(ds, d)
+
+        monkeypatch.setattr(signing, "signed_flip_diagonal", counting)
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(60):
+            path = [phi(tuple(rng.sample(range(1, 8), 7)))]
+            for _ in range(12):
+                path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
+            calls.clear()
+            out = sign_path_diagonals(path)
+            assert len(calls) == (len(path) - 1 if out.signable else out.failed_step + 1)
+            outcomes.add(out.signable)
+        assert outcomes == {True, False}
 
     def test_reference_imports_no_private_library_name(self):
         tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
