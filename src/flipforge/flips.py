@@ -81,8 +81,9 @@ def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
     gone = set(t1.diagonals) - set(t2.diagonals)
     if len(gone) != 1:
         return None
-    t2_check, quad = flip(t1, gone.pop())
-    return quad if t2_check == t2 else None
+    quad = flip_quad(t1, gone.pop())
+    flipped = sorted([quad.new, *(e for e in t1.diagonals if e != quad.old)])
+    return quad if list(t2.diagonals) == flipped else None
 
 
 def flip_signs(signs: Coloring, b: int, c: int) -> Coloring | None:

@@ -4,9 +4,9 @@ Everything here enumerates a complete family (all triangulations, all
 permutations, all words of a fixed evaluation, all signed states) at desk
 scale and checks a structural statement, returning a small report dict.
 Component counts go through one integer union-find, which links a batch of
-pairs per call and whose roots are least elements, so reports are
-reproducible; the audits work on shape indices, and canonical keys are made
-only where a graph or report is printed.
+offset pairs per call and numbers its sets in order of least element, so
+reports are reproducible; the audits work on shape indices, and canonical
+keys are made only where a graph or report is printed.
 
 The size cap is checked where a family is enumerated: ``flip_table(n)``,
 every shape of size n, checks it first, as ``build_cayley_graph`` and
@@ -25,7 +25,9 @@ import os
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 from typing import Iterable, Iterator
 
 from .flips import ShapeTable, mask_signs
@@ -72,30 +74,38 @@ def catalan(n: int) -> int:
 
 
 class UnionFind:
-    """Disjoint sets over 0..size-1; a root is its set's least element, so pointers point down."""
+    """Disjoint sets over 0..size-1 whose pointers point down: a root is its set's least element."""
 
     def __init__(self, size: int):
         self.parent = list(range(size))
 
-    def union(self, pairs: Iterable[tuple[int, int]]) -> None:
-        """Link a and b for each (a, b) of pairs, in order, halving paths as they are walked."""
+    def union(self, a: int, b: int, pairs: Iterable[tuple[int, int]]) -> None:
+        """Link a + s and b + t for each (s, t) of pairs, in order, halving paths as they are walked."""
         parent = self.parent
-        for a, b in pairs:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
+        for s, t in pairs:
+            x, y = a + s, b + t
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
 
-    def roots(self) -> list[int]:
-        """Point every element at its root, in increasing order; returns the parent list."""
-        parent = self.parent
-        for x in range(len(parent)):
-            parent[x] = parent[parent[x]]
-        return parent
+    def components(self) -> tuple[list[int], int]:
+        """Overwrite each pointer with its set's number, 0..K-1 in order of
+        least element, in one increasing pass (a pointer points down, so its
+        target is numbered already); returns the list and K.  No union may
+        follow."""
+        parent, k = self.parent, 0
+        for x, p in enumerate(parent):
+            if p == x:
+                parent[x] = k
+                k += 1
+            else:
+                parent[x] = parent[p]
+        return parent, k
 
 
 def _graph(kind: str, vertices: list[str], pairs: Iterable[tuple[str, str]]) -> dict:
@@ -193,8 +203,8 @@ def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
     the n faces into, and the number of shapes they reach, which must be the
     product of the Catalan numbers of those sizes."""
     uf = UnionFind(len(eps))  # on the face labels less one
-    uf.union((b - 1, c - 1) for _, _, b, c, _ in table.row(i) if eps[b - 1] == eps[c - 1])
-    sizes = sorted(Counter(uf.roots()).values())
+    uf.union(-1, -1, ((b, c) for _, _, b, c, _ in table.row(i) if eps[b - 1] == eps[c - 1]))
+    sizes = sorted(Counter(uf.components()[0]).values())
     seen = {i}
     stack = [i]
     while stack:
@@ -235,14 +245,14 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
         moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
         kept.extend(j for j in moves if j in adjacency)
         filtered += len(moves) - len(kept)
-        uf.union((i, j) for j in kept)
-    roots = uf.roots()
+        uf.union(i, 0, ((0, j) for j in kept))
+    numbers = uf.components()[0]
     report = {
         "n": sum(mu),
         "mu": list(mu),
         "vertices": len(adjacency),
         "edges": sum(map(len, adjacency.values())) // 2,
-        "connected": len({roots[i] for i in adjacency}) <= 1,
+        "connected": len({numbers[i] for i in adjacency}) <= 1,
         "filtered_nonsimple": filtered,
     }
     return adjacency, report
@@ -331,39 +341,34 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     uf = UnionFind(len(shapes) << n)  # over the states i << n | s
     legal: dict[int, list[tuple[int, int]]] = {}  # m -> (s, s ^ m) for each signing s that m may flip
     for i in range(len(shapes)):
-        a = i << n
         for j, m, _, _, _ in table.row(i):
             if j < i:
                 continue  # the flip back from j undoes this one
             pairs = legal.get(m)
             if pairs is None:
                 pairs = legal[m] = [(s, s ^ m) for s in range(size) if s & m in (0, m)]
-            b = j << n
-            uf.union([(a | s, b | t) for s, t in pairs])
-    roots = uf.roots()
-    found = []  # (root, state, text): a second signing of one shape in one component
-    cover: dict[int, int] = {}  # root -> bitset of the shape indices in its component
+            uf.union(i << n, j << n, pairs)
+    numbers, components = uf.components()
+    found = []  # (component, state, text): a second signing of one shape in one component
+    cover = [0] * components  # component -> bitset of the shape indices in it
     for i in range(len(shapes)):
-        block = roots[i << n:(i + 1) << n]
-        distinct = set(block)
-        if len(distinct) < size:  # some component holds two signings of this shape
+        block = numbers[i << n:(i + 1) << n]
+        if len(set(block)) < size:  # some component holds two signings of this shape
             key = canonical_key(shapes[i])
             last: dict[int, int] = {}
-            for s, root in enumerate(block):
-                if root in last:
-                    found.append((root, i << n | s, f"{key}: {mask_signs(last[root], n)} vs {mask_signs(s, n)}"))
-                last[root] = s
-        for root in distinct:
-            cover[root] = cover.get(root, 0) | 1 << i
-    # by component in order of its least state, then by state within it
+            for s, c in enumerate(block):
+                if c in last:
+                    found.append((c, i << n | s, f"{key}: {mask_signs(last[c], n)} vs {mask_signs(s, n)}"))
+                last[c] = s
+        bit = 1 << i
+        for c in block:
+            cover[c] |= bit
+    # by component, numbered in order of its least state, then by state within it
     audit_violations = [text for _, _, text in sorted(found)]
     everything = (1 << len(shapes)) - 1
     missing_pairs = []
     for i in range(len(shapes)):
-        covered = 0
-        for root in set(roots[i << n:(i + 1) << n]):
-            covered |= cover[root]
-        gap = everything & ~covered
+        gap = everything & ~reduce(or_, map(cover.__getitem__, numbers[i << n:(i + 1) << n]))
         if gap:
             key = canonical_key(shapes[i])
             while gap:
@@ -371,8 +376,8 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
                 gap &= gap - 1
     return {
         "n": n,
-        "states": len(roots),
-        "components": len(cover),
+        "states": len(numbers),
+        "components": components,
         "missing_pairs": missing_pairs,
         "audit_violations": audit_violations,
         "pass": not missing_pairs and not audit_violations,

@@ -742,20 +742,23 @@ class TestCaps:
 
 
 class TestUnionFind:
-    def test_roots_are_least_elements(self):
+    def test_numbers_are_ordered_by_least_member(self):
         uf = UnionFind(10)
-        uf.union([(7, 3), (9, 8), (3, 9)])
-        uf.union(iter([(5, 6), (6, 1), (4, 4)]))  # any iterable of pairs
+        # offsets 3 and -1: links 7-5, 9-7, 6-1, 3-2 and 4-4
+        uf.union(3, -1, [(4, 6), (6, 8), (3, 2), (0, 3), (1, 5)])
+        uf.union(0, 0, iter([]))  # any iterable of pairs, an empty one links nothing
         assert all(p <= x for x, p in enumerate(uf.parent))  # every pointer points down
-        roots = uf.roots()
-        assert roots == [0, 1, 2, 3, 4, 1, 1, 3, 3, 3]
+        numbers, k = uf.components()
+        # sets {0}, {1, 6}, {2, 3}, {4}, {5, 7, 9}, {8}: 4, 5, 7, 8 and 9 are
+        # numbered below their sets' least members 4, 5 and 8
+        assert (numbers, k) == ([0, 1, 2, 2, 3, 4, 1, 4, 5, 4], 6)
 
-    def test_roots_agree_with_the_partition(self):
+    def test_a_chain_is_one_component(self):
         uf = UnionFind(10)
         for x in range(9, 0, -1):
-            uf.union([(x, x - 1)])
+            uf.union(x, 0, [(0, x - 1)])
             assert all(p <= y for y, p in enumerate(uf.parent))
-        assert uf.roots() == [0] * 10
+        assert uf.components() == ([0] * 10, 1)
 
     def test_partition_matches_the_reference(self):
         rng = random.Random(11)
@@ -767,18 +770,20 @@ class TestUnionFind:
                     ref.union(a, b)
                 one_by_one, one_batch, generator = UnionFind(size), UnionFind(size), UnionFind(size)
                 for a, b in edges:
-                    one_by_one.union([(a, b)])
+                    one_by_one.union(a, b, [(0, 0)])
                     assert all(p <= x for x, p in enumerate(one_by_one.parent))
-                one_batch.union(edges)
-                one_batch.union([])  # an empty batch links nothing
-                generator.union((a, b) for a, b in edges)
+                a, b = rng.randrange(-size, size + 1), rng.randrange(-size, size + 1)
+                one_batch.union(a, b, [(x - a, y - b) for x, y in edges])
+                one_batch.union(a, b, [])  # an empty batch links nothing
+                generator.union(-1, 1, ((x + 1, y - 1) for x, y in edges))
                 for uf in (one_by_one, one_batch, generator):
                     assert all(p <= x for x, p in enumerate(uf.parent))
-                    roots = uf.roots()
+                    numbers, k = uf.components()
+                    assert len(numbers) == size
+                    assert list(dict.fromkeys(numbers)) == list(range(k))  # 0..K-1 by least member
                     groups = {}
-                    for x, root in enumerate(roots):
-                        groups.setdefault(root, []).append(x)
-                    assert all(root == min(members) for root, members in groups.items())
+                    for x, c in enumerate(numbers):
+                        groups.setdefault(c, []).append(x)
                     assert sorted(groups.values()) == sorted(ref.groups().values())
 
 

@@ -602,6 +602,22 @@ class TestSignPathDiagonals:
             outcomes.add(out.signable)
         assert outcomes == {True, False}
 
+    def test_flips_each_step_once(self, monkeypatch):
+        # matching a step builds no shape; only the replay flips, and a
+        # refused step refuses before flipping
+        calls = count_calls(monkeypatch, flips, "flip")
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(60):
+            path = [phi(tuple(rng.sample(range(1, 8), 7)))]
+            for _ in range(12):
+                path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
+            calls.clear()
+            out = sign_path_diagonals(path)
+            assert len(calls) == (len(path) - 1 if out.signable else out.failed_step)
+            outcomes.add(out.signable)
+        assert outcomes == {True, False}
+
     def test_reference_imports_no_private_library_name(self):
         tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
         private = [
