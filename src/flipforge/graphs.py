@@ -6,7 +6,10 @@ scale and checks a structural statement, returning a small report dict.
 Component counts go through one integer union-find, which links a batch of
 offset pairs per call and numbers its sets in order of least element, so
 reports are reproducible; the audits work on shape indices, and canonical
-keys are made only where a graph or report is printed.
+keys are made only where a graph or report is printed.  The fibers suite
+numbers the lexicographic ranks of permutations by image and by sylvester
+class, the latter by the Lehmer rule: if L[k] counts the later letters below
+p[k], an ascent at i is an exchange iff L[i] < L[i+1], making them L[i+1]+1, L[i].
 
 The size cap is checked where a family is enumerated: ``flip_table(n)``,
 every shape of size n, checks it first, as ``build_cayley_graph`` and
@@ -26,14 +29,14 @@ import random
 import time
 from collections import Counter
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import or_
 from typing import Iterable, Iterator
 
 from .flips import ShapeTable, mask_signs
 from .phi import colored_image_code, triangulation_from_permutation
-from .triangulation import Coloring, Triangulation, all_triangulations, canonical_key, face_tree
-from .words import Word, block_coloring, standardize, sylvester_class
+from .triangulation import Coloring, all_triangulations, canonical_key, face_tree
+from .words import Word, block_coloring, standardize
 
 DEFAULT_MAX_N = 8
 MAX_PARTS = 3  # the switched and diagram audits cover every mu with at most this many parts
@@ -142,50 +145,67 @@ def build_signed_state_graph(n: int) -> dict:
                                    for s in range(1 << n) if s & m in (0, m)))
 
 
-def _group_by_image(prefix: list[int], pred: list[int], succ: list[int], key: int,
-                    n: int, groups: dict[int, list[Word]]) -> None:
-    """Extend prefix by each live letter in increasing order, as phi reads
-    it: the letter's chord (p, s) to its live neighbours sets bit p*(n+2)+s
-    of key and the letter leaves the ring.  The last letter adds no chord,
-    so a full word is filed under key in groups: the key is the
-    ``chord_code`` of the word's image, so phi has one image per key."""
-    if len(prefix) >= n - 1:
-        groups.setdefault(key, []).append((*prefix, succ[0])[:n])  # the last live letter, if any
-        return
-    v = succ[0]
-    while v <= n:
-        p, s = pred[v], succ[v]
-        succ[p], pred[s] = s, p
-        prefix.append(v)
-        _group_by_image(prefix, pred, succ, key | 1 << (p * (n + 2) + s), n, groups)
-        prefix.pop()
-        succ[p] = pred[s] = v
-        v = s
+def _image_numbers(n: int) -> tuple[list[int], list[int], dict[int, Word]]:
+    """Each rank's fiber number and last letter, and each fiber's image key
+    and least permutation, by number: a walk extends a prefix by each live
+    letter in increasing order, as phi reads it, the letter's chord (p, s)
+    to its live neighbours setting bit p*(n+2)+s of the image's chord code."""
+    numbers, lasts, prefix, pred, succ = [], [], [], list(range(-1, n + 1)), list(range(1, n + 3))
+    number, least = {}, {}  # key -> fiber number, and -> least permutation
+
+    def walk(key: int) -> None:
+        if len(prefix) >= n - 1:
+            f = number.setdefault(key, len(number))
+            if f == len(least):
+                least[key] = (*prefix, succ[0])[:n]  # the last live letter, if any
+            numbers.append(f)
+            lasts.append(succ[0])
+            return
+        v = succ[0]
+        while v <= n:
+            p, s = pred[v], succ[v]
+            succ[p], pred[s] = s, p
+            prefix.append(v)
+            walk(key | 1 << (p * (n + 2) + s))
+            prefix.pop()
+            succ[p] = pred[s] = v
+            v = s
+
+    walk(0)
+    del walk  # a cycle through its own closure would keep the lists until a collection
+    return numbers, lasts, least
 
 
-def _image_groups(n: int) -> list[list[Word]]:
-    """The permutations of 1..n grouped by their image under phi, without
-    mapping each one: groups in order of their least permutation, and each
-    group in increasing order, as ``itertools.permutations`` gives them."""
-    groups: dict[int, list[Word]] = {}
-    _group_by_image([], list(range(-1, n + 1)), list(range(1, n + 3)), 0, n, groups)
-    return list(groups.values())
+def _sylvester_numbers(n: int) -> tuple[list[int], int]:
+    """Each rank's sylvester class, and the class count: by the Lehmer rule,
+    for each i, each prefix block and x < y, one union links the (n-2-i)!
+    ranks with digits x, y at i, i+1 to those with y+1, x."""
+    uf = UnionFind(math.factorial(n))
+    for i in range(n - 2):
+        f1, f2 = math.factorial(n - 1 - i), math.factorial(n - 2 - i)
+        pairs = [(s, s) for s in range(f2)]
+        for base in range(0, len(uf.parent), (n - i) * f1):
+            for x, y in combinations(range(n - 1 - i), 2):
+                uf.union(base + x * f1 + y * f2, base + (y + 1) * f1 + x * f2, pairs)
+    return uf.components()
 
 
 def fiber_report(n: int) -> dict:
-    """Group permutations by image and compare fibers with sylvester classes;
-    each fiber is mapped once, from its least permutation."""
+    """Number the permutations by image and by sylvester class and compare
+    the two partitions; each fiber is mapped once, from its least permutation."""
     _check_n(n)
-    images: set[Triangulation] = set()
-    mismatches = []
-    last_letter_ok = True
-    for fiber in _image_groups(n):
-        t = triangulation_from_permutation(fiber[0])
-        if sylvester_class(fiber[0]) != set(fiber) or t in images:
-            mismatches.append(canonical_key(t))  # two groups with one image are a mismatch too
+    numbers, lasts, least = _image_numbers(n)
+    classes = _sylvester_numbers(n)[0]
+    pairs = set(zip(numbers, classes)) if numbers != classes else set()
+    per_fiber, per_class = Counter(f for f, _ in pairs), Counter(c for _, c in pairs)
+    split = {f for f, c in pairs if per_fiber[f] > 1 or per_class[c] > 1}  # not exactly one class
+    images, mismatches = set(), []
+    for f, w in enumerate(least.values()):
+        t = triangulation_from_permutation(w)
+        if f in split or t in images:
+            mismatches.append(canonical_key(t))  # two fibers with one image are a mismatch too
         images.add(t)
-        if len({w[-1] for w in fiber if w}) > 1:
-            last_letter_ok = False
+    last_letter_ok = len(set(zip(numbers, lasts))) == len(least)
     return {
         "n": n,
         "images": len(images),
@@ -193,7 +213,7 @@ def fiber_report(n: int) -> dict:
         "count_matches": len(images) == catalan(n),
         "class_mismatches": mismatches,
         "last_letter_constant": last_letter_ok,
-        "pass": len(images) == catalan(n) and not mismatches,
+        "pass": len(images) == catalan(n) and not mismatches and last_letter_ok,
     }
 
 

@@ -27,7 +27,7 @@ from flipforge.graphs import (
 from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
 from flipforge.triangulation import all_triangulations, canonical_key, chord_code
-from flipforge.words import block_coloring
+from flipforge.words import block_coloring, exchange_witness
 
 from reference import (
     DictUnionFind,
@@ -47,6 +47,7 @@ from reference import (
     signed_moves,
     signed_states,
     simple_triangulations,
+    sylvester_class_by_neighbors,
 )
 from refdata import CATALAN
 
@@ -58,6 +59,11 @@ SUITE_AUDITS = {
     "switched": lambda n, seed: switched_audit(n, graphs.flip_table(n)),
     "diagram": lambda n, seed: diagram_audit(n, graphs.flip_table(n)),
 }
+
+
+def lehmer(p):
+    """The Lehmer code of p: digit k counts the later letters smaller than p[k]."""
+    return tuple(sum(y < x for y in p[k + 1:]) for k, x in enumerate(p))
 
 
 class TestCatalan:
@@ -154,47 +160,106 @@ class TestFibers:
             assert rep["class_mismatches"] == []
             assert rep["last_letter_constant"]
 
+    def test_lehmer_rule_is_the_exchange_rule(self):
+        moves = 0
+        for n in range(8):
+            for p in itertools.permutations(range(1, n + 1)):
+                code = lehmer(p)
+                for i in range(n - 1):
+                    if p[i] > p[i + 1]:
+                        continue
+                    allowed = exchange_witness(p, i) is not None
+                    assert allowed == (code[i] < code[i + 1])
+                    if allowed:
+                        moves += 1
+                        swapped = p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+                        assert lehmer(swapped) == code[:i] + (code[i + 1] + 1, code[i]) + code[i + 2:]
+        assert moves == 7945
+
+    def test_sylvester_numbers_are_the_classes(self):
+        for n in range(8):
+            perms = list(itertools.permutations(range(1, n + 1)))
+            numbers, count = graphs._sylvester_numbers(n)
+            assert count == len(set(numbers)) == CATALAN[n]
+            classes = [[] for _ in range(count)]
+            for p, c in zip(perms, numbers):
+                classes[c].append(p)
+            # numbered in order of least rank, each class a whole sylvester class
+            assert [perms.index(c[0]) for c in classes] == sorted(perms.index(c[0]) for c in classes)
+            assert all(set(c) == sylvester_class_by_neighbors(c[0]) for c in classes)
+
     def test_groups_equal_the_phi_fibers(self):
         for n in range(8):
-            groups = graphs._image_groups(n)
-            fibers = fibers_by_phi(n)
-            assert {frozenset(g) for g in groups} == {frozenset(f) for f in fibers.values()}
-            assert len(groups) == len(fibers) == CATALAN[n]
-            # in the order phi first reaches each image, each group increasing
-            assert [g[0] for g in groups] == [min(f) for f in fibers.values()]
-            assert all(g == sorted(g) for g in groups)
+            perms = list(itertools.permutations(range(1, n + 1)))
+            numbers, lasts, least = graphs._image_numbers(n)
+            fibers = list(fibers_by_phi(n).values())  # in order of first appearance, so of least permutation
+            groups = [set() for _ in least]
+            for p, f in zip(perms, numbers):
+                groups[f].add(p)
+            assert groups == fibers and len(groups) == CATALAN[n]
+            assert list(least.values()) == [min(f) for f in fibers]
+            assert n == 0 or lasts == [p[-1] for p in perms]
 
     def test_group_keys_are_chord_codes(self):
         for n in range(7):
-            groups = {}
-            graphs._group_by_image([], list(range(-1, n + 1)), list(range(1, n + 3)), 0, n, groups)
-            assert len(groups) == CATALAN[n]
-            for key, words in groups.items():
-                assert all(chord_code(phi(w)) == key for w in words)
+            perms = itertools.permutations(range(1, n + 1))
+            numbers, _, least = graphs._image_numbers(n)
+            keys = list(least)
+            assert len(keys) == CATALAN[n]
+            assert all(chord_code(phi(p)) == keys[f] for p, f in zip(perms, numbers))
 
-    def test_maps_and_walks_each_fiber_once(self, monkeypatch):
-        mapped, walked = [], []
-        real_phi, real_class = graphs.triangulation_from_permutation, graphs.sylvester_class
+    def test_maps_each_fiber_once(self, monkeypatch):
+        mapped = []
+        real_phi = graphs.triangulation_from_permutation
 
         def counting_phi(sigma):
             mapped.append(sigma)
             return real_phi(sigma)
 
-        def counting_class(w):
-            walked.append(w)
-            return real_class(w)
-
         monkeypatch.setattr(graphs, "triangulation_from_permutation", counting_phi)
-        monkeypatch.setattr(graphs, "sylvester_class", counting_class)
         assert fiber_report(7)["pass"]
-        assert len(mapped) == len(walked) == CATALAN[7] == 429
+        assert len(mapped) == CATALAN[7] == 429
         assert mapped == [min(f) for f in fibers_by_phi(7).values()]
 
     def test_fails_when_the_classes_are_wrong(self, monkeypatch):
-        monkeypatch.setattr(graphs, "sylvester_class", lambda w: frozenset({w}))
+        monkeypatch.setattr(graphs, "_sylvester_numbers", lambda n: (list(range(24)), 24))  # all singletons
         rep = fiber_report(4)
-        assert rep["class_mismatches"] != []
+        # each fiber with more than one member is split; a one-member fiber is still one class
+        assert rep["class_mismatches"] == [canonical_key(t) for t, f in fibers_by_phi(4).items() if len(f) > 1]
+        assert rep["count_matches"] and not rep["pass"]
+
+    def test_a_merge_names_both_fibers(self, monkeypatch):
+        numbers, count = graphs._sylvester_numbers(4)
+        merged = [2 if c == 5 else c for c in numbers]
+        monkeypatch.setattr(graphs, "_sylvester_numbers", lambda n: (merged, count - 1))
+        rep = fiber_report(4)
+        keys = [canonical_key(t) for t in fibers_by_phi(4)]
+        assert rep["class_mismatches"] == [keys[2], keys[5]]
         assert not rep["pass"]
+
+    def test_a_split_names_its_fiber_alone(self, monkeypatch):
+        numbers, count = graphs._sylvester_numbers(4)
+        split = numbers[:]
+        split[max(r for r, c in enumerate(numbers) if c == 3)] = count  # the class's greatest rank leaves it
+        assert split.count(3) > 0
+        monkeypatch.setattr(graphs, "_sylvester_numbers", lambda n: (split, count + 1))
+        rep = fiber_report(4)
+        assert rep["class_mismatches"] == [canonical_key(list(fibers_by_phi(4))[3])]
+        assert not rep["pass"]
+
+    def test_fails_when_a_fiber_has_two_last_letters(self, monkeypatch):
+        real = graphs._image_numbers
+
+        def wrong_last(n):
+            numbers, lasts, least = real(n)
+            r = next(r for r, f in enumerate(numbers) if numbers.count(f) > 1)  # in a fiber with two members
+            lasts[r] = lasts[r] % n + 1
+            return numbers, lasts, least
+
+        monkeypatch.setattr(graphs, "_image_numbers", wrong_last)
+        rep = fiber_report(4)
+        assert rep["class_mismatches"] == [] and rep["count_matches"]
+        assert not rep["last_letter_constant"] and not rep["pass"]
 
     def test_fails_when_two_groups_share_an_image(self, monkeypatch):
         monkeypatch.setattr(graphs, "triangulation_from_permutation", lambda sigma: phi((1, 2, 3)))
