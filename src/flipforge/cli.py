@@ -276,12 +276,13 @@ def cmd_verify(args) -> tuple[int, object]:
 
 def cmd_render(args) -> tuple[int, object]:
     with open(args.file, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    first = json.loads(lines[0]) if lines else None
+        text = fh.read().lstrip()
+    # the first JSON object, on one line or many; a certificate is JSON lines
+    first, _ = json.JSONDecoder().raw_decode(text)
     if not isinstance(first, dict):
-        raise ValueError("expected a JSON object on the first line")
+        raise ValueError("expected a JSON object")
     if "word" in first:
-        cert = jsonio.certificate_from_lines(lines)
+        cert = jsonio.certificate_from_lines(text.splitlines())
         svg = render.render_certificate(cert)
     elif "north" in first:
         svg = render.render_sphere(jsonio.sphere_from_dict(first))
@@ -297,39 +298,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flipforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **arguments):
+    def add(name, handler, *positionals):
         p = sub.add_parser(name)
-        for flag, kwargs in arguments.items():
-            p.add_argument(flag.replace("_", "-") if flag.startswith("--") else flag, **kwargs)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("-o", "--output", default=None)
         p.set_defaults(handler=handler)
         return p
 
-    add("phi", cmd_phi, perm={})
-    p = add("readings", cmd_readings, file={})
+    add("phi", cmd_phi, "perm")
+    p = add("readings", cmd_readings, "file")
     p.add_argument("--max-states", type=int, default=1_000_000)
-    add("canonical", cmd_canonical, file={})
-    add("bigphi", cmd_bigphi, word={})
-    p = add("insert-trace", cmd_insert_trace, word={})
-    add("std", cmd_std, word={})
-    p = add("dstd", cmd_dstd, perm={})
+    add("canonical", cmd_canonical, "file")
+    add("bigphi", cmd_bigphi, "word")
+    add("insert-trace", cmd_insert_trace, "word")
+    add("std", cmd_std, "word")
+    p = add("dstd", cmd_dstd, "perm")
     p.add_argument("--mu", required=True)
-    p = add("class", cmd_class, word={})
+    p = add("class", cmd_class, "word")
     p.add_argument("--max-states", type=int, default=1_000_000)
-    p = add("flip", cmd_flip, file={})
+    p = add("flip", cmd_flip, "file")
     p.add_argument("--d", required=True)
-    p = add("neighbors", cmd_neighbors, file={})
+    p = add("neighbors", cmd_neighbors, "file")
     p.add_argument("--mode", choices=("plain", "signed", "homogeneous", "switched"), default="plain")
-    p = add("signed-path", cmd_signed_path, perm1={}, perm2={})
+    p = add("signed-path", cmd_signed_path, "perm1", "perm2")
     p.add_argument("--max-states", type=int, default=1_000_000)
     p.add_argument("--emit-cert", default=None)
-    add("check-cert", cmd_check_cert, file={})
-    add("sign-path-diagonals", cmd_sign_path_diagonals, file={})
+    add("check-cert", cmd_check_cert, "file")
+    add("sign-path-diagonals", cmd_sign_path_diagonals, "file")
     p = add("glue", cmd_glue)
     p.add_argument("--north", required=True)
     p.add_argument("--south", required=True)
-    add("heawood-check", cmd_heawood_check, file={})
-    add("four-color", cmd_four_color, file={})
+    add("heawood-check", cmd_heawood_check, "file")
+    add("four-color", cmd_four_color, "file")
     p = add("graph", cmd_graph)
     p.add_argument("--kind", choices=("flip", "cayley", "signed", "switched"), default="flip")
     p.add_argument("--n", type=int, required=True)
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p = add("render", cmd_render, file={})
+    p = add("render", cmd_render, "file")
     p.add_argument("--format", choices=("svg", "json"), default="svg")
 
     return parser

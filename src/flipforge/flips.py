@@ -1,4 +1,4 @@
-"""Diagonal flips, their restricted variants, and diagonal signings.
+"""Diagonal flips and their restricted variants.
 
 A flip replaces a diagonal by the other chord of the quadrilateral made of
 its two faces.  The two faces involved keep their labels (the middle
@@ -9,7 +9,6 @@ alone, and it reads only ``triangulation``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .triangulation import (
@@ -182,31 +181,3 @@ def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulat
     return [(table.shapes[j], eps) for j, _, b, c, _ in row
             if eps[b - 1] != eps[c - 1] and j in simple]
 
-
-@dataclass
-class DiagonalSigning:
-    """A triangulation with signs on some (possibly all) of its diagonals."""
-
-    base: Triangulation
-    signs: dict[Diagonal, int]
-
-
-def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | None:
-    """Flip d unless it is negative: the new diagonal is positive and the
-    signed sides of the quadrilateral change sign.  An unsigned d is free to
-    take either sign, so it flips as a positive one; a negative d refuses.
-    Every update of diagonal signs goes through here.
-    """
-    d = (min(d), max(d))
-    if d not in ds.base.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the base triangulation")
-    if ds.signs.get(d) == -1:
-        return None
-    t2, quad = flip(ds.base, d)
-    signs = dict(ds.signs)
-    signs.pop(d, None)
-    for side in quad.sides():
-        if side in signs:
-            signs[side] = -signs[side]
-    signs[quad.new] = 1
-    return DiagonalSigning(t2, signs)

@@ -7,12 +7,13 @@ same-sign pair and bars both letters, provided no later letter lies strictly
 between them in absolute value.  A K2 move is the word shadow of a signed
 flip, with letter signs equal to face signs.
 
-``sign_path_diagonals`` decides signability of a concrete flip path: it
-signs the first shape so that each of its diagonals is positive when flipped,
-then replays ``flips.signed_flip_diagonal`` forward once.  A flip installs a
-positive diagonal, negates the signed sides of its quadrilateral, and
-refuses to flip a negative diagonal.  ``flip_readings`` gives the two words
-of one flip that a word certificate's K2 move exchanges.
+``sign_path_diagonals`` decides signability of a concrete flip path with
+the diagonal rule of Gravier & Payan: a flip refuses a negative diagonal,
+installs the new diagonal positive and negates the other diagonals among
+the sides of its quadrilateral.  It signs the first shape so that each of
+its diagonals is positive when flipped, then applies the rule forward once
+to the quadrilaterals it already holds.  ``flip_readings`` gives the two
+words of one flip that a word certificate's K2 move exchanges.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .flips import (
-    DiagonalSigning,
     FlipQuad,
     ShapeTable,
     flip,
     flip_between,
     flip_signs,
     mask_signs,
-    signed_flip_diagonal,
 )
 from .phi import canonical_reading, least_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
@@ -321,6 +320,14 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
 
 
 @dataclass
+class DiagonalSigning:
+    """A triangulation with a sign on each of its diagonals."""
+
+    base: Triangulation
+    signs: dict[Diagonal, int]
+
+
+@dataclass
 class PathSigning:
     signable: bool
     failed_step: int | None = None
@@ -334,9 +341,11 @@ def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
     positive when it is flipped, or when the path ends if it never is: a
     flip negates the signed sides of its quadrilateral, so a diagonal starts
     negative iff it is a side of an odd number of flips while it is
-    unflipped.  One forward replay of ``signed_flip_diagonal`` from there
-    gives the other signings.  A diagonal a flip creates starts positive,
-    and the first step that meets it negative makes the path unsignable.
+    unflipped.  One forward replay of the diagonal rule from there gives the
+    other signings, each step read off the quadrilateral it flips and the
+    shape it reaches, so the replay flips nothing.  A diagonal a flip
+    creates starts positive, and the first step that meets it negative
+    makes the path unsignable.
     """
     if not path:
         raise ValueError("empty path")
@@ -354,8 +363,12 @@ def sign_path_diagonals(path: Sequence[Triangulation]) -> PathSigning:
         live.discard(quad.old)
     signings = [DiagonalSigning(path[0], first)]
     for i, quad in enumerate(quads):
-        ds = signed_flip_diagonal(signings[-1], quad.old)
-        if ds is None:
+        signs = dict(signings[-1].signs)
+        if signs.pop(quad.old) == -1:
             return PathSigning(False, failed_step=i)
-        signings.append(ds)
+        for side in quad.sides():
+            if side in signs:
+                signs[side] = -signs[side]
+        signs[quad.new] = 1
+        signings.append(DiagonalSigning(path[i + 1], signs))
     return PathSigning(True, signings=signings)

@@ -9,7 +9,6 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from flipforge.flips import (
-    DiagonalSigning,
     FlipQuad,
     ShapeTable,
     flip,
@@ -21,6 +20,7 @@ from flipforge.graphs import catalan, diagram_report, flip_table, same_color_orb
 from flipforge.phi import readings, triangulation_from_permutation
 from flipforge.signing import (
     Certificate,
+    DiagonalSigning,
     PathSigning,
     SignedPath,
     SignedState,
@@ -427,6 +427,28 @@ def flipped_diagonal(t1: Triangulation, t2: Triangulation) -> Diagonal:
     if len(gone) != 1 or flip(t1, next(iter(gone)))[0] != t2:
         raise ValueError(f"{canonical_key(t1)} -> {canonical_key(t2)} is not a flip")
     return gone.pop()
+
+
+def signed_flip_diagonal(ds: DiagonalSigning, d: Diagonal) -> DiagonalSigning | None:
+    """Flip d unless it is negative: the new diagonal is positive and the
+    signed sides of the quadrilateral change sign.  An unsigned d is free to
+    take either sign, so it flips as a positive one; a negative d refuses.
+    The oracle of each step of ``sign_path_diagonals``, which applies the
+    same rule to the quadrilateral it holds and builds no shape.
+    """
+    d = (min(d), max(d))
+    if d not in ds.base.diagonals:
+        raise ValueError(f"{d} is not a diagonal of the base triangulation")
+    if ds.signs.get(d) == -1:
+        return None
+    t2, quad = flip(ds.base, d)
+    signs = dict(ds.signs)
+    signs.pop(d, None)
+    for side in quad.sides():
+        if side in signs:
+            signs[side] = -signs[side]
+    signs[quad.new] = 1
+    return DiagonalSigning(t2, signs)
 
 
 def sign_path_diagonals_by_tracking(path: Sequence[Triangulation]) -> PathSigning:

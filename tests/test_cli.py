@@ -416,6 +416,29 @@ class TestRender:
         xml.dom.minidom.parseString(out)
         assert out.count("<svg") == 1
 
+    def test_render_reads_one_object_over_many_lines(self, capsys, tmp_path):
+        # a pretty-printed file, or one that starts with a blank line, renders
+        # as its one-line form does; a certificate stays JSON lines, and a
+        # file of shapes, one a line, renders its first
+        shape = {"n": 3, "diagonals": [[0, 2], [0, 3]], "colors": [1, 1, 2]}
+        sphere = {"n": 2, "north": [[0, 2]], "south": [[1, 3]],
+                  "signs": {f"{h}:{i}": 1 for h in "NS" for i in (1, 2)}}
+        cert = "".join(json.dumps({"word": list(w), "kind": k}) + "\n"
+                       for w, k in [(CHAIN[0], None), (CHAIN[1], "K2"), (CHAIN[2], "K2")])
+        f = tmp_path / "in.json"
+        for one_line, others in [
+            (json.dumps(shape), [json.dumps(shape, indent=2), "\n" + json.dumps(shape),
+                                 json.dumps(shape) + "\n" + json.dumps({"n": 1, "diagonals": []})]),
+            (json.dumps(sphere), [json.dumps(sphere, indent=1), "\n\n" + json.dumps(sphere) + "\n"]),
+            (cert, ["\n" + cert, cert + "\n\n"]),
+        ]:
+            f.write_text(one_line)
+            code, want, _ = run(capsys, "render", str(f))
+            assert code == 0 and want.startswith("<svg")
+            for text in others:
+                f.write_text(text)
+                assert run(capsys, "render", str(f)) == (0, want, ""), text
+
     def test_render_json_format_echoes_object(self, capsys, tmp_path):
         t_file = tmp_path / "t.json"
         t_file.write_text(json.dumps({"n": 2, "diagonals": [[0, 2]]}))

@@ -6,13 +6,11 @@ import pytest
 
 from flipforge import flips
 from flipforge.flips import (
-    DiagonalSigning,
     flip,
     flip_between,
     flip_quad,
     homogeneous_neighbors,
     signed_flip,
-    signed_flip_diagonal,
     switched_neighbors,
 )
 from flipforge.phi import (
@@ -26,7 +24,7 @@ from flipforge.triangulation import (
     faces,
     is_simple,
 )
-from flipforge.signing import flip_readings
+from flipforge.signing import DiagonalSigning, flip_readings
 from flipforge.words import abs_word, block_coloring, sylvester_class
 from flipforge.graphs import compositions, words_of_evaluation
 
@@ -38,6 +36,7 @@ from reference import (
     flip_row,
     quad_by_adjacency,
     readings_exchange_oracle,
+    signed_flip_diagonal,
     signed_moves,
 )
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START

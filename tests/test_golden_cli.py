@@ -43,6 +43,22 @@ PATH7 = {"n": 7, "path": [[[0, 7], [1, 4], [1, 5], [1, 6], [1, 7], [2, 4]],
                           [[0, 2], [0, 4], [0, 7], [2, 4], [4, 7], [5, 7]]]}
 # the same path with its last flip taken at (4, 7), which is negative there
 PATH7_UNSIGNABLE = {"n": 7, "path": PATH7["path"][:10] + [[[0, 4], [0, 5], [0, 7], [1, 4], [2, 4], [5, 7]]]}
+# twelve flips at n=9: the first flip creates (3, 10), the third and the
+# seventh negate it as a side, the fifth and the eighth make it positive
+# again, and the ninth flips it
+PATH9 = {"n": 9, "path": [[[0, 3], [0, 6], [1, 3], [3, 5], [3, 6], [6, 8], [6, 10], [8, 10]],
+                          [[0, 3], [1, 3], [3, 5], [3, 6], [3, 10], [6, 8], [6, 10], [8, 10]],
+                          [[0, 2], [0, 3], [3, 5], [3, 6], [3, 10], [6, 8], [6, 10], [8, 10]],
+                          [[0, 2], [0, 3], [3, 5], [3, 10], [5, 10], [6, 8], [6, 10], [8, 10]],
+                          [[0, 3], [1, 3], [3, 5], [3, 10], [5, 10], [6, 8], [6, 10], [8, 10]],
+                          [[0, 3], [1, 3], [3, 10], [4, 10], [5, 10], [6, 8], [6, 10], [8, 10]],
+                          [[0, 3], [1, 3], [3, 10], [4, 10], [5, 10], [6, 10], [7, 10], [8, 10]],
+                          [[1, 3], [1, 10], [3, 10], [4, 10], [5, 10], [6, 10], [7, 10], [8, 10]],
+                          [[1, 3], [1, 10], [3, 5], [3, 10], [5, 10], [6, 10], [7, 10], [8, 10]],
+                          [[1, 3], [1, 5], [1, 10], [3, 5], [5, 10], [6, 10], [7, 10], [8, 10]],
+                          [[1, 3], [1, 5], [1, 10], [3, 5], [5, 7], [5, 10], [7, 10], [8, 10]],
+                          [[1, 5], [1, 10], [2, 5], [3, 5], [5, 7], [5, 10], [7, 10], [8, 10]],
+                          [[1, 5], [1, 10], [2, 5], [3, 5], [5, 7], [5, 10], [7, 9], [7, 10]]]}
 # the colored shape of the word 1,1,2,4,3,3,2,3,1,3,4,3 with seeded signs: five
 # switched, six homogeneous and three signed flips, at the interactive sizes
 COLORED12 = {"n": 12, "diagonals": [[0, 2], [0, 3], [0, 9], [0, 10], [3, 5], [3, 8], [3, 9],
@@ -157,6 +173,8 @@ CORPUS = [
     # later flips, and its variant refused at the last step
     ("sign-path-diagonals-7", ["sign-path-diagonals", "path7.json"], []),
     ("sign-path-diagonals-7-unsignable", ["sign-path-diagonals", "path7u.json"], []),
+    # a diagonal a flip created, negated and made positive twice before it is flipped
+    ("sign-path-diagonals-9", ["sign-path-diagonals", "path9.json"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -270,6 +288,8 @@ GOLDEN = {
     # Recorded before a flip path was signed in one forward pass.
     "sign-path-diagonals-7": "b0b2910d813868a29cabef56f7c2bbc7b1ee22e4cba81afdc887b8fa6db363d9",
     "sign-path-diagonals-7-unsignable": "3725633e917ed3090052588de8498fd61f78db11e4257aa3bf615b15ba213ee7",
+    # Recorded before sign_path_diagonals signed each step from the quad it holds.
+    "sign-path-diagonals-9": "13b094cb1d4618d548dfb0a5d0478d67e737a71daa477d60cc9cb856a83abe81",
 }
 
 
@@ -280,7 +300,7 @@ def sha(data: bytes) -> str:
 def write_inputs(tmp_path):
     for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("colored12", COLORED12),
                       ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE),
-                      ("path7", PATH7), ("path7u", PATH7_UNSIGNABLE)):
+                      ("path7", PATH7), ("path7u", PATH7_UNSIGNABLE), ("path9", PATH9)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     (tmp_path / "swapped.jsonl").write_text("".join(json.dumps(line) + "\n" for line in SWAPPED))
 

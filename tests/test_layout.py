@@ -3,8 +3,8 @@ a command, a script or the benchmark, not by the tests alone, and every
 parameter of a library function is read by it.
 
 Test-only oracles belong in ``tests/reference.py``.  The scan reads
-``src/flipforge/*.py`` (all but ``__init__.py``, whose re-exports reach
-nothing), ``scripts/*.py`` and ``perfbench/*.py`` with ``ast``, so a name
+``src/flipforge/*.py`` (all but ``__init__.py``, which defines only the
+version), ``scripts/*.py`` and ``perfbench/*.py`` with ``ast``, so a name
 in a docstring or a comment does not count as a use.  A top-level def or
 class is reached by a loaded name, an attribute or an import alias; a
 method only by an attribute, as a bare name of the same spelling is some
@@ -112,3 +112,14 @@ def test_jsonio_imports_nothing_from_graphs():
     """The graph builders return the printed graph, so no file format reads a graph type."""
     tree = ast.parse((ROOT / "src" / "flipforge" / "jsonio.py").read_text(encoding="utf-8"))
     assert "graphs" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+
+def test_package_root_reexports_nothing():
+    """Every name is imported from its module: the package root imports
+    nothing and defines only ``__version__``."""
+    tree = ast.parse((ROOT / "src" / "flipforge" / "__init__.py").read_text(encoding="utf-8"))
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    extra = [ast.unparse(node) for node in body
+             if not (isinstance(node, ast.Assign)
+                     and [ast.unparse(target) for target in node.targets] == ["__version__"])]
+    assert not extra, f"the package root holds more than its version: {extra}"

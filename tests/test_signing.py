@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 from flipforge import flips, signing, words
-from flipforge.flips import flip
+from flipforge.flips import flip, flip_between
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
     Certificate,
+    DiagonalSigning,
     SignedPath,
     SignedState,
     StateCapExceeded,
@@ -39,6 +40,7 @@ from reference import (
     sigma_closure,
     signable_path_by_states,
     sign_permutation_path,
+    signed_flip_diagonal,
     signed_moves,
     states_below_end,
 )
@@ -581,40 +583,36 @@ class TestSignPathDiagonals:
                 unsignable += not got.signable
         assert signable > 100 and unsignable > 100
 
-    def test_replays_each_step_once(self, monkeypatch):
-        calls = []
-        real = signing.signed_flip_diagonal
-
-        def counting(ds, d):
-            calls.append(d)
-            return real(ds, d)
-
-        monkeypatch.setattr(signing, "signed_flip_diagonal", counting)
+    def test_each_step_is_the_diagonal_rule_on_the_quad_it_holds(self, monkeypatch):
+        # every signing the replay makes is the oracle's signed flip of the one
+        # before it, up to the step the oracle refuses; each step reads its
+        # shape off the path, so the replay flips and builds nothing
         rng = random.Random(31)
-        outcomes = set()
+        walks = []
         for _ in range(60):
             path = [phi(tuple(rng.sample(range(1, 8), 7)))]
             for _ in range(12):
                 path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
-            calls.clear()
-            out = sign_path_diagonals(path)
-            assert len(calls) == (len(path) - 1 if out.signable else out.failed_step + 1)
-            outcomes.add(out.signable)
-        assert outcomes == {True, False}
-
-    def test_flips_each_step_once(self, monkeypatch):
-        # matching a step builds no shape; only the replay flips, and a
-        # refused step refuses before flipping
-        calls = count_calls(monkeypatch, flips, "flip")
-        rng = random.Random(31)
+            walks.append(path)
+        flipped = [count_calls(monkeypatch, module, name)
+                   for module, name in ((flips, "flip"), (signing, "flip"), (flips, "_flipped"))]
+        made = count_calls(monkeypatch, signing, "DiagonalSigning")
+        runs = []
+        for path in walks:
+            made.clear()
+            runs.append((path, sign_path_diagonals(path), [DiagonalSigning(*args) for args in made]))
+        assert flipped == [[], [], []]
+        monkeypatch.undo()
         outcomes = set()
-        for _ in range(60):
-            path = [phi(tuple(rng.sample(range(1, 8), 7)))]
-            for _ in range(12):
-                path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
-            calls.clear()
-            out = sign_path_diagonals(path)
-            assert len(calls) == (len(path) - 1 if out.signable else out.failed_step)
+        for path, out, signings in runs:
+            quads = [flip_between(t1, t2) for t1, t2 in zip(path, path[1:])]
+            for ds, quad, ds2 in zip(signings, quads, signings[1:]):
+                assert signed_flip_diagonal(ds, quad.old) == ds2
+            if out.signable:
+                assert out.signings == signings and len(signings) == len(path)
+            else:
+                assert len(signings) == out.failed_step + 1
+                assert signed_flip_diagonal(signings[-1], quads[out.failed_step].old) is None
             outcomes.add(out.signable)
         assert outcomes == {True, False}
 
