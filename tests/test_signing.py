@@ -583,10 +583,9 @@ class TestSignPathDiagonals:
                 unsignable += not got.signable
         assert signable > 100 and unsignable > 100
 
-    def test_each_step_is_the_diagonal_rule_on_the_quad_it_holds(self, monkeypatch):
-        # every signing the replay makes is the oracle's signed flip of the one
-        # before it, up to the step the oracle refuses; each step reads its
-        # shape off the path, so the replay flips and builds nothing
+    @staticmethod
+    def seeded_walks():
+        # 60 seeded 12-flip walks at n = 7, signable and unsignable both
         rng = random.Random(31)
         walks = []
         for _ in range(60):
@@ -594,14 +593,17 @@ class TestSignPathDiagonals:
             for _ in range(12):
                 path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
             walks.append(path)
-        flipped = [count_calls(monkeypatch, module, name)
-                   for module, name in ((flips, "flip"), (signing, "flip"), (flips, "_flipped"))]
+        return walks
+
+    def test_replays_each_step_once(self, monkeypatch):
+        # one signing per step replayed, each the oracle's signed flip of the
+        # one before it, up to the step the oracle refuses
+        walks = self.seeded_walks()
         made = count_calls(monkeypatch, signing, "DiagonalSigning")
         runs = []
         for path in walks:
             made.clear()
             runs.append((path, sign_path_diagonals(path), [DiagonalSigning(*args) for args in made]))
-        assert flipped == [[], [], []]
         monkeypatch.undo()
         outcomes = set()
         for path, out, signings in runs:
@@ -614,6 +616,22 @@ class TestSignPathDiagonals:
                 assert len(signings) == out.failed_step + 1
                 assert signed_flip_diagonal(signings[-1], quads[out.failed_step].old) is None
             outcomes.add(out.signable)
+        assert outcomes == {True, False}
+
+    def test_flips_each_step_once(self, monkeypatch):
+        # each step's flip is read off the path once, as the quadrilateral
+        # between its two shapes; the replay performs no flip and builds no shape
+        walks = self.seeded_walks()
+        between = count_calls(monkeypatch, signing, "flip_between")
+        flipped = [count_calls(monkeypatch, module, name)
+                   for module, name in ((flips, "flip"), (signing, "flip"), (flips, "_flipped"))]
+        outcomes = set()
+        for path in walks:
+            between.clear()
+            out = sign_path_diagonals(path)
+            assert between == list(zip(path, path[1:]))
+            outcomes.add(out.signable)
+        assert flipped == [[], [], []]
         assert outcomes == {True, False}
 
     def test_reference_imports_no_private_library_name(self):
