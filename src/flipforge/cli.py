@@ -29,7 +29,7 @@ from .signing import (
     signable_path_search,
     validate_certificate,
 )
-from .triangulation import canonical_key
+from .triangulation import canonical_key, is_simple
 from .words import (
     destandardize,
     format_word,
@@ -135,34 +135,42 @@ def cmd_class(args) -> tuple[int, object]:
 def cmd_flip(args) -> tuple[int, object]:
     t, colors, signs = _load_triangulation(args.file)
     d = _parse_diagonal(args.d)
-    if signs is not None:
-        result = flips.signed_flip(t, signs, d)
-        if result is None:
-            return 1, {"refused": True, "reason": "faces at the diagonal carry opposite signs"}
-        t2, signs2 = result
-        return 0, jsonio.triangulation_to_dict(t2, colors=colors, signs=signs2)
-    t2, _ = flips.flip(t, d)
-    return 0, jsonio.triangulation_to_dict(t2, colors=colors)
+    table = flips.ShapeTable([t])
+    entry = next((entry for entry in table.row(0) if entry[4] == d), None)
+    if entry is None:
+        raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
+    j, _, b, c, _ = entry
+    if signs is None:
+        return 0, jsonio.triangulation_to_dict(table.shapes[j], colors=colors)
+    signs2 = flips.flip_signs(signs, b, c)
+    if signs2 is None:
+        return 1, {"refused": True, "reason": "faces at the diagonal carry opposite signs"}
+    return 0, jsonio.triangulation_to_dict(table.shapes[j], colors=colors, signs=signs2)
 
 
 def cmd_neighbors(args) -> tuple[int, object]:
     t, colors, signs = _load_triangulation(args.file)
     mode = args.mode
+    if mode == "signed" and signs is None:
+        raise ValueError("signed neighbors need a 'signs' entry")
+    if mode in ("homogeneous", "switched") and colors is None:
+        raise ValueError(f"{mode} neighbors need a 'colors' entry")
+    if mode == "switched" and not is_simple(t, colors):
+        raise ValueError("switched flips are only defined between simple colored triangulations")
+    table = flips.ShapeTable([t])
+    row = table.row(0)  # adds the results to the table before simple() reads it
     if mode == "plain":
-        table = flips.ShapeTable([t])
-        out = [jsonio.triangulation_to_dict(table.shapes[j]) for j, *_ in table.row(0)]
+        moves = [(j, {}) for j, *_ in row]
     elif mode == "signed":
-        if signs is None:
-            raise ValueError("signed neighbors need a 'signs' entry")
-        table = flips.ShapeTable([t])
-        moves = [(table.shapes[j], flips.flip_signs(signs, b, c)) for j, _, b, c, _ in table.row(0)]
-        out = [jsonio.triangulation_to_dict(t2, signs=signs2) for t2, signs2 in moves
-               if signs2 is not None]
+        moves = [(j, {"signs": signs2}) for j, _, b, c, _ in row
+                 if (signs2 := flips.flip_signs(signs, b, c)) is not None]
+    elif mode == "homogeneous":
+        moves = [(j, {"colors": colors}) for j, _, b, c, _ in row if colors[b - 1] == colors[c - 1]]
     else:
-        if colors is None:
-            raise ValueError(f"{mode} neighbors need a 'colors' entry")
-        step = flips.homogeneous_neighbors if mode == "homogeneous" else flips.switched_neighbors
-        out = [jsonio.triangulation_to_dict(t2, colors=eps) for t2, eps in step(t, colors)]
+        simple = set(table.simple(colors))
+        moves = [(j, {"colors": colors}) for j, _, b, c, _ in row
+                 if colors[b - 1] != colors[c - 1] and j in simple]
+    out = [jsonio.triangulation_to_dict(table.shapes[j], **extra) for j, extra in moves]
     return 0, {"mode": mode, "count": len(out), "neighbors": out}
 
 
@@ -179,7 +187,7 @@ def cmd_signed_path(args) -> tuple[int, object]:
         "eps": list(path.start.signs),
         "eps_prime": list(path.end.signs),
         "flips": [list(d) for d in path.flips],
-        "length": len(path.flips),
+        "length": len(path) - 1,
     }
     if args.emit_cert:
         cert = emit_word_certificate(path)

@@ -1,10 +1,12 @@
-"""Diagonal flips and their restricted variants.
+"""The flip kernel: every flip of a shape, and the signed flip rule.
 
 A flip replaces a diagonal by the other chord of the quadrilateral made of
 its two faces.  The two faces involved keep their labels (the middle
 vertices of the quadrilateral), so colorings and signings indexed by face
-label transform by editing at most two entries.  This is the flip kernel
-alone, and it reads only ``triangulation``.
+label transform by editing at most two entries.  ``ShapeTable.row`` is the
+one route that computes flips; ``flip_between`` names the flip joining two
+given shapes from their diagonal sets alone.  This module reads only
+``triangulation``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .triangulation import (
     Triangulation,
     chord_code,
     face_tree,
-    is_simple,
     rise_mask,
     up_mask,
     weakly_increasing,
@@ -33,11 +34,6 @@ class FlipQuad(NamedTuple):
     d: int
     old: Diagonal
     new: Diagonal
-
-    @property
-    def labels(self) -> tuple[int, int]:
-        """Labels of the two faces bordering either chord of the quadrilateral."""
-        return (self.b, self.c)
 
     def sides(self) -> tuple[Diagonal, ...]:
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -61,28 +57,22 @@ def _flipped(t: Triangulation, quad: FlipQuad) -> Triangulation:
     return Triangulation(t.n, tuple(e for e in t.diagonals if e != quad.old) + (quad.new,))
 
 
-def flip_quad(t: Triangulation, d: Diagonal) -> FlipQuad:
-    d = (min(d), max(d))
-    if d not in t.diagonals:
-        raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
-    return next(quad for quad in _quads(t) if quad.old == d)
-
-
-def flip(t: Triangulation, d: Diagonal) -> tuple[Triangulation, FlipQuad]:
-    quad = flip_quad(t, d)
-    return _flipped(t, quad), quad
-
-
 def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
-    """The quadrilateral of the one flip taking t1 to t2, or None if there is none."""
+    """The quadrilateral of the one flip taking t1 to t2, or None if there is
+    none: t2 swaps one diagonal old of t1 for a new one, and {old, new} is
+    {(a, c), (b, d)} for their ends a < b < c < d.  Between triangulations,
+    a one-diagonal swap is always a flip; no face is read."""
     if t1.n != t2.n:
         return None
-    gone = set(t1.diagonals) - set(t2.diagonals)
-    if len(gone) != 1:
+    gone = set(t1.diagonals).difference(t2.diagonals)
+    came = set(t2.diagonals).difference(t1.diagonals)
+    if len(gone) != 1 or len(came) != 1:
         return None
-    quad = flip_quad(t1, gone.pop())
-    flipped = sorted([quad.new, *(e for e in t1.diagonals if e != quad.old)])
-    return quad if list(t2.diagonals) == flipped else None
+    old, new = gone.pop(), came.pop()
+    a, b, c, d = sorted(old + new)
+    if not a < b < c < d or {old, new} != {(a, c), (b, d)}:
+        return None
+    return FlipQuad(a, b, c, d, old, new)
 
 
 def flip_signs(signs: Coloring, b: int, c: int) -> Coloring | None:
@@ -154,30 +144,3 @@ class ShapeTable:
 def mask_signs(s: int, n: int) -> Coloring:
     """The face signs of the signing bitmask s of size n."""
     return tuple(1 if s >> (n - k) & 1 else -1 for k in range(1, n + 1))
-
-
-def signed_flip(
-    t: Triangulation, signs: Coloring, d: Diagonal
-) -> tuple[Triangulation, Coloring] | None:
-    """Flip d if its two faces carry equal signs, negating both; else None."""
-    t2, quad = flip(t, d)
-    signs2 = flip_signs(signs, *quad.labels)
-    return None if signs2 is None else (t2, signs2)
-
-
-def homogeneous_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
-    """Flips whose two faces share a color; the coloring is unchanged."""
-    table = ShapeTable([t])
-    return [(table.shapes[j], eps) for j, _, b, c, _ in table.row(0) if eps[b - 1] == eps[c - 1]]
-
-
-def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
-    """Different-color flips from a simple state whose result stays simple."""
-    if not is_simple(t, eps):
-        raise ValueError("switched flips are only defined between simple colored triangulations")
-    table = ShapeTable([t])
-    row = table.row(0)  # adds the results to the table before simple() reads it
-    simple = set(table.simple(eps))
-    return [(table.shapes[j], eps) for j, _, b, c, _ in row
-            if eps[b - 1] != eps[c - 1] and j in simple]
-

@@ -7,6 +7,9 @@ same-sign pair and bars both letters, provided no later letter lies strictly
 between them in absolute value.  A K2 move is the word shadow of a signed
 flip, with letter signs equal to face signs.
 
+A ``SignedPath`` holds the signed states its search walked, and each
+step's quadrilateral is read off its two shapes by ``flips.flip_between``.
+
 ``sign_path_diagonals`` decides signability of a concrete flip path with
 the diagonal rule of Gravier & Payan: a flip refuses a negative diagonal,
 installs the new diagonal positive and negates the other diagonals among
@@ -21,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .flips import (
-    FlipQuad,
-    ShapeTable,
-    flip,
-    flip_between,
-    flip_signs,
-    mask_signs,
-)
+from .flips import FlipQuad, ShapeTable, flip_between, mask_signs
 from .phi import canonical_reading, least_reading
 from .triangulation import Coloring, Diagonal, Triangulation, canonical_key
 from .words import SignedWord, Word, abs_word, adjacent_difference, exchange_witness, is_signed_word
@@ -93,28 +89,28 @@ def validate_certificate(cert: Certificate) -> CertReport:
     return CertReport(True, endpoints=(abs_word(chain[0]), abs_word(chain[-1])))
 
 
-@dataclass
-class SignedPath:
-    """A path in the signed-state graph, recorded as start state plus flips."""
+class SignedPath(tuple):
+    """A path in the signed-state graph: the signed states it walks, each
+    one signed flip from the one before."""
 
-    start: SignedState
-    end: SignedState
-    flips: tuple[Diagonal, ...]
+    __slots__ = ()
+
+    @property
+    def start(self) -> SignedState:
+        return self[0]
+
+    @property
+    def end(self) -> SignedState:
+        return self[-1]
+
+    @property
+    def flips(self) -> tuple[Diagonal, ...]:
+        return tuple(quad.old for _, quad, _ in self.steps())
 
     def steps(self) -> Iterator[tuple[SignedState, FlipQuad, SignedState]]:
-        """Each recorded flip once, as (state before, its quadrilateral, state
-        after); ValueError if a flip is refused or the path misses its end."""
-        state = self.start
-        for k, d in enumerate(self.flips):
-            t2, quad = flip(state.tri, d)
-            signs2 = flip_signs(state.signs, *quad.labels)
-            if signs2 is None:
-                raise ValueError(f"recorded flip {d} is refused at step {k}")
-            after = SignedState(t2, signs2)
-            yield state, quad, after
-            state = after
-        if state != self.end:
-            raise ValueError("recorded path does not reach its end state")
+        """Each flip once, as (state before, its quadrilateral, state after)."""
+        for before, after in zip(self, self[1:]):
+            yield before, flip_between(before.tri, after.tri), after
 
 
 def signable_path_search(
@@ -148,8 +144,7 @@ def signable_path_search(
         raise ValueError("triangulations must have equal n")
     n = start_tri.n
     if start_tri == end_tri:
-        state = SignedState(start_tri, (-1,) * n)
-        return SignedPath(state, state, ())
+        return SignedPath([SignedState(start_tri, (-1,) * n)])
     # Every signing of start_tri is a seed: refuse before building 2^n of them.
     if 2 ** n > max_states:
         raise StateCapExceeded(f"search exceeds {max_states} states")
@@ -199,15 +194,14 @@ def signable_path_search(
 
     seeds = useful[0][0]
     i, s = 0, (seeds & -seeds).bit_length() - 1
-    seed, diagonals = s, []
+    states = [SignedState(start_tri, mask_signs(s, n))]
     for later in useful[1:]:
-        for j, m, _, _, d in table.row(i):
+        for j, m, *_ in table.row(i):
             if s & m in (0, m) and later.get(j, 0) >> (s ^ m) & 1:
                 break
-        diagonals.append(d)
         i, s = j, s ^ m
-    return SignedPath(SignedState(start_tri, mask_signs(seed, n)),
-                      SignedState(end_tri, mask_signs(s, n)), tuple(diagonals))
+        states.append(SignedState(table.shapes[j], mask_signs(s, n)))
+    return SignedPath(states)
 
 
 class _Halves(dict):

@@ -8,14 +8,7 @@ from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from flipforge.flips import (
-    FlipQuad,
-    ShapeTable,
-    flip,
-    flip_between,
-    flip_quad,
-    signed_flip,
-)
+from flipforge.flips import FlipQuad, ShapeTable, flip_between
 from flipforge.graphs import catalan, diagram_report, flip_table, same_color_orbit
 from flipforge.phi import readings, triangulation_from_permutation
 from flipforge.signing import (
@@ -231,15 +224,54 @@ def quad_by_adjacency(t: Triangulation, d: Diagonal) -> FlipQuad:
     return FlipQuad(*sorted((d[0], d[1], u, v)), old=d, new=(u, v))
 
 
+def flip_quad(t: Triangulation, d: Diagonal) -> FlipQuad:
+    """The quadrilateral around the diagonal d of t; ValueError if d is none."""
+    d = (min(d), max(d))
+    if d not in t.diagonals:
+        raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
+    return quad_by_adjacency(t, d)
+
+
+def flip(t: Triangulation, d: Diagonal) -> tuple[Triangulation, FlipQuad]:
+    """The object route to one flip: t with d exchanged for the other chord
+    of its quadrilateral, and that quadrilateral."""
+    quad = flip_quad(t, d)
+    return Triangulation(t.n, tuple(e for e in t.diagonals if e != quad.old) + (quad.new,)), quad
+
+
+def signed_flip(
+    t: Triangulation, signs: Coloring, d: Diagonal
+) -> tuple[Triangulation, Coloring] | None:
+    """Flip d if its two faces carry equal signs, negating both; else None."""
+    t2, quad = flip(t, d)
+    b, c = quad.b, quad.c
+    if signs[b - 1] != signs[c - 1]:
+        return None
+    return t2, tuple(-v if k in (b, c) else v for k, v in enumerate(signs, 1))
+
+
 def flip_row(t: Triangulation) -> list[tuple[Diagonal, Triangulation, int, int]]:
     """Every flip of t in diagonal order, as (diagonal, result, b, c) with b < c
-    the labels of the two faces it exchanges: the object route, one public
-    ``flip`` per diagonal, that ``ShapeTable.row`` must equal."""
+    the labels of the two faces it exchanges: the object route, one ``flip``
+    per diagonal, that ``ShapeTable.row`` must equal."""
     row = []
     for d in t.diagonals:
         t2, quad = flip(t, d)
-        row.append((d, t2, *quad.labels))
+        row.append((d, t2, quad.b, quad.c))
     return row
+
+
+def homogeneous_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
+    """Flips whose two faces share a color; the coloring is unchanged."""
+    return [(t2, eps) for _, t2, b, c in flip_row(t) if eps[b - 1] == eps[c - 1]]
+
+
+def switched_neighbors(t: Triangulation, eps: Coloring) -> list[tuple[Triangulation, Coloring]]:
+    """Different-color flips from a simple state whose result stays simple."""
+    if not is_simple(t, eps):
+        raise ValueError("switched flips are only defined between simple colored triangulations")
+    return [(t2, eps) for _, t2, b, c in flip_row(t)
+            if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)]
 
 
 def signed_moves(row, signs: Coloring) -> Iterator[tuple[Diagonal, Triangulation, Coloring]]:
@@ -356,11 +388,11 @@ def class_bridge_by_search(w_from: Word, w_to: Word) -> list[Word]:
     raise ValueError(f"{w_to} is not in the class of {w_from}")
 
 
-def first_reached(start_tri: Triangulation) -> Iterator[tuple[SignedState, tuple | None]]:
+def first_reached(start_tri: Triangulation) -> Iterator[tuple[SignedState, SignedState | None]]:
     """A breadth-first search over SignedState keys, seeded with every signing
     of start_tri in product order, flips in diagonal order and one flip_row
     per shape kept in a dict: each reachable signed state once, in the order
-    the search first reaches it, with its parent (state, diagonal), or None
+    the search first reaches it, with the state it was reached from, or None
     for a seed."""
     sources = [SignedState(start_tri, signs) for signs in product((-1, 1), repeat=start_tri.n)]
     seen = set(sources)
@@ -373,29 +405,27 @@ def first_reached(start_tri: Triangulation) -> Iterator[tuple[SignedState, tuple
         row = rows.get(state.tri)
         if row is None:
             row = rows[state.tri] = flip_row(state.tri)
-        for d, t2, signs2 in signed_moves(row, state.signs):
+        for _, t2, signs2 in signed_moves(row, state.signs):
             ns = SignedState(t2, signs2)
             if ns not in seen:
                 seen.add(ns)
                 queue.append(ns)
-                yield ns, (state, d)
+                yield ns, state
 
 
 def signable_path_by_states(start_tri: Triangulation, end_tri: Triangulation) -> SignedPath | None:
     """signable_path_search, uncapped, by the route on SignedState keys: the
     path to the first state of end_tri that ``first_reached`` meets."""
     if start_tri == end_tri:
-        state = SignedState(start_tri, (-1,) * start_tri.n)
-        return SignedPath(state, state, ())
+        return SignedPath([SignedState(start_tri, (-1,) * start_tri.n)])
     parent: dict = {}
     for state, via in first_reached(start_tri):
         parent[state] = via
         if state.tri == end_tri:
-            end, flips_rev = state, []
-            while parent[state] is not None:
-                state, d = parent[state]
-                flips_rev.append(d)
-            return SignedPath(state, end, tuple(reversed(flips_rev)))
+            states = [state]
+            while parent[states[-1]] is not None:
+                states.append(parent[states[-1]])
+            return SignedPath(reversed(states))
     return None
 
 
@@ -409,8 +439,8 @@ def depths_below_end(start_tri: Triangulation, end_tri: Triangulation) -> dict[S
         return depth
     for state, via in first_reached(start_tri):
         if state.tri == end_tri:
-            return {s: t for s, t in depth.items() if t <= depth[via[0]]}
-        depth[state] = 0 if via is None else depth[via[0]] + 1
+            return {s: t for s, t in depth.items() if t <= depth[via]}
+        depth[state] = 0 if via is None else depth[via] + 1
     return depth
 
 
@@ -898,7 +928,3 @@ def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
 
 def edge_count(g: dict) -> int:
     return len(g["edges"])
-
-
-def path_states(path: SignedPath) -> list[SignedState]:
-    return [path.start] + [after for _, _, after in path.steps()]

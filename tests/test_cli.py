@@ -170,6 +170,30 @@ class TestTriangulationCommands:
         switched = run_json(capsys, "neighbors", str(t_file), "--mode", "switched")
         assert len(homog["neighbors"]) + len(switched["neighbors"]) <= 2
 
+    @pytest.mark.parametrize(
+        "extra, argv, message",
+        [
+            ({}, ["flip", "--d", "3,1"], "(1, 3) is not a diagonal of ((0, 2), (0, 3))"),
+            ({"signs": [1, 1, 1]}, ["flip", "--d", "1,3"],
+             "(1, 3) is not a diagonal of ((0, 2), (0, 3))"),
+            ({"colors": [1, 1, 2]}, ["neighbors", "--mode", "signed"],
+             "signed neighbors need a 'signs' entry"),
+            ({"signs": [1, 1, 1]}, ["neighbors", "--mode", "homogeneous"],
+             "homogeneous neighbors need a 'colors' entry"),
+            ({"signs": [1, 1, 1]}, ["neighbors", "--mode", "switched"],
+             "switched neighbors need a 'colors' entry"),
+            ({"colors": [2, 1, 1]}, ["neighbors", "--mode", "switched"],
+             "switched flips are only defined between simple colored triangulations"),
+        ],
+        ids=["flip-not-a-diagonal", "signed-flip-not-a-diagonal", "signed-without-signs",
+             "homogeneous-without-colors", "switched-without-colors", "switched-not-simple"],
+    )
+    def test_flip_and_neighbors_refusals(self, capsys, tmp_path, extra, argv, message):
+        t_file = tmp_path / "t.json"
+        t_file.write_text(json.dumps({"n": 3, "diagonals": [[0, 2], [0, 3]], **extra}))
+        code, out, err = run(capsys, argv[0], str(t_file), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
     def test_neighbors_match_the_oracle_at_n12(self, capsys, tmp_path):
         def entry(t2, **extra):

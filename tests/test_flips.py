@@ -1,18 +1,12 @@
 """Flips: plain, signed, homogeneous, switched, and diagonal signings."""
 
 import itertools
+import random
 
 import pytest
 
-from flipforge import flips
-from flipforge.flips import (
-    flip,
-    flip_between,
-    flip_quad,
-    homogeneous_neighbors,
-    signed_flip,
-    switched_neighbors,
-)
+from flipforge import flips, signing, triangulation
+from flipforge.flips import flip_between, flip_signs
 from flipforge.phi import (
     colored_triangulation_from_word,
     readings,
@@ -31,13 +25,17 @@ from flipforge.graphs import compositions, words_of_evaluation
 from reference import (
     diagonal_signing_from_faces,
     face_signs_from_diagonals,
+    flip,
     flip_characterization,
+    flip_quad,
     flip_readings_by_ears,
     flip_row,
+    homogeneous_neighbors,
     quad_by_adjacency,
     readings_exchange_oracle,
+    signed_flip,
     signed_flip_diagonal,
-    signed_moves,
+    switched_neighbors,
 )
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
@@ -60,6 +58,7 @@ class TestFlip:
         assert t2 == tri(2, (1, 3))
         assert (quad.a, quad.b, quad.c, quad.d) == (0, 1, 2, 3)
         assert quad.old == (0, 2) and quad.new == (1, 3)
+        assert flip_between(tri(2, (0, 2)), t2) == quad
 
     def test_involution_everywhere(self):
         for n in range(2, 7):
@@ -70,6 +69,7 @@ class TestFlip:
                     back, quad2 = flip(t2, quad.new)
                     assert back == t
                     assert quad2.new == d
+                    assert flip_between(t2, t) == quad2 == quad._replace(old=quad.new, new=d)
 
     def test_rows_match_the_adjacency_quads(self):
         for n in range(9):
@@ -77,8 +77,8 @@ class TestFlip:
                 expected = []
                 for d in t.diagonals:
                     quad = quad_by_adjacency(t, d)
-                    assert flip_quad(t, d) == quad
                     t2 = Triangulation(n, tuple(e for e in t.diagonals if e != d) + (quad.new,))
+                    assert flip_between(t, t2) == quad
                     expected.append((d, t2, quad.b, quad.c))
                 table = flips.ShapeTable([t])
                 assert [(d, table.shapes[j], b, c) for j, _, b, c, d in table.row(0)] == expected
@@ -86,21 +86,23 @@ class TestFlip:
 
     def test_quad_labels_are_the_middle_pair(self):
         t = phi((1, 2, 3))
-        quad = flip_quad(t, (0, 3))
+        table = flips.ShapeTable([t])
+        j, _, b, c, _ = next(entry for entry in table.row(0) if entry[4] == (0, 3))
+        quad = flip_between(t, table.shapes[j])
         assert (quad.a, quad.b, quad.c, quad.d) == (0, 2, 3, 4)
-        assert quad.labels == (2, 3)
+        assert (b, c) == (quad.b, quad.c) == (2, 3)
         assert set(quad.sides()) == {(0, 2), (2, 3), (3, 4), (0, 4)}
 
     def test_label_multiset_preserved_incidence_local(self):
         for n in range(2, 6):
             for t in all_triangulations(n):
                 before = {f.label: f for f in faces(t)}
-                for d in t.diagonals:
-                    t2, quad = flip(t, d)
-                    after = {f.label: f for f in faces(t2)}
+                table = flips.ShapeTable([t])
+                for j, _, b, c, _ in table.row(0):
+                    after = {f.label: f for f in faces(table.shapes[j])}
                     assert set(before) == set(after) == set(range(1, n + 1))
                     changed = {lab for lab in before if before[lab] != after[lab]}
-                    assert changed == set(quad.labels)
+                    assert changed == {b, c}
 
     def test_flip_requires_a_diagonal(self):
         with pytest.raises(ValueError):
@@ -154,7 +156,7 @@ class TestFlipCharacterization:
                 x, z = sorted((w1[k], w1[k + 1]))
                 assert (w2[k], w2[k + 1]) == (w1[k + 1], w1[k])
                 assert w1[k + 2 :] == w2[k + 2 :] and w1[:k] == w2[:k]
-                assert {x, z} == set(quad.labels)
+                assert {x, z} == {quad.b, quad.c}
                 assert not any(x <= y < z for y in w1[k + 2 :])
 
 
@@ -173,32 +175,66 @@ class TestFlipBetween:
         assert len(set(t.diagonals) - set(two_apart.diagonals)) == 2
         assert flip_between(t, two_apart) is None
         assert flip_between(tri(2, (0, 2)), t) is None
+        assert flip_between(t, tri(2, (0, 2))) is None
+
+    @pytest.mark.parametrize("old, new", [
+        ((0, 4), (1, 3)),  # nested
+        ((0, 3), (3, 5)),  # sharing an end
+        ((0, 2), (3, 5)),  # disjoint
+    ])
+    def test_none_for_a_swap_that_does_not_cross(self, old, new):
+        # only a non-triangulation makes one such swap; the sets alone refuse it
+        t = tri(4, (0, 2), (0, 3), (0, 4))
+        t2 = Triangulation(4, tuple(e for e in t.diagonals if e != old) + (new,))
+        assert flip_between(t, t2) is None
+        assert flip_between(t2, t) is None
+
+    def test_reads_no_face(self, monkeypatch):
+        # sign_path_diagonals takes each quad from flip_between, which reads
+        # the two diagonal sets alone: no face tree and no flip row
+        def refuse(*args):
+            raise AssertionError("a face was read")
+
+        rng = random.Random(34)
+        walks = []
+        for n in range(2, 9):
+            path = [phi(tuple(rng.sample(range(1, n + 1), n)))]
+            for _ in range(10):
+                path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
+            walks.append(path)
+        for module, name in ((flips, "_quads"), (flips, "face_tree"), (triangulation, "face_tree"),
+                             (triangulation, "face_ends")):
+            monkeypatch.setattr(module, name, refuse)
+        outcomes = {signing.sign_path_diagonals(path).signable for path in walks}
+        assert outcomes == {True, False}
 
 
 class TestSignedFlip:
     def test_square_both_positive(self):
         assert signed_flip(tri(2, (0, 2)), (1, 1), (0, 2)) == (tri(2, (1, 3)), (-1, -1))
+        assert flip_signs((1, 1), 1, 2) == (-1, -1)
 
     def test_mixed_signs_refused(self):
         assert signed_flip(tri(2, (0, 2)), (1, -1), (0, 2)) is None
+        assert flip_signs((1, -1), 1, 2) is None
 
     def test_exactly_two_sign_changes_at_the_quad(self):
+        # the kernel's signed flip, a row entry and flip_signs, against the
+        # object route's result shape
         for n in range(2, 6):
             for t in all_triangulations(n):
+                table = flips.ShapeTable([t])
                 for signs in itertools.product((1, -1), repeat=n):
-                    for d in t.diagonals:
-                        labels = set(flip_quad(t, d).labels)
-                        result = signed_flip(t, signs, d)
-                        same = len({signs[i - 1] for i in labels}) == 1
-                        assert (result is not None) == same
-                        if result is None:
+                    for j, _, b, c, d in table.row(0):
+                        signs2 = flip_signs(signs, b, c)
+                        assert (signs2 is not None) == (signs[b - 1] == signs[c - 1])
+                        if signs2 is None:
                             continue
-                        t2, signs2 = result
-                        assert t2 == flip(t, d)[0]
+                        assert table.shapes[j] == flip(t, d)[0]
                         changed = {
                             i + 1 for i in range(n) if signs[i] != signs2[i]
                         }
-                        assert changed == labels
+                        assert changed == {b, c}
 
     def test_chain_replay_at_the_triangulation_level(self):
         # walk the signed word chain; each exchanged-pair step is a signed
@@ -217,7 +253,8 @@ class TestSignedFlip:
             assert result is not None
             t2, new_signs = result
             assert t2 == t_next
-            flips_seen.append(frozenset(flip_quad(t, d_old).labels))
+            quad = flip_quad(t, d_old)
+            flips_seen.append(frozenset((quad.b, quad.c)))
             signs = list(new_signs)
             t = t_next
         assert tuple(flips_seen) == CHAIN_FLIP_LABELS
@@ -243,7 +280,7 @@ class TestHomogeneous:
                 expected = sum(
                     1
                     for d in t.diagonals
-                    if len({eps[i - 1] for i in flip_quad(t, d).labels}) == 1
+                    if eps[flip_quad(t, d).b - 1] == eps[flip_quad(t, d).c - 1]
                 )
                 assert len(homogeneous_neighbors(t, eps)) == expected
 
@@ -275,7 +312,7 @@ class TestSwitched:
             expected = sum(
                 1
                 for d in t.diagonals
-                if len({eps[i - 1] for i in flip_quad(t, d).labels}) == 2
+                if eps[flip_quad(t, d).b - 1] != eps[flip_quad(t, d).c - 1]
                 and is_simple(flip(t, d)[0], eps)
             )
             assert len(nbrs) == expected
@@ -301,37 +338,44 @@ class TestSwitched:
 
 
 class TestNeighboursAgainstTheOracle:
-    """The helpers read ShapeTable.row; the oracle flips one public diagonal
-    at a time.  Both list results in diagonal order."""
+    """The kernel answers every neighbour question from one ShapeTable row,
+    with flip_signs for signs and ``simple`` for switched results; the
+    oracle flips one diagonal at a time by vertex adjacency.  Both list
+    results in diagonal order."""
 
     def test_object_rows_left_the_library(self):
-        assert not hasattr(flips, "flip_row")
-        assert not hasattr(flips, "signed_moves")
+        for name in ("flip_row", "signed_moves", "flip", "flip_quad", "signed_flip",
+                     "homogeneous_neighbors", "switched_neighbors"):
+            assert not hasattr(flips, name), name
+        assert not hasattr(flips.FlipQuad, "labels")
 
     def test_signed_flip_under_every_signing(self):
         for n in range(7):
             for t in all_triangulations(n):
-                row = flip_row(t)
+                table = flips.ShapeTable([t])
+                row = table.row(0)
                 for signs in itertools.product((-1, 1), repeat=n):
-                    got = [(d, signed_flip(t, signs, d)) for d in t.diagonals]
-                    want = {d: (t2, signs2) for d, t2, signs2 in signed_moves(row, signs)}
-                    assert got == [(d, want.get(d)) for d in t.diagonals]
+                    got = [(d, None if (signs2 := flip_signs(signs, b, c)) is None
+                            else (table.shapes[j], signs2)) for j, _, b, c, d in row]
+                    assert got == [(d, signed_flip(t, signs, d)) for d in t.diagonals]
 
     def test_homogeneous_and_switched_under_every_block_coloring(self):
         switched_seen = 0
         for n in range(7):
             colorings = [block_coloring(mu) for mu in compositions(n, 3)]
             for t in all_triangulations(n):
-                row = flip_row(t)
+                table = flips.ShapeTable([t])
+                row = table.row(0)
                 for eps in colorings:
                     assert homogeneous_neighbors(t, eps) == \
-                        [(t2, eps) for _, t2, b, c in row if eps[b - 1] == eps[c - 1]]
+                        [(table.shapes[j], eps) for j, _, b, c, _ in row if eps[b - 1] == eps[c - 1]]
                     if not is_simple(t, eps):
                         continue
-                    want = [(t2, eps) for _, t2, b, c in row
-                            if eps[b - 1] != eps[c - 1] and is_simple(t2, eps)]
-                    assert switched_neighbors(t, eps) == want
-                    switched_seen += len(want)
+                    simple = set(table.simple(eps))
+                    got = [(table.shapes[j], eps) for j, _, b, c, _ in row
+                           if eps[b - 1] != eps[c - 1] and j in simple]
+                    assert switched_neighbors(t, eps) == got
+                    switched_seen += len(got)
         assert switched_seen > 0
 
 

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from flipforge.flips import signed_flip
 from flipforge.heawood import (
     SphereTriangulation,
     color_graph,
@@ -17,7 +16,7 @@ from flipforge.heawood import (
 from flipforge.signing import SignedState
 from flipforge.triangulation import Triangulation, all_triangulations, faces
 
-from reference import sigma_closure
+from reference import sigma_closure, signed_flip
 from refdata import EPS_END, EPS_START, PHI_324156, PHI_453126
 
 T_324156 = Triangulation(6, tuple(PHI_324156))

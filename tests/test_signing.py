@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flipforge import flips, signing, words
-from flipforge.flips import flip, flip_between
+from flipforge.flips import flip_between
 from flipforge.phi import readings, triangulation_from_permutation as phi
 from flipforge.signing import (
     Certificate,
@@ -33,13 +33,14 @@ from reference import (
     class_bridge_by_search,
     depths_below_end,
     face_sign_walk,
+    flip,
     flip_row,
     path_signable_by_faces,
-    path_states,
     sign_path_diagonals_by_tracking,
     sigma_closure,
     signable_path_by_states,
     sign_permutation_path,
+    signed_flip,
     signed_flip_diagonal,
     signed_moves,
     states_below_end,
@@ -114,13 +115,12 @@ def random_signed_walk(n, flips, rng):
     """A signed path of the given number of signed flips from a random signed shape."""
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    start = SignedState(phi(tuple(perm)), tuple(rng.choice((-1, 1)) for _ in range(n)))
-    tri_, signs = start
-    ds = []
+    states = [SignedState(phi(tuple(perm)), tuple(rng.choice((-1, 1)) for _ in range(n)))]
     for _ in range(flips):
-        d, tri_, signs = rng.choice(list(signed_moves(flip_row(tri_), signs)))
-        ds.append(d)
-    return SignedPath(start, SignedState(tri_, signs), tuple(ds))
+        tri_, signs = states[-1]
+        _, tri_, signs = rng.choice(list(signed_moves(flip_row(tri_), signs)))
+        states.append(SignedState(tri_, signs))
+    return SignedPath(states)
 
 
 class TestSigmaClosure:
@@ -262,9 +262,11 @@ class TestSignablePathSearch:
         )
         assert path is not None
         assert len(path.flips) == 6
-        states = path_states(path)
-        assert states[0] == path.start and states[-1] == path.end
-        assert len(states) == 7
+        assert len(path) == 7 and path[0] == path.start and path[-1] == path.end
+        # each state is the oracle's signed flip of the one before
+        for before, quad, after in path.steps():
+            assert signed_flip(*before, quad.old) == after
+        assert path.flips == tuple(quad.old for _, quad, _ in path.steps())
 
     def test_cap_refuses_before_seeding(self):
         # The 2^20 signings of the start shape alone exceed the cap.
@@ -331,13 +333,13 @@ class TestSignablePathSearch:
         depth = depths_below_end(t1, t2)
         rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
         path = signable_path_search(t1, t2, max_states=len(depth))
-        built = len(rows)  # before path_states(path), whose flips call _quads too
+        built = len(rows)
         d = len(path.flips)
         assert d - 1 == max(depth.values())
         # the rows that expand layers 0..d-2, the end shape's own row, and the
         # penultimate shape's row for its last diagonal; none for the last layer
         expected = {state.tri for state, t in depth.items() if t <= d - 2}
-        expected |= {t2, path_states(path)[-2].tri}
+        expected |= {t2, path[-2].tri}
         assert built == len(expected)
 
     def test_default_cap_returns_paths_to_n8(self):
@@ -409,17 +411,19 @@ class TestEmitWordCertificate:
         assert tuple(1 if a > 0 else -1 for a in sorted(cert.chain[0], key=abs)) == path.start.signs
 
     def test_replay_refuses_a_refused_flip_and_a_missed_end(self):
+        # a path holds the states its search walked, and the emission does not
+        # check them: a flip its signs refuse, or an end state the flip does
+        # not give, emits a chain the certificate check rejects at that step
         path = signable_path_search(tri(2, (0, 2)), tri(2, (1, 3)))
         (a, b), end = path.start.signs, path.end
-        refused = SignedPath(SignedState(path.start.tri, (a, -b)), end, path.flips)
-        missed = SignedPath(path.start, SignedState(end.tri, (a, b)), path.flips)  # the flip negates both
-        unmoved = SignedPath(path.start, end, ())
-        for bad, text in ((refused, r"recorded flip \(0, 2\) is refused at step 0"),
-                          (missed, "does not reach its end state"),
-                          (unmoved, "does not reach its end state")):
-            for replay in (path_states, emit_word_certificate):
-                with pytest.raises(ValueError, match=text):
-                    replay(bad)
+        refused = SignedPath([SignedState(path.start.tri, (a, -b)), end])
+        missed = SignedPath([path.start, SignedState(end.tri, (a, b))])  # the flip negates both
+        assert validate_certificate(emit_word_certificate(path)).ok
+        for bad in (refused, missed):
+            assert bad.flips == path.flips
+            report = validate_certificate(emit_word_certificate(bad))
+            assert (report.ok, report.first_bad_step) == (False, 0)
+            assert report.reason == "step 0 is neither a K1 nor a K2 move"
 
     def test_octagon_certificate_matches_chain_endpoints(self):
         t1 = Triangulation(6, tuple(PHI_324156))
@@ -474,13 +478,17 @@ class TestEmitWordCertificate:
         assert calls == []
 
     def test_emission_flips_each_step_once(self):
+        # each step's quadrilateral is read once, off the step's two shapes;
         # matched by code object, so a call under any imported name is seen
         calls = []
-        flip_code = flips.flip.__code__
+        watched = {flips.flip_between.__code__: "flip_between", flips._quads.__code__: "_quads",
+                   flips._flipped.__code__: "_flipped"}
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is flip_code:
-                calls.append(frame.f_locals["d"])
+            if event == "call" and frame.f_code in watched:
+                name = watched[frame.f_code]
+                calls.append((name, frame.f_locals["t1"], frame.f_locals["t2"])
+                             if name == "flip_between" else (name,))
 
         path = signable_path_search(phi((2, 6, 1, 4, 7, 5, 3)), phi((1, 3, 2, 5, 6, 4, 7)))
         sys.setprofile(profile)
@@ -489,19 +497,21 @@ class TestEmitWordCertificate:
         finally:
             sys.setprofile(None)
         assert validate_certificate(cert).ok
-        assert len(path.flips) == 7
-        assert calls == list(path.flips)
+        assert len(path) == 8
+        assert calls == [("flip_between", s1.tri, s2.tri) for s1, s2 in zip(path, path[1:])]
 
     def test_emission_builds_each_flipped_shape_once(self, monkeypatch):
-        # the flip readings take the flipped shape from the path's replay
+        # the search built each shape of the path once; the flip readings take
+        # them from the path and build none
         t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         path = signable_path_search(t1, t2)
-        calls = []
-        real = flips._flipped
-        monkeypatch.setattr(flips, "_flipped", lambda t, quad: calls.append(quad.old) or real(t, quad))
+        built = [count_calls(monkeypatch, flips, name) for name in ("_flipped", "_quads")]
+        read = count_calls(monkeypatch, signing, "flip_readings")
         assert validate_certificate(emit_word_certificate(path)).ok
         assert len(path.flips) == 6
-        assert calls == list(path.flips)
+        assert built == [[], []]
+        assert [(t, t2) for t, _, t2 in read] == [(s1.tri, s2.tri) for s1, s2 in zip(path, path[1:])]
+        assert all(t is s1.tri and t2 is s2.tri for (t, _, t2), s1, s2 in zip(read, path, path[1:]))
 
     def test_certificate_of_a_long_walk_at_n30(self):
         path = random_signed_walk(30, 20, random.Random(30))
@@ -623,15 +633,14 @@ class TestSignPathDiagonals:
         # between its two shapes; the replay performs no flip and builds no shape
         walks = self.seeded_walks()
         between = count_calls(monkeypatch, signing, "flip_between")
-        flipped = [count_calls(monkeypatch, module, name)
-                   for module, name in ((flips, "flip"), (signing, "flip"), (flips, "_flipped"))]
+        flipped = [count_calls(monkeypatch, flips, name) for name in ("_flipped", "_quads")]
         outcomes = set()
         for path in walks:
             between.clear()
             out = sign_path_diagonals(path)
             assert between == list(zip(path, path[1:]))
             outcomes.add(out.signable)
-        assert flipped == [[], [], []]
+        assert flipped == [[], []]
         assert outcomes == {True, False}
 
     def test_reference_imports_no_private_library_name(self):
@@ -702,21 +711,13 @@ class TestSignPathDiagonals:
                         for eps0 in itertools.product((1, -1), repeat=n)
                         if (w := face_sign_walk(path, eps0)) is not None
                     )
-                    cert = emit_word_certificate(
-                        SignedPath(
-                            start=SignedState(path[0], walk[0]),
-                            end=SignedState(path[-1], walk[-1]),
-                            flips=tuple(
-                                next(
-                                    d
-                                    for d in t1.diagonals
-                                    if d not in t2.diagonals
-                                )
-                                for t1, t2 in zip(path, path[1:])
-                            ),
-                        )
-                    )
+                    signed = SignedPath(map(SignedState, path, walk))
+                    cert = emit_word_certificate(signed)
                     assert validate_certificate(cert).ok
+                    assert signed.flips == tuple(
+                        next(d for d in t1.diagonals if d not in t2.diagonals)
+                        for t1, t2 in zip(path, path[1:])
+                    )
         assert agreements > 60
 
     def test_suffix_closure_of_signability(self):
