@@ -1,11 +1,13 @@
 """Flips: plain, signed, homogeneous, switched, and diagonal signings."""
 
+import argparse
 import itertools
+import json
 import random
 
 import pytest
 
-from flipforge import flips, signing, triangulation
+from flipforge import cli, flips, jsonio, signing, triangulation
 from flipforge.flips import flip_between, flip_signs
 from flipforge.phi import (
     colored_triangulation_from_word,
@@ -34,6 +36,7 @@ from reference import (
     quad_by_adjacency,
     readings_exchange_oracle,
     signed_flip,
+    signed_moves,
     signed_flip_diagonal,
     switched_neighbors,
 )
@@ -42,6 +45,28 @@ from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
 def tri(n, *diags):
     return Triangulation(n, tuple(diags))
+
+
+def neighbors_command(tmp_path, mode, t, colors=None, signs=None):
+    """``flipforge neighbors --mode mode`` on one state, read back as
+    (shape, signs) pairs in signed mode and (shape, colors) pairs otherwise."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(jsonio.triangulation_to_dict(t, colors=colors, signs=signs)))
+    code, report = cli.cmd_neighbors(argparse.Namespace(file=str(state), mode=mode))
+    assert (code, report["mode"], report["count"]) == (0, mode, len(report["neighbors"]))
+    return [(t2, signs2 if mode == "signed" else colors2)
+            for t2, colors2, signs2 in map(jsonio.triangulation_from_dict, report["neighbors"])]
+
+
+def command_error(capsys, tmp_path, state, *argv):
+    """The one ``error:`` line a refused command writes, after checking it
+    exits 1 and writes nothing else."""
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(state))
+    code = cli.main([argv[0], str(state_file), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    return err
 
 
 def all_states(n, p):
@@ -104,9 +129,9 @@ class TestFlip:
                     changed = {lab for lab in before if before[lab] != after[lab]}
                     assert changed == {b, c}
 
-    def test_flip_requires_a_diagonal(self):
-        with pytest.raises(ValueError):
-            flip(tri(2, (0, 2)), (1, 3))
+    def test_flip_requires_a_diagonal(self, capsys, tmp_path):
+        err = command_error(capsys, tmp_path, {"n": 2, "diagonals": [[0, 2]]}, "flip", "--d", "1,3")
+        assert err == "error: (1, 3) is not a diagonal of ((0, 2),)\n"
 
 
 class TestFlipCharacterization:
@@ -264,17 +289,18 @@ class TestSignedFlip:
 
 
 class TestHomogeneous:
-    def test_constant_coloring_gives_all_flips(self):
+    # flipforge neighbors --mode homogeneous, against the oracle's quads
+    def test_constant_coloring_gives_all_flips(self, tmp_path):
         for t in all_triangulations(4):
-            nbrs = homogeneous_neighbors(t, (1, 1, 1, 1))
+            nbrs = neighbors_command(tmp_path, "homogeneous", t, colors=(1, 1, 1, 1))
             assert len(nbrs) == len(t.diagonals)
             assert all(eps == (1, 1, 1, 1) for _, eps in nbrs)
 
-    def test_distinct_colors_give_none(self):
+    def test_distinct_colors_give_none(self, tmp_path):
         for t in all_triangulations(4):
-            assert homogeneous_neighbors(t, (1, 2, 3, 4)) == []
+            assert neighbors_command(tmp_path, "homogeneous", t, colors=(1, 2, 3, 4)) == []
 
-    def test_count_equals_monochrome_quad_flips(self):
+    def test_count_equals_monochrome_quad_flips(self, tmp_path):
         for n in range(2, 6):
             for t, eps in all_states(n, 3):
                 expected = sum(
@@ -282,32 +308,34 @@ class TestHomogeneous:
                     for d in t.diagonals
                     if eps[flip_quad(t, d).b - 1] == eps[flip_quad(t, d).c - 1]
                 )
-                assert len(homogeneous_neighbors(t, eps)) == expected
+                assert len(neighbors_command(tmp_path, "homogeneous", t, colors=eps)) == expected
 
-    def test_colors_never_change(self):
+    def test_colors_never_change(self, tmp_path):
         for t, eps in all_states(4, 2):
-            for t2, eps2 in homogeneous_neighbors(t, eps):
+            for t2, eps2 in neighbors_command(tmp_path, "homogeneous", t, colors=eps):
                 assert eps2 == eps
                 assert t2 != t
 
 
 class TestSwitched:
-    def test_distinct_colors_give_all_flips_and_stay_simple(self):
+    # flipforge neighbors --mode switched, against the oracle's quads and the
+    # two-readings characterization
+    def test_distinct_colors_give_all_flips_and_stay_simple(self, tmp_path):
         for n in range(2, 6):
             eps = tuple(range(1, n + 1))
             for t in all_triangulations(n):
-                nbrs = switched_neighbors(t, eps)
+                nbrs = neighbors_command(tmp_path, "switched", t, colors=eps)
                 assert len(nbrs) == n - 1
                 assert all(is_simple(t2, e2) for t2, e2 in nbrs)
 
-    def test_constant_coloring_gives_none(self):
+    def test_constant_coloring_gives_none(self, tmp_path):
         for t in all_triangulations(4):
             if is_simple(t, (1, 1, 1, 1)):
-                assert switched_neighbors(t, (1, 1, 1, 1)) == []
+                assert neighbors_command(tmp_path, "switched", t, colors=(1, 1, 1, 1)) == []
 
-    def test_count_equals_bichrome_flips_that_stay_simple(self):
+    def test_count_equals_bichrome_flips_that_stay_simple(self, tmp_path):
         for t, eps in all_states(4, 3):
-            nbrs = switched_neighbors(t, eps)
+            nbrs = neighbors_command(tmp_path, "switched", t, colors=eps)
             assert all(is_simple(t2, e2) for t2, e2 in nbrs)
             expected = sum(
                 1
@@ -317,11 +345,13 @@ class TestSwitched:
             )
             assert len(nbrs) == expected
 
-    def test_requires_simple_input(self):
-        with pytest.raises(ValueError):
-            switched_neighbors(tri(2, (0, 2)), (2, 1))
+    def test_requires_simple_input(self, capsys, tmp_path):
+        assert not is_simple(tri(2, (0, 2)), (2, 1))
+        err = command_error(capsys, tmp_path, {"n": 2, "diagonals": [[0, 2]], "colors": [2, 1]},
+                            "neighbors", "--mode", "switched")
+        assert err == "error: switched flips are only defined between simple colored triangulations\n"
 
-    def test_agrees_with_reading_exchange_oracle(self):
+    def test_agrees_with_reading_exchange_oracle(self, tmp_path):
         # switched adjacency matches the two-readings characterization
         for n in range(2, 5):
             for mu in compositions(n, 3):
@@ -330,7 +360,7 @@ class TestSwitched:
                     for w in words_of_evaluation(mu)
                 }
                 for (t1, e1) in states:
-                    nbrs = {t2 for t2, _ in switched_neighbors(t1, e1)}
+                    nbrs = {t2 for t2, _ in neighbors_command(tmp_path, "switched", t1, colors=e1)}
                     for (t2, e2) in states:
                         if t1 == t2 or e1 != e2:
                             continue
@@ -338,9 +368,8 @@ class TestSwitched:
 
 
 class TestNeighboursAgainstTheOracle:
-    """The kernel answers every neighbour question from one ShapeTable row,
-    with flip_signs for signs and ``simple`` for switched results; the
-    oracle flips one diagonal at a time by vertex adjacency.  Both list
+    """``flipforge neighbors`` answers every mode from one ShapeTable row;
+    the oracle flips one diagonal at a time by vertex adjacency.  Both list
     results in diagonal order."""
 
     def test_object_rows_left_the_library(self):
@@ -349,32 +378,26 @@ class TestNeighboursAgainstTheOracle:
             assert not hasattr(flips, name), name
         assert not hasattr(flips.FlipQuad, "labels")
 
-    def test_signed_flip_under_every_signing(self):
+    def test_signed_flip_under_every_signing(self, tmp_path):
         for n in range(7):
             for t in all_triangulations(n):
-                table = flips.ShapeTable([t])
-                row = table.row(0)
+                row = flip_row(t)
                 for signs in itertools.product((-1, 1), repeat=n):
-                    got = [(d, None if (signs2 := flip_signs(signs, b, c)) is None
-                            else (table.shapes[j], signs2)) for j, _, b, c, d in row]
-                    assert got == [(d, signed_flip(t, signs, d)) for d in t.diagonals]
+                    want = [(t2, signs2) for _, t2, signs2 in signed_moves(row, signs)]
+                    assert neighbors_command(tmp_path, "signed", t, signs=signs) == want
 
-    def test_homogeneous_and_switched_under_every_block_coloring(self):
+    def test_homogeneous_and_switched_under_every_block_coloring(self, tmp_path):
         switched_seen = 0
         for n in range(7):
             colorings = [block_coloring(mu) for mu in compositions(n, 3)]
             for t in all_triangulations(n):
-                table = flips.ShapeTable([t])
-                row = table.row(0)
                 for eps in colorings:
-                    assert homogeneous_neighbors(t, eps) == \
-                        [(table.shapes[j], eps) for j, _, b, c, _ in row if eps[b - 1] == eps[c - 1]]
+                    assert neighbors_command(tmp_path, "homogeneous", t, colors=eps) == \
+                        homogeneous_neighbors(t, eps)
                     if not is_simple(t, eps):
                         continue
-                    simple = set(table.simple(eps))
-                    got = [(table.shapes[j], eps) for j, _, b, c, _ in row
-                           if eps[b - 1] != eps[c - 1] and j in simple]
-                    assert switched_neighbors(t, eps) == got
+                    got = neighbors_command(tmp_path, "switched", t, colors=eps)
+                    assert got == switched_neighbors(t, eps)
                     switched_seen += len(got)
         assert switched_seen > 0
 
