@@ -40,17 +40,18 @@ class FlipQuad(NamedTuple):
         return ((a, b), (b, c), (c, d), (a, d))
 
 
-def _quads(t: Triangulation) -> Iterator[FlipQuad]:
-    """The quadrilateral around each diagonal (i, j) of t, in diagonal order:
-    below it lies the face y with (lo[y], hi[y]) = (i, j), and beyond it face
-    up[y], which is i = (lo[i], i, j) or j = (i, j, hi[j])."""
+def _quads(t: Triangulation) -> Iterator[tuple[int, int, Diagonal, Diagonal]]:
+    """The quadrilateral around each diagonal (i, j) of t, in diagonal order,
+    as its middle pair b < c and its old and new chords: below it lies the
+    face y with (lo[y], hi[y]) = (i, j), and beyond it face up[y], which is
+    i = (lo[i], i, j) or j = (i, j, hi[j])."""
     lo, hi, below, up = face_tree(t)
     for i, j in t.diagonals:
         y = below[i, j]
         if up[y] == i:
-            yield FlipQuad(lo[i], i, y, j, old=(i, j), new=(lo[i], y))
+            yield i, y, (i, j), (lo[i], y)
         else:
-            yield FlipQuad(i, y, j, hi[j], old=(i, j), new=(y, hi[j]))
+            yield y, j, (i, j), (y, hi[j])
 
 
 def _flipped(t: Triangulation, quad: FlipQuad) -> Triangulation:
@@ -90,10 +91,11 @@ class ShapeTable:
     and their flip rows over those numbers.
 
     Shapes are keyed by ``chord_code``: ``row(i)`` is built the first time
-    it is asked for, from one pass over shape i's flip quadrilaterals, and
-    each flip result is the code with the old diagonal's bit swapped for the
-    new one's.  Only a code not yet in the table is built into a shape, by
-    the flip that reached it, and added.  The entry (j, mask, b, c, d) flips
+    it is asked for, from one pass over shape i's flip quadrilaterals read
+    as plain tuples, and each flip result is the code with the old
+    diagonal's bit swapped for the new one's.  Only a code not yet in the
+    table is built into a shape, from the ``FlipQuad`` of the flip that
+    reached it, and added.  The entry (j, mask, b, c, d) flips
     shape i across its diagonal d to shape j, exchanging faces b < c, in
     diagonal order.
     A signing is a bitmask with bit n - k set when face k is positive, and
@@ -113,13 +115,16 @@ class ShapeTable:
     def row(self, i: int) -> list[tuple[int, int, int, int, Diagonal]]:
         row = self._rows.get(i)
         if row is None:
-            t = self.shapes[i]
+            t, index = self.shapes[i], self.index
             n, w, code = t.n, t.n + 2, chord_code(t)
             row = []
-            for q in _quads(t):
-                (i1, j1), (i2, j2) = q.old, q.new
-                j = self._number(code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2, t, q)
-                row.append((j, 1 << (n - q.b) | 1 << (n - q.c), q.b, q.c, q.old))
+            for b, c, old, new in _quads(t):
+                (i1, j1), (i2, j2) = old, new
+                flipped = code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2
+                j = index.get(flipped)
+                if j is None:
+                    j = self._number(flipped, t, old, new)
+                row.append((j, 1 << (n - b) | 1 << (n - c), b, c, old))
             self._rows[i] = row
         return row
 
@@ -133,11 +138,10 @@ class ShapeTable:
         falls = ~rise_mask(eps)
         return [i for i, up in enumerate(ups) if not up & falls]
 
-    def _number(self, code: int, t: Triangulation, quad: FlipQuad) -> int:
-        j = self.index.get(code)
-        if j is None:
-            j = self.index[code] = len(self.shapes)
-            self.shapes.append(_flipped(t, quad))
+    def _number(self, code: int, t: Triangulation, old: Diagonal, new: Diagonal) -> int:
+        """Add the shape of a code the table lacks, t flipped from old to new."""
+        j = self.index[code] = len(self.shapes)
+        self.shapes.append(_flipped(t, FlipQuad(*sorted(old + new), old, new)))
         return j
 
 

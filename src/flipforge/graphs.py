@@ -10,6 +10,9 @@ keys are made only where a graph or report is printed.  The fibers suite
 numbers the lexicographic ranks of permutations by image and by sylvester
 class, the latter by the Lehmer rule: if L[k] counts the later letters below
 p[k], an ascent at i is an exchange iff L[i] < L[i+1], making them L[i+1]+1, L[i].
+The fibers suite and the diagram audit walk phi's live ring depth-first, the
+latter over the words of one evaluation, standardizing as it goes, so no
+permutation or word is standardized or mapped by itself.
 
 The size cap is checked where a family is enumerated: ``flip_table(n)``,
 every shape of size n, checks it first, as ``build_cayley_graph`` and
@@ -29,14 +32,14 @@ import random
 import time
 from collections import Counter
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from operator import or_
 from typing import Iterable, Iterator
 
 from .flips import ShapeTable, mask_signs
-from .phi import colored_image_code, triangulation_from_permutation
+from .phi import triangulation_from_permutation
 from .triangulation import Coloring, all_triangulations, canonical_key, face_tree
-from .words import Word, block_coloring, standardize
+from .words import Word, block_coloring
 
 DEFAULT_MAX_N = 8
 MAX_PARTS = 3  # the switched and diagram audits cover every mu with at most this many parts
@@ -278,43 +281,59 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
     return adjacency, report
 
 
-def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
-    """Every word with evaluation mu, each once, in increasing order: the
-    next word swaps the last ascent's letter with the least greater letter
-    after it, then reverses the tail."""
-    w = list(block_coloring(mu))
-    while True:
-        yield tuple(w)
-        i = len(w) - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
+def _std_words(mu: tuple[int, ...]) -> list[tuple[Word, Word, int]]:
+    """Each word w of evaluation mu, in increasing order, as (w, std(w), the
+    chord code of phi(std(w))), from one walk: a prefix is extended by each
+    color c with letters left, in increasing order, its std letter the next
+    unused rank of c's block, which leaves phi's ring as in _image_numbers
+    and sets its chord's bit; the last letter is the rank left on the ring."""
+    eps = block_coloring(mu)
+    n, colors = len(eps), range(1, len(mu) + 1)
+    color = (0, *eps, 0)  # by rank, with the ring's ends 0 and n + 1
+    ends = [1, *(1 + k for k in accumulate(mu))]  # color c's block is ends[c-1] .. ends[c] - 1
+    nxt, out, word, std = [0, *ends[:-1]], [], [], []
+    pred, succ = list(range(-1, n + 1)), list(range(1, n + 3))
+
+    def walk(key: int) -> None:
+        if len(std) >= n - 1:
+            v = succ[0]  # the last letter; for n = 0 the roof, which [:n] drops
+            out.append(((*word, color[v])[:n], (*std, v)[:n], key))
             return
-        j = len(w) - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1:] = w[:i:-1]
+        for c in colors:
+            v = nxt[c]
+            if v < ends[c]:
+                p, s = pred[v], succ[v]
+                succ[p], pred[s] = s, p
+                nxt[c] = v + 1
+                word.append(c)
+                std.append(v)
+                walk(key | 1 << (p * (n + 2) + s))
+                word.pop()
+                std.pop()
+                nxt[c] = succ[p] = pred[s] = v
+
+    walk(0)
+    del walk  # a cycle through its own closure would keep the lists until a collection
+    return out
 
 
 def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
     """The commuting square of the words of evaluation mu, over the flip
-    table of size sum(mu).  Each word w is standardized once and mapped once,
-    to the table index of its image's chord code: std(w) must be a reading
-    of that shape, each face read before its parent, and letter w[k] must
-    color face std(w)[k]; standardization must be injective and take each
-    word move to a permutation move.  A move and its inverse are one
-    exchange, so each is checked once, from the word with the ascent.  The
-    image is compared with the shapes the block coloring of mu makes simple."""
-    n = sum(mu)
-    words = list(words_of_evaluation(mu))
-    std = {w: standardize(w) for w in words}  # a word move stays within the words of mu
+    table of size sum(mu).  Each word w comes from one walk with std(w) and
+    the table index of its image's chord code: std(w) must be a reading of
+    that shape, each face read before its parent, and letter w[k] must color
+    face std(w)[k] under the block coloring of mu; standardization must be
+    injective and take each word move to a permutation move.  A move and its
+    inverse are one exchange, so each is checked once, from the word with
+    the ascent.  The image is compared with the shapes that coloring makes
+    simple."""
+    n, eps = sum(mu), block_coloring(mu)
+    walked = _std_words(mu)
+    std = {w: sw for w, sw, _ in walked}  # a word move stays within the words of mu
     square_failures = []
     ups: dict[int, list[int]] = {}  # the image: each shape index's face_tree parents
     edge_failures = []
-    for w in words:
-        sw = std[w]
-        code, colors = colored_image_code(w, sw)
+    for w, sw, code in walked:
         j = table.index.get(code)
         if j is None:
             square_failures.append(f"{w}: its image is not a triangulation of size {n}")
@@ -330,8 +349,8 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
                     square_failures.append(f"{w}: {sw} is not a reading of its image")
                     break
         for c, y in zip(w, sw):
-            if colors[y - 1] != c:
-                square_failures.append(f"{w}: coloring {colors} does not give each letter its face")
+            if eps[y - 1] != c:
+                square_failures.append(f"{w}: coloring {eps} does not give each letter its face")
                 break
         for i in range(n - 1):
             if w[i] >= w[i + 1]:
@@ -339,13 +358,13 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
             v = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
             if std[v] != sw[:i] + (sw[i + 1], sw[i]) + sw[i + 2 :]:
                 edge_failures.append(f"{w}~{v}: standardizations are not one move apart")
-    simple = table.simple(block_coloring(mu))
+    simple = table.simple(eps)
     return {
         "n": n,
         "mu": list(mu),
-        "words": len(words),
+        "words": len(walked),
         "square_failures": square_failures,
-        "std_injective": len(set(std.values())) == len(words),
+        "std_injective": len(set(std.values())) == len(walked),
         "edge_failures": edge_failures,
         "image_is_all_simple": ups.keys() == set(simple),
         "image_size": len(ups),

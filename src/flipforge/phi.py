@@ -10,7 +10,8 @@ form exactly one sylvester class, so the map realizes the class quotient.
 ``colored_triangulation_from_word`` pairs the image of the standardization
 with the weakly increasing coloring given by the word's evaluation; the
 result is always simple and grows one vertex at a time with ``insert``.
-``colored_image_code`` gives its shape's ``chord_code``, off the ring walk.
+The diagram audit (``graphs.diagram_report``) walks the same ring over
+every word of one evaluation at once, standardizing as it goes.
 """
 
 from __future__ import annotations
@@ -20,37 +21,23 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Any, Callable
 
-from .triangulation import Coloring, Diagonal, Triangulation, face_tree, faces, is_simple
+from .triangulation import Coloring, Triangulation, face_tree, faces, is_simple
 from .words import Word, is_permutation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
 
 
-def _ring_walk(sigma: Word) -> list[Diagonal]:
-    """The chords (p, s) joining the live neighbours of each letter but the last, in order."""
+def triangulation_from_permutation(sigma: Word) -> Triangulation:
+    if not is_permutation(sigma):
+        raise ValueError(f"{sigma} is not a permutation")
     n = len(sigma)
     pred, succ = list(range(-1, n + 1)), list(range(1, n + 3))
-    chords = []
+    chords = []  # the chord (p, s) joining the live neighbours of each letter but the last
     for v in sigma[: n - 1]:
         p, s = pred[v], succ[v]
         chords.append((p, s))
         succ[p], pred[s] = s, p
-    return chords
-
-
-def triangulation_from_permutation(sigma: Word) -> Triangulation:
-    if not is_permutation(sigma):
-        raise ValueError(f"{sigma} is not a permutation")
-    return Triangulation(len(sigma), tuple(_ring_walk(sigma)))
-
-
-def colored_image_code(w: Word, sigma: Word) -> tuple[int, Coloring]:
-    """``colored_triangulation_from_word(w)``, its shape as a ``chord_code``
-    built off the ring walk of sigma = standardize(w), which the caller holds."""
-    width, code = len(sigma) + 2, 0
-    for p, s in _ring_walk(sigma):
-        code |= 1 << p * width + s
-    return code, tuple(sorted(w))
+    return Triangulation(n, tuple(chords))
 
 
 def readings(t: Triangulation) -> frozenset[Word]:

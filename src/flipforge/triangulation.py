@@ -181,8 +181,9 @@ def all_triangulations(n: int) -> Iterator[Triangulation]:
                 extra += ((first, apex),)
             if k < len(vs) - 2:
                 extra += ((apex, last),)
+            rights = list(rec(vs[k:]))
             for dl in rec(vs[: k + 1]):
-                for dr in rec(vs[k:]):
+                for dr in rights:
                     yield dl + dr + extra
 
     for diags in rec(range(n + 2)):

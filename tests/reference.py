@@ -919,6 +919,39 @@ def homogeneous_components(t: Triangulation, eps: Coloring) -> dict:
     return same_color_orbit(ShapeTable([t]), 0, eps)
 
 
+def words_of_evaluation(mu: tuple[int, ...]) -> Iterator[Word]:
+    """Every word with evaluation mu, each once, in increasing order: the
+    next word swaps the last ascent's letter with the least greater letter
+    after it, then reverses the tail."""
+    w = list(block_coloring(mu))
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1:] = w[:i:-1]
+
+
+def colored_image_code(w: Word, sigma: Word) -> tuple[int, Coloring]:
+    """``colored_triangulation_from_word(w)``, its shape as a ``chord_code``
+    set bit by bit off phi's ring walk of sigma = standardize(w): each letter
+    but the last sets bit p*(n+2)+s for the chord (p, s) joining its live
+    neighbours, and leaves the ring."""
+    n, code = len(sigma), 0
+    pred, succ = list(range(-1, n + 1)), list(range(1, n + 3))
+    for v in sigma[: n - 1]:
+        p, s = pred[v], succ[v]
+        code |= 1 << p * (n + 2) + s
+        succ[p], pred[s] = s, p
+    return code, tuple(sorted(w))
+
+
 def commuting_diagram_check(n: int, mu: tuple[int, ...]) -> dict:
     """The diagram audit's report on one mu, over a fresh flip table."""
     if sum(mu) != n:

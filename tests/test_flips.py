@@ -4,6 +4,7 @@ import argparse
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -22,7 +23,7 @@ from flipforge.triangulation import (
 )
 from flipforge.signing import DiagonalSigning, flip_readings
 from flipforge.words import abs_word, block_coloring, sylvester_class
-from flipforge.graphs import compositions, words_of_evaluation
+from flipforge.graphs import compositions, flip_table
 
 from reference import (
     diagonal_signing_from_faces,
@@ -39,6 +40,7 @@ from reference import (
     signed_moves,
     signed_flip_diagonal,
     switched_neighbors,
+    words_of_evaluation,
 )
 from refdata import CHAIN, CHAIN_FLIP_LABELS, CHAIN_KINDS, EPS_START
 
@@ -108,6 +110,34 @@ class TestFlip:
                 table = flips.ShapeTable([t])
                 assert [(d, table.shapes[j], b, c) for j, _, b, c, d in table.row(0)] == expected
                 assert flip_row(t) == expected
+
+    def test_rows_build_a_flip_quad_only_for_a_shape_the_table_lacks(self):
+        # matched by code object, so a construction anywhere is seen
+        built = []
+        new = flips.FlipQuad.__new__.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is new:
+                built.append(flips.FlipQuad(*(frame.f_locals[k] for k in flips.FlipQuad._fields)))
+
+        table = flip_table(7)
+        sys.setprofile(profile)
+        try:
+            for i in range(len(table.shapes)):
+                table.row(i)
+        finally:
+            sys.setprofile(None)
+        assert built == []  # every flip result is a shape of the table
+        t = phi((3, 5, 1, 7, 2, 6, 4))
+        sys.setprofile(profile)
+        try:
+            row = flips.ShapeTable([t]).row(0)
+        finally:
+            sys.setprofile(None)
+        # each result is new to a fresh table, built from its flip's quad;
+        # the profile's own constructions run with profiling off
+        assert len(built) == len(row) == 7 - 1
+        assert built == [quad_by_adjacency(t, d) for d in t.diagonals]
 
     def test_quad_labels_are_the_middle_pair(self):
         t = phi((1, 2, 3))

@@ -22,12 +22,11 @@ from flipforge.graphs import (
     size_limit,
     switched_audit,
     switched_graph,
-    words_of_evaluation,
 )
 from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
 from flipforge.triangulation import all_triangulations, canonical_key, chord_code
-from flipforge.words import block_coloring, exchange_witness
+from flipforge.words import block_coloring, exchange_witness, standardize
 
 from reference import (
     DictUnionFind,
@@ -48,6 +47,7 @@ from reference import (
     signed_states,
     simple_triangulations,
     sylvester_class_by_neighbors,
+    words_of_evaluation,
 )
 from refdata import CATALAN
 
@@ -601,23 +601,32 @@ class TestDiagram:
         for n in range(1, 5):
             assert diagram_audit(n, graphs.flip_table(n))["pass"]
 
+    def test_walk_is_each_word_standardized_and_mapped(self):
+        # every mu the audits read to n = 7, a few 4-part ones, and empty parts
+        mus = [mu for n in range(1, 8) for mu in compositions(n, 3)]
+        mus += [(1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2), (2, 2, 2, 2), (), (0, 2), (2, 0, 1)]
+        for mu in mus:
+            assert graphs._std_words(mu) == [(w, standardize(w), chord_code(phi(standardize(w))))
+                                             for w in words_of_evaluation(mu)]
+
     @pytest.mark.parametrize("fault", ["shape", "colors"])
     def test_square_fails_under_a_wrong_image(self, monkeypatch, fault):
-        real = graphs.colored_image_code
+        real = graphs._std_words
 
-        def wrong(w, sigma):
-            code, colors = real(w, sigma)
+        def wrong(mu):
             if fault == "shape":  # the image of the reversed standardization
-                return chord_code(phi(graphs.standardize(w)[::-1])), colors
-            return code, colors[::-1]
+                return [(w, sw, chord_code(phi(sw[::-1]))) for w, sw, _ in real(mu)]
+            # each letter swaps its color for the mirror one, so it no longer colors its face
+            return [(tuple(len(mu) + 1 - c for c in w), sw, code) for w, sw, code in real(mu)]
 
-        monkeypatch.setattr(graphs, "colored_image_code", wrong)
+        monkeypatch.setattr(graphs, "_std_words", wrong)
         rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         assert len(rep["square_failures"]) == rep["words"] == 6
         assert not diagram_audit(4, graphs.flip_table(4))["pass"]
 
     def test_an_image_outside_the_table_is_a_square_failure(self, monkeypatch):
-        monkeypatch.setattr(graphs, "colored_image_code", lambda w, sigma: (-1, tuple(sorted(w))))
+        real = graphs._std_words
+        monkeypatch.setattr(graphs, "_std_words", lambda mu: [(w, sw, -1) for w, sw, _ in real(mu)])
         rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         assert rep["square_failures"] == [f"{w}: its image is not a triangulation of size 4"
                                           for w in words_of_evaluation((2, 2))]
@@ -627,8 +636,8 @@ class TestDiagram:
     def test_edge_check_needs_the_move_at_its_own_position(self, monkeypatch):
         # reversed standardizations are one move apart at n - 2 - i, not at i;
         # each move is checked once, from the word with the ascent at i
-        real = graphs.standardize
-        monkeypatch.setattr(graphs, "standardize", lambda w: real(w)[::-1])
+        real = graphs._std_words
+        monkeypatch.setattr(graphs, "_std_words", lambda mu: [(w, sw[::-1], code) for w, sw, code in real(mu)])
         rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         moved = [(w, i) for w in words_of_evaluation((2, 2)) for i in range(3) if w[i] < w[i + 1]]
         assert len(rep["edge_failures"]) == sum(i != 1 for _, i in moved) > 0
@@ -637,24 +646,28 @@ class TestDiagram:
     def test_each_move_is_checked_once_from_its_ascent(self, monkeypatch):
         # (2, 2, 1, 1) has one move, to (2, 1, 2, 1), whose ascent at 1 holds it;
         # (4, 3, 1, 2) standardizes no word of (2, 2), so std stays injective
-        real = graphs.standardize
-        monkeypatch.setattr(graphs, "standardize", lambda w: (4, 3, 1, 2) if w == (2, 2, 1, 1) else real(w))
+        real = graphs._std_words
+        monkeypatch.setattr(graphs, "_std_words", lambda mu: [
+            (w, (4, 3, 1, 2) if w == (2, 2, 1, 1) else sw, code) for w, sw, code in real(mu)])
         rep = graphs.diagram_report(graphs.flip_table(4), (2, 2))
         assert rep["edge_failures"] == ["(2, 1, 2, 1)~(2, 2, 1, 1): standardizations are not one move apart"]
         assert rep["std_injective"]
 
     def test_maps_each_word_once(self, monkeypatch):
-        calls = []
-        real = graphs.colored_image_code
+        mus, calls = [], []
+        real = graphs._std_words
 
-        def counting(w, sigma):
-            calls.append(sigma)
-            return real(w, sigma)
+        def counting(mu):
+            walked = real(mu)
+            mus.append(mu)
+            calls.extend(sw for _, sw, _ in walked)
+            return walked
 
-        monkeypatch.setattr(graphs, "colored_image_code", counting)
+        monkeypatch.setattr(graphs, "_std_words", counting)
         assert diagram_audit(5, graphs.flip_table(5))["pass"]
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
-        assert sorted(calls) == sorted(graphs.standardize(w) for w in words)
+        assert mus == list(compositions(5, 3))  # one walk per mu maps all its words
+        assert sorted(calls) == sorted(standardize(w) for w in words)
 
     def test_builds_no_triangulation_past_the_table(self):
         # matched by code object, so a construction anywhere is seen
@@ -697,16 +710,36 @@ class TestDiagram:
 
     def test_each_word_is_standardized_once(self, monkeypatch):
         calls = []
-        real = graphs.standardize
+        real = graphs._std_words
 
-        def counting(w):
-            calls.append(w)
-            return real(w)
+        def counting(mu):
+            walked = real(mu)
+            calls.extend(w for w, _, _ in walked)
+            return walked
 
-        monkeypatch.setattr(graphs, "standardize", counting)
-        assert diagram_audit(5, graphs.flip_table(5))["pass"]
+        monkeypatch.setattr(graphs, "_std_words", counting)
+        # and by the walk alone: matched by code object, so a call anywhere is seen
+        called = []
+        code = standardize.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                called.append(frame.f_locals["w"])
+
+        sys.setprofile(profile)
+        try:
+            assert diagram_audit(5, graphs.flip_table(5))["pass"]
+        finally:
+            sys.setprofile(None)
         words = [w for mu in compositions(5, 3) for w in words_of_evaluation(mu)]
         assert sorted(calls) == sorted(words)
+        assert called == []
+        sys.setprofile(profile)  # and the hook does see a call
+        try:
+            standardize((2, 1))
+        finally:
+            sys.setprofile(None)
+        assert called == [(2, 1)]
 
 
 class TestBattery:

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from flipforge.phi import (
     canonical_reading,
-    colored_image_code,
     colored_triangulation_from_word,
     insert,
     insertion_trace,
@@ -27,7 +26,13 @@ from flipforge.triangulation import (
 from flipforge.words import standardize, sylvester_class
 from flipforge.graphs import catalan
 
-from reference import canonical_reading_by_ears, colored_readings, readings_by_ears, third_vertex
+from reference import (
+    canonical_reading_by_ears,
+    colored_image_code,
+    colored_readings,
+    readings_by_ears,
+    third_vertex,
+)
 from refdata import (
     CLASS_BBCBCA,
     PHI_213,

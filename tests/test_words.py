@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from flipforge.graphs import compositions, words_of_evaluation
+from flipforge.graphs import compositions
 from flipforge.words import (
     ClosureCapExceeded,
     abs_word,
@@ -32,6 +32,7 @@ from reference import (
     sylvester_adjacent,
     sylvester_class_by_neighbors,
     sylvester_neighbors,
+    words_of_evaluation,
 )
 from refdata import CHAIN, CLASS_BBCBCA, READINGS_235461
 
