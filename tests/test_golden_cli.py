@@ -65,6 +65,10 @@ COLORED12 = {"n": 12, "diagonals": [[0, 2], [0, 3], [0, 9], [0, 10], [3, 5], [3,
                                     [5, 7], [5, 8], [10, 12], [10, 13]],
              "colors": [1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 4],
              "signs": [1, -1, 1, 1, -1, -1, -1, -1, -1, 1, 1, -1]}
+# the colored shape of the word 1,2,4,1,4,3,3,4,2,4 with seeded signs: six
+# switched and eight signed flips, each result a shape its table numbers
+COLORED10 = {"n": 10, "diagonals": [[0, 2], [0, 4], [0, 10], [2, 4], [4, 6], [4, 9], [4, 10], [6, 8], [6, 9]],
+             "colors": [1, 1, 2, 2, 3, 3, 4, 4, 4, 4], "signs": [-1, -1, -1, -1, 1, 1, 1, 1, 1, -1]}
 # the first three steps of the worked pair's certificate, K2 each, with the
 # second recorded as K1
 SWAPPED = [{"word": [-3, -2, 4, -1, 5, -6]}, {"kind": "K2", "word": [2, 3, 4, -1, 5, -6]},
@@ -175,6 +179,17 @@ CORPUS = [
     ("sign-path-diagonals-7-unsignable", ["sign-path-diagonals", "path7u.json"], []),
     # a diagonal a flip created, negated and made positive twice before it is flipped
     ("sign-path-diagonals-9", ["sign-path-diagonals", "path9.json"], []),
+    # two n=9 searches whose tables number 3,924 and 4,853 shapes, so their
+    # tie-breaks rest on the order in which new shapes are numbered
+    ("signed-path-9a", ["signed-path", "837546129", "216897534", "--emit-cert", "cert9a.jsonl"],
+     ["cert9a.jsonl"]),
+    ("check-cert-9a", ["check-cert", "cert9a.jsonl"], []),
+    ("signed-path-9b", ["signed-path", "293584761", "467315829", "--emit-cert", "cert9b.jsonl"],
+     ["cert9b.jsonl"]),
+    ("check-cert-9b", ["check-cert", "cert9b.jsonl"], []),
+    # the signed and switched neighbours of a colored shape at n=10
+    ("neighbors-signed-10", ["neighbors", "colored10.json", "--mode", "signed"], []),
+    ("neighbors-switched-10", ["neighbors", "colored10.json", "--mode", "switched"], []),
 ]
 
 # labels whose command exits 1 with an error on stderr, whose hash is pinned too
@@ -290,6 +305,15 @@ GOLDEN = {
     "sign-path-diagonals-7-unsignable": "3725633e917ed3090052588de8498fd61f78db11e4257aa3bf615b15ba213ee7",
     # Recorded before sign_path_diagonals signed each step from the quad it holds.
     "sign-path-diagonals-9": "13b094cb1d4618d548dfb0a5d0478d67e737a71daa477d60cc9cb856a83abe81",
+    # Recorded before the shape table kept chord codes only.
+    "signed-path-9a": "9a3b7440657d070f2c7be140c5286cc2ba7db5af49e4d2c11b0498534260cf14",
+    "signed-path-9a:cert9a.jsonl": "7853570ffbc64683e68a6e339ea6b4c65b453043545d0f48bb1bce230fda5a0a",
+    "check-cert-9a": "3887d4ff687e5dddfc3a70cc10339027d59cbdf7e3f7e2d2d63d86d3459132bc",
+    "signed-path-9b": "0d48b400c3423dbd90aa9b2faa0a0b7c52d0994c9380444afa7e491e01292e2e",
+    "signed-path-9b:cert9b.jsonl": "6fddb00ed7fe0ad1dd18c5709d19b34c52ec06355a77c49b38fa8ef090cdff46",
+    "check-cert-9b": "8a99275faae4d8bb071f6943f19811270997da779a8d184597f974bae45cff18",
+    "neighbors-signed-10": "7530a731f0aee395cf593f39ec2072c4b4104404780d75223e41338a43457481",
+    "neighbors-switched-10": "41461c8f21f879013fad56fbd1963522d5334a0edcbd5275f0d3f87d3f9021de",
 }
 
 
@@ -299,6 +323,7 @@ def sha(data: bytes) -> str:
 
 def write_inputs(tmp_path):
     for name, obj in (("north", NORTH), ("south", SOUTH), ("colored", COLORED), ("colored12", COLORED12),
+                      ("colored10", COLORED10),
                       ("path", PATH), ("path3", PATH3), ("unsignable", UNSIGNABLE),
                       ("path7", PATH7), ("path7u", PATH7_UNSIGNABLE), ("path9", PATH9)):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
