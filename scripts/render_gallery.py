@@ -25,7 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        shapes = graphs.flip_table(args.n).shapes
+        table = graphs.flip_table(args.n)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -34,7 +34,7 @@ def main() -> int:
     count = 0
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for t in shapes:
+        for t in map(table.shape, range(len(table.codes))):
             stem = canonical_key(t).replace(":", "_").replace(";", "-")
             (out / f"{stem}.svg").write_text(render_triangulation(t), encoding="utf-8")
             count += 1

@@ -141,11 +141,11 @@ def cmd_flip(args) -> tuple[int, object]:
         raise ValueError(f"{d} is not a diagonal of {t.diagonals}")
     j, _, b, c, _ = entry
     if signs is None:
-        return 0, jsonio.triangulation_to_dict(table.shapes[j], colors=colors)
+        return 0, jsonio.triangulation_to_dict(table.shape(j), colors=colors)
     signs2 = flips.flip_signs(signs, b, c)
     if signs2 is None:
         return 1, {"refused": True, "reason": "faces at the diagonal carry opposite signs"}
-    return 0, jsonio.triangulation_to_dict(table.shapes[j], colors=colors, signs=signs2)
+    return 0, jsonio.triangulation_to_dict(table.shape(j), colors=colors, signs=signs2)
 
 
 def cmd_neighbors(args) -> tuple[int, object]:
@@ -170,7 +170,7 @@ def cmd_neighbors(args) -> tuple[int, object]:
         simple = set(table.simple(colors))
         moves = [(j, {"colors": colors}) for j, _, b, c, _ in row
                  if colors[b - 1] != colors[c - 1] and j in simple]
-    out = [jsonio.triangulation_to_dict(table.shapes[j], **extra) for j, extra in moves]
+    out = [jsonio.triangulation_to_dict(table.shape(j), **extra) for j, extra in moves]
     return 0, {"mode": mode, "count": len(out), "neighbors": out}
 
 

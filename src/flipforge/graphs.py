@@ -125,7 +125,7 @@ def _graph(kind: str, vertices: list[str], pairs: Iterable[tuple[str, str]]) -> 
 def build_flip_graph(n: int) -> dict:
     """The flip graph on all triangulations, keyed by canonical key."""
     table = flip_table(n)
-    keys = [canonical_key(t) for t in table.shapes]
+    keys = [canonical_key(table.shape(i)) for i in range(len(table.codes))]
     return _graph("flip", keys, ((key, keys[j]) for i, key in enumerate(keys) for j, *_ in table.row(i)))
 
 
@@ -142,9 +142,10 @@ def build_signed_state_graph(n: int) -> dict:
     "<canonical key>|<one + or - per face>"."""
     table = flip_table(n)
     tags = ["".join("+" if x > 0 else "-" for x in signs) for signs in product((-1, 1), repeat=n)]
-    keys = [f"{canonical_key(t)}|{tag}" for t in table.shapes for tag in tags]  # keys[i << n | s]
+    keys = [f"{canonical_key(table.shape(i))}|{tag}"  # keys[i << n | s]
+            for i in range(len(table.codes)) for tag in tags]
     return _graph("signed", keys, ((keys[i << n | s], keys[j << n | s ^ m])
-                                   for i in range(len(table.shapes)) for j, m, *_ in table.row(i)
+                                   for i in range(len(table.codes)) for j, m, *_ in table.row(i)
                                    for s in range(1 << n) if s & m in (0, m)))
 
 
@@ -221,7 +222,7 @@ def fiber_report(n: int) -> dict:
 
 
 def same_color_orbit(table: ShapeTable, i: int, eps: Coloring) -> dict:
-    """The same-color flips of the shape table.shapes[i] under eps (those
+    """The same-color flips of the shape table.shape(i) under eps (those
     whose faces b, c have equal colors): the sizes of the classes they join
     the n faces into, and the number of shapes they reach, which must be the
     product of the Catalan numbers of those sizes."""
@@ -250,7 +251,7 @@ def switched_graph(n: int, mu: tuple[int, ...]) -> tuple[dict, dict]:
         raise ValueError(f"mu {mu} does not sum to {n}")
     table = flip_table(n)
     adjacency, report = _switched_graph(table, mu)
-    keys = {i: canonical_key(table.shapes[i]) for i in adjacency}
+    keys = {i: canonical_key(table.shape(i)) for i in adjacency}
     pairs = ((keys[i], keys[j]) for i, kept in adjacency.items() for j in kept)
     return _graph("switched", list(keys.values()), pairs), report
 
@@ -263,7 +264,7 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
     at 0 there), so the filter is kept as a checked invariant of the audit."""
     eps = block_coloring(mu)
     adjacency: dict[int, list[int]] = {i: [] for i in table.simple(eps)}
-    uf, filtered = UnionFind(len(table.shapes)), 0
+    uf, filtered = UnionFind(len(table.codes)), 0
     for i, kept in adjacency.items():
         moves = [j for j, _, b, c, _ in table.row(i) if eps[b - 1] != eps[c - 1]]
         kept.extend(j for j in moves if j in adjacency)
@@ -340,7 +341,7 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
         else:
             up = ups.get(j)
             if up is None:
-                up = ups[j] = face_tree(table.shapes[j])[3]
+                up = ups[j] = face_tree(n, table.shape(j).diagonals)[3]
             pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
             for k, y in enumerate(sw):
                 pos[y] = k
@@ -376,10 +377,10 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     """For each triangulation, the signed orbits of its signings must cover
     the whole flip graph; also audits one-signing-per-triangulation within
     each orbit.  ``table`` is ``flip_table(n)``."""
-    shapes, size = table.shapes, 1 << n
-    uf = UnionFind(len(shapes) << n)  # over the states i << n | s
+    count, size = len(table.codes), 1 << n
+    uf = UnionFind(count << n)  # over the states i << n | s
     legal: dict[int, list[tuple[int, int]]] = {}  # m -> (s, s ^ m) for each signing s that m may flip
-    for i in range(len(shapes)):
+    for i in range(count):
         for j, m, _, _, _ in table.row(i):
             if j < i:
                 continue  # the flip back from j undoes this one
@@ -390,10 +391,10 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
     numbers, components = uf.components()
     found = []  # (component, state, text): a second signing of one shape in one component
     cover = [0] * components  # component -> bitset of the shape indices in it
-    for i in range(len(shapes)):
+    for i in range(count):
         block = numbers[i << n:(i + 1) << n]
         if len(set(block)) < size:  # some component holds two signings of this shape
-            key = canonical_key(shapes[i])
+            key = canonical_key(table.shape(i))
             last: dict[int, int] = {}
             for s, c in enumerate(block):
                 if c in last:
@@ -404,14 +405,14 @@ def signed_reachability_check(n: int, table: ShapeTable) -> dict:
             cover[c] |= bit
     # by component, numbered in order of its least state, then by state within it
     audit_violations = [text for _, _, text in sorted(found)]
-    everything = (1 << len(shapes)) - 1
+    everything = (1 << count) - 1
     missing_pairs = []
-    for i in range(len(shapes)):
+    for i in range(count):
         gap = everything & ~reduce(or_, map(cover.__getitem__, numbers[i << n:(i + 1) << n]))
         if gap:
-            key = canonical_key(shapes[i])
+            key = canonical_key(table.shape(i))
             while gap:
-                missing_pairs.append((key, canonical_key(shapes[(gap & -gap).bit_length() - 1])))
+                missing_pairs.append((key, canonical_key(table.shape((gap & -gap).bit_length() - 1))))
                 gap &= gap - 1
     return {
         "n": n,
@@ -440,12 +441,12 @@ def homogeneous_product_audit(n: int, table: ShapeTable, seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
     for _ in range(HOMOGENEOUS_SAMPLES):
-        i = rng.choice(range(len(table.shapes)))  # draws as rng.choice over the sorted shapes
+        i = rng.choice(range(len(table.codes)))  # draws as rng.choice over the sorted shapes
         palette = rng.randint(1, max(1, n))
         eps = tuple(rng.randint(1, palette) for _ in range(n))
         report = same_color_orbit(table, i, eps)
         if not report["matches_product"]:
-            failures.append({"key": canonical_key(table.shapes[i]), "eps": list(eps), **report})
+            failures.append({"key": canonical_key(table.shape(i)), "eps": list(eps), **report})
     return {"n": n, "samples": HOMOGENEOUS_SAMPLES, "seed": seed, "failures": failures, "pass": not failures}
 
 

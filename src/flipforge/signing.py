@@ -200,7 +200,7 @@ def signable_path_search(
             if s & m in (0, m) and later.get(j, 0) >> (s ^ m) & 1:
                 break
         i, s = j, s ^ m
-        states.append(SignedState(table.shapes[j], mask_signs(s, n)))
+        states.append(SignedState(table.shape(j), mask_signs(s, n)))
     return SignedPath(states)
 
 

@@ -77,20 +77,19 @@ def validate(t: Triangulation) -> list[str]:
         return problems
     if len(t.diagonals) != max(n - 1, 0):
         return [f"expected {max(n - 1, 0)} diagonals for n={n}, got {len(t.diagonals)}"]
-    lo, hi = face_ends(t)
+    lo, hi = face_ends(n, t.diagonals)
     bases = sorted((lo[y], hi[y]) for y in range(1, n + 1))
     if n and bases != sorted(t.diagonals + ((0, n + 1),)):
         return [f"face bases {bases} are not the diagonals and the roof edge, each once"]
     return []
 
 
-def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
-    """The lowest and highest vertex joined to each vertex 0..n+1, as the two
-    lists (lo, hi); face y is (lo[y], y, hi[y])."""
-    n = t.n
+def face_ends(n: int, diagonals: Sequence[Diagonal]) -> tuple[list[int], list[int]]:
+    """The lowest and highest vertex joined to each vertex 0..n+1 by the
+    diagonals, as the two lists (lo, hi); face y is (lo[y], y, hi[y])."""
     lo, hi = list(range(-1, n + 1)), list(range(1, n + 3))
     lo[0], hi[0], lo[n + 1], hi[n + 1] = 1, n + 1, 0, n
-    for i, j in t.diagonals:
+    for i, j in diagonals:
         if i < lo[j]:
             lo[j] = i
         if j > hi[i]:
@@ -98,30 +97,32 @@ def face_ends(t: Triangulation) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def face_tree(t: Triangulation) -> tuple[list[int], list[int], dict[Diagonal, int], list[int]]:
+def face_tree(
+    n: int, diagonals: Sequence[Diagonal]
+) -> tuple[list[int], list[int], dict[Diagonal, int], list[int]]:
     """``face_ends``, ``below`` and ``up``.  ``below`` maps each base
     (lo[y], hi[y]) to its face y; the faces below the sides (lo[y], y) and
     (y, hi[y]) are face y's children, and the root lies below the roof edge.
     ``up[y]``, face y's parent, lies beyond its base (i, j): it is face
     i = (lo[i], i, j) if hi[i] = j, else face j = (i, j, hi[j]); as
     hi[0] = n+1, ``up`` of the root is 0."""
-    lo, hi = face_ends(t)
-    inner = range(1, t.n + 1)
+    lo, hi = face_ends(n, diagonals)
+    inner = range(1, n + 1)
     up = [0] + [lo[y] if hi[lo[y]] == hi[y] else hi[y] for y in inner]
     return lo, hi, {(lo[y], hi[y]): y for y in inner}, up
 
 
 def faces(t: Triangulation) -> list[Face]:
     """The n faces (lo[y], y, hi[y]) by label y; requires a valid triangulation."""
-    lo, hi = face_ends(t)
+    lo, hi = face_ends(t.n, t.diagonals)
     return [Face(lo[y], y, hi[y]) for y in range(1, t.n + 1)]
 
 
-def up_mask(t: Triangulation) -> int:
+def up_mask(n: int, diagonals: Sequence[Diagonal]) -> int:
     """Bit y set for each y >= 2 that tops no diagonal (lo[y] == y - 1), that
     is, whose face y lies on the edge {y-1, y} and points up."""
-    lo, _ = face_ends(t)
-    return sum(1 << y for y in range(2, t.n + 1) if lo[y] == y - 1)
+    lo, _ = face_ends(n, diagonals)
+    return sum(1 << y for y in range(2, n + 1) if lo[y] == y - 1)
 
 
 def rise_mask(eps: Coloring) -> int:
@@ -143,7 +144,7 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
 
     Equivalently, with eps_y the color of y: the colors weakly increase and
     eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1),
-    i.e. ``up_mask(t) & ~rise_mask(eps) == 0``.
+    i.e. ``up_mask(n, diagonals) & ~rise_mask(eps) == 0``.
     The face on {y-1, y} is face y iff lo[y] = y - 1, else face y - 1, and
     only face y points up; so this is (c).  (a) and (c) give (b): an inner
     diagonal (i, j) with eps_i = eps_j forces eps_i = eps_{i+1} by (a), and
@@ -152,7 +153,7 @@ def is_simple(t: Triangulation, eps: Coloring) -> bool:
     """
     if len(eps) != t.n:
         raise ValueError(f"coloring has length {len(eps)}, expected {t.n}")
-    return weakly_increasing(eps) and not up_mask(t) & ~rise_mask(eps)
+    return weakly_increasing(eps) and not up_mask(t.n, t.diagonals) & ~rise_mask(eps)
 
 
 def canonical_key(t: Triangulation) -> str:
@@ -188,3 +189,4 @@ def all_triangulations(n: int) -> Iterator[Triangulation]:
 
     for diags in rec(range(n + 2)):
         yield Triangulation(n, diags)
+    del rec  # a cycle through its own closure would keep it until a collection

@@ -197,7 +197,7 @@ def validate_by_crossings(t: Triangulation) -> list[str]:
             problems.append(f"diagonals {d1} and {d2} cross")
             break
     if not problems and n >= 1:
-        lo, hi = face_ends(t)
+        lo, hi = face_ends(t.n, t.diagonals)
         bases = sorted((lo[y], hi[y]) for y in range(1, infinity))
         if bases != sorted(t.diagonals + ((0, infinity),)):
             problems.append(f"face bases {bases} are not the diagonals and the roof edge, each once")
@@ -630,7 +630,7 @@ def reachability_by_states(table: ShapeTable, n: int) -> tuple[list, list[str]]:
     every directed move, a union-find over the states in the order of
     signed_states, and set unions for the coverage step.  A move negates the
     faces whose bits its mask holds, and needs equal signs on them."""
-    keys = [canonical_key(t) for t in table.shapes]
+    keys = [canonical_key(table.shape(i)) for i in range(len(table.codes))]
     states = [(i, signs) for i in range(len(keys)) for signs in product((-1, 1), repeat=n)]
     index = {state: x for x, state in enumerate(states)}
     uf = DictUnionFind(range(len(states)))
@@ -687,13 +687,10 @@ def triangulation_from_key(key: str) -> Triangulation:
 
 def from_chord_code(n: int, code: int) -> Triangulation:
     """The triangulation of size n whose ``chord_code`` is code.  As j < n+2,
-    reading the set bits from low to high reads the diagonals in order."""
-    diagonals = []
-    while code:
-        low = code & -code
-        diagonals.append(divmod(low.bit_length() - 1, n + 2))
-        code ^= low
-    return Triangulation(n, tuple(diagonals))
+    reading the set bits from low to high reads the diagonals in order;
+    each bit is tested by position, not peeled off as ``ShapeTable`` does."""
+    w = n + 2
+    return Triangulation(n, tuple((k // w, k % w) for k in range(code.bit_length()) if code >> k & 1))
 
 
 def parse_signed_word(text: str) -> SignedWord:
@@ -798,7 +795,7 @@ def third_vertex(t: Triangulation, i: int) -> int:
     problems = validate(t)
     if problems:
         raise ValueError(f"edge ({i}, {i + 1}) does not bound a unique face: {problems[0]}")
-    lo, hi = face_ends(t)
+    lo, hi = face_ends(t.n, t.diagonals)
     return hi[i + 1] if lo[i + 1] == i else lo[i]
 
 
@@ -882,7 +879,7 @@ def _valid_face_tree(t: Triangulation):
     problems = validate(t)
     if problems:
         raise ValueError(problems[0])
-    return face_tree(t)
+    return face_tree(t.n, t.diagonals)
 
 
 def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:

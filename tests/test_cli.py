@@ -367,9 +367,9 @@ class TestGraphAndVerify:
             tables.append(n)
             return real_table(n)
 
-        def counting_quads(t):  # one call per row built
-            rows.append(t)
-            return real_quads(t)
+        def counting_quads(n, code):  # one call per row built
+            rows.append((n, code))
+            return real_quads(n, code)
 
         monkeypatch.setattr(graphs, "flip_table", counting_table)
         monkeypatch.setattr(flips, "_quads", counting_quads)

@@ -1,6 +1,7 @@
 """Flips: plain, signed, homogeneous, switched, and diagonal signings."""
 
 import argparse
+import gc
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from flipforge import cli, flips, jsonio, signing, triangulation
+from flipforge import cli, flips, graphs, jsonio, signing, triangulation
 from flipforge.flips import flip_between, flip_signs
 from flipforge.phi import (
     colored_triangulation_from_word,
@@ -108,42 +109,47 @@ class TestFlip:
                     assert flip_between(t, t2) == quad
                     expected.append((d, t2, quad.b, quad.c))
                 table = flips.ShapeTable([t])
-                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in table.row(0)] == expected
+                assert [(d, table.shape(j), b, c) for j, _, b, c, d in table.row(0)] == expected
                 assert flip_row(t) == expected
 
-    def test_rows_build_a_flip_quad_only_for_a_shape_the_table_lacks(self):
-        # matched by code object, so a construction anywhere is seen
+    def test_rows_build_no_flip_quad(self):
+        # matched by code object, so a construction anywhere is seen; a row
+        # numbers each result by its chord code and builds neither a
+        # FlipQuad nor a Triangulation, even for a code the table lacks
         built = []
-        new = flips.FlipQuad.__new__.__code__
+        watched = {flips.FlipQuad.__new__.__code__, Triangulation.__post_init__.__code__}
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is new:
-                built.append(flips.FlipQuad(*(frame.f_locals[k] for k in flips.FlipQuad._fields)))
+            if event == "call" and frame.f_code in watched:
+                built.append(frame.f_code.co_name)
 
         table = flip_table(7)
         sys.setprofile(profile)
         try:
-            for i in range(len(table.shapes)):
+            for i in range(len(table.codes)):
                 table.row(i)
         finally:
             sys.setprofile(None)
-        assert built == []  # every flip result is a shape of the table
+        assert built == [] and len(table.codes) == 429  # every flip result is a shape of the table
         t = phi((3, 5, 1, 7, 2, 6, 4))
+        table = flips.ShapeTable([t])
         sys.setprofile(profile)
         try:
-            row = flips.ShapeTable([t]).row(0)
+            row = table.row(0)
         finally:
             sys.setprofile(None)
-        # each result is new to a fresh table, built from its flip's quad;
-        # the profile's own constructions run with profiling off
-        assert len(built) == len(row) == 7 - 1
-        assert built == [quad_by_adjacency(t, d) for d in t.diagonals]
+        # each result is new to a fresh table, numbered in diagonal order
+        assert built == []
+        assert len(row) == len(table.codes) - 1 == 7 - 1
+        quads = [quad_by_adjacency(t, d) for d in t.diagonals]
+        assert [(j, b, c, d) for j, _, b, c, d in row] == [(k, q.b, q.c, q.old) for k, q in enumerate(quads, 1)]
+        assert [flip_between(t, table.shape(j)) for j, *_ in row] == quads
 
     def test_quad_labels_are_the_middle_pair(self):
         t = phi((1, 2, 3))
         table = flips.ShapeTable([t])
         j, _, b, c, _ = next(entry for entry in table.row(0) if entry[4] == (0, 3))
-        quad = flip_between(t, table.shapes[j])
+        quad = flip_between(t, table.shape(j))
         assert (quad.a, quad.b, quad.c, quad.d) == (0, 2, 3, 4)
         assert (b, c) == (quad.b, quad.c) == (2, 3)
         assert set(quad.sides()) == {(0, 2), (2, 3), (3, 4), (0, 4)}
@@ -154,7 +160,7 @@ class TestFlip:
                 before = {f.label: f for f in faces(t)}
                 table = flips.ShapeTable([t])
                 for j, _, b, c, _ in table.row(0):
-                    after = {f.label: f for f in faces(table.shapes[j])}
+                    after = {f.label: f for f in faces(table.shape(j))}
                     assert set(before) == set(after) == set(range(1, n + 1))
                     changed = {lab for lab in before if before[lab] != after[lab]}
                     assert changed == {b, c}
@@ -285,7 +291,7 @@ class TestSignedFlip:
                         assert (signs2 is not None) == (signs[b - 1] == signs[c - 1])
                         if signs2 is None:
                             continue
-                        assert table.shapes[j] == flip(t, d)[0]
+                        assert table.shape(j) == flip(t, d)[0]
                         changed = {
                             i + 1 for i in range(n) if signs[i] != signs2[i]
                         }
@@ -397,6 +403,39 @@ class TestSwitched:
                         assert (t2 in nbrs) == readings_exchange_oracle(t1, t2, e1)
 
 
+class TestNoCyclicGarbage:
+    """A shape table holds ints, lists, dicts and the shapes it was given, so
+    refcounting frees it when its call returns; a reference cycle would keep
+    every table of a run alive until a collection."""
+
+    def test_search_commands_and_battery_leave_no_cycle(self, capsys, tmp_path, monkeypatch):
+        t, colors = colored_triangulation_from_word((1, 2, 4, 1, 4, 3, 3, 4, 2, 4))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(jsonio.triangulation_to_dict(t, colors=colors)))
+        # argparse's parser is a web of cycles (each action points back at its
+        # container), built afresh by every main: build it before the count
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        runs = {
+            "search": lambda: signing.signable_path_search(phi((3, 2, 4, 1, 5, 6)), phi((4, 5, 3, 1, 2, 6))),
+            "flip": lambda: cli.main(["flip", str(state), "--d", "4,6"]),
+            "neighbors": lambda: cli.main(["neighbors", str(state), "--mode", "switched"]),
+            "battery": lambda: graphs.run_battery(graphs.SUITES, 5),
+        }
+        left = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, run in runs.items():
+                gc.collect()
+                assert run() not in (None, 1)  # a path, exit 0, or the battery's reports
+                left[name] = gc.collect()
+        finally:
+            gc.enable()
+        assert left == dict.fromkeys(runs, 0)
+        assert '"count":6' in capsys.readouterr().out  # the switched command did its work
+
+
 class TestNeighboursAgainstTheOracle:
     """``flipforge neighbors`` answers every mode from one ShapeTable row;
     the oracle flips one diagonal at a time by vertex adjacency.  Both list
@@ -464,9 +503,11 @@ class TestDiagonalSigning:
                     assert face_signs_from_diagonals(ds, fs[0]) == fs
 
     def test_conversions_read_the_face_tree_and_flip_nothing(self, monkeypatch):
+        # neither the row builder nor the shape accessor is called
         calls = []
-        real = flips._flipped
-        monkeypatch.setattr(flips, "_flipped", lambda t, quad: calls.append(quad) or real(t, quad))
+        real_quads, real_shape = flips._quads, flips.ShapeTable.shape
+        monkeypatch.setattr(flips, "_quads", lambda n, code: calls.append(code) or real_quads(n, code))
+        monkeypatch.setattr(flips.ShapeTable, "shape", lambda table, j: calls.append(j) or real_shape(table, j))
         for n in range(1, 7):
             for t in all_triangulations(n):
                 fs = tuple(1 if k % 3 else -1 for k in range(1, n + 1))

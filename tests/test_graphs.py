@@ -25,7 +25,7 @@ from flipforge.graphs import (
 )
 from flipforge.phi import triangulation_from_permutation as phi
 from flipforge.signing import SignedState
-from flipforge.triangulation import all_triangulations, canonical_key, chord_code
+from flipforge.triangulation import Triangulation, all_triangulations, canonical_key, chord_code
 from flipforge.words import block_coloring, exchange_witness, standardize
 
 from reference import (
@@ -37,6 +37,7 @@ from reference import (
     faces_by_ears,
     fibers_by_phi,
     flip_row,
+    from_chord_code,
     graph_components,
     homogeneous_components,
     is_connected,
@@ -449,13 +450,13 @@ class TestReachability:
 
 def count_rows(monkeypatch) -> list:
     """Record the shape of every flips._quads call, one per row built, for
-    the rest of the test."""
+    the rest of the test, decoded from the chord code the row reads."""
     calls = []
     real_quads = flips._quads
 
-    def counting_quads(t):
-        calls.append(t)
-        return real_quads(t)
+    def counting_quads(n, code):
+        calls.append(from_chord_code(n, code))
+        return real_quads(n, code)
 
     monkeypatch.setattr(flips, "_quads", counting_quads)
     return calls
@@ -465,23 +466,25 @@ class TestFlipTable:
     def test_states_decode_in_signed_states_order(self):
         for n in range(6):
             table = graphs.flip_table(n)
-            decoded = [SignedState(t, flips.mask_signs(s, n)) for t in table.shapes for s in range(1 << n)]
+            decoded = [SignedState(table.shape(i), flips.mask_signs(s, n)) for i in range(len(table.codes))
+                       for s in range(1 << n)]
             assert decoded == signed_states(n)
 
     def test_integer_moves_are_the_signed_moves(self):
         for n in range(6):
             table = graphs.flip_table(n)
-            index = {t: i for i, t in enumerate(table.shapes)}
-            assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
-            assert [canonical_key(t) for t in table.shapes] == sorted(map(canonical_key, table.shapes))
+            shapes = list(map(table.shape, range(len(table.codes))))
+            index = {t: i for i, t in enumerate(shapes)}
+            assert table.index == {chord_code(t): i for i, t in enumerate(shapes)}
+            assert [canonical_key(t) for t in shapes] == sorted(map(canonical_key, shapes))
             bits = {flips.mask_signs(s, n): s for s in range(1 << n)}
-            for i, t in enumerate(table.shapes):
+            for i, t in enumerate(shapes):
                 row = flip_row(t)
                 for s in range(1 << n):
                     moves = [(j, s ^ m) for j, m, _, _, _ in table.row(i) if s & m in (0, m)]
                     signed = list(signed_moves(row, flips.mask_signs(s, n)))
                     # integer moves decoded, and signed moves encoded, in diagonal order
-                    assert [(table.shapes[j], flips.mask_signs(s2, n)) for j, s2 in moves] == \
+                    assert [(table.shape(j), flips.mask_signs(s2, n)) for j, s2 in moves] == \
                         [(t2, signs2) for _, t2, signs2 in signed]
                     assert moves == [(index[t2], bits[signs2]) for _, t2, signs2 in signed]
 
@@ -489,38 +492,42 @@ class TestFlipTable:
         for n in range(1, 9):
             table = graphs.flip_table(n)
             rows = [table.row(i) for i in range(CATALAN[n])]
-            assert len(table.shapes) == len(rows) == CATALAN[n]  # every row read, no shape added
-            for t, row in zip(table.shapes, rows):
-                assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flip_row(t)
+            assert len(table.codes) == len(rows) == CATALAN[n]  # every row read, no shape added
+            for t, row in zip(map(table.shape, range(CATALAN[n])), rows):
+                assert [(d, table.shape(j), b, c) for j, _, b, c, d in row] == flip_row(t)
                 assert all(m == 1 << (n - b) | 1 << (n - c) for _, m, b, c, _ in row)
 
     def test_lazy_table_walks_every_shape(self, monkeypatch):
         # rows numbered by chord code against the oracle's flip_row, which
         # flips each diagonal by itself
         built = []
-        real = flips._flipped
-        monkeypatch.setattr(flips, "_flipped", lambda t, quad: built.append(t) or real(t, quad))
+        monkeypatch.setattr(flips, "Triangulation", lambda n, diagonals: built.append(diagonals)
+                            or Triangulation(n, diagonals))
         start = phi((3, 5, 1, 7, 2, 6, 4))
         table = flips.ShapeTable([start])
         i = 0
-        while i < len(table.shapes):
+        while i < len(table.codes):
             table.row(i)
             i += 1
-        # _flipped decodes each shape once, from the first row that meets its code
-        assert len(built) == len(table.shapes) - 1 == CATALAN[7] - 1
-        for t, row in zip(table.shapes, map(table.row, range(CATALAN[7]))):
-            assert [(d, table.shapes[j], b, c) for j, _, b, c, d in row] == flip_row(t)
+        # the walk numbers each code once, from the first row that meets it,
+        # and builds no shape until one is read; the start shape is kept as given
+        assert built == [] and len(table.codes) - 1 == CATALAN[7] - 1
+        shapes = list(map(table.shape, range(CATALAN[7])))
+        assert len(built) == CATALAN[7] - 1
+        for t, row in zip(shapes, map(table.row, range(CATALAN[7]))):
+            assert [(d, shapes[j], b, c) for j, _, b, c, d in row] == flip_row(t)
             assert all(m == 1 << (7 - b) | 1 << (7 - c) for _, m, b, c, _ in row)
-        assert set(table.shapes) == set(all_triangulations(7))
-        assert table.index == {chord_code(t): i for i, t in enumerate(table.shapes)}
+        assert set(shapes) == set(all_triangulations(7))
+        assert table.index == {chord_code(t): i for i, t in enumerate(shapes)}
+        assert table.codes == list(map(chord_code, shapes))
 
     def test_flip_row_reads_the_face_ends_once(self, monkeypatch):
         calls = []
         real_face_ends = triangulation.face_ends
 
-        def counting_face_ends(t):
-            calls.append(t)
-            return real_face_ends(t)
+        def counting_face_ends(n, diagonals):
+            calls.append(Triangulation(n, tuple(diagonals)))
+            return real_face_ends(n, diagonals)
 
         # a row reads the face ends through face_tree
         monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
@@ -529,17 +536,17 @@ class TestFlipTable:
         for i in range(CATALAN[6]):
             table.row(i)
             table.row(i)
-        assert calls == table.shapes  # one per row, in row order
+        assert calls == list(map(table.shape, range(CATALAN[6])))  # one per row, in row order
         assert len(calls) == CATALAN[6] == 132
         assert not hasattr(triangulation, "edge_adjacency")  # no vertex adjacency to build
 
     def test_up_masks_are_the_faces_that_point_up(self):
         for n in range(9):
             table = graphs.flip_table(n)
-            for i, t in enumerate(table.shapes):
+            for t in map(table.shape, range(len(table.codes))):
                 # face y points up when it lies on the edge {y-1, y}; faces found by clipping ears
                 ups = sum(1 << f.y for f in faces_by_ears(t) if f.y >= 2 and f.x == f.y - 1)
-                assert triangulation.up_mask(t) == ups
+                assert triangulation.up_mask(n, t.diagonals) == ups
 
     def test_reports_match_the_state_route(self):
         for n in range(6):
@@ -762,7 +769,7 @@ class TestBattery:
             table = graphs.flip_table(n)
             for mu in compositions(n, graphs.MAX_PARTS):
                 eps = block_coloring(mu)
-                simple = [i for i, t in enumerate(table.shapes) if triangulation.is_simple(t, eps)]
+                simple = [i for i in range(len(table.codes)) if triangulation.is_simple(table.shape(i), eps)]
                 assert table.simple(eps) == simple
                 assert table.simple(eps[::-1]) == (simple if len(mu) == 1 else [])
                 assert list(graphs._switched_graph(table, mu)[0]) == simple
@@ -818,7 +825,7 @@ class TestCaps:
             with pytest.raises(ValueError, match=message):
                 graphs.flip_table(n)
         assert calls == []
-        assert graphs.flip_table(size_limit()).shapes == [] and calls == [size_limit()]  # the stub is the one read
+        assert graphs.flip_table(size_limit()).codes == [] and calls == [size_limit()]  # the stub is the one read
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "3")

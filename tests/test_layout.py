@@ -123,3 +123,18 @@ def test_package_root_reexports_nothing():
              if not (isinstance(node, ast.Assign)
                      and [ast.unparse(target) for target in node.targets] == ["__version__"])]
     assert not extra, f"the package root holds more than its version: {extra}"
+
+
+def test_flips_builds_shapes_and_quads_in_one_place_each():
+    """A flip row numbers its results by chord code: ``ShapeTable.shape`` is
+    the one call site that builds a ``Triangulation`` in flips, and
+    ``flip_between`` the one that builds a ``FlipQuad``."""
+    tree = ast.parse((ROOT / "src" / "flipforge" / "flips.py").read_text(encoding="utf-8"))
+
+    def builds(node: ast.AST) -> list[str]:
+        return [call.func.id for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id in ("Triangulation", "FlipQuad")]
+
+    sites = [(name, node.name) for node in ast.walk(tree) if isinstance(node, DEFS[:2]) for name in builds(node)]
+    assert sorted(sites) == [("FlipQuad", "flip_between"), ("Triangulation", "shape")]
+    assert len(builds(tree)) == len(sites)  # none at module or class level

@@ -362,19 +362,44 @@ class TestSignablePathSearch:
 
     def test_worked_pair_builds_fewer_rows_and_shapes(self, monkeypatch):
         rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
-        shapes = count_calls(monkeypatch, flips, "_flipped")  # one call per shape added
+        tables = []
+        monkeypatch.setattr(signing, "ShapeTable", lambda shapes: tables.append(flips.ShapeTable(shapes)) or tables[-1])
         path = signable_path_search(Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126)))
         assert len(path.flips) == 6
-        # a FIFO search over single states built 87 rows and 114 shapes here
-        assert (len(rows), len(shapes)) == (78, 106)
+        (table,) = tables
+        # a FIFO search over single states built 87 rows and 114 shapes here;
+        # past the two given shapes, each code numbered is a shape added
+        assert (len(rows), len(table.codes) - 2) == (78, 106)
+
+    def test_search_builds_a_triangulation_only_for_the_inner_shapes(self):
+        # matched by code object, so a construction anywhere is seen; the start
+        # and end shapes are the ones given, and a shape the table numbered
+        # becomes a triangulation only as a state of the returned path
+        built = []
+        post_init = Triangulation.__post_init__.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is post_init:
+                built.append(frame.f_locals["self"].diagonals)
+
+        for t1, t2 in seeded_pairs(random.Random(36), 6) + [WORKED_PAIR]:
+            built.clear()
+            sys.setprofile(profile)
+            try:
+                path = signable_path_search(t1, t2)
+            finally:
+                sys.setprofile(None)
+            assert path.start.tri is t1 and path.end.tri is t2
+            inner = [state.tri.diagonals for state in path[1:-1] if state.tri not in (t1, t2)]
+            assert built == inner and len(inner) >= len(path.flips) - 1 > 0
 
     def test_no_row_outlives_one_call(self, monkeypatch):
         calls = []
         real_quads = flips._quads
 
-        def counting_quads(t):  # one call per row built
-            calls.append(t)
-            return real_quads(t)
+        def counting_quads(n, code):  # one call per row built
+            calls.append(code)
+            return real_quads(n, code)
 
         monkeypatch.setattr(flips, "_quads", counting_quads)
         start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
@@ -482,7 +507,7 @@ class TestEmitWordCertificate:
         # matched by code object, so a call under any imported name is seen
         calls = []
         watched = {flips.flip_between.__code__: "flip_between", flips._quads.__code__: "_quads",
-                   flips._flipped.__code__: "_flipped"}
+                   flips.ShapeTable.shape.__code__: "shape"}
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code in watched:
@@ -505,7 +530,7 @@ class TestEmitWordCertificate:
         # them from the path and build none
         t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         path = signable_path_search(t1, t2)
-        built = [count_calls(monkeypatch, flips, name) for name in ("_flipped", "_quads")]
+        built = [count_calls(monkeypatch, flips.ShapeTable, "shape"), count_calls(monkeypatch, flips, "_quads")]
         read = count_calls(monkeypatch, signing, "flip_readings")
         assert validate_certificate(emit_word_certificate(path)).ok
         assert len(path.flips) == 6
@@ -633,7 +658,7 @@ class TestSignPathDiagonals:
         # between its two shapes; the replay performs no flip and builds no shape
         walks = self.seeded_walks()
         between = count_calls(monkeypatch, signing, "flip_between")
-        flipped = [count_calls(monkeypatch, flips, name) for name in ("_flipped", "_quads")]
+        flipped = [count_calls(monkeypatch, flips.ShapeTable, "shape"), count_calls(monkeypatch, flips, "_quads")]
         outcomes = set()
         for path in walks:
             between.clear()

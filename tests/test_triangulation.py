@@ -133,7 +133,7 @@ class TestValidate:
         # ends read as if the diagonal (0, 3) were missing: the roof edge lies over no face
         real = triangulation.face_ends
         monkeypatch.setattr(triangulation, "face_ends",
-                            lambda t: real(Triangulation(t.n, t.diagonals[1:])))
+                            lambda n, diagonals: real(n, diagonals[1:]))
         problems = validate(tri(3, (1, 3), (0, 3)))
         assert problems == ["face bases [(0, 3), (1, 3), (1, 4)] are not the diagonals "
                             "and the roof edge, each once"]
@@ -179,7 +179,7 @@ class TestFaces:
         for n in range(9):
             for t in all_triangulations(n):
                 adj = edge_adjacency(t)
-                assert face_ends(t) == ([min(adj[v]) for v in range(n + 2)],
+                assert face_ends(n, t.diagonals) == ([min(adj[v]) for v in range(n + 2)],
                                         [max(adj[v]) for v in range(n + 2)])
 
     def test_matches_ear_clipping(self):
@@ -192,7 +192,7 @@ class TestFaces:
         # lo[y] and hi[y], and the root, below the roof edge, holds all n
         for n in range(8):
             for t in all_triangulations(n):
-                lo, hi, below, _ = face_tree(t)
+                lo, hi, below, _ = face_tree(n, t.diagonals)
                 assert sorted(below) == sorted(t.diagonals + ((0, n + 1),)) if n else not below
                 for y in range(1, n + 1):
                     stack, subtree = [y], []
@@ -208,7 +208,7 @@ class TestFaces:
         # up[y] is the face with y below one of its sides; only the root has none
         for n in range(9):
             for t in all_triangulations(n):
-                lo, hi, below, up = face_tree(t)
+                lo, hi, below, up = face_tree(n, t.diagonals)
                 parent = {below[s]: y for y in range(1, n + 1) for s in ((lo[y], y), (y, hi[y])) if s in below}
                 assert up == [0] + [parent.get(y, 0) for y in range(1, n + 1)]
                 assert up.count(0) == 2 if n else up == [0]
