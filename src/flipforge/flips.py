@@ -105,8 +105,8 @@ class ShapeTable:
     exchanging faces b < c, in diagonal order.  A signing is a bitmask with
     bit n - k set when face k is positive, and mask holds the bits of faces
     b and c: a signed flip of s is legal iff ``s & mask in (0, mask)`` and
-    gives ``s ^ mask``.  ``shape(j)`` alone makes a ``Triangulation``, when
-    read, of a shape the table was not given.  ``simple(eps)`` tests each
+    gives ``s ^ mask``.  ``shape(j)`` returns a shape the table was given
+    as is and builds any other from its code.  ``simple(eps)`` tests each
     code by one AND of its ``up_mask``, kept in a list each call extends.
     """
 

@@ -142,7 +142,8 @@ class TestFlip:
         assert built == []
         assert len(row) == len(table.codes) - 1 == 7 - 1
         quads = [quad_by_adjacency(t, d) for d in t.diagonals]
-        assert [(j, b, c, d) for j, _, b, c, d in row] == [(k, q.b, q.c, q.old) for k, q in enumerate(quads, 1)]
+        assert [(j, b, c, d) for j, _, b, c, d in row] == \
+            [(k, q.b, q.c, q.old) for k, q in enumerate(quads, 1)]
         assert [flip_between(t, table.shape(j)) for j, *_ in row] == quads
 
     def test_quad_labels_are_the_middle_pair(self):
@@ -507,7 +508,8 @@ class TestDiagonalSigning:
         calls = []
         real_quads, real_shape = flips._quads, flips.ShapeTable.shape
         monkeypatch.setattr(flips, "_quads", lambda n, code: calls.append(code) or real_quads(n, code))
-        monkeypatch.setattr(flips.ShapeTable, "shape", lambda table, j: calls.append(j) or real_shape(table, j))
+        monkeypatch.setattr(flips.ShapeTable, "shape",
+                            lambda table, j: calls.append(j) or real_shape(table, j))
         for n in range(1, 7):
             for t in all_triangulations(n):
                 fs = tuple(1 if k % 3 else -1 for k in range(1, n + 1))

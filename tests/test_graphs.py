@@ -825,7 +825,8 @@ class TestCaps:
             with pytest.raises(ValueError, match=message):
                 graphs.flip_table(n)
         assert calls == []
-        assert graphs.flip_table(size_limit()).codes == [] and calls == [size_limit()]  # the stub is the one read
+        # the stub is the one read
+        assert graphs.flip_table(size_limit()).codes == [] and calls == [size_limit()]
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("FLIPFORGE_MAX_N", "3")

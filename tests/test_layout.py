@@ -135,6 +135,7 @@ def test_flips_builds_shapes_and_quads_in_one_place_each():
         return [call.func.id for call in ast.walk(node) if isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Name) and call.func.id in ("Triangulation", "FlipQuad")]
 
-    sites = [(name, node.name) for node in ast.walk(tree) if isinstance(node, DEFS[:2]) for name in builds(node)]
+    sites = [(name, node.name) for node in ast.walk(tree) if isinstance(node, DEFS[:2])
+             for name in builds(node)]
     assert sorted(sites) == [("FlipQuad", "flip_between"), ("Triangulation", "shape")]
     assert len(builds(tree)) == len(sites)  # none at module or class level

@@ -363,7 +363,8 @@ class TestSignablePathSearch:
     def test_worked_pair_builds_fewer_rows_and_shapes(self, monkeypatch):
         rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
         tables = []
-        monkeypatch.setattr(signing, "ShapeTable", lambda shapes: tables.append(flips.ShapeTable(shapes)) or tables[-1])
+        monkeypatch.setattr(signing, "ShapeTable",
+                            lambda shapes: tables.append(flips.ShapeTable(shapes)) or tables[-1])
         path = signable_path_search(Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126)))
         assert len(path.flips) == 6
         (table,) = tables
@@ -530,7 +531,8 @@ class TestEmitWordCertificate:
         # them from the path and build none
         t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         path = signable_path_search(t1, t2)
-        built = [count_calls(monkeypatch, flips.ShapeTable, "shape"), count_calls(monkeypatch, flips, "_quads")]
+        built = [count_calls(monkeypatch, flips.ShapeTable, "shape"),
+                 count_calls(monkeypatch, flips, "_quads")]
         read = count_calls(monkeypatch, signing, "flip_readings")
         assert validate_certificate(emit_word_certificate(path)).ok
         assert len(path.flips) == 6
@@ -658,7 +660,8 @@ class TestSignPathDiagonals:
         # between its two shapes; the replay performs no flip and builds no shape
         walks = self.seeded_walks()
         between = count_calls(monkeypatch, signing, "flip_between")
-        flipped = [count_calls(monkeypatch, flips.ShapeTable, "shape"), count_calls(monkeypatch, flips, "_quads")]
+        flipped = [count_calls(monkeypatch, flips.ShapeTable, "shape"),
+                   count_calls(monkeypatch, flips, "_quads")]
         outcomes = set()
         for path in walks:
             between.clear()
