@@ -4,25 +4,18 @@ A flip replaces a diagonal by the other chord of the quadrilateral made of
 its two faces.  The two faces involved keep their labels (the middle
 vertices of the quadrilateral), so colorings and signings indexed by face
 label transform by editing at most two entries.  ``ShapeTable.row`` is the
-one route that computes flips, on chord codes; ``flip_between`` names the
+one route that computes flips: one pass over a chord code's set bits reads
+each quadrilateral by its diagonal's chord bit.  ``flip_between`` names the
 flip joining two given shapes from their diagonal sets alone.  This module
 reads only ``triangulation``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .triangulation import (
-    Coloring,
-    Diagonal,
-    Triangulation,
-    chord_code,
-    face_tree,
-    rise_mask,
-    up_mask,
-    weakly_increasing,
-)
+from . import triangulation
+from .triangulation import Coloring, Diagonal, Triangulation, chord_code, rise_mask, weakly_increasing
 
 
 class FlipQuad(NamedTuple):
@@ -38,30 +31,6 @@ class FlipQuad(NamedTuple):
     def sides(self) -> tuple[Diagonal, ...]:
         a, b, c, d = self.a, self.b, self.c, self.d
         return ((a, b), (b, c), (c, d), (a, d))
-
-
-def _diagonals(n: int, code: int) -> list[Diagonal]:
-    """The diagonals of a chord code in order: set bit i*(n+2)+j is (i, j)."""
-    out = []
-    while code:
-        out.append(divmod((code & -code).bit_length() - 1, n + 2))
-        code &= code - 1
-    return out
-
-
-def _quads(n: int, code: int) -> Iterator[tuple[int, int, Diagonal, Diagonal]]:
-    """The quadrilateral around each diagonal (i, j) of the shape of chord
-    code ``code``, in diagonal order, as its middle pair b < c and its old
-    and new chords: below it lies the face y with (lo[y], hi[y]) = (i, j),
-    and beyond it face up[y], which is i = (lo[i], i, j) or j = (i, j, hi[j])."""
-    diagonals = _diagonals(n, code)
-    lo, hi, below, up = face_tree(n, diagonals)
-    for i, j in diagonals:
-        y = below[i, j]
-        if up[y] == i:
-            yield i, y, (i, j), (lo[i], y)
-        else:
-            yield y, j, (i, j), (y, hi[j])
 
 
 def flip_between(t1: Triangulation, t2: Triangulation) -> FlipQuad | None:
@@ -97,56 +66,97 @@ class ShapeTable:
     and their flip rows over those numbers.
 
     Shape i is held as its chord code ``codes[i]``, and ``index`` maps a
-    code back to i.  ``row(i)`` is built the first time it is asked for, from
-    one pass over the flip quadrilaterals of the diagonals decoded from
-    ``codes[i]``; each flip result is the code with the old diagonal's bit
-    swapped for the new one's, numbered next if the table lacks it.  The
-    entry (j, mask, b, c, d) flips shape i across its diagonal d to shape j,
+    code back to i.  ``row(i)`` is built the first time it is asked for, in
+    one pass over the set bits of ``codes[i]`` after one ``face_ends`` call;
+    each flip result is the code with the old diagonal's bit swapped for the
+    new one's, numbered next if the table lacks it.  A diagonal is one tuple
+    per table, made when its chord bit is first decoded.  The entry
+    (j, mask, b, c, d) flips shape i across its diagonal d to shape j,
     exchanging faces b < c, in diagonal order.  A signing is a bitmask with
     bit n - k set when face k is positive, and mask holds the bits of faces
     b and c: a signed flip of s is legal iff ``s & mask in (0, mask)`` and
     gives ``s ^ mask``.  ``shape(j)`` returns a shape the table was given
     as is and builds any other from its code.  ``simple(eps)`` tests each
-    code by one AND of its ``up_mask``, kept in a list each call extends.
+    code by one AND of its up mask, decoded once into a list each call extends.
     """
 
     def __init__(self, shapes: Iterable[Triangulation]):
         self._shapes = list(shapes)
-        self.n = self._shapes[0].n if self._shapes else 0
+        self.n = n = self._shapes[0].n if self._shapes else 0
         self.codes = [chord_code(t) for t in self._shapes]
         self.index = {code: i for i, code in enumerate(self.codes)}
         self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
-        self._ups: list[int] = []  # up_mask of shape i
+        self._ups: list[int] = []  # up mask of shape i
+        # by chord bit: its diagonal once decoded, and the face below it in the last row
+        self._chords: list[Diagonal | None] = [None] * (n + 2) ** 2
+        self._below = [0] * (n + 2) ** 2
+
+    def _decode(self, code: int) -> list[Diagonal]:
+        """The diagonals of a chord code in order, set bit i*(n+2)+j as the
+        table's one tuple (i, j)."""
+        chords, w, out = self._chords, self.n + 2, []
+        while code:
+            k = (code & -code).bit_length() - 1
+            d = chords[k]
+            if d is None:
+                d = chords[k] = divmod(k, w)
+            out.append(d)
+            code &= code - 1
+        return out
 
     def row(self, i: int) -> list[tuple[int, int, int, int, Diagonal]]:
         row = self._rows.get(i)
         if row is None:
-            n, w, code, codes, index = self.n, self.n + 2, self.codes[i], self.codes, self.index
-            row = []
-            for b, c, old, new in _quads(n, code):
-                (i1, j1), (i2, j2) = old, new
-                flipped = code ^ 1 << i1 * w + j1 | 1 << i2 * w + j2
-                j = index.get(flipped)
-                if j is None:
-                    j = index[flipped] = len(codes)
-                    codes.append(flipped)
-                row.append((j, 1 << (n - b) | 1 << (n - c), b, c, old))
-            self._rows[i] = row
+            row = self._rows[i] = self._build_row(i)
+        return row
+
+    def _build_row(self, s: int) -> list[tuple[int, int, int, int, Diagonal]]:
+        """Shape s's row, over the set bits k = i*(n+2)+j of its code.  Face y
+        lies below base (i, j) = (lo[y], hi[y]), held at bit k in ``_below``,
+        and beyond it by ``face_tree``'s rule for ``up``: face i = (lo[i], i, j)
+        iff hi[i] = j, and the flip exchanges faces i, y for (lo[i], y), else
+        face j = (i, j, hi[j]), and it exchanges faces y, j for (y, hi[j])."""
+        n, w, code, codes, index = self.n, self.n + 2, self.codes[s], self.codes, self.index
+        below = self._below
+        diagonals = self._decode(code)
+        lo, hi = triangulation.face_ends(n, diagonals)
+        for y in range(1, n + 1):
+            below[lo[y] * w + hi[y]] = y
+        row = []
+        for d in diagonals:
+            i, j = d
+            k = i * w + j
+            y = below[k]
+            if hi[i] == j:
+                b, c, new = i, y, lo[i] * w + y
+            else:
+                b, c, new = y, j, y * w + hi[j]
+            flipped = code ^ 1 << k | 1 << new
+            r = index.get(flipped)
+            if r is None:
+                r = index[flipped] = len(codes)
+                codes.append(flipped)
+            row.append((r, 1 << n - b | 1 << n - c, b, c, d))
         return row
 
     def shape(self, j: int) -> Triangulation:
         """Shape j as a triangulation: as given, or built from its code."""
         if j < len(self._shapes):
             return self._shapes[j]
-        return Triangulation(self.n, tuple(_diagonals(self.n, self.codes[j])))
+        return Triangulation(self.n, tuple(self._decode(self.codes[j])))
 
     def simple(self, eps: Coloring) -> list[int]:
         """The indices of the shapes that eps makes simple, by ``is_simple``'s
-        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``."""
+        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``, with
+        ``up_mask`` the vertices 2..n that top no diagonal."""
         if not weakly_increasing(eps):
             return []
-        ups, n = self._ups, self.n
-        ups.extend(up_mask(n, _diagonals(n, code)) for code in self.codes[len(ups):])
+        ups, full = self._ups, (1 << self.n + 1) - 1 & ~3
+        for code in self.codes[len(ups):]:
+            tops = 0
+            for _, j in self._decode(code):
+                tops |= 1 << j
+            ups.append(full & ~tops)
         falls = ~rise_mask(eps)
         return [i for i, up in enumerate(ups) if not up & falls]
 

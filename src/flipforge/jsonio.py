@@ -14,8 +14,8 @@ from .signing import Certificate
 from .triangulation import Coloring, Triangulation, validate
 
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every call: json.dumps builds a new one for non-default arguments
+dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _integer(value: Any) -> int:

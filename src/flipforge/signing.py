@@ -39,10 +39,9 @@ class SignedState(NamedTuple):
     signs: Coloring
 
 
-def classify_step(w1: SignedWord, w2: SignedWord) -> str | None:
-    """The kind of move, "K1" or "K2", that takes signed word w1 to w2, or None."""
-    if not (is_signed_word(w1) and is_signed_word(w2)):
-        return None
+def step_kind(w1: SignedWord, w2: SignedWord) -> str | None:
+    """The kind of move, "K1" or "K2", that takes signed word w1 to w2, or
+    None; w1 and w2 must be signed words, which it does not check."""
     i = adjacent_difference(w1, w2)
     if i is None:
         return None
@@ -72,6 +71,8 @@ class CertReport:
 
 
 def validate_certificate(cert: Certificate) -> CertReport:
+    """Check that each word of the chain is a signed word, once each, then
+    that each step is the move its kind records."""
     chain, kinds = cert.chain, cert.kinds
     if not chain:
         return CertReport(False, 0, "empty chain")
@@ -81,7 +82,7 @@ def validate_certificate(cert: Certificate) -> CertReport:
         if not is_signed_word(w):
             return CertReport(False, i, f"entry {i} is not a signed word: {w}")
     for i in range(len(chain) - 1):
-        kind = classify_step(chain[i], chain[i + 1])
+        kind = step_kind(chain[i], chain[i + 1])
         if kind is None:
             return CertReport(False, i, f"step {i} is neither a K1 nor a K2 move")
         if kind != kinds[i]:

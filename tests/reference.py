@@ -20,6 +20,7 @@ from flipforge.signing import (
     StateCapExceeded,
     flip_readings,
     sign_letters,
+    step_kind,
 )
 from flipforge.triangulation import (
     Coloring,
@@ -691,6 +692,15 @@ def from_chord_code(n: int, code: int) -> Triangulation:
     each bit is tested by position, not peeled off as ``ShapeTable`` does."""
     w = n + 2
     return Triangulation(n, tuple((k // w, k % w) for k in range(code.bit_length()) if code >> k & 1))
+
+
+def classify_step(w1: SignedWord, w2: SignedWord) -> str | None:
+    """The kind of move, "K1" or "K2", that takes signed word w1 to w2, or
+    None, also when either is not a signed word: ``step_kind`` on checked
+    words, as ``validate_certificate`` applies it to a chain."""
+    if not (is_signed_word(w1) and is_signed_word(w2)):
+        return None
+    return step_kind(w1, w2)
 
 
 def parse_signed_word(text: str) -> SignedWord:

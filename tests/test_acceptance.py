@@ -26,7 +26,6 @@ from flipforge.heawood import four_color, heawood_check, verify_coloring
 from flipforge.phi import colored_triangulation_from_word, insertion_trace
 from flipforge.signing import (
     Certificate,
-    classify_step,
     sign_path_diagonals,
     validate_certificate,
 )
@@ -35,6 +34,7 @@ from flipforge.words import destandardize, standardize
 
 from reference import (
     adjacency,
+    classify_step,
     commuting_diagram_check,
     path_signable_by_faces,
     sigma_closure,

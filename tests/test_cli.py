@@ -361,18 +361,18 @@ class TestGraphAndVerify:
 
     def test_verify_builds_each_table_and_row_once(self, capsys, monkeypatch):
         tables, rows = [], []
-        real_table, real_quads = graphs.flip_table, flips._quads
+        real_table, real_build = graphs.flip_table, flips.ShapeTable._build_row
 
         def counting_table(n):
             tables.append(n)
             return real_table(n)
 
-        def counting_quads(n, code):  # one call per row built
-            rows.append((n, code))
-            return real_quads(n, code)
+        def counting_build(table, i):  # one call per row built
+            rows.append((table.n, table.codes[i]))
+            return real_build(table, i)
 
         monkeypatch.setattr(graphs, "flip_table", counting_table)
-        monkeypatch.setattr(flips, "_quads", counting_quads)
+        monkeypatch.setattr(flips.ShapeTable, "_build_row", counting_build)
         counts = []
         for _ in range(2):  # a table that outlived one battery would make the second cheaper
             tables.clear()

@@ -112,6 +112,27 @@ class TestFlip:
                 assert [(d, table.shape(j), b, c) for j, _, b, c, d in table.row(0)] == expected
                 assert flip_row(t) == expected
 
+    def test_rows_match_the_reference_rows_past_n8(self):
+        # seeded shapes at n = 9..16, where a chord bit's stride n + 2 passes 10;
+        # one table reads up to a dozen rows, each after the rows before it rewrote
+        # the face-below list, and a one-row table decodes its shape's bits only
+        rng = random.Random(37)
+        for n in range(9, 17):
+            start = phi(tuple(rng.sample(range(1, n + 1), n)))
+            table = flips.ShapeTable([start])
+            shared: dict = {}
+            for i in [0] + rng.sample(range(1, n - 1), 11 if n > 12 else n - 2):
+                t, row = table.shape(i), table.row(i)
+                assert [(d, table.shape(j), b, c) for j, _, b, c, d in row] == flip_row(t)
+                assert [m for _, m, *_ in row] == [1 << (n - b) | 1 << (n - c) for _, _, b, c, _ in row]
+                assert all(shared.setdefault(d, d) is d for *_, d in row)  # one tuple per chord bit
+            for _ in range(4):
+                t = phi(tuple(rng.sample(range(1, n + 1), n)))
+                one = flips.ShapeTable([t])
+                row = one.row(0)
+                assert sum(d is not None for d in one._chords) == n - 1
+                assert [(d, one.shape(j), b, c) for j, _, b, c, d in row] == flip_row(t)
+
     def test_rows_build_no_flip_quad(self):
         # matched by code object, so a construction anywhere is seen; a row
         # numbers each result by its chord code and builds neither a
@@ -264,7 +285,7 @@ class TestFlipBetween:
             for _ in range(10):
                 path.append(flip(path[-1], rng.choice(path[-1].diagonals))[0])
             walks.append(path)
-        for module, name in ((flips, "_quads"), (flips, "face_tree"), (triangulation, "face_tree"),
+        for module, name in ((flips.ShapeTable, "_build_row"), (triangulation, "face_tree"),
                              (triangulation, "face_ends")):
             monkeypatch.setattr(module, name, refuse)
         outcomes = {signing.sign_path_diagonals(path).signable for path in walks}
@@ -506,8 +527,9 @@ class TestDiagonalSigning:
     def test_conversions_read_the_face_tree_and_flip_nothing(self, monkeypatch):
         # neither the row builder nor the shape accessor is called
         calls = []
-        real_quads, real_shape = flips._quads, flips.ShapeTable.shape
-        monkeypatch.setattr(flips, "_quads", lambda n, code: calls.append(code) or real_quads(n, code))
+        real_build, real_shape = flips.ShapeTable._build_row, flips.ShapeTable.shape
+        monkeypatch.setattr(flips.ShapeTable, "_build_row",
+                            lambda table, i: calls.append(i) or real_build(table, i))
         monkeypatch.setattr(flips.ShapeTable, "shape",
                             lambda table, j: calls.append(j) or real_shape(table, j))
         for n in range(1, 7):

@@ -449,16 +449,16 @@ class TestReachability:
 
 
 def count_rows(monkeypatch) -> list:
-    """Record the shape of every flips._quads call, one per row built, for
-    the rest of the test, decoded from the chord code the row reads."""
+    """Record the shape of every ``ShapeTable._build_row`` call, one per row
+    built, for the rest of the test, decoded from the chord code the row reads."""
     calls = []
-    real_quads = flips._quads
+    real_build = flips.ShapeTable._build_row
 
-    def counting_quads(n, code):
-        calls.append(from_chord_code(n, code))
-        return real_quads(n, code)
+    def counting_build(table, i):
+        calls.append(from_chord_code(table.n, table.codes[i]))
+        return real_build(table, i)
 
-    monkeypatch.setattr(flips, "_quads", counting_quads)
+    monkeypatch.setattr(flips.ShapeTable, "_build_row", counting_build)
     return calls
 
 
@@ -529,7 +529,7 @@ class TestFlipTable:
             calls.append(Triangulation(n, tuple(diagonals)))
             return real_face_ends(n, diagonals)
 
-        # a row reads the face ends through face_tree
+        # a row reads the face ends through the triangulation module
         monkeypatch.setattr(triangulation, "face_ends", counting_face_ends)
         table = graphs.flip_table(6)
         assert calls == []  # rows are built when read

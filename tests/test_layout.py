@@ -99,10 +99,10 @@ def test_flips_imports_only_from_triangulation():
     """flips is the flip kernel alone: the family's table lives in graphs and
     the readings of a flip in signing."""
     tree = ast.parse((ROOT / "src" / "flipforge" / "flips.py").read_text(encoding="utf-8"))
-    sources = set()  # the package modules flips reads; `from . import x` counts as None
+    sources = set()  # the package modules flips reads; `from . import x` counts as x
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("flipforge")):
-            sources.add(node.module)
+            sources.update([node.module] if node.module else (alias.name for alias in node.names))
         elif isinstance(node, ast.Import):
             sources.update(alias.name for alias in node.names if alias.name.startswith("flipforge"))
     assert sources == {"triangulation"}

@@ -19,7 +19,6 @@ from flipforge.signing import (
     SignedState,
     StateCapExceeded,
     _class_bridge,
-    classify_step,
     emit_word_certificate,
     sign_letters,
     sign_path_diagonals,
@@ -27,10 +26,11 @@ from flipforge.signing import (
     validate_certificate,
 )
 from flipforge.triangulation import Triangulation, all_triangulations
-from flipforge.words import abs_word
+from flipforge.words import abs_word, is_signed_word
 
 from reference import (
     class_bridge_by_search,
+    classify_step,
     depths_below_end,
     face_sign_walk,
     flip,
@@ -234,6 +234,38 @@ class TestValidateCertificate:
         assert report.first_bad_step == 0
         assert report.reason
 
+    def test_checks_each_word_once(self, monkeypatch):
+        checks = count_calls(monkeypatch, signing, "is_signed_word")
+        worked = emit_word_certificate(signable_path_search(*WORKED_PAIR))
+        for cert in (Certificate(CHAIN, CHAIN_KINDS), Certificate((CHAIN[0],), ()), worked):
+            checks.clear()
+            assert validate_certificate(cert).ok
+            assert len(checks) == len(cert.chain) and [w for (w,) in checks] == list(cert.chain)
+
+    def test_tampered_chains_are_refused_as_by_checking_every_step(self):
+        # the first bad step and reason that checking both words of every step
+        # by classify_step would give, on each one-letter tampering of the chain
+        def by_steps(chain, kinds):
+            bad = next((i for i, w in enumerate(chain) if not is_signed_word(w)), None)
+            if bad is not None:
+                return bad, f"entry {bad} is not a signed word: {chain[bad]}"
+            for i, (w1, w2, kind) in enumerate(zip(chain, chain[1:], kinds)):
+                got = classify_step(w1, w2)
+                if got != kind:
+                    return i, (f"step {i} is neither a K1 nor a K2 move" if got is None
+                               else f"step {i} classifies as {got}, recorded {kind}")
+            return None, None
+
+        refused = 0
+        for p, word in enumerate(CHAIN):
+            for k, letter in enumerate(word):
+                for new in (-letter, 0, word[k - 1], letter + 10):
+                    chain = CHAIN[:p] + (word[:k] + (new,) + word[k + 1:],) + CHAIN[p + 1:]
+                    report = validate_certificate(Certificate(chain, CHAIN_KINDS))
+                    assert (report.first_bad_step, report.reason) == by_steps(chain, CHAIN_KINDS)
+                    refused += not report.ok
+        assert refused == 4 * sum(map(len, CHAIN))
+
     def test_words_of_different_lengths_are_refused(self):
         report = validate_certificate(Certificate(chain=((1, 2), (2, 1, 3)), kinds=("K1",)))
         assert not report.ok
@@ -331,7 +363,7 @@ class TestSignablePathSearch:
     def test_cap_bounds_the_rows_built(self, k, monkeypatch):
         t1, t2 = CAP_PAIRS[k]
         depth = depths_below_end(t1, t2)
-        rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
+        rows = count_calls(monkeypatch, flips.ShapeTable, "_build_row")  # one call per row built
         path = signable_path_search(t1, t2, max_states=len(depth))
         built = len(rows)
         d = len(path.flips)
@@ -361,7 +393,7 @@ class TestSignablePathSearch:
         assert validate_certificate(emit_word_certificate(path)).ok
 
     def test_worked_pair_builds_fewer_rows_and_shapes(self, monkeypatch):
-        rows = count_calls(monkeypatch, flips, "_quads")  # one call per row built
+        rows = count_calls(monkeypatch, flips.ShapeTable, "_build_row")  # one call per row built
         tables = []
         monkeypatch.setattr(signing, "ShapeTable",
                             lambda shapes: tables.append(flips.ShapeTable(shapes)) or tables[-1])
@@ -396,13 +428,13 @@ class TestSignablePathSearch:
 
     def test_no_row_outlives_one_call(self, monkeypatch):
         calls = []
-        real_quads = flips._quads
+        real_build = flips.ShapeTable._build_row
 
-        def counting_quads(n, code):  # one call per row built
-            calls.append(code)
-            return real_quads(n, code)
+        def counting_build(table, i):  # one call per row built
+            calls.append(table.codes[i])
+            return real_build(table, i)
 
-        monkeypatch.setattr(flips, "_quads", counting_quads)
+        monkeypatch.setattr(flips.ShapeTable, "_build_row", counting_build)
         start, end = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         counts = []
         for _ in range(2):  # a cache that outlived one call would make the second call cheaper
@@ -507,7 +539,8 @@ class TestEmitWordCertificate:
         # each step's quadrilateral is read once, off the step's two shapes;
         # matched by code object, so a call under any imported name is seen
         calls = []
-        watched = {flips.flip_between.__code__: "flip_between", flips._quads.__code__: "_quads",
+        watched = {flips.flip_between.__code__: "flip_between",
+                   flips.ShapeTable._build_row.__code__: "_build_row",
                    flips.ShapeTable.shape.__code__: "shape"}
 
         def profile(frame, event, arg):
@@ -532,7 +565,7 @@ class TestEmitWordCertificate:
         t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
         path = signable_path_search(t1, t2)
         built = [count_calls(monkeypatch, flips.ShapeTable, "shape"),
-                 count_calls(monkeypatch, flips, "_quads")]
+                 count_calls(monkeypatch, flips.ShapeTable, "_build_row")]
         read = count_calls(monkeypatch, signing, "flip_readings")
         assert validate_certificate(emit_word_certificate(path)).ok
         assert len(path.flips) == 6
@@ -661,7 +694,7 @@ class TestSignPathDiagonals:
         walks = self.seeded_walks()
         between = count_calls(monkeypatch, signing, "flip_between")
         flipped = [count_calls(monkeypatch, flips.ShapeTable, "shape"),
-                   count_calls(monkeypatch, flips, "_quads")]
+                   count_calls(monkeypatch, flips.ShapeTable, "_build_row")]
         outcomes = set()
         for path in walks:
             between.clear()
