@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from . import triangulation
-from .triangulation import Coloring, Diagonal, Triangulation, chord_code, rise_mask, weakly_increasing
+from .triangulation import Coloring, Diagonal, Triangulation, chord_code, rise_mask, up_mask, weakly_increasing
 
 
 class FlipQuad(NamedTuple):
@@ -82,22 +82,21 @@ class ShapeTable:
 
     def __init__(self, shapes: Iterable[Triangulation]):
         self._shapes = list(shapes)
-        self.n = n = self._shapes[0].n if self._shapes else 0
+        self.n = self._shapes[0].n if self._shapes else 0
         self.codes = [chord_code(t) for t in self._shapes]
         self.index = {code: i for i, code in enumerate(self.codes)}
         self._rows: dict[int, list[tuple[int, int, int, int, Diagonal]]] = {}
         self._ups: list[int] = []  # up mask of shape i
-        # by chord bit: its diagonal once decoded, and the face below it in the last row
-        self._chords: list[Diagonal | None] = [None] * (n + 2) ** 2
-        self._below = [0] * (n + 2) ** 2
+        # by chord bit: its diagonal once decoded, and the face below it in the current row
+        self._chords: dict[int, Diagonal] = {}
+        self._below: dict[int, int] = {}
 
     def _decode(self, code: int) -> list[Diagonal]:
-        """The diagonals of a chord code in order, set bit i*(n+2)+j as the
-        table's one tuple (i, j)."""
+        """The diagonals of a chord code in order, bit i*(n+2)+j as the table's tuple (i, j)."""
         chords, w, out = self._chords, self.n + 2, []
         while code:
             k = (code & -code).bit_length() - 1
-            d = chords[k]
+            d = chords.get(k)
             if d is None:
                 d = chords[k] = divmod(k, w)
             out.append(d)
@@ -112,10 +111,12 @@ class ShapeTable:
 
     def _build_row(self, s: int) -> list[tuple[int, int, int, int, Diagonal]]:
         """Shape s's row, over the set bits k = i*(n+2)+j of its code.  Face y
-        lies below base (i, j) = (lo[y], hi[y]), held at bit k in ``_below``,
-        and beyond it by ``face_tree``'s rule for ``up``: face i = (lo[i], i, j)
-        iff hi[i] = j, and the flip exchanges faces i, y for (lo[i], y), else
-        face j = (i, j, hi[j]), and it exchanges faces y, j for (y, hi[j])."""
+        lies below base (i, j) = (lo[y], hi[y]); the row first writes y at bit
+        k of ``_below`` for all n faces, so each diagonal's entry is this
+        row's.  The face beyond it is ``face_tree``'s ``up`` rule: face
+        i = (lo[i], i, j) iff hi[i] = j, and the flip exchanges faces i, y for
+        (lo[i], y), else face j = (i, j, hi[j]), and it exchanges faces y, j
+        for (y, hi[j])."""
         n, w, code, codes, index = self.n, self.n + 2, self.codes[s], self.codes, self.index
         below = self._below
         diagonals = self._decode(code)
@@ -147,16 +148,11 @@ class ShapeTable:
 
     def simple(self, eps: Coloring) -> list[int]:
         """The indices of the shapes that eps makes simple, by ``is_simple``'s
-        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``, with
-        ``up_mask`` the vertices 2..n that top no diagonal."""
+        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``."""
         if not weakly_increasing(eps):
             return []
-        ups, full = self._ups, (1 << self.n + 1) - 1 & ~3
-        for code in self.codes[len(ups):]:
-            tops = 0
-            for _, j in self._decode(code):
-                tops |= 1 << j
-            ups.append(full & ~tops)
+        ups, n = self._ups, self.n
+        ups.extend(up_mask(n, self._decode(code)) for code in self.codes[len(ups):])
         falls = ~rise_mask(eps)
         return [i for i, up in enumerate(ups) if not up & falls]
 

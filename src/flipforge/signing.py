@@ -71,8 +71,7 @@ class CertReport:
 
 
 def validate_certificate(cert: Certificate) -> CertReport:
-    """Check that each word of the chain is a signed word, once each, then
-    that each step is the move its kind records."""
+    """Check each word of the chain once, then that each step is the move its kind records."""
     chain, kinds = cert.chain, cert.kinds
     if not chain:
         return CertReport(False, 0, "empty chain")

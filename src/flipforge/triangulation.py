@@ -119,10 +119,12 @@ def faces(t: Triangulation) -> list[Face]:
 
 
 def up_mask(n: int, diagonals: Sequence[Diagonal]) -> int:
-    """Bit y set for each y >= 2 that tops no diagonal (lo[y] == y - 1), that
-    is, whose face y lies on the edge {y-1, y} and points up."""
-    lo, _ = face_ends(n, diagonals)
-    return sum(1 << y for y in range(2, n + 1) if lo[y] == y - 1)
+    """Bit y set for each y in 2..n that tops no diagonal (lo[y] == y - 1),
+    that is, whose face y lies on the edge {y-1, y} and points up."""
+    tops = 0
+    for _, j in diagonals:
+        tops |= 1 << j
+    return (1 << n + 1) - 1 & ~3 & ~tops
 
 
 def rise_mask(eps: Coloring) -> int:

@@ -130,7 +130,8 @@ class TestFlip:
                 t = phi(tuple(rng.sample(range(1, n + 1), n)))
                 one = flips.ShapeTable([t])
                 row = one.row(0)
-                assert sum(d is not None for d in one._chords) == n - 1
+                # its diagonals and its n face bases, not a slot per chord bit
+                assert (len(one._chords), len(one._below)) == (n - 1, n)
                 assert [(d, one.shape(j), b, c) for j, _, b, c, d in row] == flip_row(t)
 
     def test_rows_build_no_flip_quad(self):
