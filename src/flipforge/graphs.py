@@ -10,9 +10,12 @@ keys are made only where a graph or report is printed.  The fibers suite
 numbers the lexicographic ranks of permutations by image and by sylvester
 class, the latter by the Lehmer rule: if L[k] counts the later letters below
 p[k], an ascent at i is an exchange iff L[i] < L[i+1], making them L[i+1]+1, L[i].
-The fibers suite and the diagram audit walk phi's live ring depth-first, the
-latter over the words of one evaluation, standardizing as it goes, so no
-permutation or word is standardized or mapped by itself.
+The fibers suite and the diagram audit read one depth-first walk of phi's
+live ring (``_ring_walk``) over every word of a block coloring: a live rank
+is its color's next unused letter iff its live predecessor has another
+color, so the walk standardizes as it goes, and no permutation or word is
+standardized or mapped by itself.  The fibers suite walks the permutations
+(every rank its own color), the diagram audit the words of one evaluation.
 
 The size cap is checked where a family is enumerated: ``flip_table(n)``,
 every shape of size n, checks it first, as ``build_cayley_graph`` and
@@ -32,9 +35,9 @@ import random
 import time
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, combinations, permutations, product
+from itertools import combinations, permutations, product
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .flips import ShapeTable, mask_signs
 from .phi import triangulation_from_permutation
@@ -149,34 +152,50 @@ def build_signed_state_graph(n: int) -> dict:
                                    for s in range(1 << n) if s & m in (0, m)))
 
 
-def _image_numbers(n: int) -> tuple[list[int], list[int], dict[int, Word]]:
-    """Each rank's fiber number and last letter, and each fiber's image key
-    and least permutation, by number: a walk extends a prefix by each live
-    letter in increasing order, as phi reads it, the letter's chord (p, s)
-    to its live neighbours setting bit p*(n+2)+s of the image's chord code."""
-    numbers, lasts, prefix, pred, succ = [], [], [], list(range(-1, n + 1)), list(range(1, n + 3))
-    number, least = {}, {}  # key -> fiber number, and -> least permutation
+def _ring_walk(eps: Word, leaf: Callable[[list[int], int, int], None]) -> None:
+    """Walk phi's live ring depth-first over every word whose ranks the weakly
+    increasing eps colors, in increasing order: a prefix is extended by each
+    live rank v whose live predecessor has another color (v is its color's
+    next unused rank), v leaving the ring and its chord (p, s) to its live
+    neighbours setting bit p*(n+2)+s of the image's chord code.  At each
+    word, leaf(std prefix, last live rank, chord code)."""
+    n = len(eps)
+    color = (0, *eps)  # by rank, with the ring's left end 0, no letter's color
+    prefix, pred, succ = [], list(range(-1, n + 1)), list(range(1, n + 3))
 
     def walk(key: int) -> None:
         if len(prefix) >= n - 1:
-            f = number.setdefault(key, len(number))
-            if f == len(least):
-                least[key] = (*prefix, succ[0])[:n]  # the last live letter, if any
-            numbers.append(f)
-            lasts.append(succ[0])
+            leaf(prefix, succ[0], key)  # for n = 0 the last rank is the roof, n + 1
             return
         v = succ[0]
         while v <= n:
             p, s = pred[v], succ[v]
-            succ[p], pred[s] = s, p
-            prefix.append(v)
-            walk(key | 1 << (p * (n + 2) + s))
-            prefix.pop()
-            succ[p] = pred[s] = v
+            if color[p] != color[v]:
+                succ[p], pred[s] = s, p
+                prefix.append(v)
+                walk(key | 1 << (p * (n + 2) + s))
+                prefix.pop()
+                succ[p] = pred[s] = v
             v = s
 
     walk(0)
     del walk  # a cycle through its own closure would keep the lists until a collection
+
+
+def _image_numbers(n: int) -> tuple[list[int], list[int], dict[int, Word]]:
+    """Each rank's fiber number and last letter, and each fiber's image key
+    and least permutation, by number, from the ring walk over the
+    permutations (every rank its own color)."""
+    numbers, lasts, number, least = [], [], {}, {}  # by key: fiber number, least permutation
+
+    def leaf(prefix: list[int], last: int, key: int) -> None:
+        f = number.setdefault(key, len(number))
+        if f == len(least):
+            least[key] = (*prefix, last)[:n]
+        numbers.append(f)
+        lasts.append(last)
+
+    _ring_walk(tuple(range(1, n + 1)), leaf)
     return numbers, lasts, least
 
 
@@ -284,37 +303,16 @@ def _switched_graph(table: ShapeTable, mu: tuple[int, ...]) -> tuple[dict[int, l
 
 def _std_words(mu: tuple[int, ...]) -> list[tuple[Word, Word, int]]:
     """Each word w of evaluation mu, in increasing order, as (w, std(w), the
-    chord code of phi(std(w))), from one walk: a prefix is extended by each
-    color c with letters left, in increasing order, its std letter the next
-    unused rank of c's block, which leaves phi's ring as in _image_numbers
-    and sets its chord's bit; the last letter is the rank left on the ring."""
-    eps = block_coloring(mu)
-    n, colors = len(eps), range(1, len(mu) + 1)
-    color = (0, *eps, 0)  # by rank, with the ring's ends 0 and n + 1
-    ends = [1, *(1 + k for k in accumulate(mu))]  # color c's block is ends[c-1] .. ends[c] - 1
-    nxt, out, word, std = [0, *ends[:-1]], [], [], []
-    pred, succ = list(range(-1, n + 1)), list(range(1, n + 3))
+    chord code of phi(std(w))), from the ring walk over the block coloring
+    of mu: std(w) is the walk's word, and w its letters' colors."""
+    color = (0, *block_coloring(mu))
+    n, out = len(color) - 1, []
 
-    def walk(key: int) -> None:
-        if len(std) >= n - 1:
-            v = succ[0]  # the last letter; for n = 0 the roof, which [:n] drops
-            out.append(((*word, color[v])[:n], (*std, v)[:n], key))
-            return
-        for c in colors:
-            v = nxt[c]
-            if v < ends[c]:
-                p, s = pred[v], succ[v]
-                succ[p], pred[s] = s, p
-                nxt[c] = v + 1
-                word.append(c)
-                std.append(v)
-                walk(key | 1 << (p * (n + 2) + s))
-                word.pop()
-                std.pop()
-                nxt[c] = succ[p] = pred[s] = v
+    def leaf(prefix: list[int], last: int, key: int) -> None:
+        sw = (*prefix, last)[:n]
+        out.append((tuple([color[v] for v in sw]), sw, key))
 
-    walk(0)
-    del walk  # a cycle through its own closure would keep the lists until a collection
+    _ring_walk(color[1:], leaf)
     return out
 
 

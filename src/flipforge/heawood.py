@@ -84,7 +84,9 @@ def color_graph(vertices: list[int], edges: set[tuple[int, int]]) -> dict[int, i
             del assignment[v]
         return False
 
-    return dict(assignment) if backtrack(0) else None
+    found = backtrack(0)
+    del backtrack  # a cycle through its own closure would keep it until a collection
+    return assignment if found else None
 
 
 def four_color(s: SphereTriangulation) -> dict[int, int] | None:

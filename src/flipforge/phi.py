@@ -10,8 +10,10 @@ form exactly one sylvester class, so the map realizes the class quotient.
 ``colored_triangulation_from_word`` pairs the image of the standardization
 with the weakly increasing coloring given by the word's evaluation; the
 result is always simple and grows one vertex at a time with ``insert``.
-The diagram audit (``graphs.diagram_report``) walks the same ring over
-every word of one evaluation at once, standardizing as it goes.
+One walk in ``graphs`` (``_ring_walk``) runs the same ring depth-first over
+every word of a block coloring at once, standardizing as it goes: a live
+rank is its color's next unused letter iff its live predecessor has another
+color.  The fibers suite and the diagram audit read it.
 """
 
 from __future__ import annotations

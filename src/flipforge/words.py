@@ -34,38 +34,26 @@ def standardize(w: Word) -> Word:
     return tuple(std)
 
 
-def respects_blocks(sigma: Word, mu: tuple[int, ...]) -> int | None:
-    """Index of the first mu-block whose values are out of order in sigma, else None."""
-    if sum(mu) != len(sigma):
-        raise ValueError(f"mu {mu} has total {sum(mu)}, permutation has length {len(sigma)}")
-    pos = {v: i for i, v in enumerate(sigma)}
-    lo = 1
-    for k, m in enumerate(mu):
-        block = range(lo, lo + m)
-        if any(pos[v] >= pos[v + 1] for v in block[:-1]):
-            return k
-        lo += m
-    return None
-
-
 def destandardize(sigma: Word, mu: tuple[int, ...]) -> Word:
-    """The unique word of evaluation mu whose standardization is sigma."""
+    """The unique word of evaluation mu whose standardization is sigma: each
+    rank v read through the block coloring of mu, whose ranks of one color
+    must appear in increasing order; the least color that breaks this is
+    refused."""
     if not is_permutation(sigma):
         raise ValueError(f"{sigma} is not a permutation")
-    bad = respects_blocks(sigma, mu)
+    if sum(mu) != len(sigma):
+        raise ValueError(f"mu {mu} has total {sum(mu)}, permutation has length {len(sigma)}")
+    eps = block_coloring(mu)
+    pos = {v: i for i, v in enumerate(sigma)}
+    # eps[v - 1] colors rank v: a color's ranks v, v + 1 out of order name it
+    bad = next((eps[v] for v in range(1, len(eps)) if eps[v - 1] == eps[v] and pos[v] > pos[v + 1]), None)
     if bad is not None:
-        lo = 1 + sum(mu[:bad])
+        lo = 1 + sum(mu[: bad - 1])
         raise ValueError(
-            f"values {lo}..{lo + mu[bad] - 1} (block {bad + 1} of mu={mu}) "
+            f"values {lo}..{lo + mu[bad - 1] - 1} (block {bad} of mu={mu}) "
             "do not appear in increasing order"
         )
-    letter = {}
-    lo = 1
-    for c, m in enumerate(mu, start=1):
-        for v in range(lo, lo + m):
-            letter[v] = c
-        lo += m
-    return tuple(letter[v] for v in sigma)
+    return tuple(eps[v - 1] for v in sigma)
 
 
 def exchange_witness(w: Word, i: int) -> int | None:

@@ -11,6 +11,7 @@ import pytest
 
 from flipforge import cli, flips, graphs, jsonio, signing, triangulation
 from flipforge.flips import flip_between, flip_signs
+from flipforge.heawood import SphereTriangulation
 from flipforge.phi import (
     colored_triangulation_from_word,
     readings,
@@ -435,6 +436,9 @@ class TestNoCyclicGarbage:
         t, colors = colored_triangulation_from_word((1, 2, 4, 1, 4, 3, 3, 4, 2, 4))
         state = tmp_path / "state.json"
         state.write_text(json.dumps(jsonio.triangulation_to_dict(t, colors=colors)))
+        sphere = tmp_path / "sphere.json"
+        south = phi((5, 3, 8, 1, 2, 10, 4, 9, 6, 7))
+        sphere.write_text(json.dumps(jsonio.sphere_to_dict(SphereTriangulation(t, south))))
         # argparse's parser is a web of cycles (each action points back at its
         # container), built afresh by every main: build it before the count
         parser = cli.build_parser()
@@ -444,6 +448,7 @@ class TestNoCyclicGarbage:
             "flip": lambda: cli.main(["flip", str(state), "--d", "4,6"]),
             "neighbors": lambda: cli.main(["neighbors", str(state), "--mode", "switched"]),
             "battery": lambda: graphs.run_battery(graphs.SUITES, 5),
+            "four-color": lambda: cli.main(["four-color", str(sphere)]),
         }
         left = {}
         gc.collect()

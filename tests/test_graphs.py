@@ -209,6 +209,22 @@ class TestFibers:
             assert len(keys) == CATALAN[n]
             assert all(chord_code(phi(p)) == keys[f] for p, f in zip(perms, numbers))
 
+    def test_numbers_are_the_unit_block_walk_of_the_diagram(self):
+        # with mu = (1,)*n every rank is its own color, so both leaves read one walk
+        for n in range(8):
+            walked = graphs._std_words((1,) * n)
+            number = {}
+            for _, _, code in walked:
+                number.setdefault(code, len(number))
+            least = {}
+            for _, sw, code in walked:
+                least.setdefault(code, sw)
+            numbers, lasts, least_by_walk = graphs._image_numbers(n)
+            assert numbers == [number[code] for _, _, code in walked]
+            assert least_by_walk == least and list(least_by_walk) == list(number)
+            assert all(w == sw for w, sw, _ in walked)
+            assert n == 0 or lasts == [sw[-1] for _, sw, _ in walked]
+
     def test_maps_each_fiber_once(self, monkeypatch):
         mapped = []
         real_phi = graphs.triangulation_from_permutation

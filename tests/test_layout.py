@@ -139,3 +139,37 @@ def test_flips_builds_shapes_and_quads_in_one_place_each():
              for name in builds(node)]
     assert sorted(sites) == [("FlipQuad", "flip_between"), ("Triangulation", "shape")]
     assert len(builds(tree)) == len(sites)  # none at module or class level
+
+
+def test_self_calling_nested_defs_are_dropped():
+    """A nested def that calls itself holds itself through its closure: a
+    reference cycle that keeps it, and all it reaches, alive until a
+    collection.  Its enclosing def must ``del`` its name, as
+    ``all_triangulations`` does with ``rec``."""
+
+    def own(node: ast.AST):
+        """The nodes of a def's body, not descending into nested defs and classes."""
+        stack = list(node.body)
+        while stack:
+            child = stack.pop()
+            yield child
+            if not isinstance(child, DEFS):
+                stack.extend(ast.iter_child_nodes(child))
+
+    kept, checked = [], 0
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, DEFS[:2]):
+                continue
+            dropped = {target.id for node in own(outer) if isinstance(node, ast.Delete)
+                       for target in node.targets if isinstance(target, ast.Name)}
+            for inner in own(outer):
+                if isinstance(inner, DEFS[:2]) and any(
+                        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == inner.name for call in ast.walk(inner)):
+                    checked += 1
+                    if inner.name not in dropped:
+                        kept.append(f"{path.stem}.{outer.name}.{inner.name}")
+    assert checked > 0  # the scan does see a self-calling nested def
+    assert not kept, f"self-calling nested defs never deleted: {kept}"

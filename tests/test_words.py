@@ -17,7 +17,6 @@ from flipforge.words import (
     exchange_witness,
     format_word,
     parse_word,
-    respects_blocks,
     standardize,
     sylvester_class,
 )
@@ -109,11 +108,33 @@ class TestDestandardize:
 
     def test_round_trip_all_s5(self):
         for mu in compositions(5, 5):
+            kept = 0
             for sigma in perms(5):
-                if respects_blocks(sigma, mu) is None:
+                try:
                     w = destandardize(sigma, mu)
-                    assert evaluation(w) == mu
-                    assert standardize(w) == sigma
+                except ValueError as exc:
+                    assert re.search(r"\(block \d+ of mu=", str(exc))
+                    continue
+                kept += 1
+                assert evaluation(w) == mu
+                assert standardize(w) == sigma
+            # one permutation kept per word of evaluation mu
+            assert kept == math.factorial(5) // math.prod(map(math.factorial, mu))
+
+    def test_inverts_standardize_over_the_words_of_mu(self):
+        # a refused permutation names its first block whose values are out of order
+        for n in range(7):
+            for mu in compositions(n, n):
+                inverse = {standardize(w): w for w in words_of_evaluation(mu)}
+                starts = list(itertools.accumulate(mu, initial=1))
+                for sigma in perms(n):
+                    if sigma in inverse:
+                        assert destandardize(sigma, mu) == inverse[sigma]
+                        continue
+                    k = next(k for k, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1)
+                             if [v for v in sigma if lo <= v < hi] != list(range(lo, hi)))
+                    with pytest.raises(ValueError, match=re.escape(f"(block {k} of mu={mu})")):
+                        destandardize(sigma, mu)
 
     def test_rejects_block_violation(self):
         # values 1,2 appear as 2..1: the first block decreases
@@ -127,16 +148,19 @@ class TestDestandardize:
 
 class TestBlockMembership:
     def test_frozen_member(self):
-        assert respects_blocks(parse_word("31645278"), (2, 3, 2, 1)) is None
+        sigma = parse_word("31645278")
+        assert standardize(destandardize(sigma, (2, 3, 2, 1))) == sigma
 
     def test_first_bad_block_reported(self):
-        # zero-based index of the offending block
-        assert respects_blocks((2, 1, 3), (2, 1)) == 0
-        assert respects_blocks((1, 3, 2), (1, 2)) == 1
+        # one-based number of the offending block
+        with pytest.raises(ValueError, match=re.escape("(block 1 of mu=(2, 1))")):
+            destandardize((2, 1, 3), (2, 1))
+        with pytest.raises(ValueError, match=re.escape("(block 2 of mu=(1, 2))")):
+            destandardize((1, 3, 2), (1, 2))
 
     @given(permutations_st)
     def test_unit_blocks_always_ok(self, sigma):
-        assert respects_blocks(tuple(sigma), (1,) * len(sigma)) is None
+        assert destandardize(tuple(sigma), (1,) * len(sigma)) == tuple(sigma)
 
 
 class TestDeltaProfile:
@@ -291,7 +315,7 @@ class TestStandardizationCompatibility:
         for w in (BBCBCA, (1, 1, 2), (2, 1, 2, 1)):
             mu = evaluation(w)
             sigma_class = sylvester_class(standardize(w))
-            assert all(respects_blocks(s, mu) is None for s in sigma_class)
+            assert all(standardize(destandardize(s, mu)) == s for s in sigma_class)
             image = {destandardize(s, mu) for s in sigma_class}
             assert image == sylvester_class(w)
             assert len(image) == len(sigma_class)
