@@ -339,7 +339,7 @@ def diagram_report(table: ShapeTable, mu: tuple[int, ...]) -> dict:
         else:
             up = ups.get(j)
             if up is None:
-                up = ups[j] = face_tree(n, table.shape(j).diagonals)[3]
+                up = ups[j] = face_tree(n, table.shape(j).diagonals)[2]
             pos = [n] + [0] * n  # the root's parent, 0, comes after every letter
             for k, y in enumerate(sw):
                 pos[y] = k

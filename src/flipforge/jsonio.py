@@ -96,6 +96,9 @@ def sphere_from_dict(data: dict) -> SphereTriangulation:
         if unsigned is not None:
             raise ValueError(f"face {unsigned} is unsigned")
         signs = tuple(tuple(entries[f"{hemi}:{label}"] for label in range(1, n + 1)) for hemi in "NS")
+    for hemi, problems in (("north", validate(north)), ("south", validate(south))):
+        if problems:
+            raise ValueError(f"{hemi} is not a triangulation: {problems[0]}")
     return SphereTriangulation(north, south, signs)
 
 

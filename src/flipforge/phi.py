@@ -23,7 +23,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Any, Callable
 
-from .triangulation import Coloring, Triangulation, face_tree, faces, is_simple
+from .triangulation import Coloring, Triangulation, face_ends, face_tree, faces, is_simple
 from .words import Word, is_permutation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
@@ -46,7 +46,8 @@ def readings(t: Triangulation) -> frozenset[Word]:
     """Every reading of t, from the leaves of its face tree to the root: face
     y is read after the faces below its sides (lo[y], y) and (y, hi[y]), so
     its readings are the shuffles of theirs, each followed by y."""
-    lo, hi, below, _ = face_tree(t.n, t.diagonals)
+    lo, hi = face_ends(t.n, t.diagonals)
+    below = {(lo[y], hi[y]): y for y in range(1, t.n + 1)}  # each face by its base
     read: dict[int, list[Word]] = {}
 
     def under(i: int, j: int) -> list[Word]:
@@ -77,7 +78,7 @@ def least_reading(t: Triangulation, key: Callable[[int], Any]) -> Word:
     """The reading that is lexicographically least when letters are compared
     by key: it always reads next the least face whose children are read,
     face y waiting for one child below each of its sides that is a diagonal."""
-    lo, hi, _, up = face_tree(t.n, t.diagonals)
+    lo, hi, up = face_tree(t.n, t.diagonals)
     inner = range(1, t.n + 1)
     waiting = [0] + [(y - lo[y] > 1) + (hi[y] - y > 1) for y in inner]
     ready = [(key(y), y) for y in inner if not waiting[y]]

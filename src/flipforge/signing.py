@@ -15,8 +15,8 @@ the diagonal rule of Gravier & Payan: a flip refuses a negative diagonal,
 installs the new diagonal positive and negates the other diagonals among
 the sides of its quadrilateral.  It signs the first shape so that each of
 its diagonals is positive when flipped, then applies the rule forward once
-to the quadrilaterals it already holds.  ``flip_readings`` gives the two
-words of one flip that a word certificate's K2 move exchanges.
+to the quadrilaterals it already holds.  ``flip_readings`` reads the two
+words a certificate's K2 move exchanges off one reading before the flip.
 """
 
 from __future__ import annotations
@@ -267,33 +267,33 @@ def _class_bridge(w_from: Word, w_to: Word) -> list[Word]:
     return chain
 
 
-def flip_readings(t: Triangulation, quad: FlipQuad, t2: Triangulation) -> tuple[Word, Word]:
-    """Readings u x z v of t and u z x v of t2, its flip across quad.
+def flip_readings(t: Triangulation, quad: FlipQuad) -> tuple[Word, Word]:
+    """Readings u x z v of t and u z x v of its flip across quad.
 
     The two exchanged letters are the face labels of the flip quadrilateral
     and the tail v carries no letter strictly between them, which is exactly
-    what separates a flip from a within-class exchange.  Each word is the
-    least reading that puts the faces inside the quadrilateral first, then
-    its two letters in order, then the rest, each group by label.
+    what separates a flip from a within-class exchange.  The first word is
+    the least reading that puts the faces inside the quadrilateral first,
+    then its two letters in order, then the rest, each group by label.  The
+    flip keeps the subtrees inside, and the faces outside wait on the pair,
+    so exchanging it gives the flipped shape's least reading by that rule.
     """
     a, d = quad.a, quad.d
-    order = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
-    words = []
-    for shape, (x, z) in ((t, order), (t2, order[::-1])):
-        rank = {x: 1, z: 2}
-        w = least_reading(shape, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
-        if w[d - a - 3:d - a - 1] != (x, z):
-            raise AssertionError(f"{x}, {z} are not read right after the inside of the quad")
-        words.append(w)
-    return words[0], words[1]
+    x, z = (quad.b, quad.c) if quad.old == (a, quad.c) else (quad.c, quad.b)
+    rank = {x: 1, z: 2}
+    w = least_reading(t, lambda y: (rank.get(y, 0 if a < y < d else 3), y))
+    k = d - a - 3
+    if w[k:k + 2] != (x, z):
+        raise AssertionError(f"{x}, {z} are not read right after the inside of the quad")
+    return w, w[:k] + (z, x) + w[k + 2:]
 
 
 def emit_word_certificate(path: SignedPath) -> Certificate:
     """Realize a signed-flip path as a chain of K1/K2 moves on signed words.
 
     Each flip contributes the exchanged-pair readings of its quadrilateral
-    (a K2 move); between flips the reading is carried across the class by
-    K1 moves.
+    (a K2 move), read off the shape before it; between flips the reading is
+    carried across the class by K1 moves.
     """
     steps = list(path.steps())
     if not steps:
@@ -301,8 +301,8 @@ def emit_word_certificate(path: SignedPath) -> Certificate:
         return Certificate([sign_letters(canonical_reading(tri), signs)], [])
     chain: list[SignedWord] = []
     kinds: list[str] = []
-    for (t_i, eps_i), quad, (t_j, eps_j) in steps:
-        w1, w2 = flip_readings(t_i, quad, t_j)
+    for (t_i, eps_i), quad, (_, eps_j) in steps:
+        w1, w2 = flip_readings(t_i, quad)
         if not chain:
             chain.append(sign_letters(w1, eps_i))
         for perm in _class_bridge(abs_word(chain[-1]), w1)[1:]:

@@ -97,19 +97,13 @@ def face_ends(n: int, diagonals: Sequence[Diagonal]) -> tuple[list[int], list[in
     return lo, hi
 
 
-def face_tree(
-    n: int, diagonals: Sequence[Diagonal]
-) -> tuple[list[int], list[int], dict[Diagonal, int], list[int]]:
-    """``face_ends``, ``below`` and ``up``.  ``below`` maps each base
-    (lo[y], hi[y]) to its face y; the faces below the sides (lo[y], y) and
-    (y, hi[y]) are face y's children, and the root lies below the roof edge.
-    ``up[y]``, face y's parent, lies beyond its base (i, j): it is face
-    i = (lo[i], i, j) if hi[i] = j, else face j = (i, j, hi[j]); as
-    hi[0] = n+1, ``up`` of the root is 0."""
+def face_tree(n: int, diagonals: Sequence[Diagonal]) -> tuple[list[int], list[int], list[int]]:
+    """``face_ends`` and ``up``: face y's parent ``up[y]`` lies beyond its base
+    (i, j), face i = (lo[i], i, j) if hi[i] = j, else face j = (i, j, hi[j]);
+    as hi[0] = n+1, ``up`` of the root, below the roof edge, is 0."""
     lo, hi = face_ends(n, diagonals)
-    inner = range(1, n + 1)
-    up = [0] + [lo[y] if hi[lo[y]] == hi[y] else hi[y] for y in inner]
-    return lo, hi, {(lo[y], hi[y]): y for y in inner}, up
+    up = [0] + [lo[y] if hi[lo[y]] == hi[y] else hi[y] for y in range(1, n + 1)]
+    return lo, hi, up
 
 
 def faces(t: Triangulation) -> list[Face]:

@@ -41,6 +41,8 @@ def destandardize(sigma: Word, mu: tuple[int, ...]) -> Word:
     refused."""
     if not is_permutation(sigma):
         raise ValueError(f"{sigma} is not a permutation")
+    if any(m < 0 for m in mu):
+        raise ValueError(f"mu {mu} has a negative part")
     if sum(mu) != len(sigma):
         raise ValueError(f"mu {mu} has total {sum(mu)}, permutation has length {len(sigma)}")
     eps = block_coloring(mu)

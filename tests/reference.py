@@ -882,7 +882,7 @@ def flip_characterization(t1: Triangulation, t2: Triangulation) -> tuple[Word, W
     """Readings u x z v of t1 and u z x v of t2 witnessing a single flip, or
     None unless t1 and t2 differ by one flip; see ``signing.flip_readings``."""
     quad = flip_between(t1, t2)
-    return None if quad is None else flip_readings(t1, quad, t2)
+    return None if quad is None else flip_readings(t1, quad)
 
 
 def _valid_face_tree(t: Triangulation):
@@ -893,9 +893,10 @@ def _valid_face_tree(t: Triangulation):
 
 
 def diagonal_signing_from_faces(t: Triangulation, face_signs: Coloring) -> DiagonalSigning:
-    """Sign the base of each face y but the root by the product of the signs
-    of y and of up[y], the face beyond it."""
-    _, _, below, up = _valid_face_tree(t)
+    """Sign the base (lo[y], hi[y]) of each face y but the root by the
+    product of the signs of y and of up[y], the face beyond it."""
+    lo, hi, up = _valid_face_tree(t)
+    below = {(lo[y], hi[y]): y for y in range(1, t.n + 1)}
     return DiagonalSigning(t, {d: face_signs[y - 1] * face_signs[up[y] - 1]
                                for d, y in sorted(below.items()) if up[y]})
 
@@ -910,7 +911,7 @@ def face_signs_from_diagonals(ds: DiagonalSigning, anchor_sign: int) -> Coloring
     if set(ds.signs) != set(ds.base.diagonals):
         raise ValueError("face signs need a total diagonal signing")
     t = ds.base
-    lo, hi, _, up = _valid_face_tree(t)
+    lo, hi, up = _valid_face_tree(t)
     rel = [1] * (t.n + 2)
     for y in sorted(range(1, t.n + 1), key=lambda y: lo[y] - hi[y]):
         if up[y]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from flipforge import cli, flips, graphs
+from flipforge import cli, flips, graphs, triangulation
 from flipforge.cli import main
 from flipforge.phi import colored_triangulation_from_word
 from flipforge.triangulation import is_simple
@@ -322,6 +322,25 @@ class TestSphereCommands:
         assert code == 1
         assert "sign" in err
 
+    def test_glue_validates_each_hemisphere_once(self, capsys, tmp_path):
+        # jsonio checks each shape where it reads it; the sphere trusts them
+        files = [str(tmp_path / "n.json"), str(tmp_path / "s.json")]
+        for word, path in zip(("453126", "324156"), files):
+            assert main(["phi", word, "-o", path]) == 0
+        calls = []  # matched by code object, so a call under any imported name is seen
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is triangulation.validate.__code__:
+                calls.append(frame.f_locals["t"])
+
+        sys.setprofile(profile)
+        try:
+            code, out, err = run(capsys, "glue", "--north", files[0], "--south", files[1])
+        finally:
+            sys.setprofile(None)
+        assert code == 0, err
+        assert [t.n for t in calls] == [6, 6] and calls[0] != calls[1]
+
     def test_glue_sign_mismatch_rejected(self, capsys, tmp_path):
         north = tmp_path / "n.json"
         south = tmp_path / "s.json"
@@ -573,12 +592,16 @@ class TestErrorHandling:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_verify_rejects_n_below_one(self, n):
-        proc = run_cli("verify", "--n", n, text=True)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    @pytest.mark.parametrize("n", ["0", "-3", "-1"])
+    def test_verify_rejects_n_below_one(self, capsys, monkeypatch, n):
+        # in process, so a line trace sees run_battery's own refusal, reached
+        # before any table is built
+        calls = []
+        monkeypatch.setattr(graphs, "flip_table", calls.append)
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 1
+        assert calls == [] and out == ""
+        assert err == f"error: n must be at least 1, got {n}\n"
 
     def test_verify_refuses_above_cap_before_any_suite(self, capsys, monkeypatch):
         monkeypatch.delenv("FLIPFORGE_MAX_N", raising=False)

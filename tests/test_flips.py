@@ -207,17 +207,17 @@ class TestFlipCharacterization:
         for n in range(8):
             for t in all_triangulations(n):
                 for d in t.diagonals:
-                    t2, quad = flip(t, d)
-                    assert flip_readings(t, quad, t2) == flip_readings_by_ears(t, quad)
+                    _, quad = flip(t, d)
+                    assert flip_readings(t, quad) == flip_readings_by_ears(t, quad)
 
     def test_refuses_letters_not_read_after_the_inside(self):
         # a quadrilateral 0 < 1 < 3 < 4 on (0, 3): face 1 is ready at once, but
         # face 3 waits for face 2, the one face inside
         t = tri(3, (0, 2), (0, 3))
-        t2, quad = flip(t, (0, 3))
+        _, quad = flip(t, (0, 3))
         quad = quad._replace(b=1)
         with pytest.raises(AssertionError):
-            flip_readings(t, quad, t2)
+            flip_readings(t, quad)
         with pytest.raises(AssertionError):
             flip_readings_by_ears(t, quad)
 

@@ -13,6 +13,7 @@ from flipforge.heawood import (
     sphere_edges,
     verify_coloring,
 )
+from flipforge.jsonio import sphere_from_dict
 from flipforge.signing import SignedState
 from flipforge.triangulation import Triangulation, all_triangulations, faces
 
@@ -59,9 +60,11 @@ class TestGlue:
             SphereTriangulation(Triangulation(2, ((0, 2),)), Triangulation(3, ((1, 3), (0, 3))))
 
     def test_invalid_hemisphere_rejected(self):
-        bad = Triangulation(2, ((0, 2), (1, 3)))
-        with pytest.raises(ValueError):
-            SphereTriangulation(bad, Triangulation(2, ((0, 2),)), None)
+        # a hemisphere is checked where it is read, the north one first
+        good, bad = [[0, 2]], [[0, 2], [1, 3]]
+        for north, south, hemi in ((bad, good, "north"), (good, bad, "south"), (bad, bad, "north")):
+            with pytest.raises(ValueError, match=f"^{hemi} is not a triangulation: expected 1 diagonals"):
+                sphere_from_dict({"n": 2, "north": north, "south": south})
 
     @pytest.mark.parametrize("signs", [((1,), (1, 1)), ((1, 1), (1, 1, 1)), ((), ())])
     def test_sign_tuple_of_the_wrong_length_rejected(self, signs):

@@ -95,6 +95,19 @@ def test_sphere_sign_keys_live_in_jsonio():
     assert not holders, f"hemisphere keys outside jsonio: {holders}"
 
 
+def test_only_jsonio_validates():
+    """A shape is checked once, where it is read: in the library only jsonio
+    calls ``validate``, and every other module trusts the shapes it is given."""
+    calls = {}
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls[path.stem] = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                            and "validate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls.pop("jsonio"), "jsonio validates the shapes it reads"
+    callers = {module: lines for module, lines in calls.items() if lines}
+    assert not callers, f"validate called outside jsonio: {callers}"
+
+
 def test_flips_imports_only_from_triangulation():
     """flips is the flip kernel alone: the family's table lives in graphs and
     the readings of a flip in signing."""

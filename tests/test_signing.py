@@ -561,17 +561,26 @@ class TestEmitWordCertificate:
 
     def test_emission_builds_each_flipped_shape_once(self, monkeypatch):
         # the search built each shape of the path once; the flip readings take
-        # them from the path and build none
-        t1, t2 = Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126))
-        path = signable_path_search(t1, t2)
+        # the shape before each flip, with its quadrilateral, from the path and
+        # build none
+        path = signable_path_search(*WORKED_PAIR)
         built = [count_calls(monkeypatch, flips.ShapeTable, "shape"),
                  count_calls(monkeypatch, flips.ShapeTable, "_build_row")]
         read = count_calls(monkeypatch, signing, "flip_readings")
         assert validate_certificate(emit_word_certificate(path)).ok
         assert len(path.flips) == 6
         assert built == [[], []]
-        assert [(t, t2) for t, _, t2 in read] == [(s1.tri, s2.tri) for s1, s2 in zip(path, path[1:])]
-        assert all(t is s1.tri and t2 is s2.tri for (t, _, t2), s1, s2 in zip(read, path, path[1:]))
+        assert read == [(s1.tri, quad) for s1, quad, _ in path.steps()]
+        assert all(t is s1.tri for (t, _), s1 in zip(read, path))
+
+    def test_emission_reads_each_flip_once(self, monkeypatch):
+        # one least reading per flip: the flipped word exchanges its pair
+        path = signable_path_search(*WORKED_PAIR)
+        read = count_calls(monkeypatch, signing, "least_reading")
+        cert = emit_word_certificate(path)
+        assert validate_certificate(cert).ok
+        assert [t for t, _ in read] == [s.tri for s in path[:-1]]
+        assert len(read) == cert.kinds.count("K2") == 6
 
     def test_certificate_of_a_long_walk_at_n30(self):
         path = random_signed_walk(30, 20, random.Random(30))

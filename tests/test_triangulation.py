@@ -192,7 +192,8 @@ class TestFaces:
         # lo[y] and hi[y], and the root, below the roof edge, holds all n
         for n in range(8):
             for t in all_triangulations(n):
-                lo, hi, below, _ = face_tree(n, t.diagonals)
+                lo, hi, _ = face_tree(n, t.diagonals)
+                below = {(lo[y], hi[y]): y for y in range(1, n + 1)}  # each face by its base
                 assert sorted(below) == sorted(t.diagonals + ((0, n + 1),)) if n else not below
                 for y in range(1, n + 1):
                     stack, subtree = [y], []
@@ -208,7 +209,8 @@ class TestFaces:
         # up[y] is the face with y below one of its sides; only the root has none
         for n in range(9):
             for t in all_triangulations(n):
-                lo, hi, below, up = face_tree(n, t.diagonals)
+                lo, hi, up = face_tree(n, t.diagonals)
+                below = {(lo[y], hi[y]): y for y in range(1, n + 1)}
                 parent = {below[s]: y for y in range(1, n + 1) for s in ((lo[y], y), (y, hi[y])) if s in below}
                 assert up == [0] + [parent.get(y, 0) for y in range(1, n + 1)]
                 assert up.count(0) == 2 if n else up == [0]

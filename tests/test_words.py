@@ -145,6 +145,16 @@ class TestDestandardize:
         with pytest.raises(ValueError):
             destandardize((1, 2), (1, 2, 1))
 
+    def test_negative_part_refused(self):
+        # the parts sum to the length, but a negative part is no block
+        with pytest.raises(ValueError, match=re.escape("mu (3, -1)")):
+            destandardize((1, 2), (3, -1))
+        with pytest.raises(ValueError, match=re.escape("mu (-1, 0, 3)")):
+            destandardize((2, 1), (-1, 0, 3))
+        # a zero part is an empty block: its color is skipped
+        assert destandardize((1, 2), (0, 2, 0)) == (2, 2)
+        assert destandardize((2, 1), (1, 0, 1)) == (3, 1)
+
 
 class TestBlockMembership:
     def test_frozen_member(self):
