@@ -29,7 +29,7 @@ from .signing import (
     signable_path_search,
     validate_certificate,
 )
-from .triangulation import canonical_key, is_simple
+from .triangulation import canonical_key
 from .words import (
     destandardize,
     format_word,
@@ -122,8 +122,7 @@ def cmd_dstd(args) -> tuple[int, object]:
     perm = parse_word(args.perm)
     mu = _parse_mu(args.mu)
     word = destandardize(perm, mu)
-    display = format_word(word, "a") if max(word) <= 26 else format_word(word, "1,1")
-    return 0, {"word": display, "letters": list(word)}
+    return 0, {"word": format_word(word, "a"), "letters": list(word)}
 
 
 def cmd_class(args) -> tuple[int, object]:
@@ -155,9 +154,9 @@ def cmd_neighbors(args) -> tuple[int, object]:
         raise ValueError("signed neighbors need a 'signs' entry")
     if mode in ("homogeneous", "switched") and colors is None:
         raise ValueError(f"{mode} neighbors need a 'colors' entry")
-    if mode == "switched" and not is_simple(t, colors):
-        raise ValueError("switched flips are only defined between simple colored triangulations")
     table = flips.ShapeTable([t])
+    if mode == "switched" and not table.simple(colors):
+        raise ValueError("switched flips are only defined between simple colored triangulations")
     row = table.row(0)  # adds the results to the table before simple() reads it
     if mode == "plain":
         moves = [(j, {}) for j, *_ in row]

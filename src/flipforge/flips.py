@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from . import triangulation
-from .triangulation import Coloring, Diagonal, Triangulation, chord_code, rise_mask, up_mask, weakly_increasing
+from .triangulation import Coloring, Diagonal, Triangulation, chord_code, rise_mask, up_mask
 
 
 class FlipQuad(NamedTuple):
@@ -147,9 +147,22 @@ class ShapeTable:
         return Triangulation(self.n, tuple(self._decode(self.codes[j])))
 
     def simple(self, eps: Coloring) -> list[int]:
-        """The indices of the shapes that eps makes simple, by ``is_simple``'s
-        rule: eps weakly increases and ``up_mask & ~rise_mask(eps) == 0``."""
-        if not weakly_increasing(eps):
+        """The indices of the shapes that eps makes simple, the library's one
+        test of the three rules: (a) colors weakly increase along 1..n, (b) no
+        diagonal joins two inner vertices of equal color, (c) for consecutive
+        equal-colored vertices i, i+1 the face on the edge {i, i+1} points
+        down: t_i < i.  Requires valid shapes and one color per vertex.
+
+        Equivalently, with eps_y the color of y: the colors weakly increase and
+        eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1),
+        i.e. ``up_mask(n, diagonals) & ~rise_mask(eps) == 0``.
+        The face on {y-1, y} is face y iff lo[y] = y - 1, else face y - 1, and
+        only face y points up; so this is (c).  (a) and (c) give (b): an inner
+        diagonal (i, j) with eps_i = eps_j forces eps_i = eps_{i+1} by (a), and
+        no diagonal reaches i + 1 from below i without crossing (i, j), so
+        lo[i+1] = i and (c) fails.
+        """
+        if any(a > b for a, b in zip(eps, eps[1:])):
             return []
         ups, n = self._ups, self.n
         ups.extend(up_mask(n, self._decode(code)) for code in self.codes[len(ups):])

@@ -59,31 +59,30 @@ def heawood_check(s: SphereTriangulation) -> list[int]:
 
 
 def color_graph(vertices: list[int], edges: set[tuple[int, int]]) -> dict[int, int] | None:
-    """Greedy-ordered backtracking proper coloring with colors 0..3; None when impossible."""
+    """Greedy-ordered backtracking proper coloring with colors 0..3; None when
+    impossible.  Vertices are colored by falling degree, each with its least
+    color that no colored neighbour holds; a vertex left with none sends the
+    search back one vertex, to that vertex's next color."""
     adj: dict[int, set[int]] = {v: set() for v in vertices}
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
     order = sorted(vertices, key=lambda v: (-len(adj[v]), v))
     assignment: dict[int, int] = {}
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
+    untried = [0] * len(order)  # the least color not yet tried at each depth
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
+        assignment.pop(v, None)
         used = {assignment[u] for u in adj[v] if u in assignment}
-        for c in range(4):
-            if c in used:
-                continue
-            assignment[v] = c
-            if backtrack(i + 1):
-                return True
-            del assignment[v]
-        return False
-
-    found = backtrack(0)
-    del backtrack  # a cycle through its own closure would keep it until a collection
-    return assignment if found else None
+        c = next((c for c in range(untried[i], 4) if c not in used), None)
+        if c is None:
+            untried[i] = 0
+            i -= 1
+        else:
+            assignment[v], untried[i] = c, c + 1
+            i += 1
+    return assignment if i == len(order) else None
 
 
 def four_color(s: SphereTriangulation) -> dict[int, int] | None:

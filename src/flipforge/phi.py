@@ -9,7 +9,8 @@ form exactly one sylvester class, so the map realizes the class quotient.
 
 ``colored_triangulation_from_word`` pairs the image of the standardization
 with the weakly increasing coloring given by the word's evaluation; the
-result is always simple and grows one vertex at a time with ``insert``.
+result is always simple and grows one vertex at a time by the insertion
+fold of ``insertion_trace``, which reads the word from the right.
 One walk in ``graphs`` (``_ring_walk``) runs the same ring depth-first over
 every word of a block coloring at once, standardizing as it goes: a live
 rank is its color's next unused letter iff its live predecessor has another
@@ -23,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 from typing import Any, Callable
 
-from .triangulation import Coloring, Triangulation, face_ends, face_tree, faces, is_simple
+from .triangulation import Coloring, Triangulation, face_ends, face_tree, faces
 from .words import Word, is_permutation, standardize
 
 ColoredTriangulation = tuple[Triangulation, Coloring]
@@ -104,34 +105,23 @@ def colored_triangulation_from_word(w: Word) -> ColoredTriangulation:
     return triangulation_from_permutation(standardize(w)), tuple(sorted(w))
 
 
-def insert(state: ColoredTriangulation, color: int) -> ColoredTriangulation:
-    """Grow a simple colored triangulation by one vertex of the given color.
-
-    The new vertex lands after the last vertex colored below ``color``
-    (vertex 0 acting as a colorless floor, the roof as a ceiling); the old
-    boundary edge it covers becomes a diagonal and the new face takes the
-    new color.  Labels are renumbered to stay contiguous.
-    """
-    t, eps = state
-    if not is_simple(t, eps):
-        raise ValueError(f"cannot insert color {color}: state is not simple (coloring {eps})")
-    pos = sum(1 for c in eps if c < color)
-
-    def shift(v: int) -> int:
-        return v + 1 if v > pos else v
-
-    diagonals = [(shift(i), shift(j)) for i, j in t.diagonals]
-    if t.n > 0:
-        diagonals.append((pos, pos + 2))
-    eps2 = eps[:pos] + (color,) + eps[pos:]
-    return Triangulation(t.n + 1, tuple(diagonals)), eps2
-
-
 def insertion_trace(w: Word) -> list[ColoredTriangulation]:
-    """States of the right-to-left insertion fold of w, ending at its image."""
-    state: ColoredTriangulation = (Triangulation(0, ()), ())
-    trace = [state]
+    """States of the right-to-left insertion fold of w, ending at its image.
+
+    Each letter read adds a vertex of its color after the last vertex
+    colored below it (vertex 0 acting as a colorless floor, the roof as a
+    ceiling); the old boundary edge it covers becomes a diagonal and the new
+    face takes the new color.  Labels are renumbered to stay contiguous.
+    State k is the image of the last k letters of w, so each is simple by
+    construction and none is checked.
+    """
+    t, eps = Triangulation(0, ()), ()
+    trace = [(t, eps)]
     for color in reversed(w):
-        state = insert(state, color)
-        trace.append(state)
+        pos = sum(1 for c in eps if c < color)
+        diagonals = [(i + (i > pos), j + (j > pos)) for i, j in t.diagonals]
+        if t.n > 0:
+            diagonals.append((pos, pos + 2))
+        t, eps = Triangulation(t.n + 1, tuple(diagonals)), eps[:pos] + (color,) + eps[pos:]
+        trace.append((t, eps))
     return trace

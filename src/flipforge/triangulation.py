@@ -126,32 +126,6 @@ def rise_mask(eps: Coloring) -> int:
     return sum(1 << y for y in range(2, len(eps) + 1) if eps[y - 2] < eps[y - 1])
 
 
-def weakly_increasing(eps: Coloring) -> bool:
-    """Whether the colors never fall along 1..n."""
-    return all(a <= b for a, b in zip(eps, eps[1:]))
-
-
-def is_simple(t: Triangulation, eps: Coloring) -> bool:
-    """Whether the colored triangulation satisfies the three simplicity rules.
-
-    (a) colors weakly increase along 1..n, (b) no diagonal joins two inner
-    vertices of equal color, (c) for consecutive equal-colored vertices
-    i, i+1 the face on the edge {i, i+1} points down: t_i < i.
-
-    Equivalently, with eps_y the color of y: the colors weakly increase and
-    eps_{y-1} < eps_y for every y >= 2 that tops no diagonal (lo[y] = y - 1),
-    i.e. ``up_mask(n, diagonals) & ~rise_mask(eps) == 0``.
-    The face on {y-1, y} is face y iff lo[y] = y - 1, else face y - 1, and
-    only face y points up; so this is (c).  (a) and (c) give (b): an inner
-    diagonal (i, j) with eps_i = eps_j forces eps_i = eps_{i+1} by (a), and
-    no diagonal reaches i + 1 from below i without crossing (i, j), so
-    lo[i+1] = i and (c) fails.  Requires a valid triangulation.
-    """
-    if len(eps) != t.n:
-        raise ValueError(f"coloring has length {len(eps)}, expected {t.n}")
-    return weakly_increasing(eps) and not up_mask(t.n, t.diagonals) & ~rise_mask(eps)
-
-
 def canonical_key(t: Triangulation) -> str:
     """Stable text key: "<n>:" then the sorted diagonals, e.g. "2:0-2"."""
     return f"{t.n}:" + ";".join(f"{i}-{j}" for i, j in t.diagonals)

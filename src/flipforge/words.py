@@ -139,9 +139,7 @@ def parse_word(text: str) -> Word:
 
 
 def format_word(w: Word, like: str) -> str:
-    if like.isalpha() and "," not in like:
-        if max(w) > 26:
-            raise ValueError("letters beyond z")
+    if like.isalpha() and max(w, default=0) <= 26:  # past z, the comma form
         return "".join(chr(a - 1 + ord("a")) for a in w)
     if like.isdigit():
         return "".join(str(a) for a in w)

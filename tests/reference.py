@@ -31,7 +31,6 @@ from flipforge.triangulation import (
     canonical_key,
     face_ends,
     face_tree,
-    is_simple,
     validate,
 )
 from flipforge.words import (
@@ -159,6 +158,27 @@ def faces_by_ears(t: Triangulation) -> list[Face]:
             degree[a] -= 1
             degree[b] -= 1
     return sorted(out, key=lambda f: f.label)
+
+
+def is_simple(t: Triangulation, eps: Coloring) -> bool:
+    """The definition of a simple colored triangulation, rule by rule, on
+    faces found by clipping ears: (a) colors weakly increase along 1..n,
+    (b) no diagonal joins two inner vertices of equal color, (c) for
+    consecutive equal-colored vertices i, i+1 the face on the edge {i, i+1}
+    points down: its third vertex is below i.  The library's one test,
+    ``ShapeTable.simple``, reads a mask rule instead.  Requires a valid
+    triangulation."""
+    if list(eps) != sorted(eps):
+        return False
+    if any(1 <= i and j <= t.n and eps[i - 1] == eps[j - 1] for i, j in t.diagonals):
+        return False
+    equal = [i for i in range(1, t.n) if eps[i - 1] == eps[i]]
+    fs = faces_by_ears(t) if equal else []
+    for i in equal:
+        (face,) = [f for f in fs if i in f and i + 1 in f]
+        if next(v for v in face if v not in (i, i + 1)) >= i:
+            return False
+    return True
 
 
 def crossing(d1: Diagonal, d2: Diagonal) -> bool:

@@ -14,9 +14,8 @@ import pytest
 from flipforge import cli, flips, graphs, triangulation
 from flipforge.cli import main
 from flipforge.phi import colored_triangulation_from_word
-from flipforge.triangulation import is_simple
 
-from reference import flip_row, signed_moves
+from reference import flip_row, is_simple, signed_moves
 from refdata import CATALAN, CHAIN, PHI_235461, READINGS_235461
 
 SPHERE_LIST_SIGNS = json.dumps(
@@ -312,6 +311,15 @@ class TestSphereCommands:
         data = run_json(capsys, "four-color", str(sphere_file))
         assert data["found"] and data["verified"]
         assert len(data["coloring"]) == 8
+
+    def test_four_color_on_a_large_fan(self, capsys, tmp_path):
+        # a fan glued to itself at n = 1200: the search keeps no frame per vertex
+        fan = [[0, j] for j in range(2, 1201)]
+        sphere = tmp_path / "fan.json"
+        sphere.write_text(json.dumps({"n": 1200, "north": fan, "south": fan}))
+        data = run_json(capsys, "four-color", str(sphere))
+        assert data["found"] and data["verified"]
+        assert len(data["coloring"]) == 1202
 
     def test_heawood_without_signs_fails(self, capsys, tmp_path):
         bare = tmp_path / "bare.json"

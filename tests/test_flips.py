@@ -21,7 +21,6 @@ from flipforge.triangulation import (
     Triangulation,
     all_triangulations,
     faces,
-    is_simple,
 )
 from flipforge.signing import DiagonalSigning, flip_readings
 from flipforge.words import abs_word, block_coloring, sylvester_class
@@ -36,6 +35,7 @@ from reference import (
     flip_readings_by_ears,
     flip_row,
     homogeneous_neighbors,
+    is_simple,
     quad_by_adjacency,
     readings_exchange_oracle,
     signed_flip,

@@ -41,6 +41,7 @@ from reference import (
     graph_components,
     homogeneous_components,
     is_connected,
+    is_simple,
     phi_morphism_check,
     reachability_by_states,
     reading_closure_check,
@@ -785,7 +786,7 @@ class TestBattery:
             table = graphs.flip_table(n)
             for mu in compositions(n, graphs.MAX_PARTS):
                 eps = block_coloring(mu)
-                simple = [i for i in range(len(table.codes)) if triangulation.is_simple(table.shape(i), eps)]
+                simple = [i for i in range(len(table.codes)) if is_simple(table.shape(i), eps)]
                 assert table.simple(eps) == simple
                 assert table.simple(eps[::-1]) == (simple if len(mu) == 1 else [])
                 assert list(graphs._switched_graph(table, mu)[0]) == simple

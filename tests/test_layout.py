@@ -108,6 +108,22 @@ def test_only_jsonio_validates():
     assert not callers, f"validate called outside jsonio: {callers}"
 
 
+def test_only_shape_table_tests_simplicity():
+    """Simplicity is decided in one place: in the library only
+    ``flips.ShapeTable.simple`` calls ``up_mask`` and ``rise_mask``."""
+    callers = []
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        scopes = [(f"{path.stem}.{node.name}.{item.name}", item) for node in tree.body
+                  if isinstance(node, ast.ClassDef) for item in node.body if isinstance(item, DEFS[:2])]
+        scopes += [(f"{path.stem}.{node.name}", node) for node in tree.body if isinstance(node, DEFS[:2])]
+        for label, scope in scopes:
+            if any(isinstance(node, ast.Call) and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+                   & {"up_mask", "rise_mask"} for node in ast.walk(scope)):
+                callers.append(label)
+    assert callers == ["flips.ShapeTable.simple"], f"simplicity masks read outside ShapeTable.simple: {callers}"
+
+
 def test_flips_imports_only_from_triangulation():
     """flips is the flip kernel alone: the family's table lives in graphs and
     the readings of a flip in signing."""

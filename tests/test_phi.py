@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from flipforge.phi import (
     canonical_reading,
     colored_triangulation_from_word,
-    insert,
     insertion_trace,
     reading_count,
     readings,
@@ -21,7 +20,6 @@ from flipforge.triangulation import (
     canonical_key,
     chord_code,
     faces,
-    is_simple,
 )
 from flipforge.words import standardize, sylvester_class
 from flipforge.graphs import catalan
@@ -30,6 +28,7 @@ from reference import (
     canonical_reading_by_ears,
     colored_image_code,
     colored_readings,
+    is_simple,
     readings_by_ears,
     third_vertex,
 )
@@ -220,8 +219,7 @@ class TestColoredReadings:
 
 class TestInsertion:
     def test_base_case(self):
-        state = (Triangulation(0, ()), ())
-        t, eps = insert(state, 7)
+        t, eps = insertion_trace((7,))[1]
         assert t == Triangulation(1, ())
         assert eps == (7,)
 
@@ -245,10 +243,12 @@ class TestInsertion:
             for w in itertools.product((1, 2, 3), repeat=n):
                 assert insertion_trace(w)[-1] == colored_triangulation_from_word(w)
 
-    def test_rejects_non_simple_state(self):
-        t = Triangulation(3, ((1, 3), (0, 3)))
-        with pytest.raises(ValueError):
-            insert((t, (1, 2, 1)), 2)
+    def test_every_state_is_the_image_of_its_suffix(self):
+        # the fold checks no state: state k is the image of the last k letters
+        for n in range(1, 7):
+            for w in itertools.product((1, 2, 3), repeat=n):
+                trace = insertion_trace(w)
+                assert trace == [colored_triangulation_from_word(w[n - k:]) for k in range(n + 1)]
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=7).map(tuple))
     def test_fold_matches_phi_random(self, w):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flipforge import triangulation
+from flipforge.flips import ShapeTable
 from flipforge.phi import colored_triangulation_from_word, triangulation_from_permutation
 from flipforge.triangulation import (
     Face,
@@ -18,7 +19,6 @@ from flipforge.triangulation import (
     face_ends,
     face_tree,
     faces,
-    is_simple,
     validate,
 )
 
@@ -29,6 +29,7 @@ from reference import (
     edge_adjacency,
     faces_by_ears,
     from_chord_code,
+    is_simple,
     third_vertex,
     triangulation_from_key,
     validate_by_crossings,
@@ -38,6 +39,11 @@ from refdata import CATALAN, PHI_235461
 
 def tri(n, *diags):
     return Triangulation(n, tuple(diags))
+
+
+def simple(t, eps):
+    """Whether the library's one simplicity test passes t colored by eps."""
+    return ShapeTable([t]).simple(eps) == [0]
 
 
 class TestConstruction:
@@ -252,7 +258,7 @@ class TestThirdVertex:
         t = tri(3, (0, 2))  # one chord short: the edge {2, 3} bounds no face
         with pytest.raises(ValueError, match="unique face"):
             third_vertex(t, 2)
-        # is_simple, like faces, requires a valid triangulation, which this is not
+        # the simplicity test, like faces, requires a valid triangulation, which this is not
         assert validate(t) == ["expected 2 diagonals for n=3, got 1"]
 
 
@@ -272,60 +278,39 @@ class TestEnumeration:
 class TestSimple:
     def test_image_of_colored_reading_is_simple(self):
         t, eps = colored_triangulation_from_word((2, 2, 3, 2, 3, 1))
-        assert is_simple(t, eps)
+        assert simple(t, eps)
 
     def test_equal_color_diagonal_rejected(self):
         t = tri(3, (1, 3), (0, 3))
-        assert not is_simple(t, (1, 2, 1))
+        assert not simple(t, (1, 2, 1))
 
     def test_distinct_increasing_colors_always_simple(self):
         for t in all_triangulations(4):
-            assert is_simple(t, (1, 2, 3, 4))
+            assert simple(t, (1, 2, 3, 4))
 
     def test_decreasing_colors_rejected(self):
         t = tri(2, (0, 2))
-        assert not is_simple(t, (2, 1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            is_simple(tri(2, (0, 2)), (1,))
+        assert not simple(t, (2, 1))
 
     def test_builds_no_adjacency(self):
         # the face ends alone decide; the vertex adjacency is a test oracle
         assert not hasattr(triangulation, "edge_adjacency")
 
     def test_agrees_with_literal_three_rules(self):
-        # independent re-derivation of the definition on faces found by clipping ears:
-        # every weakly increasing coloring for n <= 7, every coloring by 1..3 for n <= 5
-        def brute(t, fs, eps):
-            if list(eps) != sorted(eps):
-                return False
-            for i, j in t.diagonals:
-                both_inner = 1 <= i and j <= t.n
-                if both_inner and eps[i - 1] == eps[j - 1]:
-                    return False
-            for i in range(1, t.n):
-                if eps[i - 1] != eps[i]:
-                    continue
-                holder = [f for f in fs if i in f and i + 1 in f]
-                assert len(holder) == 1
-                (x, y, z) = holder[0]
-                third = next(v for v in (x, y, z) if v not in (i, i + 1))
-                if third >= i:
-                    return False
-            return True
-
+        # the definition, rule by rule on faces found by clipping ears, against
+        # the mask rule of ShapeTable.simple: every weakly increasing coloring
+        # for n <= 7, every coloring by 1..3 for n <= 5
         checks = 0
         for n in range(1, 8):
             colorings = [tuple(itertools.accumulate(steps, initial=1))
                          for steps in itertools.product((0, 1), repeat=n - 1)]
             if n <= 5:
                 colorings += itertools.product((1, 2, 3), repeat=n)
-            for t in all_triangulations(n):
-                fs = faces_by_ears(t)
-                for eps in colorings:
-                    assert is_simple(t, eps) == brute(t, fs, eps)
-                    checks += 1
+            shapes = list(all_triangulations(n))
+            table = ShapeTable(shapes)
+            for eps in colorings:
+                assert table.simple(eps) == [i for i, t in enumerate(shapes) if is_simple(t, eps)]
+                checks += len(shapes)
         assert checks == 32_489 + sum(CATALAN[n] * 3 ** n for n in range(1, 6))
 
 

@@ -361,6 +361,7 @@ class TestParsing:
         assert format_word((2, 3, 5), "235461") == "235"
         assert format_word((2, 3, 5), "bbc") == "bce"
         assert format_word((2, 3, 15), "1,1") == "2,3,15"
+        assert format_word((27, 1), "a") == "27,1"  # past z, the comma form
 
     def test_signed_round_trip(self):
         text = "-3,2,-4,1,5,6"
