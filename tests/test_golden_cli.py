@@ -150,6 +150,10 @@ CORPUS = [
     # distance < 6 from the start shape's signings number 984
     ("signed-path-refused", ["signed-path", "324156", "453126", "--max-states", "983"], []),
     ("signed-path-at-cap", ["signed-path", "324156", "453126", "--max-states", "984"], []),
+    # the worked pair one state below 832 + 5 * 184 = 1,752, the states to
+    # distance 4 plus n - 1 states per state of layer 4, the most that layer 5
+    # can add: a search may skip a layer's rows only under that bound
+    ("signed-path-below-lookahead", ["signed-path", "324156", "453126", "--max-states", "1751"], []),
     # two readings of one shape: a path of no flips, whose certificate is one word
     ("signed-path-0", ["signed-path", "1243", "1423", "--emit-cert", "z.jsonl"], ["z.jsonl"]),
     ("check-cert-0", ["check-cert", "z.jsonl"], []),
@@ -278,6 +282,8 @@ GOLDEN = {
     # Recorded after the signed-path cap counted only the states at distance < d;
     # before, the cap also counted part of the last layer and refused this command.
     "signed-path-at-cap": "f24ca1649f241545cb78e767216f9ab247ccd8e63199c7eec2a97271a2018b18",
+    # Recorded before the search met its last layer at the end shape's neighbours.
+    "signed-path-below-lookahead": "f24ca1649f241545cb78e767216f9ab247ccd8e63199c7eec2a97271a2018b18",
     # Recorded before the sphere's face signs became a pair of sign tuples.
     "signed-path-0": "e4b504136aea5b37c68b8155ae640b3b809b41a331e54148b23ebef972ee14a3",
     "signed-path-0:z.jsonl": "e92664b807dfcdeeaf3bf36b8a874dd18074f2951e5950aa1c6fc832c07d8ae7",
