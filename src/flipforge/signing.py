@@ -126,17 +126,23 @@ def signable_path_search(
     of start_tri.  A row entry with mask m moves a bitset B by one shift each
     way (``_step``), since s ^ m is s + m when s & m == 0 and s - m when
     s & m == m.  Each frontier is first matched against end_tri's own row (a
-    flip undoes itself with the same mask), so the shapes of the last
-    frontier build no rows; returns None only when the whole reachable space
-    is exhausted.
+    flip undoes itself with the same mask).  When the next layer would fit
+    the cap even at n - 1 states for each state the frontier added, it is
+    then computed at end_tri's neighbours alone, each from its own row; if
+    that meets end_tri it is the last frontier and the frontier is never
+    expanded, so a shape first reached there builds a row only if it lies on
+    a shortest path or next to end_tri.  Returns None only when the whole
+    reachable space is exhausted.
 
     The path is the one a FIFO search seeded in mask order with flips in
     diagonal order would return: the least (seed, entry index, ...) among
-    shortest paths, found by one backward pass of the signings that still
-    lead to an end state and one forward pass taking the least seed and then
-    the least entry.  StateCapExceeded is raised iff the signed states at
-    distance < d from the seeds, d the path length (or every reachable state
-    when there is no path), number more than max_states.
+    shortest paths, found by one backward pass, which reads the row of each
+    shape with a signing that still leads to an end state and marks the
+    signings one flip back in the layer before, and one forward pass taking
+    the least seed and then the least entry.  StateCapExceeded is raised iff
+    the signed states at distance < d from the seeds, d the path length (or
+    every reachable state when there is no path), number more than
+    max_states.
     """
     if max_states < 1:
         raise ValueError(f"state cap must be at least 1, got {max_states}")
@@ -153,16 +159,22 @@ def signable_path_search(
     halves = _Halves(n)
     layers = [{0: halves.full}]
     seen = {0: halves.full}
-    count = 1 << n
+    count = added = 1 << n
     while True:
         frontier = layers[-1]
-        ends = 0
-        for j, m, *_ in end_row:
-            if j in frontier:
-                ends |= _step(frontier[j], m, halves)
+        ends = _meet(end_row, frontier, halves)
         if ends:
             break
+        # the next layer adds at most n - 1 states per state of this one: if that fits, meet it first
+        if count + (n - 1) * added <= max_states:
+            near = {j: u for j, *_ in end_row
+                    if (u := _meet(table.row(j), frontier, halves) & ~seen.get(j, 0))}
+            ends = _meet(end_row, near, halves)
+            if ends:
+                layers.append(near)
+                break
         layer: dict[int, int] = {}
+        before = count
         for i, bits in frontier.items():
             for j, m, *_ in table.row(i):
                 new = _step(bits, m, halves) & ~seen.get(j, 0)
@@ -175,21 +187,17 @@ def signable_path_search(
         if not layer:
             return None
         layers.append(layer)
+        added = count - before
 
-    # useful[t][i]: the signings of shape i in layer t on a shortest path to an end state
-    useful = [{j: u for j, m, *_ in end_row
-               if j in frontier and (u := _step(ends, m, halves) & frontier[j])}, {1: ends}]
-    for layer in reversed(layers[:-1]):
-        later = useful[0]
-        u_layer = {}
-        for i, bits in layer.items():
-            u = 0
-            for j, m, *_ in table.row(i):
-                if j in later:
-                    u |= _step(later[j], m, halves)
-            u &= bits
-            if u:
-                u_layer[i] = u
+    # useful[t][i]: the signings of shape i in layer t on a shortest path to an end state,
+    # read off the rows of the shapes useful in layer t + 1
+    useful = [{1: ends}]
+    for layer in reversed(layers):
+        u_layer: dict[int, int] = {}
+        for j, u in useful[0].items():
+            for i, m, *_ in table.row(j):
+                if i in layer and (v := _step(u, m, halves) & layer[i]):
+                    u_layer[i] = u_layer.get(i, 0) | v
         useful.insert(0, u_layer)
 
     seeds = useful[0][0]
@@ -233,6 +241,15 @@ def _step(bits: int, m: int, halves: _Halves) -> int:
     """The signings s ^ m of the signings s in bits that the flip of mask m allows."""
     zero, one = halves[m]
     return (bits & zero) << m | (bits & one) >> m
+
+
+def _meet(row: list[tuple[int, int, int, int, Diagonal]], layer: dict[int, int], halves: _Halves) -> int:
+    """The signings of row's shape one flip from the states of layer."""
+    bits = 0
+    for j, m, *_ in row:
+        if j in layer:
+            bits |= _step(layer[j], m, halves)
+    return bits
 
 
 def sign_letters(perm: Word, face_signs: Coloring) -> SignedWord:

@@ -465,6 +465,36 @@ def depths_below_end(start_tri: Triangulation, end_tri: Triangulation) -> dict[S
     return depth
 
 
+def states_on_shortest_paths(start_tri: Triangulation, end_tri: Triangulation) -> dict[SignedState, int]:
+    """Each signed state on a shortest path from the signings of start_tri to
+    a state of end_tri, with its distance from them, for start_tri !=
+    end_tri (empty when no path exists): the end states one signed flip from
+    distance d - 1, then, nearer by one each time, the states of
+    ``depths_below_end`` one signed flip from those already taken."""
+    depth = depths_below_end(start_tri, end_tri)
+    path = signable_path_by_states(start_tri, end_tri)
+    if path is None:
+        return {}
+    d = len(path.flips)
+    by_depth: dict[int, list[SignedState]] = {}
+    for state, t in depth.items():
+        by_depth.setdefault(t, []).append(state)
+    rows: dict = {}
+
+    def moves(state: SignedState) -> set[SignedState]:
+        row = rows.get(state.tri)
+        if row is None:
+            row = rows[state.tri] = flip_row(state.tri)
+        return {SignedState(t2, signs2) for _, t2, signs2 in signed_moves(row, state.signs)}
+
+    later = {s for state in by_depth[d - 1] for s in moves(state) if s.tri == end_tri}
+    on = dict.fromkeys(later, d)
+    for t in range(d - 1, -1, -1):
+        later = {state for state in by_depth[t] if moves(state) & later}
+        on.update(dict.fromkeys(later, t))
+    return on
+
+
 def states_below_end(start_tri: Triangulation, end_tri: Triangulation) -> int:
     """The signed states at distance < d from the signings of start_tri, d the
     distance to end_tri: the least cap under which signable_path_search

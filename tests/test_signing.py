@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,7 @@ from reference import (
     signed_flip_diagonal,
     signed_moves,
     states_below_end,
+    states_on_shortest_paths,
 )
 from refdata import (
     CHAIN,
@@ -363,16 +365,50 @@ class TestSignablePathSearch:
     def test_cap_bounds_the_rows_built(self, k, monkeypatch):
         t1, t2 = CAP_PAIRS[k]
         depth = depths_below_end(t1, t2)
+        cap = len(depth)
         rows = count_calls(monkeypatch, flips.ShapeTable, "_build_row")  # one call per row built
-        path = signable_path_search(t1, t2, max_states=len(depth))
+        path = signable_path_search(t1, t2, max_states=cap)
         built = len(rows)
         d = len(path.flips)
         assert d - 1 == max(depth.values())
-        # the rows that expand layers 0..d-2, the end shape's own row, and the
-        # penultimate shape's row for its last diagonal; none for the last layer
-        expected = {state.tri for state, t in depth.items() if t <= d - 2}
-        expected |= {t2, path[-2].tri}
+        # a lookahead at layer t runs iff the states to distance t, plus n - 1
+        # for each state of layer t, fit the cap; the one at layer d - 2 meets
+        # the end, so layer d - 2 expands only when its lookahead is refused
+        sizes = Counter(depth.values())
+        bounds = [sum(sizes[u] for u in range(t + 1)) + (t1.n - 1) * sizes[t] for t in range(d - 1)]
+        expanded = d - 2 if bounds and bounds[-1] <= cap else d - 1
+        # the rows that expand those layers, the end shape's own row, the rows
+        # of its neighbours when any lookahead ran, and the rows of the shapes
+        # on a shortest path, which the backward pass and the forward walk read
+        expected = {state.tri for state, t in depth.items() if t < expanded}
+        expected |= {t2} | {state.tri for state in states_on_shortest_paths(t1, t2)}
+        if any(b <= cap for b in bounds):
+            expected |= {t for _, t, _, _ in flip_row(t2)}
         assert built == len(expected)
+
+    def test_a_skipped_layer_builds_rows_only_on_shortest_paths(self, monkeypatch):
+        # under the default cap the last frontier is met at the end shape's
+        # neighbours, so of the shapes first reached at distance d - 2 just
+        # those with a signing on a shortest path, and the end shape's
+        # neighbours that each lookahead reads, build a row
+        rows = count_calls(monkeypatch, flips.ShapeTable, "_build_row")  # (table, shape) per row built
+        skipped = 0
+        for t1, t2 in seeded_pairs(random.Random(41), 10):
+            rows.clear()
+            path = signable_path_search(t1, t2)
+            assert path == signable_path_by_states(t1, t2)
+            built = {table.shape(i) for table, i in rows}
+            d = len(path.flips)
+            first: dict = {}
+            for state, t in depths_below_end(t1, t2).items():
+                first[state.tri] = min(first.get(state.tri, t), t)
+            last = {t for t, depth in first.items() if depth == d - 2}
+            allowed = {state.tri for state in states_on_shortest_paths(t1, t2)}
+            allowed |= {t for _, t, _, _ in flip_row(t2)}
+            assert built & last == allowed & last
+            skipped += len(last - built)
+        # the search over every layer built a row for each of them
+        assert skipped > 100
 
     def test_default_cap_returns_paths_to_n8(self):
         for t1, t2 in seeded_pairs(random.Random(62), 4) + [(phi((2, 7, 1, 8, 4, 6, 3, 5)),
@@ -400,9 +436,10 @@ class TestSignablePathSearch:
         path = signable_path_search(Triangulation(6, tuple(PHI_324156)), Triangulation(6, tuple(PHI_453126)))
         assert len(path.flips) == 6
         (table,) = tables
-        # a FIFO search over single states built 87 rows and 114 shapes here;
-        # past the two given shapes, each code numbered is a shape added
-        assert (len(rows), len(table.codes) - 2) == (78, 106)
+        # a FIFO search over single states built 87 rows and 114 shapes here,
+        # and one that expanded layer d - 2 built 78 and 106; past the two
+        # given shapes, each code numbered is a shape added
+        assert (len(rows), len(table.codes) - 2) == (56, 92)
 
     def test_search_builds_a_triangulation_only_for_the_inner_shapes(self):
         # matched by code object, so a construction anywhere is seen; the start
